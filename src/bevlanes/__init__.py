@@ -9,9 +9,7 @@ from .codec import (AngleBinSpec, LaneSegment, TilePredictionGrid, TileTargetGri
 from .config import ConfigError, PipelineConfig
 from .evaluation import (EvalConfig, EvalReport, curve_iou, evaluate, lateral_error,
                          match_and_ap, rasterize_curve)
-from .geometry import (CameraRig, GridSpec, Homography, HorizonDegeneracyError, Lane3D,
-                       camera_to_plane, plane_homography, plane_to_camera, tile_bounds,
-                       tile_center, tile_centers)
+from .geometry import CameraRig, GridSpec, Lane3D, tile_bounds, tile_center, tile_centers
 from .io import SchemaError
 from .losses import (ClusterSummary, EmbeddingParams, FiniteDiffReport, LossValueAndGrad,
                      angle_loss, embedding_loss, finite_diff_check, offsets_loss, pull_loss,

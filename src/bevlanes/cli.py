@@ -14,25 +14,17 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .config import ConfigError, PipelineConfig
 from .io import SchemaError, load_json
-from .pipeline import (CLUSTER_METHODS, cmd_cluster, cmd_decode, cmd_encode, cmd_eval,
-                       cmd_generate, cmd_loss, cmd_pipeline, cmd_predict)
+from .pipeline import CLUSTER_METHODS, STAGES, cmd_eval, cmd_loss, cmd_pipeline, run_stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 ENV_OUTPUT_DIR = "BEVLANES_OUTPUT_DIR"
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="pipeline config JSON file")
-    sub.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
-    sub.add_argument("--out", metavar="DIR", help="override output_dir")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="parallel workers (pipeline stage fan-out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,10 +44,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("pipeline", "run every stage and emit report + plots"),
     ]:
         sub = subs.add_parser(name, help=doc)
-        _add_common(sub)
+        sub.add_argument("--config", metavar="PATH", help="pipeline config JSON file")
+        sub.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
+        sub.add_argument("--out", metavar="DIR", help="override output_dir")
         if name in ("cluster", "pipeline"):
             sub.add_argument("--method", choices=CLUSTER_METHODS, default="embedding",
                              help="clustering method")
+        if name == "pipeline":
+            sub.add_argument("--jobs", type=int, default=1, metavar="N",
+                             help="parallel worker processes")
         if name == "loss":
             sub.add_argument("--check-grads", action="store_true",
                              help="append a finite-difference gradient summary")
@@ -79,41 +76,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        if args.command == "generate":
-            paths = cmd_generate(config)
-            print(f"wrote {len(paths)} scene files to {config.output_dir}/scenes")
-        elif args.command == "encode":
-            paths = cmd_encode(config)
-            print(f"wrote {len(paths)} target grids to {config.output_dir}/targets")
-        elif args.command == "predict":
-            paths = cmd_predict(config)
-            print(f"wrote {len(paths)} prediction grids to {config.output_dir}/preds")
-        elif args.command == "decode":
-            paths = cmd_decode(config)
-            print(f"wrote {len(paths)} segment files to {config.output_dir}/segments")
-        elif args.command == "cluster":
-            paths = cmd_cluster(config, method=args.method)
-            print(f"wrote {len(paths)} lane files to {config.output_dir}/lanes")
-        elif args.command == "eval":
-            report = cmd_eval(config)
-            print(f"map={report.map_score!r} recall@{report.operating_iou:g}="
-                  f"{report.recall_at_reference!r} "
-                  f"(report in {config.output_dir}/report.csv)")
+        if args.command in STAGES:
+            paths = run_stage(config, args.command, getattr(args, "method", "embedding"))
+            print(f"wrote {len(paths)} files to "
+                  f"{Path(config.output_dir) / STAGES[args.command].dir}")
         elif args.command == "loss":
-            csv = cmd_loss(config, grad_check=args.check_grads)
-            sys.stdout.write(csv)
-        elif args.command == "pipeline":
-            report = cmd_pipeline(config, method=args.method, jobs=args.jobs)
+            sys.stdout.write(cmd_loss(config, grad_check=args.check_grads))
+        else:
+            report = (cmd_eval(config) if args.command == "eval" else
+                      cmd_pipeline(config, method=args.method, jobs=args.jobs))
             print(f"map={report.map_score!r} recall@{report.operating_iou:g}="
-                  f"{report.recall_at_reference!r} "
-                  f"(artifacts in {config.output_dir})")
+                  f"{report.recall_at_reference!r} (artifacts in {config.output_dir})")
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except SchemaError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (SchemaError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -43,17 +43,6 @@ class ClusterParams:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
-    def to_dict(self) -> dict:
-        return {"bandwidth": self.bandwidth, "max_iters": self.max_iters,
-                "shift_tol": self.shift_tol, "assign_radius": self.assign_radius,
-                "min_cluster_size": self.min_cluster_size}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClusterParams":
-        return cls(bandwidth=float(d["bandwidth"]), max_iters=int(d["max_iters"]),
-                   shift_tol=float(d["shift_tol"]), assign_radius=float(d["assign_radius"]),
-                   min_cluster_size=int(d["min_cluster_size"]))
-
 
 @dataclass
 class LaneInstance:

@@ -54,13 +54,6 @@ class AngleBinSpec:
     def centers(self) -> np.ndarray:
         return self.spacing * np.arange(1, self.n_bins + 1)
 
-    def to_dict(self) -> dict:
-        return {"n_bins": self.n_bins}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AngleBinSpec":
-        return cls(n_bins=int(d["n_bins"]))
-
 
 def wrap_signed(angle):
     """Wrap angle(s) to (-pi, pi]."""
@@ -98,20 +91,6 @@ def soft_labels_to_angle(p_bins: np.ndarray, d_bins: np.ndarray, bins: AngleBinS
         raise ValueError("no active angle bin to decode from")
     i = int(np.argmax(p))
     return float((bins.centers[i] + float(d_bins[i])) % TWO_PI)
-
-
-@dataclass
-class TileTarget:
-    """Per-tile training target (read-only view into a TileTargetGrid)."""
-
-    occupancy: float
-    lateral_offset: float
-    angle: float
-    height_offset: float
-    lane_id: int
-    bin_probs: np.ndarray
-    bin_residuals: np.ndarray
-    bin_mask: np.ndarray
 
 
 @dataclass
@@ -154,18 +133,6 @@ class TileTargetGrid:
             bin_probs=np.zeros((h, w, n)),
             bin_residuals=np.zeros((h, w, n)),
             bin_mask=np.zeros((h, w, n)),
-        )
-
-    def tile(self, i: int, j: int) -> TileTarget:
-        return TileTarget(
-            occupancy=float(self.occupancy[i, j]),
-            lateral_offset=float(self.lateral_offset[i, j]),
-            angle=float(self.angle[i, j]),
-            height_offset=float(self.height_offset[i, j]),
-            lane_id=int(self.lane_id[i, j]),
-            bin_probs=self.bin_probs[i, j].copy(),
-            bin_residuals=self.bin_residuals[i, j].copy(),
-            bin_mask=self.bin_mask[i, j].copy(),
         )
 
 

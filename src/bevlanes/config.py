@@ -14,6 +14,7 @@ from .clustering import ClusterParams
 from .codec import AngleBinSpec
 from .evaluation import EvalConfig
 from .geometry import CameraRig, GridSpec
+from .io import section_from_dict, section_to_dict
 from .losses import EmbeddingParams
 from .synth import NoiseConfig, SceneConfig
 
@@ -62,7 +63,7 @@ class PipelineConfig:
                 f"y [{self.grid.y_min}, {self.grid.y_max}]")
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name).to_dict() for name in _SECTIONS}
+        out = {name: section_to_dict(getattr(self, name)) for name in _SECTIONS}
         out.update(output_dir=self.output_dir, n_scenes=self.n_scenes,
                    master_seed=self.master_seed)
         return out
@@ -81,13 +82,13 @@ class PipelineConfig:
             section = d[name]
             if not isinstance(section, dict):
                 raise ConfigError(f"section '{name}' must be an object")
-            defaults = typ().to_dict()
+            defaults = section_to_dict(typ())
             extra = set(section) - set(defaults)
             if extra:
                 raise ConfigError(f"unknown keys in section '{name}': {sorted(extra)}")
             merged = {**defaults, **section}
             try:
-                kwargs[name] = typ.from_dict(merged)
+                kwargs[name] = section_from_dict(typ, merged)
             except (ValueError, TypeError, KeyError) as e:
                 raise ConfigError(f"section '{name}': {e}")
         if "eval" not in kwargs:

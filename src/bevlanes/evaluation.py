@@ -51,23 +51,6 @@ class EvalConfig:
         if x_hi <= x_lo or y_hi <= y_lo:
             raise ValueError(f"empty raster extent {self.extent}")
 
-    def to_dict(self) -> dict:
-        return {"iou_thresholds": list(self.iou_thresholds), "lane_width": self.lane_width,
-                "raster_resolution": self.raster_resolution,
-                "range_buckets": [list(b) for b in self.range_buckets],
-                "lateral_sample_step": self.lateral_sample_step,
-                "extent": [list(e) for e in self.extent]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalConfig":
-        return cls(
-            iou_thresholds=tuple(float(v) for v in d["iou_thresholds"]),
-            lane_width=float(d["lane_width"]),
-            raster_resolution=float(d["raster_resolution"]),
-            range_buckets=tuple(tuple(float(v) for v in b) for b in d["range_buckets"]),
-            lateral_sample_step=float(d["lateral_sample_step"]),
-            extent=tuple(tuple(float(v) for v in e) for e in d["extent"]))
-
 
 @dataclass
 class EvalReport:
@@ -197,22 +180,29 @@ def _ap_from_flags(confidences: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
     return float(ap)
 
 
+def _check_confidences(preds: list) -> None:
+    if any(not (0.0 <= c <= 1.0) for _, c in preds):
+        raise ValueError("confidences must lie in [0, 1]")
+
+
+def _score_scene(preds: list, gts: list, cfg: EvalConfig):
+    """IOU matrix (P, G), confidences and confidence order of one scene."""
+    masks_p = [rasterize_curve(c, cfg) for c, _ in preds]
+    masks_g = [rasterize_curve(g, cfg) for g in gts]
+    iou = np.array([[mask_iou(mp, mg) for mg in masks_g] for mp in masks_p]
+                   ).reshape(len(preds), len(gts))
+    conf = np.array([c for _, c in preds])
+    return iou, conf, _confidence_order(conf)
+
+
 def match_and_ap(preds: list, gts: list, threshold: float, cfg: EvalConfig):
     """Greedy confidence-ordered matching at one IOU threshold, for one scene.
 
     preds is a list of (Curve, confidence). Returns (AP, matches, recall)
     where matches are (pred_index, gt_index, iou) triples.
     """
-    if any(not (0.0 <= c <= 1.0) for _, c in preds):
-        raise ValueError("confidences must lie in [0, 1]")
-    if not preds:
-        return 0.0, [], 0.0
-    masks_p = [rasterize_curve(c, cfg) for c, _ in preds]
-    masks_g = [rasterize_curve(g, cfg) for g in gts]
-    iou = np.array([[mask_iou(mp, mg) for mg in masks_g] for mp in masks_p]
-                   ).reshape(len(preds), len(gts))
-    conf = np.array([c for _, c in preds])
-    order = _confidence_order(conf)
+    _check_confidences(preds)
+    iou, conf, order = _score_scene(preds, gts, cfg)
     tp, pairs = _greedy_match(iou, order, threshold)
     ap = _ap_from_flags(conf[order], tp, len(gts))
     recall = (sum(tp) / len(gts)) if gts else 0.0
@@ -289,20 +279,17 @@ def evaluate(preds: list, gts: list, cfg: EvalConfig,
     gt_scene_ids = list(gt_scene_ids) if gt_scene_ids is not None else [0] * len(gts)
     if len(pred_scene_ids) != len(preds) or len(gt_scene_ids) != len(gts):
         raise ValueError("scene id lists must parallel the curve lists")
-    if any(not (0.0 <= c <= 1.0) for _, c in preds):
-        raise ValueError("confidences must lie in [0, 1]")
+    _check_confidences(preds)
 
-    scenes = sorted(set(pred_scene_ids) | set(gt_scene_ids))
+    groups = {}
+    for i, sid in enumerate(pred_scene_ids):
+        groups.setdefault(sid, ([], []))[0].append(i)
+    for i, sid in enumerate(gt_scene_ids):
+        groups.setdefault(sid, ([], []))[1].append(i)
     per_scene = []
-    for sid in scenes:
-        p_idx = [i for i, s in enumerate(pred_scene_ids) if s == sid]
-        g_idx = [i for i, s in enumerate(gt_scene_ids) if s == sid]
-        masks_p = [rasterize_curve(preds[i][0], cfg) for i in p_idx]
-        masks_g = [rasterize_curve(gts[i], cfg) for i in g_idx]
-        iou = np.array([[mask_iou(mp, mg) for mg in masks_g] for mp in masks_p]
-                       ).reshape(len(p_idx), len(g_idx))
-        conf = np.array([preds[i][1] for i in p_idx])
-        order = _confidence_order(conf)
+    for sid in sorted(groups):
+        p_idx, g_idx = groups[sid]
+        iou, conf, order = _score_scene([preds[i] for i in p_idx], [gts[i] for i in g_idx], cfg)
         per_scene.append((p_idx, g_idx, iou, conf, order))
 
     n_gt, n_pred = len(gts), len(preds)

@@ -1,19 +1,8 @@
-"""Coordinate frames, the road projection plane homography and the BEV tile grid.
-
-Conventions used throughout the package:
+"""Coordinate frames and the BEV tile grid.
 
 Plane frame (where all lane geometry lives):
   - origin on the road projection plane directly below the camera center
   - x right (meters), y forward (meters), z up (meters)
-
-Camera frame:
-  - same axis semantics as the plane frame (x right, y forward, z up),
-    origin at the camera center, rotated by the mounting pitch only.
-    Optical-axis conventions (image u right, v down) live entirely inside
-    the homography.
-
-Image frame:
-  - u right, v down, origin at the top-left corner, units pixels.
 
 The tile grid is laid out on the projection plane, laterally centered on
 the camera: x in [-W*tile_width/2, +W*tile_width/2], y in
@@ -24,19 +13,14 @@ index j along x (right).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-class HorizonDegeneracyError(ValueError):
-    """Raised when a plane<->image mapping hits the horizon (ray parallel
-    to the projection plane, or intersection behind the camera)."""
-
-
 @dataclass(frozen=True)
 class CameraRig:
-    """Camera mounting and intrinsics defining the road projection plane.
+    """Camera mounting and intrinsics, carried on every scene as a config record.
 
     pitch: mounting pitch in radians, positive = camera tilted downward.
     height: camera center height above the projection plane, meters.
@@ -58,25 +42,6 @@ class CameraRig:
             raise ValueError(f"pitch must be in (-pi/2, pi/2), got {self.pitch}")
         if not (self.focal[0] > 0 and self.focal[1] > 0):
             raise ValueError(f"focal components must be > 0, got {self.focal}")
-
-    def to_dict(self) -> dict:
-        return {
-            "pitch": self.pitch,
-            "height": self.height,
-            "focal": list(self.focal),
-            "principal_point": list(self.principal_point),
-            "image_size": list(self.image_size),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraRig":
-        return cls(
-            pitch=float(d["pitch"]),
-            height=float(d["height"]),
-            focal=(float(d["focal"][0]), float(d["focal"][1])),
-            principal_point=(float(d["principal_point"][0]), float(d["principal_point"][1])),
-            image_size=(int(d["image_size"][0]), int(d["image_size"][1])),
-        )
 
 
 @dataclass(frozen=True)
@@ -119,25 +84,6 @@ class GridSpec:
     def y_max(self) -> float:
         return self.y_min + self.y_extent
 
-    def to_dict(self) -> dict:
-        return {
-            "n_cols": self.n_cols,
-            "n_rows": self.n_rows,
-            "tile_width": self.tile_width,
-            "tile_length": self.tile_length,
-            "y_min": self.y_min,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(
-            n_cols=int(d["n_cols"]),
-            n_rows=int(d["n_rows"]),
-            tile_width=float(d["tile_width"]),
-            tile_length=float(d["tile_length"]),
-            y_min=float(d["y_min"]),
-        )
-
 
 @dataclass
 class Lane3D:
@@ -157,125 +103,6 @@ class Lane3D:
         seg = np.diff(self.points[:, :2], axis=0)
         if float(np.sum(np.hypot(seg[:, 0], seg[:, 1]))) <= 0.0:
             raise ValueError("lane polyline has zero length")
-
-
-class Homography:
-    """Invertible 3x3 map between plane (x, y, 1) and image (u, v, 1).
-
-    Built by `plane_homography`. Both directions reject points at or above
-    the horizon with HorizonDegeneracyError instead of returning infinities.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=float)
-        if self.matrix.shape != (3, 3):
-            raise ValueError("homography matrix must be 3x3")
-        det = np.linalg.det(self.matrix)
-        if not np.isfinite(det) or abs(det) < 1e-15:
-            raise ValueError("homography matrix is singular")
-        self.inverse = np.linalg.inv(self.matrix)
-
-    def plane_to_image(self, points: np.ndarray) -> np.ndarray:
-        """Map plane points (..., 2) to pixel coordinates (..., 2)."""
-        return _apply(self.matrix, points)
-
-    def image_to_plane(self, pixels: np.ndarray) -> np.ndarray:
-        """Map pixels (..., 2) back to plane points (..., 2)."""
-        return _apply(self.inverse, pixels)
-
-
-def _apply(M: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    p = np.atleast_2d(pts)
-    if p.shape[1] != 2:
-        raise ValueError(f"expected (..., 2) points, got shape {pts.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("non-finite input point")
-    h = np.column_stack([p, np.ones(len(p))]) @ M.T
-    w = h[:, 2]
-    # w <= 0 means the ray is parallel to the plane or intersects behind the
-    # camera: the point has no finite forward projection.
-    scale = max(1.0, float(np.max(np.abs(h))))
-    bad = w <= 1e-12 * scale
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise HorizonDegeneracyError(
-            f"point {p[idx].tolist()} maps at or above the horizon (w={w[idx]:.3e})"
-        )
-    out = h[:, :2] / w[:, None]
-    return out[0] if single else out
-
-
-def plane_homography(rig: CameraRig) -> Homography:
-    """Homography induced by the road projection plane for a given rig.
-
-    Derivation: the camera sits at height h above the plane, optical axis
-    pitched down by the mounting angle. For a plane point (x, y, 0) the
-    standard pinhole projection gives
-
-        u = fx * x / (y cos(pitch) + h sin(pitch)) + cx
-        v = fy * (h cos(pitch) - y sin(pitch)) / (y cos(pitch) + h sin(pitch)) + cy
-
-    which is linear in homogeneous (x, y, 1). det = -fx*fy*h != 0, so the
-    matrix is always invertible for a valid rig.
-    """
-    fx, fy = rig.focal
-    cx, cy = rig.principal_point
-    c, s = math.cos(rig.pitch), math.sin(rig.pitch)
-    h = rig.height
-    M = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, -s, h * c],
-            [0.0, c, h * s],
-        ]
-    )
-    K = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
-    return Homography(K @ M)
-
-
-def plane_to_camera(points: np.ndarray, rig: CameraRig) -> np.ndarray:
-    """Plane-frame 3D points -> camera-frame points (x right, y forward, z up).
-
-    Subtracts the camera height, then undoes the downward mounting pitch so
-    the result is expressed along the camera's own (pitched) axes. A ground
-    point far ahead therefore gains positive camera-frame z, consistent with
-    `plane_homography` (the horizon sits above the optical axis when the
-    camera tilts down). In (y, z) the map is
-
-        y' =  cos(pitch) * y - sin(pitch) * (z - h)
-        z' =  sin(pitch) * y + cos(pitch) * (z - h)
-    """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    p = np.atleast_2d(pts).copy()
-    if p.shape[1] != 3:
-        raise ValueError(f"expected (..., 3) points, got shape {pts.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("non-finite input point")
-    p[:, 2] -= rig.height
-    c, s = math.cos(rig.pitch), math.sin(rig.pitch)
-    y = c * p[:, 1] - s * p[:, 2]
-    z = s * p[:, 1] + c * p[:, 2]
-    out = np.column_stack([p[:, 0], y, z])
-    return out[0] if single else out
-
-
-def camera_to_plane(points: np.ndarray, rig: CameraRig) -> np.ndarray:
-    """Inverse of plane_to_camera."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    p = np.atleast_2d(pts)
-    if p.shape[1] != 3:
-        raise ValueError(f"expected (..., 3) points, got shape {pts.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("non-finite input point")
-    c, s = math.cos(rig.pitch), math.sin(rig.pitch)
-    y = c * p[:, 1] + s * p[:, 2]
-    z = -s * p[:, 1] + c * p[:, 2]
-    out = np.column_stack([p[:, 0], y, z + rig.height])
-    return out[0] if single else out
 
 
 def tile_center(row: int, col: int, grid: GridSpec) -> np.ndarray:

@@ -2,13 +2,17 @@
 
 All JSON is written canonically (sorted keys, minimal separators, trailing
 newline) so that write -> read -> write round trips are byte-identical and
-outputs are diffable. Readers validate structure and report the offending
-file and field in a SchemaError rather than raising bare KeyErrors.
+outputs are diffable; non-finite numbers cannot be written. Readers validate
+structure and finiteness and report the offending file and field in a
+SchemaError rather than raising bare KeyErrors or ValueErrors. Config
+sections round-trip through one field-driven codec (`section_to_dict`,
+`section_from_dict`).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,7 @@ class SchemaError(Exception):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def save_json(path, obj) -> None:
@@ -52,12 +56,62 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _build(factory, d: dict, path: str, field: str):
+def _build(cls, d: dict, path: str, field: str):
     try:
-        return factory(d)
+        return section_from_dict(cls, d)
     except (KeyError, TypeError, ValueError) as e:
         key = e.args[0] if isinstance(e, KeyError) else str(e)
         raise SchemaError(path, f"{field}.{key}" if isinstance(e, KeyError) else field, str(e))
+
+
+def _finite_array(value, path: str, field: str, dtype=float) -> np.ndarray:
+    """The value as an array, or a SchemaError naming the field when it is
+    malformed or holds a non-finite number."""
+    try:
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(path, field, str(e))
+    if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
+        raise SchemaError(path, field, "non-finite value")
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# Config sections: frozen dataclasses whose every field has a default
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+def section_to_dict(section) -> dict:
+    """Fields by name; tuples, nested too, become lists."""
+    return {f.name: _plain(getattr(section, f.name)) for f in fields(section)}
+
+
+def _coerce(default, value):
+    """The value converted to the type of the field's default: ints, floats,
+    tuples (elementwise, like the default's first element) and dicts (values
+    like the default's first value)."""
+    if isinstance(default, tuple):
+        return tuple(_coerce(default[0], v) for v in value)
+    if isinstance(default, dict):
+        template = next(iter(default.values()))
+        return {k: _coerce(template, v) for k, v in value.items()}
+    if isinstance(default, (int, float)):
+        return type(default)(value)
+    return value
+
+
+def section_from_dict(cls, d: dict):
+    """Build a section from a dict holding every field; other keys are
+    ignored. A missing field raises KeyError with its name."""
+    defaults = cls()
+    return cls(**{f.name: _coerce(getattr(defaults, f.name), d[f.name]) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +123,8 @@ def scene_to_dict(scene: Scene) -> dict:
         "kind": "scene",
         "lanes": [{"lane_id": lane.lane_id, "points": lane.points.tolist()}
                   for lane in scene.lanes],
-        "surface": scene.surface.to_dict(),
-        "rig": scene.rig.to_dict(),
+        "surface": section_to_dict(scene.surface),
+        "rig": section_to_dict(scene.rig),
     }
 
 
@@ -79,12 +133,16 @@ def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
         raise SchemaError(path, "kind", f"expected 'scene', got {d.get('kind')!r}")
     lanes = []
     for k, entry in enumerate(_require(d, "lanes", path)):
-        pts = np.asarray(_require(entry, "points", path), dtype=float)
+        field = f"lanes[{k}].points"
+        pts = _finite_array(_require(entry, "points", path), path, field)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise SchemaError(path, f"lanes[{k}].points", f"expected (N>=2, 3), got {pts.shape}")
-        lanes.append(Lane3D(points=pts, lane_id=int(_require(entry, "lane_id", path))))
-    surface = _build(SurfaceParams.from_dict, _require(d, "surface", path), path, "surface")
-    rig = _build(CameraRig.from_dict, _require(d, "rig", path), path, "rig")
+            raise SchemaError(path, field, f"expected (N>=2, 3), got {pts.shape}")
+        try:
+            lanes.append(Lane3D(points=pts, lane_id=int(_require(entry, "lane_id", path))))
+        except (TypeError, ValueError) as e:
+            raise SchemaError(path, f"lanes[{k}]", str(e))
+    surface = _build(SurfaceParams, _require(d, "surface", path), path, "surface")
+    rig = _build(CameraRig, _require(d, "rig", path), path, "rig")
     return Scene(lanes=lanes, surface=surface, rig=rig)
 
 
@@ -111,8 +169,11 @@ def _unpack_field(fields: dict, name: str, path: str) -> np.ndarray:
     entry = _require(fields, name, path)
     shape = tuple(_require(entry, "shape", path))
     data = _require(entry, "data", path)
-    dtype = np.dtype(_require(entry, "dtype", path))
-    arr = np.asarray(data, dtype=dtype)
+    try:
+        dtype = np.dtype(_require(entry, "dtype", path))
+    except TypeError as e:
+        raise SchemaError(path, f"fields.{name}.dtype", str(e))
+    arr = _finite_array(data, path, f"fields.{name}.data", dtype)
     if arr.size != int(np.prod(shape)):
         raise SchemaError(path, f"fields.{name}.data",
                           f"payload length {arr.size} does not match shape {shape}")
@@ -120,15 +181,16 @@ def _unpack_field(fields: dict, name: str, path: str) -> np.ndarray:
 
 
 def targets_to_dict(targets: TileTargetGrid) -> dict:
-    return {"kind": "target_grid", "grid": targets.grid.to_dict(),
-            "bins": targets.bins.to_dict(), "fields": _pack_fields(targets, _TARGET_FIELDS)}
+    return {"kind": "target_grid", "grid": section_to_dict(targets.grid),
+            "bins": section_to_dict(targets.bins),
+            "fields": _pack_fields(targets, _TARGET_FIELDS)}
 
 
 def targets_from_dict(d: dict, path: str = "<targets>") -> TileTargetGrid:
     if d.get("kind") != "target_grid":
         raise SchemaError(path, "kind", f"expected 'target_grid', got {d.get('kind')!r}")
-    grid = _build(GridSpec.from_dict, _require(d, "grid", path), path, "grid")
-    bins = _build(AngleBinSpec.from_dict, _require(d, "bins", path), path, "bins")
+    grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
+    bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
     fields = _require(d, "fields", path)
     arrays = {name: _unpack_field(fields, name, path) for name in _TARGET_FIELDS}
     occ = arrays["occupancy"]
@@ -141,16 +203,16 @@ def targets_from_dict(d: dict, path: str = "<targets>") -> TileTargetGrid:
 
 
 def preds_to_dict(preds: TilePredictionGrid) -> dict:
-    return {"kind": "prediction_grid", "grid": preds.grid.to_dict(),
-            "bins": preds.bins.to_dict(), "embedding_dim": preds.embedding_dim,
+    return {"kind": "prediction_grid", "grid": section_to_dict(preds.grid),
+            "bins": section_to_dict(preds.bins), "embedding_dim": preds.embedding_dim,
             "fields": _pack_fields(preds, _PRED_FIELDS)}
 
 
 def preds_from_dict(d: dict, path: str = "<preds>") -> TilePredictionGrid:
     if d.get("kind") != "prediction_grid":
         raise SchemaError(path, "kind", f"expected 'prediction_grid', got {d.get('kind')!r}")
-    grid = _build(GridSpec.from_dict, _require(d, "grid", path), path, "grid")
-    bins = _build(AngleBinSpec.from_dict, _require(d, "bins", path), path, "bins")
+    grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
+    bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
     fields = _require(d, "fields", path)
     arrays = {name: _unpack_field(fields, name, path) for name in _PRED_FIELDS}
     dim = int(_require(d, "embedding_dim", path))
@@ -185,7 +247,7 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> list[LaneSegment]:
     out = []
     for k, entry in enumerate(_require(d, "segments", path)):
         try:
-            out.append(LaneSegment(
+            seg = LaneSegment(
                 midpoint=np.asarray(entry["midpoint"], dtype=float),
                 direction=np.asarray(entry["direction"], dtype=float),
                 endpoints=np.asarray(entry["endpoints"], dtype=float),
@@ -193,11 +255,15 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> list[LaneSegment]:
                 tile=tuple(int(v) for v in entry["tile"]),
                 embedding=np.asarray(entry["embedding"], dtype=float),
                 degenerate=bool(entry["degenerate"]),
-            ))
+            )
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(path, f"segments[{k}]", str(e))
-        if out[-1].midpoint.shape != (3,) or out[-1].endpoints.shape != (2, 3):
+        if seg.midpoint.shape != (3,) or seg.endpoints.shape != (2, 3):
             raise SchemaError(path, f"segments[{k}]", "midpoint must be (3,), endpoints (2, 3)")
+        if not all(np.all(np.isfinite(v)) for v in (
+                seg.midpoint, seg.direction, seg.endpoints, seg.score, seg.embedding)):
+            raise SchemaError(path, f"segments[{k}]", "non-finite value")
+        out.append(seg)
     return out
 
 
@@ -214,8 +280,11 @@ def lanes_from_dict(d: dict, path: str = "<lanes>") -> list:
         raise SchemaError(path, "kind", f"expected 'lanes', got {d.get('kind')!r}")
     out = []
     for k, entry in enumerate(_require(d, "lanes", path)):
-        pts = np.asarray(_require(entry, "points", path), dtype=float)
-        conf = float(_require(entry, "confidence", path))
+        pts = _finite_array(_require(entry, "points", path), path, f"lanes[{k}].points")
+        try:
+            conf = float(_require(entry, "confidence", path))
+        except (TypeError, ValueError) as e:
+            raise SchemaError(path, f"lanes[{k}].confidence", str(e))
         if not 0.0 <= conf <= 1.0:
             raise SchemaError(path, f"lanes[{k}].confidence", f"{conf} outside [0, 1]")
         try:

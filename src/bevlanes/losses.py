@@ -35,14 +35,6 @@ class EmbeddingParams:
         if self.dim < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {self.dim}")
 
-    def to_dict(self) -> dict:
-        return {"pull_margin": self.pull_margin, "push_margin": self.push_margin, "dim": self.dim}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmbeddingParams":
-        return cls(pull_margin=float(d["pull_margin"]), push_margin=float(d["push_margin"]),
-                   dim=int(d["dim"]))
-
 
 @dataclass
 class ClusterSummary:

@@ -18,6 +18,7 @@ import multiprocessing
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .losses import embedding_loss, finite_diff_check, total_tile_loss
 from .plots import heatmap_svg, scene_svg
 from .synth import Scene, generate_scene, oracle_predict
 
-_DIRS = {"scenes": "scene", "targets": "target", "preds": "pred",
-         "segments": "segments", "lanes": "lanes"}
 CLUSTER_METHODS = ("embedding", "greedy")
 
 
@@ -85,6 +84,8 @@ def scene_curves(scene: Scene) -> list[Curve]:
 
 @dataclass
 class SceneResult:
+    """One scene's artifacts, one field per STAGES row in order."""
+
     index: int
     scene: Scene
     targets: TileTargetGrid
@@ -94,13 +95,12 @@ class SceneResult:
 
 
 def process_scene(config: PipelineConfig, index: int, method: str = "embedding") -> SceneResult:
-    scene = make_scene(config, index)
-    targets = encode_one(scene, config)
-    preds = predict_one(targets, config, index)
-    segments = decode_one(preds)
-    lanes = cluster_one(segments, config, method)
-    return SceneResult(index=index, scene=scene, targets=targets, preds=preds,
-                       segments=segments, lanes=lanes)
+    """Run the STAGES steps in order on one scene, in memory."""
+    artifacts, artifact = [], None
+    for stage in STAGES.values():
+        artifact = stage.step(config, index, artifact, method)
+        artifacts.append(artifact)
+    return SceneResult(index, *artifacts)
 
 
 def _worker(args) -> SceneResult:
@@ -127,14 +127,19 @@ def run_pipeline(config: PipelineConfig, method: str = "embedding",
 
 
 def evaluate_results(results: list[SceneResult], config: PipelineConfig) -> EvalReport:
+    return _evaluate_scenes(((r.index, r.lanes, r.scene) for r in results), config)
+
+
+def _evaluate_scenes(scenes, config: PipelineConfig) -> EvalReport:
+    """Evaluate (scene id, lanes, scene) triples; lanes match only their own
+    scene's curves."""
     preds, pred_ids, gts, gt_ids = [], [], [], []
-    for r in results:
-        for curve, conf in r.lanes:
-            preds.append((curve, conf))
-            pred_ids.append(r.index)
-        for curve in scene_curves(r.scene):
-            gts.append(curve)
-            gt_ids.append(r.index)
+    for sid, lanes, scene in scenes:
+        curves = scene_curves(scene)
+        preds.extend(lanes)
+        pred_ids.extend([sid] * len(lanes))
+        gts.extend(curves)
+        gt_ids.extend([sid] * len(curves))
     return evaluate(preds, gts, config.eval, pred_scene_ids=pred_ids, gt_scene_ids=gt_ids)
 
 
@@ -142,101 +147,86 @@ def evaluate_results(results: list[SceneResult], config: PipelineConfig) -> Eval
 # File-based stage commands
 
 
-def _stage_dir(config: PipelineConfig, stage: str, create: bool = False) -> Path:
-    d = Path(config.output_dir) / stage
-    if create:
-        d.mkdir(parents=True, exist_ok=True)
-    return d
+@dataclass(frozen=True)
+class Stage:
+    """A per-scene stage as files: its output directory, file stem, the names
+    of the `io` reader and writer of its artifact (looked up at call time),
+    and its step (config, index, input, method) -> artifact. A stage's input
+    is the artifact of the row before it in STAGES."""
+
+    dir: str
+    stem: str
+    reader: str
+    step: Callable
+    writer: str
 
 
-def _stage_path(config: PipelineConfig, stage: str, index: int) -> Path:
-    return _stage_dir(config, stage) / f"{_DIRS[stage]}_{index:05d}.json"
+def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
+                 method: str) -> list[LaneSegment]:
+    if preds.grid != config.grid:
+        raise io.SchemaError(_stage_path(config, STAGES["predict"], index), "grid",
+                             "prediction grid shape disagrees with the config grid")
+    return decode_one(preds)
 
 
-def _read_stage(config: PipelineConfig, stage: str, parser) -> list:
-    d = _stage_dir(config, stage)
+STAGES = {
+    "generate": Stage("scenes", "scene", "scene_from_dict",
+                      lambda config, i, _, method: make_scene(config, i), "scene_to_dict"),
+    "encode": Stage("targets", "target", "targets_from_dict",
+                    lambda config, i, scene, method: encode_one(scene, config),
+                    "targets_to_dict"),
+    "predict": Stage("preds", "pred", "preds_from_dict",
+                     lambda config, i, targets, method: predict_one(targets, config, i),
+                     "preds_to_dict"),
+    "decode": Stage("segments", "segments", "segments_from_dict", _decode_step,
+                    "segments_to_dict"),
+    "cluster": Stage("lanes", "lanes", "lanes_from_dict",
+                     lambda config, i, segments, method: cluster_one(segments, config, method),
+                     "lanes_to_dict"),
+}
+
+
+def _stage_path(config: PipelineConfig, stage: Stage, index: int) -> Path:
+    return Path(config.output_dir) / stage.dir / f"{stage.stem}_{index:05d}.json"
+
+
+def _read_stage(config: PipelineConfig, stage: Stage) -> list:
+    d = Path(config.output_dir) / stage.dir
     if not d.is_dir():
         raise io.SchemaError(d, "<dir>", "stage directory not found; run the producing "
                                          "stage first")
     paths = sorted(d.glob("*.json"))
     if not paths:
         raise io.SchemaError(d, "<dir>", "no input files")
-    return [parser(io.load_json(p), str(p)) for p in paths]
+    return [getattr(io, stage.reader)(io.load_json(p), str(p)) for p in paths]
 
 
-def cmd_generate(config: PipelineConfig) -> list[Path]:
-    _stage_dir(config, "scenes", create=True)
-    out = []
-    for i in range(config.n_scenes):
-        scene = make_scene(config, i)
-        path = _stage_path(config, "scenes", i)
-        io.save_json(path, io.scene_to_dict(scene))
-        out.append(path)
-    return out
+def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) -> Path:
+    path = _stage_path(config, stage, index)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    io.save_json(path, getattr(io, stage.writer)(artifact))
+    return path
 
 
-def cmd_encode(config: PipelineConfig) -> list[Path]:
-    scenes = _read_stage(config, "scenes", io.scene_from_dict)
-    _stage_dir(config, "targets", create=True)
-    out = []
-    for i, scene in enumerate(scenes):
-        path = _stage_path(config, "targets", i)
-        io.save_json(path, io.targets_to_dict(encode_one(scene, config)))
-        out.append(path)
-    return out
-
-
-def cmd_predict(config: PipelineConfig) -> list[Path]:
-    targets = _read_stage(config, "targets", io.targets_from_dict)
-    _stage_dir(config, "preds", create=True)
-    out = []
-    for i, tgt in enumerate(targets):
-        path = _stage_path(config, "preds", i)
-        io.save_json(path, io.preds_to_dict(predict_one(tgt, config, i)))
-        out.append(path)
-    return out
-
-
-def cmd_decode(config: PipelineConfig) -> list[Path]:
-    preds = _read_stage(config, "preds", io.preds_from_dict)
-    _stage_dir(config, "segments", create=True)
-    out = []
-    for i, p in enumerate(preds):
-        if p.grid != config.grid:
-            raise io.SchemaError(_stage_path(config, "preds", i), "grid",
-                                 "prediction grid shape disagrees with the config grid")
-        path = _stage_path(config, "segments", i)
-        io.save_json(path, io.segments_to_dict(decode_one(p)))
-        out.append(path)
-    return out
-
-
-def cmd_cluster(config: PipelineConfig, method: str = "embedding") -> list[Path]:
-    segment_lists = _read_stage(config, "segments", io.segments_from_dict)
-    _stage_dir(config, "lanes", create=True)
-    out = []
-    for i, segments in enumerate(segment_lists):
-        path = _stage_path(config, "lanes", i)
-        io.save_json(path, io.lanes_to_dict(cluster_one(segments, config, method)))
-        out.append(path)
-    return out
+def run_stage(config: PipelineConfig, command: str, method: str = "embedding") -> list[Path]:
+    """Run one STAGES row over every file of the row before it (generate makes
+    config.n_scenes new scenes); returns the paths written."""
+    names = list(STAGES)
+    k = names.index(command)
+    inputs = _read_stage(config, STAGES[names[k - 1]]) if k else [None] * config.n_scenes
+    stage = STAGES[command]
+    return [_write_artifact(config, stage, i, stage.step(config, i, item, method))
+            for i, item in enumerate(inputs)]
 
 
 def cmd_eval(config: PipelineConfig) -> EvalReport:
-    lanes_lists = _read_stage(config, "lanes", io.lanes_from_dict)
-    scenes = _read_stage(config, "scenes", io.scene_from_dict)
+    lanes_lists = _read_stage(config, STAGES["cluster"])
+    scenes = _read_stage(config, STAGES["generate"])
     if len(lanes_lists) != len(scenes):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(lanes_lists)} lane files vs {len(scenes)} scenes")
-    preds, pred_ids, gts, gt_ids = [], [], [], []
-    for i, (lanes, scene) in enumerate(zip(lanes_lists, scenes)):
-        for curve, conf in lanes:
-            preds.append((curve, conf))
-            pred_ids.append(i)
-        for curve in scene_curves(scene):
-            gts.append(curve)
-            gt_ids.append(i)
-    report = evaluate(preds, gts, config.eval, pred_scene_ids=pred_ids, gt_scene_ids=gt_ids)
+    report = _evaluate_scenes(
+        ((i, lanes, scene) for i, (lanes, scene) in enumerate(zip(lanes_lists, scenes))), config)
     _write_report(config, report)
     return report
 
@@ -251,15 +241,15 @@ def _write_report(config: PipelineConfig, report: EvalReport) -> None:
 def cmd_loss(config: PipelineConfig, grad_check: bool = False,
              grad_samples: int = 64) -> str:
     """Per-scene loss terms as CSV, optionally with a gradient-check summary."""
-    targets = _read_stage(config, "targets", io.targets_from_dict)
-    preds = _read_stage(config, "preds", io.preds_from_dict)
+    targets = _read_stage(config, STAGES["encode"])
+    preds = _read_stage(config, STAGES["predict"])
     if len(targets) != len(preds):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(targets)} target files vs {len(preds)} prediction files")
     lines = ["scene,score,angle,offsets,pull,push,total"]
     for i, (tgt, prd) in enumerate(zip(targets, preds)):
         if tgt.grid != prd.grid or tgt.bins != prd.bins:
-            raise io.SchemaError(_stage_path(config, "preds", i), "grid",
+            raise io.SchemaError(_stage_path(config, STAGES["predict"], i), "grid",
                                  "prediction and target grids disagree")
         tile = total_tile_loss(prd, tgt)
         emb = embedding_loss(prd.embedding, tgt.lane_id, config.embedding)
@@ -269,19 +259,12 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False,
                      f"{c['pull']!r},{c['push']!r},{total!r}")
     if grad_check and targets:
         tgt, prd = targets[0], preds[0]
-
-        def tile_fn(inputs):
-            probe = TilePredictionGrid(
-                grid=prd.grid, bins=prd.bins, embedding=prd.embedding,
-                **{k: inputs[k] for k in ("score_logit", "lateral_offset", "height_offset",
-                                          "bin_logits", "bin_residuals")})
-            return total_tile_loss(probe, tgt)
-
+        tile_fields = ("score_logit", "lateral_offset", "height_offset", "bin_logits",
+                       "bin_residuals")
         tile_rep = finite_diff_check(
-            tile_fn,
-            {k: getattr(prd, k) for k in ("score_logit", "lateral_offset", "height_offset",
-                                          "bin_logits", "bin_residuals")},
-            sample=grad_samples)
+            lambda inputs: total_tile_loss(TilePredictionGrid(
+                grid=prd.grid, bins=prd.bins, embedding=prd.embedding, **inputs), tgt),
+            {k: getattr(prd, k) for k in tile_fields}, sample=grad_samples)
         emb_rep = finite_diff_check(
             lambda inp: embedding_loss(inp["embedding"], tgt.lane_id, config.embedding),
             {"embedding": prd.embedding}, sample=grad_samples)
@@ -298,16 +281,12 @@ def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
                  jobs: int = 1) -> EvalReport:
     """Run all stages, writing every intermediate file, report and SVG plots."""
     report, results = run_pipeline(config, method=method, jobs=jobs)
-    for stage in _DIRS:
-        _stage_dir(config, stage, create=True)
     plots = Path(config.output_dir) / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     for r in results:
-        io.save_json(_stage_path(config, "scenes", r.index), io.scene_to_dict(r.scene))
-        io.save_json(_stage_path(config, "targets", r.index), io.targets_to_dict(r.targets))
-        io.save_json(_stage_path(config, "preds", r.index), io.preds_to_dict(r.preds))
-        io.save_json(_stage_path(config, "segments", r.index), io.segments_to_dict(r.segments))
-        io.save_json(_stage_path(config, "lanes", r.index), io.lanes_to_dict(r.lanes))
+        for stage, artifact in zip(STAGES.values(),
+                                   (r.scene, r.targets, r.preds, r.segments, r.lanes)):
+            _write_artifact(config, stage, r.index, artifact)
         gt = scene_curves(r.scene)
         pred_curves = [c for c, _ in r.lanes]
         (plots / f"scene_{r.index:05d}.svg").write_text(

@@ -54,16 +54,6 @@ class SurfaceParams:
         if self.wavelength_x <= 0 or self.wavelength_y <= 0:
             raise ValueError("surface wavelengths must be positive")
 
-    def to_dict(self) -> dict:
-        return {"amplitude": self.amplitude, "wavelength_x": self.wavelength_x,
-                "wavelength_y": self.wavelength_y, "phase_x": self.phase_x,
-                "phase_y": self.phase_y}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SurfaceParams":
-        return cls(**{k: float(d[k]) for k in
-                      ("amplitude", "wavelength_x", "wavelength_y", "phase_x", "phase_y")})
-
 
 def surface_height(x, y, surface: SurfaceParams):
     """Height of the road surface; smooth and bounded by the amplitude."""
@@ -106,27 +96,6 @@ class SceneConfig:
         if not self.short_y_range[0] <= self.short_y_range[1]:
             raise ValueError(f"empty short_y_range {self.short_y_range}")
 
-    def to_dict(self) -> dict:
-        return {"n_lanes": self.n_lanes, "lane_spacing": self.lane_spacing,
-                "curvature_max": self.curvature_max,
-                "surface_amplitude": self.surface_amplitude,
-                "surface_wavelength": self.surface_wavelength,
-                "topology_weights": dict(self.topology_weights),
-                "y_range": list(self.y_range), "short_y_range": list(self.short_y_range),
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneConfig":
-        return cls(
-            n_lanes=int(d["n_lanes"]), lane_spacing=float(d["lane_spacing"]),
-            curvature_max=float(d["curvature_max"]),
-            surface_amplitude=float(d["surface_amplitude"]),
-            surface_wavelength=float(d["surface_wavelength"]),
-            topology_weights={k: float(v) for k, v in d["topology_weights"].items()},
-            y_range=tuple(float(v) for v in d["y_range"]),
-            short_y_range=tuple(float(v) for v in d["short_y_range"]),
-            seed=int(d["seed"]))
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -147,18 +116,6 @@ class NoiseConfig:
         for name in ("drop_rate", "fp_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"sigma_r": self.sigma_r, "sigma_phi": self.sigma_phi,
-                "sigma_z": self.sigma_z, "drop_rate": self.drop_rate,
-                "fp_rate": self.fp_rate, "sigma_f": self.sigma_f, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseConfig":
-        return cls(sigma_r=float(d["sigma_r"]), sigma_phi=float(d["sigma_phi"]),
-                   sigma_z=float(d["sigma_z"]), drop_rate=float(d["drop_rate"]),
-                   fp_rate=float(d["fp_rate"]), sigma_f=float(d["sigma_f"]),
-                   seed=int(d["seed"]))
 
 
 @dataclass

@@ -417,12 +417,3 @@ def test_prediction_grid_shape_validation():
             bin_residuals=np.zeros((26, 16, 8)),
             bin_mask=np.zeros((26, 16, 8)),
         )
-
-
-def test_target_tile_view():
-    targets = encode_scene([vertical_lane(1.0)], GRID, BINS)
-    t = targets.tile(0, 8)
-    assert t.occupancy == 1.0
-    npt.assert_allclose(t.lateral_offset, -0.36, atol=1e-12)
-    assert t.lane_id == 0
-    assert t.bin_probs.shape == (8,)

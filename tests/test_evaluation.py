@@ -19,6 +19,7 @@ from bevlanes.evaluation import (
     match_and_ap,
     rasterize_curve,
 )
+from bevlanes.io import section_from_dict, section_to_dict
 
 CFG = EvalConfig()
 
@@ -78,8 +79,8 @@ def test_config_dict_round_trip():
     cfg = EvalConfig(iou_thresholds=(0.25, 0.5, 0.75), lane_width=2.0,
                      raster_resolution=0.2, range_buckets=((0.0, 40.0),),
                      lateral_sample_step=0.5, extent=((-5.0, 5.0), (0.0, 50.0)))
-    assert EvalConfig.from_dict(cfg.to_dict()) == cfg
-    assert EvalConfig.from_dict(json.loads(json.dumps(CFG.to_dict()))) == CFG
+    assert section_from_dict(EvalConfig, section_to_dict(cfg)) == cfg
+    assert section_from_dict(EvalConfig, json.loads(json.dumps(section_to_dict(CFG)))) == CFG
 
 
 # ---------------------------------------------------------------------------

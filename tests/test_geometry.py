@@ -1,4 +1,4 @@
-"""Tests for coordinate frames, the plane homography and the tile grid."""
+"""Tests for the tile grid, the camera rig record and Lane3D."""
 
 import math
 
@@ -6,18 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bevlanes.geometry import (
-    CameraRig,
-    GridSpec,
-    HorizonDegeneracyError,
-    Lane3D,
-    camera_to_plane,
-    plane_homography,
-    plane_to_camera,
-    tile_bounds,
-    tile_center,
-    tile_centers,
-)
+from bevlanes.geometry import CameraRig, GridSpec, Lane3D, tile_bounds, tile_center, tile_centers
+from bevlanes.io import section_from_dict, section_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +89,7 @@ def test_grid_validation():
 
 def test_grid_serialization_round_trip():
     grid = GridSpec(n_cols=4, n_rows=9, tile_width=1.5, tile_length=2.0, y_min=5.0)
-    assert GridSpec.from_dict(grid.to_dict()) == grid
+    assert section_from_dict(GridSpec, section_to_dict(grid)) == grid
 
 
 # ---------------------------------------------------------------------------
@@ -120,134 +110,7 @@ def test_rig_validation():
 def test_rig_serialization_round_trip():
     rig = CameraRig(pitch=0.05, height=1.4, focal=(900.0, 910.0),
                     principal_point=(600.0, 350.0), image_size=(1200, 700))
-    assert CameraRig.from_dict(rig.to_dict()) == rig
-
-
-# ---------------------------------------------------------------------------
-# plane <-> camera frame
-
-
-def test_plane_to_camera_zero_pitch_is_height_shift():
-    rig = CameraRig(pitch=0.0, height=1.5)
-    out = plane_to_camera(np.array([1.0, 10.0, 0.2]), rig)
-    npt.assert_allclose(out, [1.0, 10.0, -1.3], atol=1e-15)
-
-
-def test_plane_to_camera_matches_hand_rotation():
-    # Independent oracle: subtract the height, then apply the explicit 2x2
-    # rotation that undoes a downward tilt of the forward axis in the (y, z)
-    # plane. For pitch pi/6, height 2 the point (0, 4, 0) lands at
-    # y' = 4*cos(pi/6) - (-2)*sin(pi/6).
-    phi = math.pi / 6
-    rig = CameraRig(pitch=phi, height=2.0)
-    c, s = math.cos(phi), math.sin(phi)
-    R = np.array([[c, -s], [s, c]])
-    yz = R @ np.array([4.0, 0.0 - 2.0])
-    expected = np.array([0.0, yz[0], yz[1]])
-    out = plane_to_camera(np.array([0.0, 4.0, 0.0]), rig)
-    npt.assert_allclose(out, expected, rtol=0, atol=1e-12)
-    npt.assert_allclose(out[1], 4 * math.cos(phi) - (-2) * math.sin(phi), atol=1e-12)
-
-
-def test_plane_camera_round_trip():
-    rig = CameraRig(pitch=0.07, height=1.6)
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-50, 50, size=(200, 3))
-    back = camera_to_plane(plane_to_camera(pts, rig), rig)
-    npt.assert_allclose(back, pts, rtol=0, atol=1e-12)
-    # and the other composition order
-    fwd = plane_to_camera(camera_to_plane(pts, rig), rig)
-    npt.assert_allclose(fwd, pts, rtol=0, atol=1e-12)
-
-
-def test_plane_to_camera_down_tilt_raises_far_ground():
-    # A camera tilted downward sees the horizon above its optical axis, so a
-    # far-ahead ground point must have positive camera-frame z.
-    rig = CameraRig(pitch=0.1, height=1.5)
-    out = plane_to_camera(np.array([0.0, 60.0, 0.0]), rig)
-    assert out[2] > 0
-
-
-def test_plane_to_camera_rejects_bad_input():
-    rig = CameraRig()
-    with pytest.raises(ValueError):
-        plane_to_camera(np.array([1.0, 2.0]), rig)
-    with pytest.raises(ValueError):
-        plane_to_camera(np.array([1.0, 2.0, np.nan]), rig)
-
-
-# ---------------------------------------------------------------------------
-# homography
-
-
-def test_homography_round_trip_hand_point():
-    H = plane_homography(CameraRig())
-    p = np.array([2.0, 20.0])
-    npt.assert_allclose(H.image_to_plane(H.plane_to_image(p)), p, rtol=0, atol=1e-9)
-
-
-def test_homography_round_trip_random():
-    H = plane_homography(CameraRig(pitch=0.03, height=1.7))
-    rng = np.random.default_rng(23)
-    pts = np.column_stack([rng.uniform(-10, 10, 1000), rng.uniform(1, 80, 1000)])
-    back = H.image_to_plane(H.plane_to_image(pts))
-    npt.assert_allclose(back, pts, rtol=0, atol=1e-9)
-
-
-def test_homography_matrix_invertible():
-    H = plane_homography(CameraRig(pitch=0.0))
-    assert abs(np.linalg.det(H.matrix)) > 1e-6
-    npt.assert_allclose(H.inverse @ H.matrix, np.eye(3), atol=1e-9)
-
-
-def test_homography_horizon_error_at_principal_row():
-    # zero pitch: the horizon is the principal-point row
-    rig = CameraRig(pitch=0.0, height=1.6)
-    H = plane_homography(rig)
-    cx, cy = rig.principal_point
-    with pytest.raises(HorizonDegeneracyError):
-        H.image_to_plane(np.array([cx, cy]))
-    with pytest.raises(HorizonDegeneracyError):
-        H.image_to_plane(np.array([cx + 100.0, cy - 5.0]))  # above the horizon
-
-
-def test_homography_matches_ray_plane_oracle():
-    # Independent oracle: cast the pixel ray in the camera frame, rotate it
-    # into the plane frame by undoing the mounting tilt, and intersect with
-    # z = 0 from the camera center at (0, 0, h).
-    phi, h = 0.1, 1.5
-    fx = fy = 1000.0
-    cx, cy = 640.0, 360.0
-    rig = CameraRig(pitch=phi, height=h, focal=(fx, fy), principal_point=(cx, cy))
-    u, v = 640.0, 500.0
-
-    d_cam = np.array([(u - cx) / fx, 1.0, -(v - cy) / fy])
-    c, s = math.cos(phi), math.sin(phi)
-    d_plane = np.array(
-        [d_cam[0], c * d_cam[1] + s * d_cam[2], -s * d_cam[1] + c * d_cam[2]]
-    )
-    t = h / -d_plane[2]
-    assert t > 0
-    hit = np.array([0.0, 0.0, h]) + t * d_plane
-    npt.assert_allclose(hit[2], 0.0, atol=1e-12)
-
-    got = plane_homography(rig).image_to_plane(np.array([u, v]))
-    npt.assert_allclose(got, hit[:2], rtol=0, atol=1e-6)
-
-
-def test_homography_consistent_with_frame_transform():
-    # Projecting plane points through the camera frame by hand must agree
-    # with the homography for any valid rig.
-    rig = CameraRig(pitch=0.08, height=1.3, focal=(800.0, 820.0),
-                    principal_point=(512.0, 300.0))
-    H = plane_homography(rig)
-    rng = np.random.default_rng(5)
-    pts = np.column_stack([rng.uniform(-8, 8, 50), rng.uniform(2, 70, 50)])
-    p3 = np.column_stack([pts, np.zeros(len(pts))])
-    cam = plane_to_camera(p3, rig)
-    u = rig.principal_point[0] + rig.focal[0] * cam[:, 0] / cam[:, 1]
-    v = rig.principal_point[1] - rig.focal[1] * cam[:, 2] / cam[:, 1]
-    npt.assert_allclose(H.plane_to_image(pts), np.column_stack([u, v]), atol=1e-9)
+    assert section_from_dict(CameraRig, section_to_dict(rig)) == rig
 
 
 # ---------------------------------------------------------------------------

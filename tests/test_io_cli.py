@@ -57,6 +57,12 @@ def test_canonical_json_sorted_minimal_newline():
     assert text == '{"a":[1,2],"b":1}\n'
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_json_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        io.canonical_json({"a": [1.0, value]})
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "x.json"
     io.save_json(path, {"k": [1.5, 2.0]})
@@ -325,6 +331,17 @@ def test_config_dict_round_trip():
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_values_take_the_type_of_the_field_default():
+    cfg = PipelineConfig.from_dict({"grid": {"tile_width": 1, "n_cols": 8.0},
+                                    "scene": {"y_range": [0, 78]}})
+    d = cfg.to_dict()
+    assert io.canonical_json(d["grid"]) == \
+        '{"n_cols":8,"n_rows":26,"tile_length":3.0,"tile_width":1.0,"y_min":0.0}\n'
+    assert d["scene"]["y_range"] == [0.0, 78.0]
+    assert d["eval"]["range_buckets"] == [[0.0, 30.0], [30.0, 80.0]]
+    assert cfg.eval.range_buckets == ((0.0, 30.0), (30.0, 80.0))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -342,6 +359,13 @@ def test_cli_stage_chain(tmp_path, capsys):
     assert (out_dir / "report.json").is_file()
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert "map=1.0" in last
+    # the stage chain and `pipeline` write the same bytes for every file
+    piped = tmp_path / "piped"
+    assert main(["pipeline", "--config", cfg, "--out", str(piped)]) == 0
+    chain_files = sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if p.is_file())
+    assert len(chain_files) == 12
+    for name in chain_files:
+        assert (out_dir / name).read_bytes() == (piped / name).read_bytes(), name
 
 
 def test_cli_pipeline_command(tmp_path, capsys):
@@ -429,6 +453,31 @@ def test_cli_missing_config_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_cli_nan_prediction_field_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    for command in ("generate", "encode", "predict"):
+        assert main([command, "--config", cfg]) == 0
+    pred_path = tmp_path / "out" / "preds" / "pred_00000.json"
+    d = json.loads(pred_path.read_text())
+    d["fields"]["bin_logits"]["data"] = [float("nan")] * len(d["fields"]["bin_logits"]["data"])
+    pred_path.write_text(json.dumps(d))
+    assert main(["decode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "pred_00000.json" in err and "fields.bin_logits.data" in err
+
+
+def test_cli_nan_lane_point_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg]) == 0
+    scene_path = tmp_path / "out" / "scenes" / "scene_00001.json"
+    d = json.loads(scene_path.read_text())
+    d["lanes"][0]["points"][3][2] = float("nan")
+    scene_path.write_text(json.dumps(d))
+    assert main(["encode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "scene_00001.json" in err and "lanes[0].points" in err
+
+
 def test_cli_grid_mismatch_between_stages(tmp_path, capsys):
     cfg = write_config(tmp_path)
     for command in ("generate", "encode", "predict"):
@@ -470,8 +519,9 @@ def test_cli_loss_command(tmp_path, capsys):
         target_path = tmp_path / "out" / "targets" / f"target_{int(r[0]):05d}.json"
         t = io.targets_from_dict(io.load_json(target_path))
         p = t.bin_probs[t.occupancy > 0.5]
-        floor = float(np.sum(np.where(p > 0, -p * np.log(p, where=p > 0), 0.0)
-                             + np.where(p < 1, -(1 - p) * np.log1p(-p, where=p < 1), 0.0)))
+        floor = float(np.sum(
+            np.where(p > 0, -p * np.log(p, where=p > 0, out=np.zeros_like(p)), 0.0)
+            + np.where(p < 1, -(1 - p) * np.log1p(-p, where=p < 1, out=np.zeros_like(p)), 0.0)))
         score, angle, offsets, pull, push, total = (float(v) for v in r[1:])
         assert abs(score) < 1e-12 and offsets == 0.0 and pull == 0.0 and push == 0.0
         npt.assert_allclose(angle, floor, rtol=1e-9)

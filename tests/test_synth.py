@@ -9,6 +9,7 @@ import pytest
 from bevlanes.clustering import ClusterParams, cluster_segments
 from bevlanes.codec import AngleBinSpec, TileTargetGrid, decode_grid, encode_scene
 from bevlanes.geometry import GridSpec
+from bevlanes.io import section_from_dict, section_to_dict
 from bevlanes.losses import EmbeddingParams
 from bevlanes.synth import (
     NoiseConfig,
@@ -218,9 +219,9 @@ def test_scene_config_validated():
 
 def test_scene_config_round_trip():
     cfg = SceneConfig(seed=9, n_lanes=4, curvature_max=0.01)
-    assert SceneConfig.from_dict(cfg.to_dict()) == cfg
+    assert section_from_dict(SceneConfig, section_to_dict(cfg)) == cfg
     noise = NoiseConfig(sigma_r=0.1, drop_rate=0.2, seed=3)
-    assert NoiseConfig.from_dict(noise.to_dict()) == noise
+    assert section_from_dict(NoiseConfig, section_to_dict(noise)) == noise
 
 
 def test_noise_config_validated():
