@@ -68,6 +68,8 @@ class Curve:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] < 2 or self.points.shape[1] != 3:
             raise ValueError(f"curve needs at least two 3D points, got shape {self.points.shape}")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("curve points must be finite")
         steps = np.linalg.norm(np.diff(self.points[:, :2], axis=0), axis=1)
         if np.any(steps + np.abs(np.diff(self.points[:, 2])) == 0.0):
             raise ValueError("curve has consecutive duplicate points")
@@ -172,13 +174,16 @@ def assemble_curve(instance: LaneInstance) -> Curve:
         axis = -axis
     proj = centered @ axis
     current = int(np.argmin(proj))
-    remaining = set(range(len(mids))) - {current}
+    visited = np.zeros(len(mids), dtype=bool)
     order = [current]
-    while remaining:
-        cands = sorted(remaining)
-        d = [float(np.linalg.norm(xy[i] - xy[current])) for i in cands]
-        current = cands[int(np.argmin(d))]
-        remaining.discard(current)
+    for _ in range(len(mids) - 1):
+        visited[current] = True
+        # vecdot, like the 1-D norm, sums through the dot kernel; norm(axis=1)
+        # can differ in the last bit and so flip a near-tie hop.
+        diff = xy - xy[current]
+        d = np.sqrt(np.vecdot(diff, diff))
+        d[visited] = np.inf
+        current = int(np.argmin(d))
         order.append(current)
     pts = mids[order]
     keep = [0]

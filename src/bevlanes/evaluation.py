@@ -12,8 +12,7 @@ of the lateral metric.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,11 +85,26 @@ class EvalReport:
 # Rasterization and IOU
 
 
+# Cells evaluated per step of the rasterizer. One segment's box can span the
+# whole raster (~1.7e5 cells at the default extent), so boxes are walked in
+# bands of rows rather than materialized at once.
+_CELL_BUDGET = 4096
+
+
 def rasterize_curve(curve: Curve, cfg: EvalConfig) -> np.ndarray:
     """Binary mask of cells whose centers lie within lane_width/2 of the curve.
 
     The mask covers cfg.extent at cfg.raster_resolution, row index along y.
-    Curves outside the extent produce empty masks.
+    Cell (j, i) has center (x_lo + (i + 0.5) * res, y_lo + (j + 0.5) * res)
+    and is set when, for some polyline segment p -> q, its squared xy
+    distance to p + t (q - p) is at most (lane_width/2)^2, where t is the
+    projection of the center onto the segment clipped to [0, 1] (t = 0 when
+    |q - p|_xy is 0). Only cells in each segment's bounding box, padded by
+    lane_width/2 and clipped to the extent, are tested. The box rows of all
+    segments, grouped by box width, are tested in bands of at most
+    _CELL_BUDGET cells (one row when a row is wider), so the working memory
+    beside the mask is a few hundred KB however long a segment is. Curves
+    outside the extent produce empty masks.
     """
     (x_lo, x_hi), (y_lo, y_hi) = cfg.extent
     res = cfg.raster_resolution
@@ -98,25 +112,49 @@ def rasterize_curve(curve: Curve, cfg: EvalConfig) -> np.ndarray:
     ny = int(round((y_hi - y_lo) / res))
     mask = np.zeros((ny, nx), dtype=bool)
     half = cfg.lane_width / 2.0
-    pts = curve.points[:, :2]
-    for p, q in zip(pts[:-1], pts[1:]):
-        ia = max(0, int(math.floor((min(p[0], q[0]) - half - x_lo) / res - 0.5)))
-        ib = min(nx - 1, int(math.ceil((max(p[0], q[0]) + half - x_lo) / res)))
-        ja = max(0, int(math.floor((min(p[1], q[1]) - half - y_lo) / res - 0.5)))
-        jb = min(ny - 1, int(math.ceil((max(p[1], q[1]) + half - y_lo) / res)))
-        if ia > ib or ja > jb:
-            continue
-        cx = x_lo + (np.arange(ia, ib + 1) + 0.5) * res
-        cy = y_lo + (np.arange(ja, jb + 1) + 0.5) * res
-        gx, gy = np.meshgrid(cx, cy)
-        vx, vy = q[0] - p[0], q[1] - p[1]
-        den = vx * vx + vy * vy
-        if den <= 0:
-            d2 = (gx - p[0]) ** 2 + (gy - p[1]) ** 2
-        else:
-            t = np.clip(((gx - p[0]) * vx + (gy - p[1]) * vy) / den, 0.0, 1.0)
-            d2 = (gx - (p[0] + t * vx)) ** 2 + (gy - (p[1] + t * vy)) ** 2
-        mask[ja:jb + 1, ia:ib + 1] |= d2 <= half * half
+    p, q = curve.points[:-1, :2], curve.points[1:, :2]
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    # Clamp before the integer cast; a box clamped past the far edge is empty.
+    ia = np.clip(np.floor((lo[:, 0] - half - x_lo) / res - 0.5), 0, nx).astype(np.int64)
+    ib = np.clip(np.ceil((hi[:, 0] + half - x_lo) / res), -1, nx - 1).astype(np.int64)
+    ja = np.clip(np.floor((lo[:, 1] - half - y_lo) / res - 0.5), 0, ny).astype(np.int64)
+    jb = np.clip(np.ceil((hi[:, 1] + half - y_lo) / res), -1, ny - 1).astype(np.int64)
+    kept = np.flatnonzero((ia <= ib) & (ja <= jb))
+    if not len(kept):
+        return mask
+    kept = kept[np.argsort((ib - ia)[kept], kind="stable")]    # by box width
+    ia, ja, jb, width = ia[kept], ja[kept], jb[kept], (ib - ia + 1)[kept]
+    p, v = p[kept], (q - p)[kept]
+    den = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    # A segment without xy extent measures to p: with v = 0, t is 0 and
+    # p + t * v is p exactly.
+    point = den <= 0
+    v[point] = 0.0
+    den[point] = 1.0
+    # One entry per box row. Terms constant along a row are computed here,
+    # with the operations the per-cell predicate would apply to them.
+    rows = jb - ja + 1
+    seg = np.repeat(np.arange(len(kept)), rows)
+    row = ja[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(rows) - rows, rows)
+    first_col, width = ia[seg], width[seg]
+    gy = y_lo + (row + 0.5) * res
+    table = np.stack([p[seg, 0], v[seg, 0], p[seg, 1], v[seg, 1], gy,
+                      (gy - p[seg, 1]) * v[seg, 1], den[seg]], axis=1)
+    cx = x_lo + (np.arange(nx) + 0.5) * res     # cell-centre x of every column
+    limit = half * half
+    groups = np.concatenate([[0], np.flatnonzero(np.diff(width)) + 1, [len(seg)]])
+    for g0, g1 in zip(groups[:-1], groups[1:]):     # rows of one box width
+        cols = np.arange(width[g0])
+        band = max(1, _CELL_BUDGET // len(cols))
+        for r0 in range(g0, g1, band):
+            r1 = min(r0 + band, g1)
+            px, vx, py, vy, cy, ay, dn = table[r0:r1, :, None].transpose(1, 0, 2)
+            gx = cx[first_col[r0:r1, None] + cols]
+            t = np.maximum(((gx - px) * vx + ay) / dn, 0.0)     # clip to [0, 1]
+            np.minimum(t, 1.0, out=t)
+            hit_r, hit_c = np.nonzero(
+                (gx - (px + t * vx)) ** 2 + (cy - (py + t * vy)) ** 2 <= limit)
+            mask[row[r0 + hit_r], first_col[r0 + hit_r] + hit_c] = True
     return mask
 
 
@@ -186,11 +224,15 @@ def _check_confidences(preds: list) -> None:
 
 
 def _score_scene(preds: list, gts: list, cfg: EvalConfig):
-    """IOU matrix (P, G), confidences and confidence order of one scene."""
-    masks_p = [rasterize_curve(c, cfg) for c, _ in preds]
+    """IOU matrix (P, G), confidences and confidence order of one scene.
+
+    GT masks are held for the scene; each prediction's mask only for its row.
+    """
     masks_g = [rasterize_curve(g, cfg) for g in gts]
-    iou = np.array([[mask_iou(mp, mg) for mg in masks_g] for mp in masks_p]
-                   ).reshape(len(preds), len(gts))
+    iou = np.zeros((len(preds), len(gts)))
+    for i, (curve, _) in enumerate(preds):
+        mask = rasterize_curve(curve, cfg)
+        iou[i] = [mask_iou(mask, mg) for mg in masks_g]
     conf = np.array([c for _, c in preds])
     return iou, conf, _confidence_order(conf)
 
@@ -224,40 +266,43 @@ def _resample_curve(points: np.ndarray, step: float) -> np.ndarray:
     return np.column_stack([np.interp(targets, s, points[:, k]) for k in range(3)])
 
 
-def _nearest_on_polyline(points: np.ndarray, q: np.ndarray):
-    """(xy distance, interpolated z) of the polyline point nearest to q (xy)."""
-    p = points[:-1]
-    v = points[1:] - p
-    den = np.sum(v[:, :2] ** 2, axis=1)
-    den[den == 0] = 1.0
-    t = np.clip(((q[0] - p[:, 0]) * v[:, 0] + (q[1] - p[:, 1]) * v[:, 1]) / den, 0.0, 1.0)
-    proj = p + t[:, None] * v
-    d2 = (proj[:, 0] - q[0]) ** 2 + (proj[:, 1] - q[1]) ** 2
-    k = int(np.argmin(d2))
-    return math.sqrt(float(d2[k])), float(proj[k, 2])
-
-
 def lateral_error(pairs: list, cfg: EvalConfig):
     """Mean absolute lateral error of matched curves, bucketed by range.
 
     pairs is a list of (predicted Curve, ground-truth Curve). Each predicted
     curve is resampled at lateral_sample_step along its xy arc length; every
     sample contributes its distance to the nearest point of the matched GT
-    polyline, bucketed by the sample's y. Returns (bucket means, mean |dz|);
-    buckets without samples are omitted rather than reported as zero.
+    polyline (the first GT segment on ties), bucketed by the first range
+    bucket holding the sample's y. Returns (bucket means, mean |dz|); buckets
+    without samples are omitted rather than reported as zero.
     """
-    samples = {bucket: [] for bucket in cfg.range_buckets}
-    dz_all = []
+    dists, ys, dzs = [], [], []
     for pred, gt in pairs:
-        for q in _resample_curve(pred.points, cfg.lateral_sample_step):
-            d, z_gt = _nearest_on_polyline(gt.points, q)
-            dz_all.append(abs(q[2] - z_gt))
-            for lo, hi in cfg.range_buckets:
-                if lo <= q[1] < hi:
-                    samples[(lo, hi)].append(d)
-                    break
-    means = {b: float(np.mean(v)) for b, v in samples.items() if v}
-    return means, (float(np.mean(dz_all)) if dz_all else None)
+        q = _resample_curve(pred.points, cfg.lateral_sample_step)
+        p = gt.points[:-1]
+        v = gt.points[1:] - p
+        den = np.sum(v[:, :2] ** 2, axis=1)
+        den[den == 0] = 1.0
+        # (samples, GT segments): every sample projected on every segment
+        qx, qy = q[:, :1], q[:, 1:2]
+        t = np.clip(((qx - p[:, 0]) * v[:, 0] + (qy - p[:, 1]) * v[:, 1]) / den, 0.0, 1.0)
+        d2 = (p[:, 0] + t * v[:, 0] - qx) ** 2 + (p[:, 1] + t * v[:, 1] - qy) ** 2
+        k = np.argmin(d2, axis=1)
+        rows = np.arange(len(q))
+        dists.append(np.sqrt(d2[rows, k]))
+        ys.append(q[:, 1])
+        dzs.append(np.abs(q[:, 2] - (p[k, 2] + t[rows, k] * v[k, 2])))
+    if not sum(len(d) for d in dists):   # no pairs, or only zero-length predictions
+        return {}, None
+    d, y = np.concatenate(dists), np.concatenate(ys)
+    means = {}
+    free = np.ones(len(d), dtype=bool)
+    for lo, hi in cfg.range_buckets:
+        inside = free & (lo <= y) & (y < hi)
+        if inside.any():
+            means[(lo, hi)] = float(np.mean(d[inside]))
+        free &= ~inside
+    return means, float(np.mean(np.concatenate(dzs)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ sections round-trip through one field-driven codec (`section_to_dict`,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -93,16 +94,22 @@ def section_to_dict(section) -> dict:
     return {f.name: _plain(getattr(section, f.name)) for f in fields(section)}
 
 
-def _coerce(default, value):
+def _coerce(default, value, name: str):
     """The value converted to the type of the field's default: ints, floats,
     tuples (elementwise, like the default's first element) and dicts (values
-    like the default's first value)."""
+    like the default's first value). A float that is not finite raises
+    ValueError naming the field."""
     if isinstance(default, tuple):
-        return tuple(_coerce(default[0], v) for v in value)
+        return tuple(_coerce(default[0], v, name) for v in value)
     if isinstance(default, dict):
         template = next(iter(default.values()))
-        return {k: _coerce(template, v) for k, v in value.items()}
-    if isinstance(default, (int, float)):
+        return {k: _coerce(template, v, name) for k, v in value.items()}
+    if isinstance(default, float):
+        out = float(value)
+        if not math.isfinite(out):
+            raise ValueError(f"{name} must be finite, got {out}")
+        return out
+    if isinstance(default, int):
         return type(default)(value)
     return value
 
@@ -111,7 +118,8 @@ def section_from_dict(cls, d: dict):
     """Build a section from a dict holding every field; other keys are
     ignored. A missing field raises KeyError with its name."""
     defaults = cls()
-    return cls(**{f.name: _coerce(getattr(defaults, f.name), d[f.name]) for f in fields(cls)})
+    return cls(**{f.name: _coerce(getattr(defaults, f.name), d[f.name], f.name)
+                  for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------

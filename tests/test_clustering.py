@@ -287,6 +287,15 @@ def test_curve_validation():
     assert c.lane_id == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("cell", [(0, 0), (1, 1), (1, 2)])
+def test_curve_rejects_non_finite_points(bad, cell):
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5]])
+    pts[cell] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Curve(points=pts)
+
+
 # ---------------------------------------------------------------------------
 # greedy baseline
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -126,6 +127,21 @@ def test_rasterize_matches_brute_force_distance():
         t = np.clip(((gx - p[0]) * v[0] + (gy - p[1]) * v[1]) / (v @ v), 0.0, 1.0)
         d2 = np.minimum(d2, (gx - p[0] - t * v[0]) ** 2 + (gy - p[1] - t * v[1]) ** 2)
     assert np.array_equal(mask, d2 <= 0.25)
+
+
+def test_rasterize_memory_is_bounded_for_a_full_diagonal():
+    # One segment whose box is the whole raster (790 x 215 cells): the cells
+    # are walked in bounded bands, so the allocation peak stays near the mask.
+    (x_lo, x_hi), (y_lo, y_hi) = CFG.extent
+    curve = Curve(points=[[x_lo, y_lo, 0.0], [x_hi, y_hi, 0.0]])
+    tracemalloc.start()
+    try:
+        mask = rasterize_curve(curve, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask.nbytes == 790 * 215 and mask.any()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

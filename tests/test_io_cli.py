@@ -478,6 +478,26 @@ def test_cli_nan_lane_point_is_data_error(tmp_path, capsys):
     assert "scene_00001.json" in err and "lanes[0].points" in err
 
 
+def test_cli_nan_config_value_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, noise={"sigma_r": float("nan")})   # JSON token NaN
+    assert main(["pipeline", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "noise" in err and "sigma_r" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_nan_scene_surface_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg]) == 0
+    scene_path = tmp_path / "out" / "scenes" / "scene_00000.json"
+    d = json.loads(scene_path.read_text())
+    d["surface"]["amplitude"] = float("nan")
+    scene_path.write_text(json.dumps(d))
+    assert main(["encode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "scene_00000.json" in err and "surface" in err and "amplitude" in err
+
+
 def test_cli_grid_mismatch_between_stages(tmp_path, capsys):
     cfg = write_config(tmp_path)
     for command in ("generate", "encode", "predict"):
