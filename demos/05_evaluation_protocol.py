@@ -69,17 +69,14 @@ print(f"  measured {means[(0.0, 1e6)]:.5f} m, half-normal mean {expect:.5f} m")
 # first reaches 0.75. Four scenes of three lanes each; predictions sit
 # 0.03 m off their lane, scene confidence decays, and the last scene
 # misses one lane entirely.
-gts_all, gt_scene, preds_all, pred_scene = [], [], [], []
+scenes = []
 for s in range(4):
-    for k, x in enumerate((-3.7, 0.0, 3.7)):
-        gt = tilted(x)
-        gts_all.append(gt)
-        gt_scene.append(s)
-        if s == 3 and k == 2:
-            continue  # a miss: no prediction for this lane
-        preds_all.append((Curve(points=gt.points + [0.03, 0.0, 0.0]), 0.9 - 0.02 * s))
-        pred_scene.append(s)
-report = evaluate(preds_all, gts_all, cfg, pred_scene_ids=pred_scene, gt_scene_ids=gt_scene)
+    gts = [tilted(x) for x in (-3.7, 0.0, 3.7)]
+    preds = [(Curve(points=gt.points + [0.03, 0.0, 0.0]), 0.9 - 0.02 * s) for gt in gts]
+    if s == 3:
+        preds = preds[:2]  # a miss: no prediction for the last lane
+    scenes.append((preds, gts))
+report = evaluate(scenes, cfg)  # one (predictions, ground truth) pair per scene
 print(f"\nend-to-end report, 4 scenes x 3 lanes, one lane missed in the last scene:")
 print(f"  mAP = {report.map_score:.4f}, recall@0.5 = "
       f"{report.recall_at_reference:.4f} ({report.counts['n_matched']}/{report.counts['n_gt']})")

@@ -87,6 +87,8 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise ValueError("mean_shift needs a non-empty (N, d) array of points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("mean_shift points must be finite")
     bw2 = params.bandwidth ** 2
     modes = pts.copy()
     active = np.ones(len(pts), dtype=bool)

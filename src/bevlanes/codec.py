@@ -19,7 +19,7 @@ Sign conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,47 +93,61 @@ def soft_labels_to_angle(p_bins: np.ndarray, d_bins: np.ndarray, bins: AngleBinS
     return float((bins.centers[i] + float(d_bins[i])) % TWO_PI)
 
 
+def _array(*shape: str, fill: float = 0.0, dtype=float):
+    """A tile-grid array field: its shape over "H", "W" (grid rows, columns),
+    "N" (angle bins) and "d" (any size), and its fill in `zeros`."""
+    return field(metadata={"shape": shape, "fill": fill, "dtype": dtype})
+
+
+def array_fields(grid) -> list:
+    """The array fields of a tile grid class or instance, in order."""
+    return [f for f in fields(grid) if "shape" in f.metadata]
+
+
+def _axis_sizes(grid: GridSpec, bins: AngleBinSpec, d="d") -> dict:
+    return {"H": grid.n_rows, "W": grid.n_cols, "N": bins.n_bins, "d": d}
+
+
+def _check_arrays(obj) -> None:
+    """Each array has its declared shape and only finite values."""
+    sizes = _axis_sizes(obj.grid, obj.bins)
+    for f in array_fields(obj):
+        arr, expect = getattr(obj, f.name), tuple(sizes[a] for a in f.metadata["shape"])
+        if arr.ndim != len(expect) or any(e not in ("d", n) for n, e in zip(arr.shape, expect)):
+            raise ValueError(f"{f.name} has shape {arr.shape}, expected {expect}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{f.name} holds a non-finite value")
+
+
+def _zeros(cls, grid: GridSpec, bins: AngleBinSpec, d=None):
+    sizes = _axis_sizes(grid, bins, d)
+    return cls(grid=grid, bins=bins, **{
+        f.name: np.full([sizes[a] for a in f.metadata["shape"]], f.metadata["fill"],
+                        dtype=f.metadata["dtype"])
+        for f in array_fields(cls)})
+
+
 @dataclass
 class TileTargetGrid:
     """Struct-of-arrays target grid; all arrays are row-major (H, W, ...)."""
 
     grid: GridSpec
     bins: AngleBinSpec
-    occupancy: np.ndarray        # (H, W) in {0, 1}
-    lateral_offset: np.ndarray   # (H, W) meters
-    angle: np.ndarray            # (H, W) radians in [0, 2pi)
-    height_offset: np.ndarray    # (H, W) meters
-    lane_id: np.ndarray          # (H, W) int, -1 where unoccupied
-    bin_probs: np.ndarray        # (H, W, N)
-    bin_residuals: np.ndarray    # (H, W, N) radians
-    bin_mask: np.ndarray         # (H, W, N) in {0, 1}
+    occupancy: np.ndarray = _array("H", "W")                # in {0, 1}
+    lateral_offset: np.ndarray = _array("H", "W")           # meters
+    angle: np.ndarray = _array("H", "W")                    # radians in [0, 2pi)
+    height_offset: np.ndarray = _array("H", "W")            # meters
+    lane_id: np.ndarray = _array("H", "W", fill=-1, dtype=np.int64)   # -1 where unoccupied
+    bin_probs: np.ndarray = _array("H", "W", "N")
+    bin_residuals: np.ndarray = _array("H", "W", "N")       # radians
+    bin_mask: np.ndarray = _array("H", "W", "N")            # in {0, 1}
 
     def __post_init__(self):
-        h, w, n = self.grid.n_rows, self.grid.n_cols, self.bins.n_bins
-        expect = {
-            "occupancy": (h, w), "lateral_offset": (h, w), "angle": (h, w),
-            "height_offset": (h, w), "lane_id": (h, w),
-            "bin_probs": (h, w, n), "bin_residuals": (h, w, n), "bin_mask": (h, w, n),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        _check_arrays(self)
 
     @classmethod
     def zeros(cls, grid: GridSpec, bins: AngleBinSpec) -> "TileTargetGrid":
-        h, w, n = grid.n_rows, grid.n_cols, bins.n_bins
-        return cls(
-            grid=grid, bins=bins,
-            occupancy=np.zeros((h, w)),
-            lateral_offset=np.zeros((h, w)),
-            angle=np.zeros((h, w)),
-            height_offset=np.zeros((h, w)),
-            lane_id=np.full((h, w), -1, dtype=np.int64),
-            bin_probs=np.zeros((h, w, n)),
-            bin_residuals=np.zeros((h, w, n)),
-            bin_mask=np.zeros((h, w, n)),
-        )
+        return _zeros(cls, grid, bins)
 
 
 @dataclass
@@ -142,24 +156,15 @@ class TilePredictionGrid:
 
     grid: GridSpec
     bins: AngleBinSpec
-    score_logit: np.ndarray      # (H, W)
-    lateral_offset: np.ndarray   # (H, W) meters
-    height_offset: np.ndarray    # (H, W) meters
-    bin_logits: np.ndarray       # (H, W, N)
-    bin_residuals: np.ndarray    # (H, W, N) radians
-    embedding: np.ndarray        # (H, W, d)
+    score_logit: np.ndarray = _array("H", "W", fill=-DEFAULT_SATURATION)
+    lateral_offset: np.ndarray = _array("H", "W")           # meters
+    height_offset: np.ndarray = _array("H", "W")            # meters
+    bin_logits: np.ndarray = _array("H", "W", "N", fill=-DEFAULT_SATURATION)
+    bin_residuals: np.ndarray = _array("H", "W", "N")       # radians
+    embedding: np.ndarray = _array("H", "W", "d")
 
     def __post_init__(self):
-        h, w, n = self.grid.n_rows, self.grid.n_cols, self.bins.n_bins
-        for name, shape in [
-            ("score_logit", (h, w)), ("lateral_offset", (h, w)), ("height_offset", (h, w)),
-            ("bin_logits", (h, w, n)), ("bin_residuals", (h, w, n)),
-        ]:
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-        if self.embedding.ndim != 3 or self.embedding.shape[:2] != (h, w):
-            raise ValueError(f"embedding must be (H, W, d), got {self.embedding.shape}")
+        _check_arrays(self)
 
     @property
     def embedding_dim(self) -> int:
@@ -174,16 +179,7 @@ class TilePredictionGrid:
 
     @classmethod
     def zeros(cls, grid: GridSpec, bins: AngleBinSpec, embedding_dim: int) -> "TilePredictionGrid":
-        h, w, n = grid.n_rows, grid.n_cols, bins.n_bins
-        return cls(
-            grid=grid, bins=bins,
-            score_logit=np.full((h, w), -DEFAULT_SATURATION),
-            lateral_offset=np.zeros((h, w)),
-            height_offset=np.zeros((h, w)),
-            bin_logits=np.full((h, w, n), -DEFAULT_SATURATION),
-            bin_residuals=np.zeros((h, w, n)),
-            embedding=np.zeros((h, w, embedding_dim)),
-        )
+        return _zeros(cls, grid, bins, embedding_dim)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Curve
+from .geometry import resample_polyline
 
 DEFAULT_EXTENT = ((-10.74, 10.74), (-0.5, 78.5))  # default grid padded by w/2
 
@@ -237,6 +238,22 @@ def _score_scene(preds: list, gts: list, cfg: EvalConfig):
     return iou, conf, _confidence_order(conf)
 
 
+def _pooled_match(scored: list, threshold: float):
+    """Greedy matching of every scored scene at one IOU threshold, pooled.
+
+    scored holds each scene's _score_scene result. Returns the confidences
+    and TP flags of all predictions (scene by scene, each scene in its
+    confidence order) and the matches as (scene, pred, gt) triples.
+    """
+    conf, tp, matches = [], [], []
+    for s, (iou, scene_conf, order) in enumerate(scored):
+        flags, pairs = _greedy_match(iou, order, threshold)
+        conf.extend(scene_conf[order])
+        tp.extend(flags)
+        matches.extend((s, p, g) for p, g in pairs)
+    return np.array(conf), np.array(tp, dtype=bool), matches
+
+
 def match_and_ap(preds: list, gts: list, threshold: float, cfg: EvalConfig):
     """Greedy confidence-ordered matching at one IOU threshold, for one scene.
 
@@ -244,26 +261,16 @@ def match_and_ap(preds: list, gts: list, threshold: float, cfg: EvalConfig):
     where matches are (pred_index, gt_index, iou) triples.
     """
     _check_confidences(preds)
-    iou, conf, order = _score_scene(preds, gts, cfg)
-    tp, pairs = _greedy_match(iou, order, threshold)
-    ap = _ap_from_flags(conf[order], tp, len(gts))
-    recall = (sum(tp) / len(gts)) if gts else 0.0
-    matches = [(p, g, float(iou[p, g])) for p, g in pairs]
-    return ap, matches, float(recall)
+    scored = _score_scene(preds, gts, cfg)
+    conf, tp, matches = _pooled_match([scored], threshold)
+    ap = _ap_from_flags(conf, tp, len(gts))
+    iou = scored[0]
+    recall = len(matches) / len(gts) if gts else 0.0
+    return ap, [(p, g, float(iou[p, g])) for _, p, g in matches], recall
 
 
 # ---------------------------------------------------------------------------
 # Lateral error
-
-
-def _resample_curve(points: np.ndarray, step: float) -> np.ndarray:
-    """Resample a 3D polyline at fixed xy arc-length steps (endpoint kept)."""
-    seg = np.linalg.norm(np.diff(points[:, :2], axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.arange(0.0, s[-1], step)
-    if s[-1] - (targets[-1] if len(targets) else 0.0) > 1e-9:
-        targets = np.append(targets, s[-1])
-    return np.column_stack([np.interp(targets, s, points[:, k]) for k in range(3)])
 
 
 def lateral_error(pairs: list, cfg: EvalConfig):
@@ -278,7 +285,7 @@ def lateral_error(pairs: list, cfg: EvalConfig):
     """
     dists, ys, dzs = [], [], []
     for pred, gt in pairs:
-        q = _resample_curve(pred.points, cfg.lateral_sample_step)
+        q = resample_polyline(pred.points, cfg.lateral_sample_step)
         p = gt.points[:-1]
         v = gt.points[1:] - p
         den = np.sum(v[:, :2] ** 2, axis=1)
@@ -309,71 +316,48 @@ def lateral_error(pairs: list, cfg: EvalConfig):
 # Full protocol
 
 
-def evaluate(preds: list, gts: list, cfg: EvalConfig,
-             pred_scene_ids=None, gt_scene_ids=None) -> EvalReport:
-    """Run the full protocol over one or many scenes.
+def evaluate(scenes, cfg: EvalConfig) -> EvalReport:
+    """Run the full protocol over a sequence of (preds, gts) pairs, one per scene.
 
-    preds: list of (Curve, confidence); gts: list of Curve. Scene ids (same
-    length as each list) keep matching within scenes while detections pool
-    into a single PR curve per threshold, as in standard detection MAP.
+    preds: list of (Curve, confidence); gts: list of Curve. Predictions match
+    only their own scene's GTs, while detections pool into a single PR curve
+    per threshold, as in standard detection MAP. Confidence ties keep
+    prediction order within a scene and scene order across scenes; with zero
+    noise every confidence is 1.0, so AP there depends on that order.
     Lateral errors come from the IOU = 0.5 operating point with all
     predictions kept; if some confidence cutoff reaches recall 0.75, the
     lateral error at that cutoff is reported as well.
     """
-    pred_scene_ids = list(pred_scene_ids) if pred_scene_ids is not None else [0] * len(preds)
-    gt_scene_ids = list(gt_scene_ids) if gt_scene_ids is not None else [0] * len(gts)
-    if len(pred_scene_ids) != len(preds) or len(gt_scene_ids) != len(gts):
-        raise ValueError("scene id lists must parallel the curve lists")
-    _check_confidences(preds)
-
-    groups = {}
-    for i, sid in enumerate(pred_scene_ids):
-        groups.setdefault(sid, ([], []))[0].append(i)
-    for i, sid in enumerate(gt_scene_ids):
-        groups.setdefault(sid, ([], []))[1].append(i)
-    per_scene = []
-    for sid in sorted(groups):
-        p_idx, g_idx = groups[sid]
-        iou, conf, order = _score_scene([preds[i] for i in p_idx], [gts[i] for i in g_idx], cfg)
-        per_scene.append((p_idx, g_idx, iou, conf, order))
-
-    n_gt, n_pred = len(gts), len(preds)
+    scenes = list(scenes)
+    for preds, _ in scenes:
+        _check_confidences(preds)
+    scored = [_score_scene(preds, gts, cfg) for preds, gts in scenes]
+    n_gt = sum(len(gts) for _, gts in scenes)
+    n_pred = sum(len(preds) for preds, _ in scenes)
     thresholds = list(cfg.iou_thresholds)
     operating = 0.5
     ap_per_threshold = {}
-    op_matches = []
-    op_tp_pool = None
     for t in sorted(set(thresholds) | {operating}):
-        pool_conf, pool_tp = [], []
-        matches_t = []
-        for p_idx, g_idx, iou, conf, order in per_scene:
-            tp, pairs = _greedy_match(iou, order, t)
-            pool_conf.extend(conf[order])
-            pool_tp.extend(tp)
-            matches_t.extend((p_idx[p], g_idx[g]) for p, g in pairs)
-        ap = _ap_from_flags(np.array(pool_conf), np.array(pool_tp, dtype=bool), n_gt)
+        conf, tp, matches = _pooled_match(scored, t)
         if t in thresholds:
-            ap_per_threshold[t] = ap
+            ap_per_threshold[t] = _ap_from_flags(conf, tp, n_gt)
         if t == operating:
-            op_matches = matches_t
-            op_tp_pool = (np.array(pool_conf), np.array(pool_tp, dtype=bool))
+            op_conf, op_tp, op_matches = conf, tp, matches
 
-    pairs = [(preds[p][0], gts[g]) for p, g in op_matches]
-    lat, mean_dz = lateral_error(pairs, cfg)
+    matched = [(*scenes[s][0][p], scenes[s][1][g]) for s, p, g in op_matches]
+    lat, mean_dz = lateral_error([(curve, gt) for curve, _, gt in matched], cfg)
     recall_ref = len(op_matches) / n_gt if n_gt else 0.0
 
     recall75_conf = None
     lat75 = None
-    if n_gt and op_tp_pool is not None:
-        conf_sorted, tp_sorted = op_tp_pool
-        desc = np.argsort(-conf_sorted, kind="stable")
-        cum = np.cumsum(tp_sorted[desc])
+    if n_gt:
+        desc = np.argsort(-op_conf, kind="stable")
+        cum = np.cumsum(op_tp[desc])
         reach = np.flatnonzero(cum / n_gt >= 0.75)
         if len(reach):
-            recall75_conf = float(conf_sorted[desc][reach[0]])
-            pairs75 = [(preds[p][0], gts[g]) for p, g in op_matches
-                       if preds[p][1] >= recall75_conf]
-            lat75, _ = lateral_error(pairs75, cfg)
+            recall75_conf = float(op_conf[desc][reach[0]])
+            lat75, _ = lateral_error(
+                [(curve, gt) for curve, c, gt in matched if c >= recall75_conf], cfg)
 
     return EvalReport(
         ap_per_threshold=ap_per_threshold,

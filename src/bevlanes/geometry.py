@@ -105,6 +105,18 @@ class Lane3D:
             raise ValueError("lane polyline has zero length")
 
 
+def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
+    """Resample an (N, k>=2) polyline at fixed xy arc-length steps, keeping the
+    endpoint; every column is interpolated along the xy arc length. A
+    polyline with zero xy length gives no points."""
+    seg = np.linalg.norm(np.diff(points[:, :2], axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.arange(0.0, s[-1], step)
+    if len(targets) and s[-1] - targets[-1] > 1e-9:
+        targets = np.append(targets, s[-1])
+    return np.column_stack([np.interp(targets, s, col) for col in points.T])
+
+
 def tile_center(row: int, col: int, grid: GridSpec) -> np.ndarray:
     """Plane-frame (x, y) center of tile (row, col)."""
     if not (0 <= row < grid.n_rows):

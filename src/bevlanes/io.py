@@ -6,7 +6,8 @@ outputs are diffable; non-finite numbers cannot be written. Readers validate
 structure and finiteness and report the offending file and field in a
 SchemaError rather than raising bare KeyErrors or ValueErrors. Config
 sections round-trip through one field-driven codec (`section_to_dict`,
-`section_from_dict`).
+`section_from_dict`), and both tile grids through one grid writer and
+reader driven by the array fields `codec` declares.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import Curve
-from .codec import AngleBinSpec, LaneSegment, TilePredictionGrid, TileTargetGrid
+from .codec import AngleBinSpec, LaneSegment, TilePredictionGrid, TileTargetGrid, array_fields
 from .evaluation import EvalReport
 from .geometry import CameraRig, GridSpec, Lane3D
 from .synth import Scene, SurfaceParams
@@ -155,22 +156,16 @@ def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# Grids: JSON header (grid, bins, field list with dtype/shape) + row-major payload
+# Grids: JSON header (grid, bins) + one {dtype, shape, row-major data} entry per
+# array field that codec declares
 
 
-_TARGET_FIELDS = ("occupancy", "lateral_offset", "angle", "height_offset", "lane_id",
-                  "bin_probs", "bin_residuals", "bin_mask")
-_PRED_FIELDS = ("score_logit", "lateral_offset", "height_offset", "bin_logits",
-                "bin_residuals", "embedding")
-
-
-def _pack_fields(obj, names) -> dict:
-    out = {}
-    for name in names:
-        arr = getattr(obj, name)
-        out[name] = {"dtype": arr.dtype.str.lstrip("<>=|"), "shape": list(arr.shape),
-                     "data": arr.reshape(-1).tolist()}
-    return out
+def _grid_to_dict(kind: str, g) -> dict:
+    arrays = {f.name: getattr(g, f.name) for f in array_fields(g)}
+    return {"kind": kind, "grid": section_to_dict(g.grid), "bins": section_to_dict(g.bins),
+            "fields": {name: {"dtype": arr.dtype.str.lstrip("<>=|"), "shape": list(arr.shape),
+                              "data": arr.reshape(-1).tolist()}
+                       for name, arr in arrays.items()}}
 
 
 def _unpack_field(fields: dict, name: str, path: str) -> np.ndarray:
@@ -188,49 +183,47 @@ def _unpack_field(fields: dict, name: str, path: str) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _grid_from_dict(cls, kind: str, d: dict, path: str) -> dict:
+    """The constructor arguments of a tile grid, read from its dict."""
+    if d.get("kind") != kind:
+        raise SchemaError(path, "kind", f"expected {kind!r}, got {d.get('kind')!r}")
+    grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
+    bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
+    fields = _require(d, "fields", path)
+    return {"grid": grid, "bins": bins,
+            **{f.name: _unpack_field(fields, f.name, path) for f in array_fields(cls)}}
+
+
+def _make_grid(cls, args: dict, path: str):
+    try:
+        return cls(**args)
+    except ValueError as e:
+        raise SchemaError(path, "fields", str(e))
+
+
 def targets_to_dict(targets: TileTargetGrid) -> dict:
-    return {"kind": "target_grid", "grid": section_to_dict(targets.grid),
-            "bins": section_to_dict(targets.bins),
-            "fields": _pack_fields(targets, _TARGET_FIELDS)}
+    return _grid_to_dict("target_grid", targets)
 
 
 def targets_from_dict(d: dict, path: str = "<targets>") -> TileTargetGrid:
-    if d.get("kind") != "target_grid":
-        raise SchemaError(path, "kind", f"expected 'target_grid', got {d.get('kind')!r}")
-    grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
-    bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
-    fields = _require(d, "fields", path)
-    arrays = {name: _unpack_field(fields, name, path) for name in _TARGET_FIELDS}
-    occ = arrays["occupancy"]
+    args = _grid_from_dict(TileTargetGrid, "target_grid", d, path)
+    occ = args["occupancy"]
     if not np.all((occ == 0.0) | (occ == 1.0)):
         raise SchemaError(path, "fields.occupancy.data", "occupancy must be 0 or 1")
-    try:
-        return TileTargetGrid(grid=grid, bins=bins, **arrays)
-    except ValueError as e:
-        raise SchemaError(path, "fields", str(e))
+    return _make_grid(TileTargetGrid, args, path)
 
 
 def preds_to_dict(preds: TilePredictionGrid) -> dict:
-    return {"kind": "prediction_grid", "grid": section_to_dict(preds.grid),
-            "bins": section_to_dict(preds.bins), "embedding_dim": preds.embedding_dim,
-            "fields": _pack_fields(preds, _PRED_FIELDS)}
+    return {**_grid_to_dict("prediction_grid", preds), "embedding_dim": preds.embedding_dim}
 
 
 def preds_from_dict(d: dict, path: str = "<preds>") -> TilePredictionGrid:
-    if d.get("kind") != "prediction_grid":
-        raise SchemaError(path, "kind", f"expected 'prediction_grid', got {d.get('kind')!r}")
-    grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
-    bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
-    fields = _require(d, "fields", path)
-    arrays = {name: _unpack_field(fields, name, path) for name in _PRED_FIELDS}
+    args = _grid_from_dict(TilePredictionGrid, "prediction_grid", d, path)
     dim = int(_require(d, "embedding_dim", path))
-    if arrays["embedding"].shape[-1] != dim:
+    if args["embedding"].shape[-1] != dim:
         raise SchemaError(path, "embedding_dim",
-                          f"declared {dim}, payload has {arrays['embedding'].shape[-1]}")
-    try:
-        return TilePredictionGrid(grid=grid, bins=bins, **arrays)
-    except ValueError as e:
-        raise SchemaError(path, "fields", str(e))
+                          f"declared {dim}, payload has {args['embedding'].shape[-1]}")
+    return _make_grid(TilePredictionGrid, args, path)
 
 
 # ---------------------------------------------------------------------------

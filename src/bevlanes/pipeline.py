@@ -24,7 +24,8 @@ import numpy as np
 
 from . import io
 from .clustering import Curve, assemble_curve, cluster_segments, greedy_baseline
-from .codec import LaneSegment, TilePredictionGrid, TileTargetGrid, decode_grid, encode_scene
+from .codec import (LaneSegment, TilePredictionGrid, TileTargetGrid, array_fields, decode_grid,
+                    encode_scene)
 from .config import ConfigError, PipelineConfig
 from .evaluation import EvalReport, evaluate
 from .losses import embedding_loss, finite_diff_check, total_tile_loss
@@ -127,20 +128,10 @@ def run_pipeline(config: PipelineConfig, method: str = "embedding",
 
 
 def evaluate_results(results: list[SceneResult], config: PipelineConfig) -> EvalReport:
-    return _evaluate_scenes(((r.index, r.lanes, r.scene) for r in results), config)
-
-
-def _evaluate_scenes(scenes, config: PipelineConfig) -> EvalReport:
-    """Evaluate (scene id, lanes, scene) triples; lanes match only their own
-    scene's curves."""
-    preds, pred_ids, gts, gt_ids = [], [], [], []
-    for sid, lanes, scene in scenes:
-        curves = scene_curves(scene)
-        preds.extend(lanes)
-        pred_ids.extend([sid] * len(lanes))
-        gts.extend(curves)
-        gt_ids.extend([sid] * len(curves))
-    return evaluate(preds, gts, config.eval, pred_scene_ids=pred_ids, gt_scene_ids=gt_ids)
+    """Evaluate in scene-index order, whatever the order of results (confidence
+    ties across scenes rank by scene order)."""
+    return evaluate([(r.lanes, scene_curves(r.scene))
+                     for r in sorted(results, key=lambda r: r.index)], config.eval)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +216,8 @@ def cmd_eval(config: PipelineConfig) -> EvalReport:
     if len(lanes_lists) != len(scenes):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(lanes_lists)} lane files vs {len(scenes)} scenes")
-    report = _evaluate_scenes(
-        ((i, lanes, scene) for i, (lanes, scene) in enumerate(zip(lanes_lists, scenes))), config)
+    report = evaluate([(lanes, scene_curves(scene)) for lanes, scene in zip(lanes_lists, scenes)],
+                      config.eval)
     _write_report(config, report)
     return report
 
@@ -259,12 +250,11 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False,
                      f"{c['pull']!r},{c['push']!r},{total!r}")
     if grad_check and targets:
         tgt, prd = targets[0], preds[0]
-        tile_fields = ("score_logit", "lateral_offset", "height_offset", "bin_logits",
-                       "bin_residuals")
+        tile_inputs = {f.name: getattr(prd, f.name) for f in array_fields(prd)
+                       if f.name != "embedding"}
         tile_rep = finite_diff_check(
-            lambda inputs: total_tile_loss(TilePredictionGrid(
-                grid=prd.grid, bins=prd.bins, embedding=prd.embedding, **inputs), tgt),
-            {k: getattr(prd, k) for k in tile_fields}, sample=grad_samples)
+            lambda inputs: total_tile_loss(replace(prd, **inputs), tgt),
+            tile_inputs, sample=grad_samples)
         emb_rep = finite_diff_check(
             lambda inp: embedding_loss(inp["embedding"], tgt.lane_id, config.embedding),
             {"embedding": prd.embedding}, sample=grad_samples)

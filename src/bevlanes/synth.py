@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import (DEFAULT_SATURATION, AngleBinSpec, TilePredictionGrid, TileTargetGrid,
                     angle_to_soft_labels, logit, saturated_prediction)
-from .geometry import CameraRig, GridSpec, Lane3D
+from .geometry import CameraRig, GridSpec, Lane3D, resample_polyline
 from .losses import EmbeddingParams
 
 TOPOLOGIES = ("parallel", "split", "merge", "short", "perpendicular")
@@ -189,8 +189,8 @@ def generate_scene(cfg: SceneConfig, grid: GridSpec | None = None,
         clipped = _clip_to_grid(xy, grid)
         if clipped is None:
             continue
-        pts = _resample(clipped, 1.0)
-        if pts is None or _polyline_length(pts) < _MIN_LANE_LEN:
+        pts = resample_polyline(clipped, 1.0)
+        if _polyline_length(pts) < _MIN_LANE_LEN:
             continue
         z = surface_height(pts[:, 0], pts[:, 1], surface)
         lanes.append(Lane3D(points=np.column_stack([pts, z]), lane_id=len(lanes)))
@@ -263,21 +263,6 @@ def _clip_to_grid(xy: np.ndarray, grid: GridSpec):
 
 def _polyline_length(pts: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-
-
-def _resample(xy: np.ndarray, step: float):
-    """Resample a polyline at fixed arc-length steps, keeping the endpoint."""
-    seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    if total <= 0:
-        return None
-    targets = np.arange(0.0, total, step)
-    if total - targets[-1] > 1e-9:
-        targets = np.append(targets, total)
-    x = np.interp(targets, s, xy[:, 0])
-    y = np.interp(targets, s, xy[:, 1])
-    return np.column_stack([x, y])
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def test_criterion_07_noise_monotonicity():
         maps = []
         for i in range(config.n_scenes):
             r = process_scene(config, i)
-            maps.append(evaluate(r.lanes, scene_curves(r.scene), config.eval).map_score)
+            maps.append(evaluate([(r.lanes, scene_curves(r.scene))], config.eval).map_score)
         per_scene[sigma] = np.array(maps)
     means = {s: float(per_scene[s].mean()) for s in levels}
     rng = np.random.default_rng(0)
@@ -332,10 +332,8 @@ def test_criterion_07_noise_monotonicity():
 
 
 def test_criterion_08_ablation_direction():
-    pooled = {"embedding": ([], []), "greedy": ([], [])}
-    gts, gt_ids = [], []
+    pooled = {"embedding": [], "greedy": []}
     undersegmented = 0
-    scene_no = 0
     for topology, seed in (("split", 41), ("merge", 59)):
         config = replace(
             _closed_loop_config(_weights(**{topology: 1.0}), n_scenes=25, seed=seed),
@@ -344,19 +342,14 @@ def test_criterion_08_ablation_direction():
             scene = make_scene(config, i)
             segments = decode_one(predict_one(encode_one(scene, config), config, i))
             curves = scene_curves(scene)
-            gts.extend(curves)
-            gt_ids.extend([scene_no] * len(curves))
             for method in pooled:
                 lanes = cluster_one(segments, config, method)
-                pooled[method][0].extend(lanes)
-                pooled[method][1].extend([scene_no] * len(lanes))
+                pooled[method].append((lanes, curves))
                 if method == "greedy" and topology == "split" \
                         and len(curves) >= 2 and len(lanes) < len(curves):
                     undersegmented += 1
-            scene_no += 1
     eval_cfg = PipelineConfig().eval
-    maps = {m: evaluate(p, gts, eval_cfg, ids, gt_ids).map_score
-            for m, (p, ids) in pooled.items()}
+    maps = {m: evaluate(scenes, eval_cfg).map_score for m, scenes in pooled.items()}
     ok = maps["embedding"] >= maps["greedy"] and undersegmented >= 1
     _check(8, ok, f"50 split/merge scenes, sigma_f=0.1: embedding MAP "
                   f"{maps['embedding']:.3f} >= greedy {maps['greedy']:.3f}; greedy "

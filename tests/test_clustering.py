@@ -372,3 +372,11 @@ def test_greedy_validates_tolerances():
 
 def test_greedy_empty():
     assert greedy_baseline([]) == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_mean_shift_rejects_non_finite(bad):
+    # two clusters and one bad point: the bad point must not become the only mode
+    pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        mean_shift(pts, PARAMS)

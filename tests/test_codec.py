@@ -1,6 +1,7 @@
 """Tests for the per-tile lane encode/decode with its angle soft labels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -417,3 +418,44 @@ def test_prediction_grid_shape_validation():
             bin_residuals=np.zeros((26, 16, 8)),
             bin_mask=np.zeros((26, 16, 8)),
         )
+
+
+def test_grid_zeros_fields():
+    t = TileTargetGrid.zeros(GRID, BINS)
+    for name in ("occupancy", "lateral_offset", "angle", "height_offset"):
+        assert getattr(t, name).dtype == np.float64
+        npt.assert_array_equal(getattr(t, name), np.zeros((26, 16)))
+    assert t.lane_id.dtype == np.int64
+    npt.assert_array_equal(t.lane_id, np.full((26, 16), -1))
+    for name in ("bin_probs", "bin_residuals", "bin_mask"):
+        npt.assert_array_equal(getattr(t, name), np.zeros((26, 16, 8)))
+    p = TilePredictionGrid.zeros(GRID, BINS, 3)
+    npt.assert_array_equal(p.score_logit, np.full((26, 16), -50.0))
+    npt.assert_array_equal(p.bin_logits, np.full((26, 16, 8), -50.0))
+    for name, shape in (("lateral_offset", (26, 16)), ("height_offset", (26, 16)),
+                        ("bin_residuals", (26, 16, 8)), ("embedding", (26, 16, 3))):
+        assert getattr(p, name).dtype == np.float64
+        npt.assert_array_equal(getattr(p, name), np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(26, 16), (25, 16, 4), (26, 16, 4, 1)])
+def test_prediction_grid_embedding_shape_validation(shape):
+    with pytest.raises(ValueError, match="embedding"):
+        replace(TilePredictionGrid.zeros(GRID, BINS, 4), embedding=np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("make, name", [
+    *[(lambda: TileTargetGrid.zeros(GRID, BINS), name) for name in (
+        "occupancy", "lateral_offset", "angle", "height_offset",
+        "bin_probs", "bin_residuals", "bin_mask")],
+    *[(lambda: TilePredictionGrid.zeros(GRID, BINS, 4), name) for name in (
+        "score_logit", "lateral_offset", "height_offset", "bin_logits",
+        "bin_residuals", "embedding")],
+])
+def test_grids_reject_non_finite_arrays(make, name, bad):
+    grid = make()
+    arr = getattr(grid, name).copy()
+    arr[3, 5] = bad
+    with pytest.raises(ValueError, match=f"{name} holds a non-finite value"):
+        replace(grid, **{name: arr})

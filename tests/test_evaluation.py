@@ -348,15 +348,12 @@ def test_lateral_error_no_pairs():
 def _two_scene_setup():
     gts = [vertical_line(-2.03), vertical_line(2.03),
            vertical_line(-1.53), vertical_line(2.53)]
-    gt_ids = [0, 0, 1, 1]
     preds = [(gts[0], 0.95), (gts[1], 0.9), (gts[2], 0.85), (gts[3], 0.8)]
-    pred_ids = [0, 0, 1, 1]
-    return preds, gts, pred_ids, gt_ids
+    return [(preds[:2], gts[:2]), (preds[2:], gts[2:])]
 
 
 def test_evaluate_perfect_predictions():
-    preds, gts, pred_ids, gt_ids = _two_scene_setup()
-    report = evaluate(preds, gts, CFG, pred_ids, gt_ids)
+    report = evaluate(_two_scene_setup(), CFG)
     assert report.map_score == 1.0
     assert set(report.ap_per_threshold) == set(CFG.iou_thresholds)
     assert all(v == 1.0 for v in report.ap_per_threshold.values())
@@ -368,9 +365,12 @@ def test_evaluate_perfect_predictions():
     assert report.operating_iou == 0.5
 
 
+def _first_pred_only(scenes):
+    return [(preds[:1], gts) for preds, gts in scenes]
+
+
 def test_evaluate_half_deleted_recall_half_everywhere():
-    preds, gts, pred_ids, gt_ids = _two_scene_setup()
-    report = evaluate([preds[0], preds[2]], gts, CFG, [0, 1], gt_ids)
+    report = evaluate(_first_pred_only(_two_scene_setup()), CFG)
     assert report.recall_at_reference == 0.5
     assert all(v == 0.5 for v in report.ap_per_threshold.values())
     assert report.map_score == 0.5
@@ -378,17 +378,15 @@ def test_evaluate_half_deleted_recall_half_everywhere():
 
 
 def test_evaluate_order_invariant_with_distinct_confidences():
-    preds, gts, pred_ids, gt_ids = _two_scene_setup()
-    base = evaluate(preds, gts, CFG, pred_ids, gt_ids).to_dict()
-    perm = [2, 0, 3, 1]
-    shuffled = evaluate([preds[i] for i in perm], gts, CFG,
-                        [pred_ids[i] for i in perm], gt_ids).to_dict()
+    scenes = _two_scene_setup()
+    base = evaluate(scenes, CFG).to_dict()
+    shuffled = evaluate([(preds[::-1], gts) for preds, gts in scenes[::-1]], CFG).to_dict()
     assert shuffled == base
 
 
 def test_evaluate_matching_stays_within_scenes():
     gt = vertical_line(0.03)
-    report = evaluate([(gt, 0.9)], [gt], CFG, pred_scene_ids=[1], gt_scene_ids=[0])
+    report = evaluate([([], [gt]), ([(gt, 0.9)], [])], CFG)
     assert report.map_score == 0.0
     assert report.counts["n_matched"] == 0
     assert report.lateral_error == {}
@@ -396,8 +394,7 @@ def test_evaluate_matching_stays_within_scenes():
 
 
 def test_evaluate_reports_recall75_operating_point():
-    preds, gts, pred_ids, gt_ids = _two_scene_setup()
-    report = evaluate(preds, gts, CFG, pred_ids, gt_ids)
+    report = evaluate(_two_scene_setup(), CFG)
     # confidences 0.95/0.9/0.85/0.8 all true positives: recall crosses 0.75
     # at the third-highest confidence
     assert report.recall75_confidence == 0.85
@@ -406,15 +403,13 @@ def test_evaluate_reports_recall75_operating_point():
 
 
 def test_evaluate_recall75_absent_when_unreachable():
-    preds, gts, pred_ids, gt_ids = _two_scene_setup()
-    report = evaluate([preds[0], preds[2]], gts, CFG, [0, 1], gt_ids)
+    report = evaluate(_first_pred_only(_two_scene_setup()), CFG)
     assert report.recall75_confidence is None
     assert report.lateral_error_at_recall75 is None
 
 
 def test_evaluate_empty_predictions():
-    _, gts, _, gt_ids = _two_scene_setup()
-    report = evaluate([], gts, CFG, [], gt_ids)
+    report = evaluate([([], gts) for _, gts in _two_scene_setup()], CFG)
     assert report.map_score == 0.0
     assert report.recall_at_reference == 0.0
     assert report.lateral_error == {}
@@ -422,23 +417,24 @@ def test_evaluate_empty_predictions():
     assert report.counts == {"n_gt": 4, "n_pred": 0, "n_matched": 0}
 
 
-def test_evaluate_validates_scene_id_lengths():
-    preds, gts, pred_ids, gt_ids = _two_scene_setup()
-    with pytest.raises(ValueError):
-        evaluate(preds, gts, CFG, [0, 0], gt_ids)
-    with pytest.raises(ValueError):
-        evaluate(preds, gts, CFG, pred_ids, [0])
+def test_evaluate_confidence_ties_across_scenes_keep_scene_order():
+    # a false positive and a true positive at the same confidence, in two
+    # scenes: the pooled ranking lists the earlier scene's first
+    gt = vertical_line(0.03)
+    miss = ([(vertical_line(8.0), 1.0)], [gt])
+    hit = ([(gt, 1.0)], [gt])
+    assert evaluate([miss, hit], CFG).map_score == 0.25   # precision 1/2 at recall 1/2
+    assert evaluate([hit, miss], CFG).map_score == 0.5    # precision 1 at recall 1/2
 
 
 def test_evaluate_rejects_bad_confidence():
     gt = vertical_line(0.03)
     with pytest.raises(ValueError):
-        evaluate([(gt, 1.5)], [gt], CFG)
+        evaluate([([(gt, 1.5)], [gt])], CFG)
 
 
 def test_report_to_dict_json_serializable():
-    preds, gts, pred_ids, gt_ids = _two_scene_setup()
-    d = evaluate(preds, gts, CFG, pred_ids, gt_ids).to_dict()
+    d = evaluate(_two_scene_setup(), CFG).to_dict()
     text = json.dumps(d)
     back = json.loads(text)
     assert back["ap_per_threshold"]["0.5"] == 1.0

@@ -6,7 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bevlanes.geometry import CameraRig, GridSpec, Lane3D, tile_bounds, tile_center, tile_centers
+from bevlanes.geometry import (CameraRig, GridSpec, Lane3D, resample_polyline, tile_bounds,
+                               tile_center, tile_centers)
 from bevlanes.io import section_from_dict, section_to_dict
 
 
@@ -129,3 +130,55 @@ def test_lane3d_validation():
     lane = Lane3D(points=[[0.0, 0.0, 0.0], [0.0, 5.0, 0.0]], lane_id=3)
     assert lane.points.dtype == np.float64
     assert lane.lane_id == 3
+
+
+# ---------------------------------------------------------------------------
+# polyline resampling: the two resamplers it replaced, verbatim
+
+
+def _ref_scene_resample(xy, step):
+    seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    total = s[-1]
+    if total <= 0:
+        return None
+    targets = np.arange(0.0, total, step)
+    if total - targets[-1] > 1e-9:
+        targets = np.append(targets, total)
+    x = np.interp(targets, s, xy[:, 0])
+    y = np.interp(targets, s, xy[:, 1])
+    return np.column_stack([x, y])
+
+
+def _ref_curve_resample(points, step):
+    seg = np.linalg.norm(np.diff(points[:, :2], axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.arange(0.0, s[-1], step)
+    if s[-1] - (targets[-1] if len(targets) else 0.0) > 1e-9:
+        targets = np.append(targets, s[-1])
+    return np.column_stack([np.interp(targets, s, points[:, k]) for k in range(3)])
+
+
+def _polylines():
+    rng = np.random.default_rng(11)
+    yield np.zeros((3, 3))                                      # zero xy length
+    yield np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 5.0]])          # only z moves
+    yield np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 1.0]])          # length 5: endpoint on a step
+    yield np.array([[0.0, 0.0, 0.0], [0.0, 5.0 + 1e-10, 1.0]])  # within 1e-9 of a step
+    for n in (2, 3, 7, 40):
+        pts = np.cumsum(rng.normal(0.0, 1.5, (n, 3)), axis=0)
+        pts[n // 2] = pts[n // 2 - 1]                           # a repeated vertex
+        yield pts
+
+
+@pytest.mark.parametrize("step", [1.0, 0.7, 2.5])
+def test_resample_polyline_equals_the_resamplers_it_replaced(step):
+    for pts in _polylines():
+        got = resample_polyline(pts, step)
+        npt.assert_array_equal(got, _ref_curve_resample(pts, step))
+        scene = _ref_scene_resample(pts[:, :2], step)
+        got_xy = resample_polyline(pts[:, :2], step)
+        if scene is None:
+            assert got_xy.shape == (0, 2)
+        else:
+            npt.assert_array_equal(got_xy, scene)

@@ -16,7 +16,7 @@ from bevlanes.config import ConfigError, PipelineConfig
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate
 from bevlanes.geometry import GridSpec
 from bevlanes.losses import EmbeddingParams
-from bevlanes.pipeline import run_pipeline
+from bevlanes.pipeline import evaluate_results, run_pipeline
 from bevlanes.synth import NoiseConfig, SceneConfig, generate_scene, oracle_predict
 
 GRID = GridSpec()
@@ -243,7 +243,7 @@ def _perfect_report():
     gts = [Curve(points=[[-2.03, 5.0, 0.0], [-2.03, 65.0, 0.0]]),
            Curve(points=[[2.03, 5.0, 0.0], [2.03, 65.0, 0.0]])]
     preds = [(gts[0], 0.9), (gts[1], 0.8)]
-    return evaluate(preds, gts, EvalConfig())
+    return evaluate([(preds, gts)], EvalConfig())
 
 
 def test_report_csv_structure():
@@ -572,3 +572,11 @@ def test_run_pipeline_parallel_equals_serial(tmp_path):
             io.canonical_json(io.lanes_to_dict(b.lanes))
         assert io.canonical_json(io.preds_to_dict(a.preds)) == \
             io.canonical_json(io.preds_to_dict(b.preds))
+
+
+def test_evaluate_results_follows_scene_index_not_list_order():
+    # zero noise: every lane has confidence 1.0, so ties across scenes rank
+    # by scene order and a reordered list must not reorder them
+    cfg = PipelineConfig(n_scenes=10)
+    report, results = run_pipeline(cfg)
+    assert evaluate_results(results[::-1], cfg).to_dict() == report.to_dict()

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from bevlanes.clustering import Curve, LaneInstance, assemble_curve
 from bevlanes.codec import LaneSegment
-from bevlanes.evaluation import EvalConfig, _resample_curve, lateral_error, rasterize_curve
+from bevlanes.evaluation import EvalConfig, lateral_error, rasterize_curve
+from bevlanes.geometry import resample_polyline
 
 # Same examples on every run, no example database on disk.
 EXACT = settings(derandomize=True, database=None, max_examples=120, deadline=None,
@@ -79,7 +80,7 @@ def ref_lateral_error(pairs, cfg):
     samples = {bucket: [] for bucket in cfg.range_buckets}
     dz_all = []
     for pred, gt in pairs:
-        for q in _resample_curve(pred.points, cfg.lateral_sample_step):
+        for q in resample_polyline(pred.points, cfg.lateral_sample_step):
             d, z_gt = _ref_nearest_on_polyline(gt.points, q)
             dz_all.append(abs(q[2] - z_gt))
             for lo, hi in cfg.range_buckets:
