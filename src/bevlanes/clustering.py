@@ -95,8 +95,7 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     for _ in range(params.max_iters):
         if not active.any():
             break
-        d2 = np.sum((modes[active, None, :] - pts[None, :, :]) ** 2, axis=2)
-        within = d2 <= bw2
+        within = _within(modes[active], pts, bw2)
         counts = within.sum(axis=1)
         counts[counts == 0] = 1  # window drifted empty: freeze in place
         new = (within @ pts) / counts[:, None]
@@ -105,14 +104,28 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
         still = shift >= params.shift_tol
         active[np.flatnonzero(active)[~still]] = False
 
-    support = np.sum(
-        np.sum((modes[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= bw2, axis=1)
+    support = np.sum(_within(modes, pts, bw2), axis=1)
     order = sorted(range(len(pts)), key=lambda i: (-support[i], i))
     kept: list[int] = []
     for i in order:
         if all(np.linalg.norm(modes[i] - modes[k]) >= params.bandwidth for k in kept):
             kept.append(i)
     return modes[kept]
+
+
+# Centers whose (centers, N, d) difference tensor `_within` holds at once.
+_ROWS = 64
+
+
+def _within(centers: np.ndarray, pts: np.ndarray, bw2: float) -> np.ndarray:
+    """(len(centers), N) mask: point within the bandwidth of the center. Rows
+    are worked `_ROWS` at a time, which bounds the memory without changing
+    any row's values."""
+    out = np.empty((len(centers), len(pts)), dtype=bool)
+    for i in range(0, len(centers), _ROWS):
+        c = centers[i:i + _ROWS]
+        out[i:i + _ROWS] = np.sum((c[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= bw2
+    return out
 
 
 def assign_clusters(embeddings: np.ndarray, centers: np.ndarray,

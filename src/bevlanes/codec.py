@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import GridSpec, Lane3D, tile_bounds, tile_center
+from .geometry import GridSpec, Lane3D, tile_centers
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,15 +63,16 @@ def wrap_signed(angle):
     return float(out) if np.isscalar(angle) or out.ndim == 0 else out
 
 
-def angle_to_soft_labels(phi: float, bins: AngleBinSpec):
-    """Soft bin probabilities, masked residuals and bin mask for an angle.
+def angle_to_soft_labels(phi, bins: AngleBinSpec):
+    """Soft bin probabilities, masked residuals and bin mask for an angle, or
+    for an array of angles (the bins become a new last axis).
 
     p_i = max(0, 1 - wrap(|alpha_i - phi|) / spacing) with circular wrapping,
     so angles near 0/2pi still supervise the wrap-around bins. Residuals are
     the wrapped signed differences (phi - alpha_i), kept only on active bins.
     """
-    phi = float(phi) % TWO_PI
-    d = wrap_signed(phi - bins.centers)
+    phi = np.remainder(phi, TWO_PI)
+    d = wrap_signed(np.expand_dims(phi, -1) - bins.centers)
     p = np.maximum(0.0, 1.0 - np.abs(d) / bins.spacing)
     p[p < _P_EPS] = 0.0
     mask = (p > 0.0).astype(float)
@@ -79,18 +80,21 @@ def angle_to_soft_labels(phi: float, bins: AngleBinSpec):
     return p, residuals, mask
 
 
-def soft_labels_to_angle(p_bins: np.ndarray, d_bins: np.ndarray, bins: AngleBinSpec) -> float:
-    """Decode an angle as argmax bin center plus that bin's residual.
+def soft_labels_to_angle(p_bins: np.ndarray, d_bins: np.ndarray, bins: AngleBinSpec):
+    """Decode an angle as argmax bin center plus that bin's residual; over the
+    last axis, so (..., N) inputs give (...) angles and (N,) inputs a float.
 
     Ties go to the lower bin index. Raises ValueError when no bin is active.
     """
     p = np.asarray(p_bins, dtype=float)
-    if p.shape != (bins.n_bins,):
+    if p.shape[-1:] != (bins.n_bins,):
         raise ValueError(f"expected {bins.n_bins} bin probabilities, got shape {p.shape}")
-    if not np.any(p > 0.0):
+    if not np.all(np.any(p > 0.0, axis=-1)):
         raise ValueError("no active angle bin to decode from")
-    i = int(np.argmax(p))
-    return float((bins.centers[i] + float(d_bins[i])) % TWO_PI)
+    i = np.argmax(p, axis=-1)[..., None]
+    d = np.take_along_axis(np.asarray(d_bins, dtype=float), i, axis=-1)[..., 0]
+    phi = np.remainder(bins.centers[i[..., 0]] + d, TWO_PI)
+    return float(phi) if phi.ndim == 0 else phi
 
 
 def _array(*shape: str, fill: float = 0.0, dtype=float):
@@ -119,12 +123,12 @@ def _check_arrays(obj) -> None:
             raise ValueError(f"{f.name} holds a non-finite value")
 
 
-def _zeros(cls, grid: GridSpec, bins: AngleBinSpec, d=None):
+def _filled(cls, grid: GridSpec, bins: AngleBinSpec, d=None) -> dict:
+    """Each array field of a tile grid class at its declared shape and fill."""
     sizes = _axis_sizes(grid, bins, d)
-    return cls(grid=grid, bins=bins, **{
-        f.name: np.full([sizes[a] for a in f.metadata["shape"]], f.metadata["fill"],
-                        dtype=f.metadata["dtype"])
-        for f in array_fields(cls)})
+    return {f.name: np.full([sizes[a] for a in f.metadata["shape"]], f.metadata["fill"],
+                            dtype=f.metadata["dtype"])
+            for f in array_fields(cls)}
 
 
 @dataclass
@@ -147,7 +151,7 @@ class TileTargetGrid:
 
     @classmethod
     def zeros(cls, grid: GridSpec, bins: AngleBinSpec) -> "TileTargetGrid":
-        return _zeros(cls, grid, bins)
+        return cls(grid=grid, bins=bins, **_filled(cls, grid, bins))
 
 
 @dataclass
@@ -179,7 +183,7 @@ class TilePredictionGrid:
 
     @classmethod
     def zeros(cls, grid: GridSpec, bins: AngleBinSpec, embedding_dim: int) -> "TilePredictionGrid":
-        return _zeros(cls, grid, bins, embedding_dim)
+        return cls(grid=grid, bins=bins, **_filled(cls, grid, bins, embedding_dim))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -204,13 +208,21 @@ def logit(p, saturation: float = DEFAULT_SATURATION):
 def saturated_prediction(targets: TileTargetGrid, embedding_dim: int = 4,
                          saturation: float = DEFAULT_SATURATION) -> TilePredictionGrid:
     """Prediction grid that copies the targets exactly (saturated logits)."""
-    pred = TilePredictionGrid.zeros(targets.grid, targets.bins, embedding_dim)
-    pred.score_logit = np.where(targets.occupancy > 0.5, saturation, -saturation)
-    pred.lateral_offset = targets.lateral_offset.copy()
-    pred.height_offset = targets.height_offset.copy()
-    pred.bin_logits = logit(targets.bin_probs, saturation)
-    pred.bin_residuals = targets.bin_residuals.copy()
-    return pred
+    return TilePredictionGrid(grid=targets.grid, bins=targets.bins,
+                              **saturated_arrays(targets, embedding_dim, saturation))
+
+
+def saturated_arrays(targets: TileTargetGrid, embedding_dim: int = 4,
+                     saturation: float = DEFAULT_SATURATION) -> dict:
+    """The array fields of `saturated_prediction`, for a caller that changes
+    some tiles before it builds the grid."""
+    grid = targets.grid
+    return dict(score_logit=np.where(targets.occupancy > 0.5, saturation, -saturation),
+                lateral_offset=targets.lateral_offset.copy(),
+                height_offset=targets.height_offset.copy(),
+                bin_logits=logit(targets.bin_probs, saturation),
+                bin_residuals=targets.bin_residuals.copy(),
+                embedding=np.zeros((grid.n_rows, grid.n_cols, embedding_dim)))
 
 
 @dataclass
@@ -229,6 +241,9 @@ class LaneSegment:
 # ---------------------------------------------------------------------------
 # Encoding
 
+# Lengths and clip parameters closer than this count as equal.
+_EPS = 1e-12
+
 
 def encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec,
                  min_seg_len: float = DEFAULT_MIN_SEG_LEN) -> TileTargetGrid:
@@ -242,159 +257,221 @@ def encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec,
     total-least-squares line oriented along traversal order; the offset is
     the signed distance from the tile center along the left normal, and the
     height offset is interpolated at the foot of that perpendicular.
+
+    All tiles are worked at once in arrays. The scalar `math.hypot` and
+    `math.atan2` and the left-to-right chain sums stay, because their numpy
+    counterparts round differently on some inputs and targets are compared
+    bit for bit.
     """
-    targets = TileTargetGrid.zeros(grid, bins)
-    if not lanes:
-        return targets
+    arrays = _filled(TileTargetGrid, grid, bins)
+    pieces = _clip_lanes_to_tiles(lanes, grid) if lanes else None
+    if pieces is not None and len(pieces[0]):
+        tile, rank, phi, offset, dz = _fit_tiles(pieces, len(lanes), grid, min_seg_len)
+        at = np.unravel_index(tile, (grid.n_rows, grid.n_cols))
+        arrays["occupancy"][at] = 1.0
+        arrays["lateral_offset"][at] = offset
+        arrays["angle"][at] = phi
+        arrays["height_offset"][at] = dz
+        arrays["lane_id"][at] = np.array([lane.lane_id for lane in lanes])[rank]
+        for name, value in zip(("bin_probs", "bin_residuals", "bin_mask"),
+                               angle_to_soft_labels(phi, bins)):
+            arrays[name][at] = value
+    return TileTargetGrid(grid=grid, bins=bins, **arrays)
+
+
+def _hypot(v: np.ndarray) -> np.ndarray:
+    """`math.hypot` of each (x, y) row."""
+    return np.fromiter(map(math.hypot, v[:, 0].tolist(), v[:, 1].tolist()), float, len(v))
+
+
+def _clip_lanes_to_tiles(lanes: list[Lane3D], grid: GridSpec):
+    """Split every lane polyline at the tile borders, all segments at once.
+
+    Returns (tile, rank, pa, pb, za, zb) per piece, in traversal order of the
+    lanes taken by lane id: tile is the flat index row * n_cols + col, rank
+    the lane's index in `lanes`, pa/pb the (x, y) ends and za/zb their
+    heights. The crossing parameters of all segments with the interior grid
+    lines they span are solved in one step (Amanatides & Woo's traversal, in
+    arrays), so piece ends are the original vertices and the exact border
+    intersections.
+    """
     order = sorted(range(len(lanes)), key=lambda k: lanes[k].lane_id)
-
-    # (i, j) -> lane order index -> list of clipped pieces in traversal order
-    clipped: dict[tuple[int, int], dict[int, list]] = {}
-    for rank in order:
-        lane = lanes[rank]
-        for piece in _clip_lane_to_tiles(lane.points, grid):
-            tile_key, pa, pb, za, zb = piece
-            clipped.setdefault(tile_key, {}).setdefault(rank, []).append((pa, pb, za, zb))
-
-    for (i, j), by_lane in clipped.items():
-        best = None  # (distance to center, lane rank, pieces)
-        center = tile_center(i, j, grid)
-        for rank in sorted(by_lane):
-            pieces = by_lane[rank]
-            length = sum(math.hypot(pb[0] - pa[0], pb[1] - pa[1]) for pa, pb, _, _ in pieces)
-            if length < min_seg_len:
-                continue
-            mid = _chain_midpoint(pieces, length)
-            dist = math.hypot(mid[0] - center[0], mid[1] - center[1])
-            if best is None or dist < best[0] - 1e-12:
-                best = (dist, rank, pieces)
-        if best is None:
-            continue
-        _, rank, pieces = best
-        phi, offset, dz = _fit_tile_line(pieces, center)
-        targets.occupancy[i, j] = 1.0
-        targets.lateral_offset[i, j] = offset
-        targets.angle[i, j] = phi
-        targets.height_offset[i, j] = dz
-        targets.lane_id[i, j] = lanes[rank].lane_id
-        p, res, mask = angle_to_soft_labels(phi, bins)
-        targets.bin_probs[i, j] = p
-        targets.bin_residuals[i, j] = res
-        targets.bin_mask[i, j] = mask
-    return targets
-
-
-def _clip_lane_to_tiles(points: np.ndarray, grid: GridSpec):
-    """Yield (tile, pa, pb, za, zb) pieces of a polyline, split at tile borders.
-
-    Splitting is exact: crossing parameters with the grid lines are solved per
-    segment, so piece endpoints include the original vertices and the exact
-    border intersections, in traversal order.
-    """
-    eps = 1e-12
-    xy = points[:, :2]
-    z = points[:, 2]
-    for k in range(len(points) - 1):
-        p0, p1 = xy[k], xy[k + 1]
-        dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-        t_in, t_out = _liang_barsky(p0, (dx, dy), grid.x_min, grid.x_max, grid.y_min,
-                                    grid.y_max, 0.0, 1.0)
-        if t_in is None or t_out - t_in < eps:
-            continue
-        ts = [t_in, t_out]
-        if abs(dx) > eps:
-            ts.extend(_line_crossings(p0[0], dx, grid.x_min, grid.tile_width,
-                                      grid.n_cols, t_in, t_out))
-        if abs(dy) > eps:
-            ts.extend(_line_crossings(p0[1], dy, grid.y_min, grid.tile_length,
-                                      grid.n_rows, t_in, t_out))
-        ts.sort()
-        for a, b in zip(ts[:-1], ts[1:]):
-            if b - a < eps:
-                continue
-            tm = 0.5 * (a + b)
-            col = min(grid.n_cols - 1, max(0, int((p0[0] + tm * dx - grid.x_min) // grid.tile_width)))
-            row = min(grid.n_rows - 1, max(0, int((p0[1] + tm * dy - grid.y_min) // grid.tile_length)))
-            pa = (p0[0] + a * dx, p0[1] + a * dy)
-            pb = (p0[0] + b * dx, p0[1] + b * dy)
-            za = z[k] + a * (z[k + 1] - z[k])
-            zb = z[k] + b * (z[k + 1] - z[k])
-            yield (row, col), pa, pb, za, zb
+    p0 = np.concatenate([lanes[k].points[:-1] for k in order])
+    p1 = np.concatenate([lanes[k].points[1:] for k in order])
+    delta = p1 - p0
+    seg_rank = np.repeat(order, [len(lanes[k].points) - 1 for k in order])
+    t_in, t_out, kept = _liang_barsky(p0[:, 0], p0[:, 1], delta[:, 0], delta[:, 1],
+                                      (grid.x_min, grid.x_max, grid.y_min, grid.y_max), 0.0, 1.0)
+    kept &= t_out - t_in >= _EPS
+    # Every parameter that ends a piece: both clip ends and each crossing.
+    seg, ts = [np.flatnonzero(kept)] * 2, [t_in[kept], t_out[kept]]
+    for axis, lo, step, count in ((0, grid.x_min, grid.tile_width, grid.n_cols),
+                                  (1, grid.y_min, grid.tile_length, grid.n_rows)):
+        p, d = p0[:, axis], delta[:, axis]
+        moving = kept & (np.abs(d) > _EPS)
+        # Line m sits at lo + m * step. Candidates: the lines between the
+        # segment's ends, plus one each side against rounding.
+        first = np.clip(np.floor((np.minimum(p, p1[:, axis]) - lo) / step) - 1, 1, count)
+        last = np.clip(np.floor((np.maximum(p, p1[:, axis]) - lo) / step) + 1, 0, count - 1)
+        n = np.where(moving, last - first + 1, 0).clip(0).astype(np.int64)
+        m = first[:, None] + np.arange(n.max(initial=0))
+        t = ((lo + m * step) - p[:, None]) / np.where(moving, d, 1.0)[:, None]
+        k, j = np.nonzero((np.arange(m.shape[1]) < n[:, None]) & (t_in[:, None] + _EPS < t)
+                          & (t < t_out[:, None] - _EPS))
+        seg.append(k)
+        ts.append(t[k, j])
+    seg, ts = np.concatenate(seg), np.concatenate(ts)
+    by = np.lexsort((ts, seg))
+    seg, ts = seg[by], ts[by]
+    piece = (seg[1:] == seg[:-1]) & (ts[1:] - ts[:-1] >= _EPS)
+    k, a, b = seg[:-1][piece], ts[:-1][piece], ts[1:][piece]
+    x0, y0, z0 = p0[k].T
+    dx, dy, dz = delta[k].T
+    tm = 0.5 * (a + b)
+    col = np.clip(np.floor_divide(x0 + tm * dx - grid.x_min, grid.tile_width), 0, grid.n_cols - 1)
+    row = np.clip(np.floor_divide(y0 + tm * dy - grid.y_min, grid.tile_length), 0, grid.n_rows - 1)
+    pa = np.column_stack([x0 + a * dx, y0 + a * dy])
+    pb = np.column_stack([x0 + b * dx, y0 + b * dy])
+    tile = row.astype(np.int64) * grid.n_cols + col.astype(np.int64)
+    return tile, seg_rank[k], pa, pb, z0 + a * dz, z0 + b * dz
 
 
-def _line_crossings(p: float, d: float, lo: float, step: float, count: int,
-                    t_in: float, t_out: float):
-    """Parameters where p + t*d crosses interior grid lines, strictly inside (t_in, t_out)."""
-    eps = 1e-12
-    out = []
-    for m in range(1, count):
-        t = (lo + m * step - p) / d
-        if t_in + eps < t < t_out - eps:
-            out.append(t)
+def _runs(key: np.ndarray):
+    """For a sorted key: the start of each run of equal values, and each
+    element's run index and position in its run."""
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    run = np.repeat(np.arange(len(start)), np.diff(np.r_[start, len(key)]))
+    return start, run, np.arange(len(key)) - start[run]
+
+
+def _padded(values, run, pos, n_runs: int, fill):
+    """(n_runs, longest run) matrix of per-element values, `fill` elsewhere."""
+    out = np.full((n_runs, pos.max() + 1), fill, dtype=np.asarray(values).dtype)
+    out[run, pos] = values
     return out
 
 
-def _liang_barsky(p, d, x_lo, x_hi, y_lo, y_hi, t_min, t_max):
-    """Clip the parametric segment p + t*d, t in [t_min, t_max], to a rectangle."""
-    t0, t1 = t_min, t_max
-    for coord, delta, lo, hi in ((p[0], d[0], x_lo, x_hi), (p[1], d[1], y_lo, y_hi)):
-        if abs(delta) < 1e-15:
-            if coord < lo or coord > hi:
-                return None, None
-            continue
-        ta, tb = (lo - coord) / delta, (hi - coord) / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 > t1:
-            return None, None
-    return t0, t1
+def _fit_tiles(pieces, n_lanes: int, grid: GridSpec, min_seg_len: float):
+    """Pick each tile's winning chain and fit its line.
+
+    Returns (tile, rank, phi, offset, dz) for every occupied tile.
+    """
+    tile, rank, pa, pb, za, zb = pieces
+    # One chain per (tile, lane): pieces in traversal order, lanes by rank.
+    by = np.argsort(tile * n_lanes + rank, kind="stable")
+    tile, rank, pa, pb, za, zb = (v[by] for v in (tile, rank, pa, pb, za, zb))
+    start, chain, pos = _runs(tile * n_lanes + rank)
+    n_chains = len(start)
+    seg_len = _hypot(pb - pa)
+    # A row's cumsum adds left to right, as `sum` over the chain does.
+    acc = np.cumsum(_padded(seg_len, chain, pos, n_chains, 0.0), axis=1)
+    length = acc[:, -1]
+
+    # Arc-length midpoint: in the first piece of nonzero length whose running
+    # sum reaches half the chain, else at the chain's last point.
+    half = 0.5 * length
+    reach = _padded(seg_len > 0, chain, pos, n_chains, False) & (acc >= half[:, None])
+    first = np.argmax(reach, axis=1)
+    found = reach[np.arange(n_chains), first]
+    at = np.where(found, start + first, np.r_[start[1:], len(tile)] - 1)
+    before = np.where(first > 0, acc[np.arange(n_chains), first - 1], 0.0)
+    t = (half - before) / np.where(found, seg_len[at], 1.0)
+    mid = np.where(found[:, None], pa[at] + t[:, None] * (pb[at] - pa[at]), pb[at])
+    chain_tile = tile[start]
+    center = tile_centers(grid).reshape(-1, 2)[chain_tile]
+    dist = np.where(length >= min_seg_len, _hypot(mid - center), np.inf)
+
+    # Winner per tile: scan its chains by lane rank; a later chain wins only
+    # if nearer by more than 1e-12.
+    tile_start, tile_run, tile_pos = _runs(chain_tile)
+    cand = _padded(dist, tile_run, tile_pos, len(tile_start), np.inf)
+    best = np.full(len(tile_start), np.inf)
+    pick = np.full(len(tile_start), -1)
+    for p in range(cand.shape[1]):
+        take = cand[:, p] < best - 1e-12
+        best, pick = np.where(take, cand[:, p], best), np.where(take, p, pick)
+    won = tile_start[pick >= 0] + pick[pick >= 0]
+    fit = (_fit_chains(won, start, chain, pos, pa, pb, za, zb, center) if len(won)
+           else (np.empty(0),) * 3)
+    return (chain_tile[won], rank[start[won]], *fit)
 
 
-def _chain_midpoint(pieces, total_length: float):
-    half = 0.5 * total_length
-    acc = 0.0
-    for pa, pb, _, _ in pieces:
-        seg = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
-        if acc + seg >= half and seg > 0:
-            t = (half - acc) / seg
-            return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-        acc += seg
-    pa, pb, _, _ = pieces[-1]
-    return pb
+def _fit_chains(won, start, chain, pos, pa, pb, za, zb, center):
+    """Total-least-squares line of each winning chain; returns (phi, offset, dz)."""
+    n_chains = len(start)
+    is_won = np.zeros(n_chains, dtype=bool)
+    is_won[won] = True
+    q = np.flatnonzero(is_won[chain])          # pieces of won chains, chain by chain
+    qchain = np.searchsorted(won, chain[q])    # index into won
+    # Chain points: the first piece's start, then each piece's end, with a
+    # piece's start in between where it does not meet the previous end.
+    joins = pos[q] > 0
+    gap = np.zeros(len(q))
+    gap[joins] = _hypot(pa[q[joins]] - pb[q[joins] - 1])
+    keep = np.column_stack([~joins | (gap > _EPS), np.ones(len(q), dtype=bool)])
+    pts = np.stack([pa[q], pb[q]], axis=1)[keep]
+    n_pts = np.bincount(np.repeat(qchain, keep.sum(axis=1)), minlength=len(won))
+    first_pt = np.r_[0, np.cumsum(n_pts)[:-1]]
 
+    # Batched SVD over the chains with the same point count (each stacked
+    # matrix gets the same LAPACK call as it would alone).
+    centroid = np.empty((len(won), 2))
+    direction = np.empty((len(won), 2))
+    for n in np.unique(n_pts):
+        which = np.flatnonzero(n_pts == n)
+        P = pts[first_pt[which, None] + np.arange(n)]
+        centroid[which] = P.mean(axis=1)
+        d = np.linalg.svd(P - centroid[which, None, :], full_matrices=False)[2][:, 0]
+        chord = P[:, -1] - P[:, 0]
+        direction[which] = np.where((d[:, 0] * chord[:, 0] + d[:, 1] * chord[:, 1] < 0)[:, None],
+                                    -d, d)
+    phi = np.array([math.atan2(y, x) % TWO_PI for x, y in direction.tolist()])
+    normal = np.column_stack([-np.sin(phi), np.cos(phi)])
+    c = center[won]
+    offset = (normal[:, 0] * (centroid[:, 0] - c[:, 0])
+              + normal[:, 1] * (centroid[:, 1] - c[:, 1]))
 
-def _fit_tile_line(pieces, center):
-    """Total-least-squares line through the clipped chain; returns (phi, offset, dz)."""
-    pts = [pieces[0][0]]
-    for pa, pb, _, _ in pieces:
-        if math.hypot(pa[0] - pts[-1][0], pa[1] - pts[-1][1]) > 1e-12:
-            pts.append(pa)
-        pts.append(pb)
-    P = np.asarray(pts)
-    centroid = P.mean(axis=0)
-    _, _, vt = np.linalg.svd(P - centroid, full_matrices=False)
-    d = vt[0]
-    chain = (P[-1][0] - P[0][0], P[-1][1] - P[0][1])
-    if d[0] * chain[0] + d[1] * chain[1] < 0:
-        d = -d
-    phi = math.atan2(d[1], d[0]) % TWO_PI
-    normal = (-math.sin(phi), math.cos(phi))
-    offset = normal[0] * (centroid[0] - center[0]) + normal[1] * (centroid[1] - center[1])
-
-    # Height at the foot of the perpendicular from the tile center.
-    foot = (center[0] + offset * normal[0], center[1] + offset * normal[1])
-    dz, best_d2 = 0.0, math.inf
-    for pa, pb, za, zb in pieces:
-        vx, vy = pb[0] - pa[0], pb[1] - pa[1]
-        den = vx * vx + vy * vy
-        t = 0.0 if den <= 0 else min(1.0, max(0.0, ((foot[0] - pa[0]) * vx + (foot[1] - pa[1]) * vy) / den))
-        qx, qy = pa[0] + t * vx, pa[1] + t * vy
-        d2 = (foot[0] - qx) ** 2 + (foot[1] - qy) ** 2
-        if d2 < best_d2:
-            best_d2 = d2
-            dz = za + t * (zb - za)
+    # Height at the foot of the perpendicular from the tile center, from the
+    # first piece nearest to it.
+    foot = c + offset[:, None] * normal
+    f, a, v = foot[qchain], pa[q], pb[q] - pa[q]
+    den = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    s = (((f[:, 0] - a[:, 0]) * v[:, 0] + (f[:, 1] - a[:, 1]) * v[:, 1])
+         / np.where(den > 0, den, 1.0))
+    s = np.where(s > 0.0, s, 0.0)
+    s = np.where(den <= 0, 0.0, np.where(s < 1.0, s, 1.0))
+    e = f - (a + s[:, None] * v)
+    # `**` is libm pow, which is not always e * e.
+    d2 = np.fromiter((x ** 2 + y ** 2 for x, y in e.tolist()), float, len(e))
+    qpos = np.arange(len(q)) - np.searchsorted(qchain, qchain)
+    nearest = np.searchsorted(qchain, np.arange(len(won))) + np.argmin(
+        _padded(d2, qchain, qpos, len(won), np.inf), axis=1)
+    dz = za[q][nearest] + s[nearest] * (zb[q][nearest] - za[q][nearest])
     return phi, offset, dz
+
+
+def _liang_barsky(px, py, dx, dy, rect, t_min: float, t_max: float):
+    """Clip the lines p + t*d, t in [t_min, t_max], to the rectangle
+    rect = (x_lo, x_hi, y_lo, y_hi), elementwise over arrays.
+
+    Returns (t0, t1, hit); t0 and t1 mean nothing where hit is False. A
+    direction component below 1e-15 counts as parallel to that axis.
+    """
+    shape = np.shape(px)
+    t0, t1 = np.full(shape, t_min), np.full(shape, t_max)
+    hit = np.ones(shape, dtype=bool)
+    for p, d, lo, hi in ((px, dx, rect[0], rect[1]), (py, dy, rect[2], rect[3])):
+        flat = np.abs(d) < 1e-15
+        hit &= ~flat | ((p >= lo) & (p <= hi))
+        step = np.where(flat, 1.0, d)
+        ta, tb = (lo - p) / step, (hi - p) / step
+        swap = ta > tb
+        ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+        # As builtin max/min: a bound that only ties stays (signed zeros too).
+        t0 = np.where(~flat & (ta > t0), ta, t0)
+        t1 = np.where(~flat & (tb < t1), tb, t1)
+        hit &= t0 <= t1
+    return t0, t1, hit
 
 
 # ---------------------------------------------------------------------------
@@ -409,45 +486,36 @@ def decode_grid(preds: TilePredictionGrid,
     one segment: midpoint at tile_center + offset * left_normal (z = height
     offset), endpoints where the infinite line meets the tile border. A line
     whose offset pushes it clear of the tile is clamped to the nearest border
-    point and flagged degenerate.
+    point and flagged degenerate. All kept tiles are clipped at once; only
+    the segment objects are built one by one, in row-major tile order.
     """
     if not (0.0 <= score_threshold <= 1.0):
         raise ValueError(f"score threshold must be in [0, 1], got {score_threshold}")
     grid, bins = preds.grid, preds.bins
     scores = preds.score()
-    probs = preds.bin_probs()
-    segments: list[LaneSegment] = []
-    for i in range(grid.n_rows):
-        for j in range(grid.n_cols):
-            if scores[i, j] < score_threshold:
-                continue
-            phi = soft_labels_to_angle(probs[i, j], preds.bin_residuals[i, j], bins)
-            direction = np.array([math.cos(phi), math.sin(phi)])
-            normal = np.array([-direction[1], direction[0]])
-            center = tile_center(i, j, grid)
-            mid_xy = center + preds.lateral_offset[i, j] * normal
-            dz = float(preds.height_offset[i, j])
-            rect = tile_bounds(i, j, grid)
-            degenerate = False
-            t0, t1 = _liang_barsky(mid_xy, direction, *rect, -math.inf, math.inf)
-            if t0 is None:
-                mid_xy = np.array([
-                    min(max(mid_xy[0], rect[0]), rect[1]),
-                    min(max(mid_xy[1], rect[2]), rect[3]),
-                ])
-                degenerate = True
-                t0, t1 = _liang_barsky(mid_xy, direction, *rect, -math.inf, math.inf)
-                if t0 is None:  # tangent at a corner
-                    t0 = t1 = 0.0
-            e0 = np.array([mid_xy[0] + t0 * direction[0], mid_xy[1] + t0 * direction[1], dz])
-            e1 = np.array([mid_xy[0] + t1 * direction[0], mid_xy[1] + t1 * direction[1], dz])
-            segments.append(LaneSegment(
-                midpoint=np.array([mid_xy[0], mid_xy[1], dz]),
-                direction=direction,
-                endpoints=np.stack([e0, e1]),
-                score=float(scores[i, j]),
-                tile=(i, j),
-                embedding=preds.embedding[i, j].copy(),
-                degenerate=degenerate,
-            ))
-    return segments
+    rows, cols = np.nonzero(~(scores < score_threshold))
+    phi = soft_labels_to_angle(preds.bin_probs()[rows, cols], preds.bin_residuals[rows, cols], bins)
+    direction = np.column_stack([np.cos(phi), np.sin(phi)])
+    normal = np.column_stack([-direction[:, 1], direction[:, 0]])
+    mid = tile_centers(grid)[rows, cols] + preds.lateral_offset[rows, cols, None] * normal
+    x_lo = grid.x_min + cols * grid.tile_width
+    y_lo = grid.y_min + rows * grid.tile_length
+    rect = (x_lo, x_lo + grid.tile_width, y_lo, y_lo + grid.tile_length)
+    hit = _liang_barsky(mid[:, 0], mid[:, 1], direction[:, 0], direction[:, 1], rect,
+                        -math.inf, math.inf)[2]
+    # A line clear of its tile moves to the nearest border point, as
+    # min(max(x, lo), hi). A point of the tile always clips to t0 <= 0 <= t1.
+    for axis, lo, hi in ((0, rect[0], rect[1]), (1, rect[2], rect[3])):
+        m = np.where(lo > mid[:, axis], lo, mid[:, axis])
+        mid[:, axis] = np.where(hit, mid[:, axis], np.where(hi < m, hi, m))
+    t0, t1, _ = _liang_barsky(mid[:, 0], mid[:, 1], direction[:, 0], direction[:, 1], rect,
+                              -math.inf, math.inf)
+    dz = preds.height_offset[rows, cols]
+    midpoint = np.column_stack([mid, dz])
+    ends = np.stack([np.column_stack([mid + t[:, None] * direction, dz]) for t in (t0, t1)], axis=1)
+    embedding = preds.embedding[rows, cols]
+    return [LaneSegment(midpoint=m, direction=d, endpoints=e, score=s, tile=(i, j),
+                        embedding=f, degenerate=g)
+            for m, d, e, s, i, j, f, g in zip(midpoint, direction, ends,
+                                               scores[rows, cols].tolist(), rows.tolist(),
+                                               cols.tolist(), embedding, (~hit).tolist())]

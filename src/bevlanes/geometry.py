@@ -61,8 +61,13 @@ class GridSpec:
     def __post_init__(self):
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValueError("grid must have at least one tile per axis")
+        for name in ("tile_width", "tile_length", "y_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tile_width <= 0 or self.tile_length <= 0:
             raise ValueError("tile dimensions must be positive")
+        if not (math.isfinite(self.x_extent) and math.isfinite(self.y_max)):
+            raise ValueError("grid extent must be finite")
 
     @property
     def x_extent(self) -> float:

@@ -210,7 +210,10 @@ def targets_from_dict(d: dict, path: str = "<targets>") -> TileTargetGrid:
     occ = args["occupancy"]
     if not np.all((occ == 0.0) | (occ == 1.0)):
         raise SchemaError(path, "fields.occupancy.data", "occupancy must be 0 or 1")
-    return _make_grid(TileTargetGrid, args, path)
+    targets = _make_grid(TileTargetGrid, args, path)
+    if np.any(targets.lane_id[targets.occupancy == 1.0] < 0):
+        raise SchemaError(path, "fields.lane_id.data", "an occupied tile has a negative lane id")
+    return targets
 
 
 def preds_to_dict(preds: TilePredictionGrid) -> dict:

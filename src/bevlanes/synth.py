@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (DEFAULT_SATURATION, AngleBinSpec, TilePredictionGrid, TileTargetGrid,
-                    angle_to_soft_labels, logit, saturated_prediction)
+from .codec import (DEFAULT_SATURATION, TilePredictionGrid, TileTargetGrid, angle_to_soft_labels,
+                    logit, saturated_arrays)
 from .geometry import CameraRig, GridSpec, Lane3D, resample_polyline
 from .losses import EmbeddingParams
 
@@ -308,7 +308,6 @@ def oracle_predict(targets: TileTargetGrid, noise: NoiseConfig,
     h, w = grid.n_rows, grid.n_cols
     lane_ids = np.unique(targets.lane_id[targets.lane_id >= 0])
     anchors = simplex_anchors(len(lane_ids), params.dim, params.push_margin)
-    anchor_of = {int(c): anchors[k] for k, c in enumerate(lane_ids)}
     fp_anchors = anchors if len(anchors) else np.zeros((1, params.dim))
 
     rng = np.random.default_rng(np.random.SeedSequence([noise.seed & (2 ** 64 - 1), 0x0AC1E]))
@@ -326,28 +325,23 @@ def oracle_predict(targets: TileTargetGrid, noise: NoiseConfig,
     fp_score = rng.uniform(0.5, 1.0, (h, w))
     fp_pick = rng.integers(0, len(fp_anchors), (h, w))
 
-    pred = saturated_prediction(targets, params.dim)
     occ = targets.occupancy > 0.5
-    for i in range(h):
-        for j in range(w):
-            if occ[i, j]:
-                if drop[i, j]:
-                    pred.score_logit[i, j] = -DEFAULT_SATURATION
-                pred.lateral_offset[i, j] += noise_r[i, j]
-                pred.height_offset[i, j] += noise_z[i, j]
-                phi = (targets.angle[i, j] + noise_phi[i, j]) % (2.0 * math.pi)
-                _set_tile_angle(pred, i, j, phi, bins)
-                pred.embedding[i, j] = anchor_of[int(targets.lane_id[i, j])] + noise_f[i, j]
-            elif fp[i, j]:
-                pred.score_logit[i, j] = logit(fp_score[i, j])
-                pred.lateral_offset[i, j] = fp_r[i, j]
-                pred.height_offset[i, j] = fp_z[i, j]
-                _set_tile_angle(pred, i, j, fp_phi[i, j], bins)
-                pred.embedding[i, j] = fp_anchors[fp_pick[i, j]] + noise_f[i, j]
-    return pred
-
-
-def _set_tile_angle(pred: TilePredictionGrid, i: int, j: int, phi: float, bins: AngleBinSpec):
-    p, res, _ = angle_to_soft_labels(phi, bins)
-    pred.bin_logits[i, j] = logit(p)
-    pred.bin_residuals[i, j] = res
+    fp &= ~occ
+    lit = occ | fp
+    if np.any(targets.lane_id[occ] < 0):
+        raise ValueError("an occupied target tile has no lane id")
+    # Occupied tiles get noise and re-encode their perturbed angle; false
+    # positives get random values; every other tile keeps the saturated copy.
+    out = saturated_arrays(targets, params.dim)
+    out["score_logit"][occ & drop] = -DEFAULT_SATURATION
+    out["score_logit"][fp] = logit(fp_score[fp])
+    out["lateral_offset"][occ] += noise_r[occ]
+    out["lateral_offset"][fp] = fp_r[fp]
+    out["height_offset"][occ] += noise_z[occ]
+    out["height_offset"][fp] = fp_z[fp]
+    p, res, _ = angle_to_soft_labels(np.where(occ, targets.angle + noise_phi, fp_phi)[lit], bins)
+    out["bin_logits"][lit] = logit(p)
+    out["bin_residuals"][lit] = res
+    out["embedding"][occ] = anchors[np.searchsorted(lane_ids, targets.lane_id[occ])] + noise_f[occ]
+    out["embedding"][fp] = fp_anchors[fp_pick[fp]] + noise_f[fp]
+    return TilePredictionGrid(grid=grid, bins=bins, **out)

@@ -1,5 +1,13 @@
 import sys
 
+from hypothesis import HealthCheck, settings
+
+# Property tests run the same examples on every run and keep no example
+# database on disk; each module sets only its own max_examples.
+settings.register_profile("exact", derandomize=True, database=None, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("exact")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one line per acceptance criterion at the end of the run."""

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevlanes.codec import (
     AngleBinSpec,
@@ -329,6 +331,40 @@ def test_straight_lane_round_trip_exact():
             assert border < 1e-9
             assert x_lo - 1e-9 <= e[0] <= x_hi + 1e-9
             assert y_lo - 1e-9 <= e[1] <= y_hi + 1e-9
+
+
+@settings(max_examples=60)
+@given(grid=st.sampled_from((GRID, GridSpec(n_cols=64, n_rows=104, tile_width=0.32,
+                                            tile_length=0.75),
+                             GridSpec(n_cols=6, n_rows=5, tile_width=1.0, tile_length=2.0,
+                                      y_min=-4.0))),
+       u=st.floats(0.02, 0.98), v=st.floats(0.02, 0.98), theta=st.floats(0.0, 2 * math.pi),
+       slope=st.floats(-0.05, 0.05), vertices=st.sampled_from((2, 400)))
+def test_straight_lane_round_trip_property(grid, u, v, theta, slope, vertices):
+    """Any straight lane through the grid: encode -> saturate -> decode gives
+    one segment per occupied tile, lying on the lane, along its direction and
+    ending on the tile border, at the lane's height where the in-tile part of
+    the lane comes nearest the foot of the perpendicular."""
+    a = np.array([grid.x_min + u * grid.x_extent, grid.y_min + v * grid.y_extent])
+    heading = np.array([math.cos(theta), math.sin(theta)])
+    s = np.linspace(-150.0, 150.0, vertices)     # well past the grid both ways
+    lane = Lane3D(points=np.column_stack([a + s[:, None] * heading, 0.2 + slope * s]))
+    targets = encode_scene([lane], grid, BINS)
+    segments = decode_grid(saturated_prediction(targets))
+    assert len(segments) == int(targets.occupancy.sum()) > 0
+    for seg in segments:
+        assert not seg.degenerate
+        assert seg.direction @ heading > 1.0 - 1e-12
+        x_lo, x_hi, y_lo, y_hi = tile_bounds(*seg.tile, grid)
+        for p in (seg.midpoint, *seg.endpoints):
+            assert _point_line_distance(p[:2], a, heading) < 1e-9
+        ends = sorted((e[:2] - a) @ heading for e in seg.endpoints)
+        along = min(max((seg.midpoint[:2] - a) @ heading, ends[0]), ends[1])
+        assert abs(seg.midpoint[2] - (0.2 + slope * along)) < 1e-9
+        for e in seg.endpoints:
+            assert min(abs(e[0] - x_lo), abs(e[0] - x_hi), abs(e[1] - y_lo),
+                       abs(e[1] - y_hi)) < 1e-9
+            assert x_lo - 1e-9 <= e[0] <= x_hi + 1e-9 and y_lo - 1e-9 <= e[1] <= y_hi + 1e-9
 
 
 def test_piecewise_straight_round_trip_with_border_vertices():

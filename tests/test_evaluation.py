@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevlanes.clustering import Curve
 from bevlanes.evaluation import (
@@ -167,6 +169,56 @@ def test_iou_both_outside_extent_is_zero():
 def test_iou_symmetric():
     a, b = tilted_line(), tilted_line(0.4)
     assert curve_iou(a, b, CFG) == curve_iou(b, a, CFG)
+
+
+SMALL = EvalConfig(extent=((-3.0, 3.5), (0.0, 12.0)), raster_resolution=0.125,
+                   range_buckets=((0.0, 5.0), (5.0, 12.0)))
+
+
+@st.composite
+def small_curves(draw):
+    """Curves of 2 to 4 vertices over SMALL's extent and a little past it;
+    the heights rise, so no two consecutive points are equal."""
+    n = draw(st.integers(2, 4))
+    xs = draw(st.lists(st.floats(-4.0, 4.5), min_size=n, max_size=n))
+    ys = draw(st.lists(st.floats(-1.0, 13.0), min_size=n, max_size=n))
+    return Curve(points=np.column_stack([xs, ys, 0.1 * np.arange(n)]))
+
+
+@settings(max_examples=100)
+@given(a=small_curves(), b=small_curves())
+def test_iou_symmetric_and_in_unit_interval(a, b):
+    ma, mb = rasterize_curve(a, SMALL), rasterize_curve(b, SMALL)
+    iou = mask_iou(ma, mb)
+    assert iou == mask_iou(mb, ma) == curve_iou(b, a, SMALL)
+    assert 0.0 <= iou <= 1.0
+    assert mask_iou(ma, ma) == (1.0 if ma.any() else 0.0)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       density=st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+def test_mask_iou_symmetric_and_in_unit_interval(seed, shape, density):
+    rng = np.random.default_rng(seed)
+    ma, mb = rng.random(shape) < density, rng.random(shape) < rng.random()
+    iou = mask_iou(ma, mb)
+    assert iou == mask_iou(mb, ma) and 0.0 <= iou <= 1.0
+
+
+@settings(max_examples=60)
+@given(scenes=st.lists(st.tuples(st.lists(small_curves(), max_size=3),
+                                 st.lists(small_curves(), max_size=3)), min_size=1, max_size=4),
+       order=st.randoms(use_true_random=False))
+def test_evaluate_map_does_not_depend_on_scene_order_with_distinct_confidences(scenes, order):
+    # distinct confidences: with ties, AP follows scene order (see evaluate)
+    n_pred = sum(len(p) for p, _ in scenes)
+    conf = iter(np.linspace(1.0, 0.05, n_pred).tolist() if n_pred else [])
+    pairs = [([(c, next(conf)) for c in preds], gts) for preds, gts in scenes]
+    shuffled = list(pairs)
+    order.shuffle(shuffled)
+    want, got = evaluate(pairs, SMALL), evaluate(shuffled, SMALL)
+    assert got.map_score == want.map_score
+    assert got.ap_per_threshold == want.ap_per_threshold
 
 
 @pytest.mark.parametrize("d", [0.1, 0.25, 0.5, 0.75])

@@ -11,7 +11,7 @@ are identical.
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevlanes.clustering import Curve
@@ -28,9 +28,8 @@ from bevlanes.evaluation import (
 )
 from bevlanes.io import canonical_json
 
-# Same examples on every run, no example database on disk.
-EXACT = settings(derandomize=True, database=None, max_examples=150, deadline=None,
-                 suppress_health_check=[HealthCheck.too_slow])
+# The "exact" profile (tests/conftest.py) fixes the examples.
+EXACT = settings(max_examples=150)
 
 # A small raster keeps each example fast; the cell size is a binary fraction.
 CFG = EvalConfig(extent=((-3.0, 3.5), (0.0, 12.0)), raster_resolution=0.125,

@@ -88,6 +88,21 @@ def test_grid_validation():
         GridSpec(tile_length=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["tile_width", "tile_length", "y_min"])
+def test_grid_rejects_non_finite_values(name, value):
+    # `tile_width <= 0` is False for NaN, so NaN used to give x_min = nan
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GridSpec(**{name: value})
+
+
+def test_grid_rejects_an_extent_that_overflows():
+    with pytest.raises(ValueError, match="extent must be finite"):
+        GridSpec(tile_width=1e308)
+    with pytest.raises(ValueError, match="extent must be finite"):
+        GridSpec(tile_length=1e307, y_min=1e308)
+
+
 def test_grid_serialization_round_trip():
     grid = GridSpec(n_cols=4, n_rows=9, tile_width=1.5, tile_length=2.0, y_min=5.0)
     assert section_from_dict(GridSpec, section_to_dict(grid)) == grid

@@ -466,6 +466,22 @@ def test_cli_nan_prediction_field_is_data_error(tmp_path, capsys):
     assert "pred_00000.json" in err and "fields.bin_logits.data" in err
 
 
+def test_cli_occupied_tile_without_lane_id_is_data_error(tmp_path, capsys):
+    # the oracle needs a lane id on every occupied tile (it used to die with
+    # a bare KeyError traceback)
+    cfg = write_config(tmp_path)
+    for command in ("generate", "encode"):
+        assert main([command, "--config", cfg]) == 0
+    target_path = tmp_path / "out" / "targets" / "target_00000.json"
+    d = json.loads(target_path.read_text())
+    k = d["fields"]["occupancy"]["data"].index(1.0)
+    d["fields"]["lane_id"]["data"][k] = -1
+    target_path.write_text(json.dumps(d))
+    assert main(["predict", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "target_00000.json" in err and "fields.lane_id.data" in err
+
+
 def test_cli_nan_lane_point_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["generate", "--config", cfg]) == 0

@@ -1,26 +1,27 @@
 """The array kernels of evaluation and clustering against the loops they replaced.
 
 `rasterize_curve`, `lateral_error` and `assemble_curve` were per-segment,
-per-sample and per-hop Python loops. The reference copies below are those
-loops verbatim; every case asserts exact equality with the array versions
-(masks by `np.array_equal`, floats by `==`, point order included), so the
-reports written from them stay byte-identical.
+per-sample and per-hop Python loops, and `mean_shift` held the whole
+(centers, points, d) difference tensor at once. The reference copies below
+are those functions verbatim; every case asserts exact equality with the
+array versions (masks by `np.array_equal`, floats by `==`, point order
+included), so the reports written from them stay byte-identical.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevlanes.clustering import Curve, LaneInstance, assemble_curve
+from bevlanes.clustering import ClusterParams, Curve, LaneInstance, assemble_curve, mean_shift
 from bevlanes.codec import LaneSegment
 from bevlanes.evaluation import EvalConfig, lateral_error, rasterize_curve
 from bevlanes.geometry import resample_polyline
 
-# Same examples on every run, no example database on disk.
-EXACT = settings(derandomize=True, database=None, max_examples=120, deadline=None,
-                 suppress_health_check=[HealthCheck.too_slow])
+# The "exact" profile (tests/conftest.py) fixes the examples.
+EXACT = settings(max_examples=120)
 
 CFG = EvalConfig()
 SMALL = EvalConfig(extent=((-3.0, 4.0), (2.0, 11.0)), lane_width=0.8, raster_resolution=0.2,
@@ -249,3 +250,81 @@ def test_assemble_last_bit_near_tie():
     inst = LaneInstance(segments=[_segment(m) for m in mids], center=np.zeros(2),
                         confidence=0.5)
     assert np.array_equal(assemble_curve(inst).points, ref_assemble_curve(inst).points)
+
+
+# ---------------------------------------------------------------------------
+# Mean shift: the distance tensor in blocks of rows
+
+
+def ref_mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
+    """Flat-kernel mean shift seeded from every point.
+
+    Each seed iterates to the mean of the points within `bandwidth` until the
+    shift drops below `shift_tol` or `max_iters` is hit. Converged modes
+    closer than the bandwidth to a better-supported mode are merged into it
+    (support = points within the bandwidth of the mode; ties keep the lower
+    seed index). Returns the surviving centers ordered by descending support.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise ValueError("mean_shift needs a non-empty (N, d) array of points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("mean_shift points must be finite")
+    bw2 = params.bandwidth ** 2
+    modes = pts.copy()
+    active = np.ones(len(pts), dtype=bool)
+    for _ in range(params.max_iters):
+        if not active.any():
+            break
+        d2 = np.sum((modes[active, None, :] - pts[None, :, :]) ** 2, axis=2)
+        within = d2 <= bw2
+        counts = within.sum(axis=1)
+        counts[counts == 0] = 1  # window drifted empty: freeze in place
+        new = (within @ pts) / counts[:, None]
+        shift = np.linalg.norm(new - modes[active], axis=1)
+        modes[active] = new
+        still = shift >= params.shift_tol
+        active[np.flatnonzero(active)[~still]] = False
+
+    support = np.sum(
+        np.sum((modes[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= bw2, axis=1)
+    order = sorted(range(len(pts)), key=lambda i: (-support[i], i))
+    kept: list[int] = []
+    for i in order:
+        if all(np.linalg.norm(modes[i] - modes[k]) >= params.bandwidth for k in kept):
+            kept.append(i)
+    return modes[kept]
+
+
+@st.composite
+def embeddings(draw):
+    """Points in a few clumps, more than one block of rows at times, on a
+    lattice (exact ties at the bandwidth) or not, with repeats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d = draw(st.integers(1, 150)), draw(st.sampled_from((2, 4)))
+    pts = (rng.integers(0, 4, (n, 1)) * 3.0 + rng.normal(0.0, draw(st.sampled_from((0.05, 0.6))),
+                                                         (n, d)))
+    if draw(st.booleans()):
+        pts = np.round(pts * 4) / 4
+    return np.concatenate([pts, pts[: draw(st.integers(0, 5))]])
+
+
+@EXACT
+@given(pts=embeddings(), params=st.sampled_from((ClusterParams(), ClusterParams(bandwidth=0.75),
+                                                 ClusterParams(max_iters=2))))
+def test_mean_shift_matches_whole_tensor(pts, params):
+    got, want = mean_shift(pts, params), ref_mean_shift(pts, params)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_mean_shift_memory_is_bounded():
+    # 1,000 points in 4-d: the whole difference tensor and its square are
+    # 64 MB (49 MB peak with the reference); what is left is dominated by
+    # the (points, points) float copy of the mask that `within @ pts` makes
+    rng = np.random.default_rng(0)
+    pts = rng.integers(0, 4, (1000, 1)) * 5.0 + rng.normal(0.0, 0.3, (1000, 4))
+    tracemalloc.start()
+    mean_shift(pts, ClusterParams(max_iters=1))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 12e6
