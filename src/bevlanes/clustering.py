@@ -7,7 +7,11 @@ polyline. A geometry-only greedy baseline (no embeddings) is provided for
 comparison; its characteristic failure is merging both branches of a split.
 
 All tie-breaking is by lowest index, so every routine here is deterministic
-and permutation-stable.
+and permutation-stable. Mean shift returns the bits of the plain
+whole-tensor loop: distances are summed dimension by dimension, the mean
+update is one matrix product, and support and merge run once per distinct
+mode. The greedy baseline labels connected components over candidate pairs
+from each tile's 3x3 neighbourhood instead of testing every pair.
 """
 
 from __future__ import annotations
@@ -23,6 +27,11 @@ DEFAULT_ANGLE_TOL = math.pi / 8
 DEFAULT_GAP_TOL = 4.5  # 1.5 tile lengths
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ClusterParams:
     """Mean-shift and assignment settings, in embedding units."""
@@ -34,10 +43,10 @@ class ClusterParams:
     min_cluster_size: int = 2
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.assign_radius <= 0:
-            raise ValueError(f"assign_radius must be positive, got {self.assign_radius}")
+        _require_positive("bandwidth", self.bandwidth)
+        _require_positive("assign_radius", self.assign_radius)
+        if not (math.isfinite(self.shift_tol) and self.shift_tol >= 0):
+            raise ValueError(f"shift_tol must be finite and >= 0, got {self.shift_tol}")
         if self.min_cluster_size < 1:
             raise ValueError(f"min_cluster_size must be >= 1, got {self.min_cluster_size}")
         if self.max_iters < 1:
@@ -83,6 +92,14 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     closer than the bandwidth to a better-supported mode are merged into it
     (support = points within the bandwidth of the mode; ties keep the lower
     seed index). Returns the surviving centers ordered by descending support.
+
+    The bits are those of the whole-tensor form: `_within` sums the squared
+    distances dimension by dimension in numpy's order, and `within @ pts`
+    stays one product over every active seed (a BLAS row's result depends on
+    its position in the product). Support and merge run once per distinct
+    mode, visited by (-support, first seed index). That is exact because a
+    repeated seed can never be kept: its first copy was either kept or
+    rejected by a kept mode at the same distance.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -104,16 +121,21 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
         still = shift >= params.shift_tol
         active[np.flatnonzero(active)[~still]] = False
 
-    support = np.sum(_within(modes, pts, bw2), axis=1)
-    order = sorted(range(len(pts)), key=lambda i: (-support[i], i))
+    # Rows equal up to the sign of a zero count as one mode; both have the
+    # same distances to everything, and the first seed's bits are returned.
+    _, first = np.unique(modes, axis=0, return_index=True)
+    distinct = modes[first]
+    support = _within(distinct, pts, bw2).sum(axis=1)
     kept: list[int] = []
-    for i in order:
-        if all(np.linalg.norm(modes[i] - modes[k]) >= params.bandwidth for k in kept):
+    for i in np.lexsort((first, -support)):
+        # vecdot sums like the 1-D norm, so ties at the bandwidth keep their bits
+        diff = distinct[kept] - distinct[i]
+        if not np.any(np.sqrt(np.vecdot(diff, diff)) < params.bandwidth):
             kept.append(i)
-    return modes[kept]
+    return distinct[kept]
 
 
-# Centers whose (centers, N, d) difference tensor `_within` holds at once.
+# Centers whose (centers, N) distances `_within` holds at once.
 _ROWS = 64
 
 
@@ -123,9 +145,21 @@ def _within(centers: np.ndarray, pts: np.ndarray, bw2: float) -> np.ndarray:
     any row's values."""
     out = np.empty((len(centers), len(pts)), dtype=bool)
     for i in range(0, len(centers), _ROWS):
-        c = centers[i:i + _ROWS]
-        out[i:i + _ROWS] = np.sum((c[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= bw2
+        out[i:i + _ROWS] = _sq_dist(centers[i:i + _ROWS], pts) <= bw2
     return out
+
+
+def _sq_dist(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(len(c), N) squared distances with the bits of
+    `np.sum((c[:, None] - pts[None]) ** 2, axis=2)`. numpy adds fewer than
+    eight terms left to right, so those are summed one dimension at a time
+    without the (len(c), N, d) tensor; more terms it adds pairwise."""
+    if c.shape[1] >= 8:
+        return np.sum((c[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    d2 = (c[:, 0, None] - pts[:, 0]) ** 2
+    for k in range(1, c.shape[1]):
+        d2 += (c[:, k, None] - pts[:, k]) ** 2
+    return d2
 
 
 def assign_clusters(embeddings: np.ndarray, centers: np.ndarray,
@@ -212,16 +246,31 @@ def assemble_curve(instance: LaneInstance) -> Curve:
 
 def greedy_baseline(segments: list[LaneSegment], angle_tol: float = DEFAULT_ANGLE_TOL,
                     gap_tol: float = DEFAULT_GAP_TOL) -> list[LaneInstance]:
-    """Geometry-only grouping by union-find over adjacent compatible tiles.
+    """Geometry-only grouping: the connected components of the join relation.
 
     Two segments join when their tiles are within one step in both grid
     indices, their directions differ (circularly) by at most angle_tol, and
-    their closest endpoints are within gap_tol. Embeddings are ignored; the
+    their closest endpoints are within gap_tol. Components are ordered by
+    their lowest segment index, members by index. Embeddings are ignored; the
     instance center is the mean member embedding for reporting only.
     """
-    if angle_tol <= 0 or gap_tol <= 0:
-        raise ValueError("angle_tol and gap_tol must be positive")
+    _require_positive("angle_tol", angle_tol)
+    _require_positive("gap_tol", gap_tol)
     n = len(segments)
+    if n == 0:
+        return []
+    i, j = _neighbour_pairs(np.array([s.tile for s in segments], dtype=np.int64))
+    angles = np.array([math.atan2(s.direction[1], s.direction[0]) for s in segments])
+    ends = np.stack([s.endpoints[:, :2] for s in segments])
+    # endpoint pairs (a, b) in the order (0, 0), (0, 1), (1, 0), (1, 1): vecdot
+    # sums like the 1-D norm, and the running `<` is Python's `min`, NaN included
+    diff = ends[i][:, :, None, :] - ends[j][:, None, :, :]
+    gaps = np.sqrt(np.vecdot(diff, diff)).reshape(-1, 4)
+    gap = gaps[:, 0]
+    for k in range(1, 4):
+        gap = np.where(gaps[:, k] < gap, gaps[:, k], gap)
+    join = ~(np.abs(wrap_signed(angles[i] - angles[j])) > angle_tol) & ~(gap > gap_tol)
+
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -230,33 +279,42 @@ def greedy_baseline(segments: list[LaneSegment], angle_tol: float = DEFAULT_ANGL
             a = parent[a]
         return a
 
-    angles = [math.atan2(s.direction[1], s.direction[0]) for s in segments]
-    for i in range(n):
-        for j in range(i + 1, n):
-            si, sj = segments[i], segments[j]
-            if abs(si.tile[0] - sj.tile[0]) > 1 or abs(si.tile[1] - sj.tile[1]) > 1:
-                continue
-            if abs(wrap_signed(angles[i] - angles[j])) > angle_tol:
-                continue
-            gap = min(
-                float(np.linalg.norm(si.endpoints[a, :2] - sj.endpoints[b, :2]))
-                for a in range(2) for b in range(2))
-            if gap > gap_tol:
-                continue
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    for a, b in zip(i[join].tolist(), j[join].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)  # the root is the lowest index
 
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for k in range(n):
+        groups.setdefault(find(k), []).append(k)
+    emb = np.stack([s.embedding for s in segments])
+    scores = np.array([s.score for s in segments], dtype=float)
     instances = []
     for root in sorted(groups):
-        members = [segments[i] for i in groups[root]]
-        emb = np.stack([s.embedding for s in members])
+        # np.mean's sum and division, without its per-call overhead
+        members = groups[root]
         instances.append(LaneInstance(
-            segments=members,
-            center=emb.mean(axis=0),
-            confidence=float(np.mean([s.score for s in members])),
+            segments=[segments[k] for k in members],
+            center=np.add.reduce(emb[members]) / len(members),
+            confidence=float(np.add.reduce(scores[members]) / len(members)),
         ))
     return instances
+
+
+def _neighbour_pairs(tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j whose (row, col) tiles differ by at most one in both."""
+    rc = tiles - tiles.min(axis=0) + 1
+    width = int(rc[:, 1].max()) + 2        # a column step never wraps a row
+    key = rc[:, 0] * width + rc[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    pairs_i, pairs_j = [], []
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            lo = np.searchsorted(sorted_key, key + dr * width + dc, "left")
+            count = np.searchsorted(sorted_key, key + dr * width + dc, "right") - lo
+            start = np.repeat(lo - np.cumsum(count) + count, count)
+            pairs_i.append(np.repeat(np.arange(len(key)), count))
+            pairs_j.append(order[start + np.arange(count.sum())])
+    i, j = np.concatenate(pairs_i), np.concatenate(pairs_j)
+    return i[i < j], j[i < j]

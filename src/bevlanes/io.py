@@ -264,6 +264,9 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> list[LaneSegment]:
             raise SchemaError(path, f"segments[{k}]", str(e))
         if seg.midpoint.shape != (3,) or seg.endpoints.shape != (2, 3):
             raise SchemaError(path, f"segments[{k}]", "midpoint must be (3,), endpoints (2, 3)")
+        if len(seg.tile) != 2 or not all(0 <= v < 2 ** 31 for v in seg.tile):
+            raise SchemaError(path, f"segments[{k}].tile",
+                              f"expected two grid indices in [0, 2**31), got {list(seg.tile)}")
         if not all(np.all(np.isfinite(v)) for v in (
                 seg.midpoint, seg.direction, seg.endpoints, seg.score, seg.embedding)):
             raise SchemaError(path, f"segments[{k}]", "non-finite value")

@@ -15,6 +15,7 @@ bit for bit. File layout under the configured output directory:
 from __future__ import annotations
 
 import multiprocessing
+import re
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -182,14 +183,26 @@ def _stage_path(config: PipelineConfig, stage: Stage, index: int) -> Path:
 
 
 def _read_stage(config: PipelineConfig, stage: Stage) -> list:
+    """The stage's artifacts listed by the scene index in their file names,
+    which must run 0, 1, 2, ... with no gap."""
     d = Path(config.output_dir) / stage.dir
     if not d.is_dir():
         raise io.SchemaError(d, "<dir>", "stage directory not found; run the producing "
                                          "stage first")
-    paths = sorted(d.glob("*.json"))
-    if not paths:
+    by_index = {}
+    for p in d.glob("*.json"):
+        m = re.fullmatch(rf"{stage.stem}_(\d+)\.json", p.name, re.ASCII)
+        if m is None or _stage_path(config, stage, int(m[1])).name != p.name:
+            raise io.SchemaError(p, "<file>", f"name is not {stage.stem}_NNNNN.json")
+        by_index[int(m[1])] = p
+    if not by_index:
         raise io.SchemaError(d, "<dir>", "no input files")
-    return [getattr(io, stage.reader)(io.load_json(p), str(p)) for p in paths]
+    missing = sorted(set(range(len(by_index))) - set(by_index))
+    if missing:
+        raise io.SchemaError(d, "<dir>", f"no file for scene index {missing[0]}; the "
+                                         f"indices run to {max(by_index)}")
+    return [getattr(io, stage.reader)(io.load_json(by_index[i]), str(by_index[i]))
+            for i in range(len(by_index))]
 
 
 def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) -> Path:
@@ -201,7 +214,8 @@ def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) 
 
 def run_stage(config: PipelineConfig, command: str, method: str = "embedding") -> list[Path]:
     """Run one STAGES row over every file of the row before it (generate makes
-    config.n_scenes new scenes); returns the paths written."""
+    config.n_scenes new scenes), each output numbered with its input's scene
+    index; returns the paths written."""
     names = list(STAGES)
     k = names.index(command)
     inputs = _read_stage(config, STAGES[names[k - 1]]) if k else [None] * config.n_scenes

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevlanes.clustering import (
     ClusterParams,
@@ -97,6 +99,17 @@ def test_cluster_params_validated():
         ClusterParams(min_cluster_size=0)
     with pytest.raises(ValueError):
         ClusterParams(max_iters=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bandwidth", float("nan")), ("bandwidth", float("inf")),
+    ("shift_tol", float("nan")), ("shift_tol", -1e-4), ("shift_tol", float("inf")),
+    ("assign_radius", float("nan")), ("assign_radius", float("inf")),
+])
+def test_cluster_params_reject_non_finite_and_negative(field, value):
+    # a NaN bandwidth used to merge points 7 apart into one mode
+    with pytest.raises(ValueError, match=field):
+        ClusterParams(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +383,16 @@ def test_greedy_validates_tolerances():
         greedy_baseline([], gap_tol=-1.0)
 
 
+@pytest.mark.parametrize("field", ["angle_tol", "gap_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_greedy_rejects_non_finite_tolerances(field, value):
+    # a NaN angle_tol used to join every adjacent pair
+    a = make_seg([0.0, 1.5, 0.0], direction=(0.0, 1.0), tile=(0, 8))
+    b = make_seg([0.0, 4.5, 0.0], direction=(1.0, 0.0), tile=(1, 8))
+    with pytest.raises(ValueError, match=field):
+        greedy_baseline([a, b], **{field: value})
+
+
 def test_greedy_empty():
     assert greedy_baseline([]) == []
 
@@ -380,3 +403,43 @@ def test_mean_shift_rejects_non_finite(bad):
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0], [bad, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         mean_shift(pts, PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# permutation stability: the same partition of segments for any input order
+
+
+def _partition(instances):
+    return {frozenset(id(s) for s in inst.segments) for inst in instances}
+
+
+@st.composite
+def lane_segment_sets(draw):
+    """Up to five lanes of segments in neighbouring tiles: embeddings inside
+    the pull margin of anchors at least 3 apart, headings that wander, and
+    lanes that cross or touch, so both methods see joins and near misses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    segments = []
+    for lane in range(draw(st.integers(1, 5))):
+        anchor = 3.0 * np.eye(4)[lane % 4] * (1 + lane // 4)
+        col, tilt = int(rng.integers(0, 12)), rng.uniform(-0.5, 0.5)
+        for row in range(int(rng.integers(1, 9))):
+            c = col + int(round(row * math.tan(tilt)))
+            mid = [0.32 * c + rng.uniform(-0.3, 0.3), 3.0 * row + 1.5, 0.0]
+            segments.append(make_seg(mid, direction=(math.sin(tilt + rng.normal(0, 0.2)),
+                                                     math.cos(tilt)),
+                                     tile=(row, c), emb=anchor + rng.uniform(-0.07, 0.07, 4),
+                                     score=float(rng.uniform(0.1, 1.0))))
+    perm = draw(st.permutations(range(len(segments))))
+    return segments, [segments[i] for i in perm]
+
+
+@settings(max_examples=60)
+@given(sets=lane_segment_sets())
+def test_clustering_partition_does_not_depend_on_segment_order(sets):
+    segments, permuted = sets
+    # the modes may move by an ulp (the matmul sums in point order), the
+    # partition must not
+    assert (_partition(cluster_segments(segments, PARAMS))
+            == _partition(cluster_segments(permuted, PARAMS)))
+    assert _partition(greedy_baseline(segments)) == _partition(greedy_baseline(permuted))

@@ -211,6 +211,15 @@ def test_segments_missing_key_rejected():
     assert "segments[1]" in exc.value.field
 
 
+@pytest.mark.parametrize("tile", [[3], [3, 4, 5], [-1, 4], [3, 2 ** 31], [10 ** 30, 0]])
+def test_segments_tile_must_be_two_grid_indices(tile):
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    d["segments"][1]["tile"] = tile
+    with pytest.raises(io.SchemaError) as exc:
+        io.segments_from_dict(d)
+    assert exc.value.field == "segments[1].tile"
+
+
 def test_lanes_round_trip_byte_identical():
     lanes = [(Curve(points=[[0.0, 0.0, 0.0], [0.5, 30.0, 0.1], [0.5, 60.0, 0.0]]), 0.75),
              (Curve(points=[[3.0, 5.0, 0.0], [3.0, 70.0, 0.2]]), 1.0)]
@@ -521,6 +530,31 @@ def test_cli_grid_mismatch_between_stages(tmp_path, capsys):
     other = write_config(tmp_path, grid={"n_rows": 13})
     assert main(["decode", "--config", other]) == 3
     assert "grid" in capsys.readouterr().err
+
+
+def test_cli_stage_files_pair_by_the_index_in_their_names(tmp_path, capsys):
+    # three scenes; renaming lanes_00001 to lanes_00099 used to pair scene 1
+    # with the lanes of scene 2 and scene 2 with those of the renamed file
+    cfg = write_config(tmp_path, n_scenes=3)
+    assert main(["pipeline", "--config", cfg]) == 0
+    lanes = tmp_path / "out" / "lanes"
+    (lanes / "lanes_00001.json").rename(lanes / "lanes_00099.json")
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "scene index 1" in err
+    # stage commands: a gap in the input, an index set that disagrees, a stray name
+    segments = tmp_path / "out" / "segments"
+    (segments / "segments_00000.json").rename(segments / "segments_00003.json")
+    assert main(["cluster", "--config", cfg]) == 3
+    assert "scene index 0" in capsys.readouterr().err
+    (lanes / "lanes_00099.json").unlink()
+    (lanes / "lanes_00002.json").rename(lanes / "lanes_00001.json")
+    assert main(["eval", "--config", cfg]) == 3
+    assert "2 lane files vs 3 scenes" in capsys.readouterr().err
+    (tmp_path / "out" / "preds" / "pred_2.json").write_text("{}")
+    assert main(["loss", "--config", cfg]) == 3
+    assert "pred_2.json" in capsys.readouterr().err
 
 
 def test_cli_cluster_greedy_method(tmp_path):

@@ -1,11 +1,13 @@
 """The array kernels of evaluation and clustering against the loops they replaced.
 
 `rasterize_curve`, `lateral_error` and `assemble_curve` were per-segment,
-per-sample and per-hop Python loops, and `mean_shift` held the whole
-(centers, points, d) difference tensor at once. The reference copies below
-are those functions verbatim; every case asserts exact equality with the
-array versions (masks by `np.array_equal`, floats by `==`, point order
-included), so the reports written from them stay byte-identical.
+per-sample and per-hop Python loops; `mean_shift` held the whole
+(centers, points, d) difference tensor at once and computed support and the
+merge once per seed; `greedy_baseline` tested every pair of segments in
+Python. The reference copies below are those functions verbatim; every case
+asserts exact equality with the array versions (masks by `np.array_equal`,
+floats by `==` or their bytes, point and member order included), so the
+reports written from them stay byte-identical.
 """
 
 import math
@@ -15,8 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevlanes.clustering import ClusterParams, Curve, LaneInstance, assemble_curve, mean_shift
-from bevlanes.codec import LaneSegment
+from bevlanes.clustering import (ClusterParams, Curve, LaneInstance, assemble_curve,
+                                 greedy_baseline, mean_shift)
+from bevlanes.codec import LaneSegment, wrap_signed
 from bevlanes.evaluation import EvalConfig, lateral_error, rasterize_curve
 from bevlanes.geometry import resample_polyline
 
@@ -253,7 +256,7 @@ def test_assemble_last_bit_near_tie():
 
 
 # ---------------------------------------------------------------------------
-# Mean shift: the distance tensor in blocks of rows
+# Mean shift: distances per dimension, support and merge per distinct mode
 
 
 def ref_mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
@@ -328,3 +331,159 @@ def test_mean_shift_memory_is_bounded():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 12e6
+
+
+def test_mean_shift_exact_cases():
+    cases = [
+        # signed zeros in the seeds and in the modes
+        (np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5.0, -0.0], [5.0, 0.0],
+                   [-0.0, 9.0]]), ClusterParams()),
+        (np.array([[-0.0, 0.0], [0.0, -0.0], [5.0, -0.0]]), ClusterParams(max_iters=1)),
+        # the mean of -5e-324 and 0 rounds to -0.0, that of 5e-324 and 0 to +0.0
+        (np.array([[-5e-324, 1.0], [0.0, 1.0], [5e-324, 5.0], [0.0, 5.0], [-0.0, 5.0]]),
+         ClusterParams()),
+        # exact duplicate seeds, interleaved
+        (np.array([[0.3, 0.1], [4.0, 4.0], [0.3, 0.1], [4.0, 4.0], [0.3, 0.1], [9.0, 0.0],
+                   [9.0, 0.0]]), ClusterParams()),
+        # two distinct modes with equal support: the lower first seed goes first
+        (np.array([[6.0, 0.0], [6.5, 0.0], [0.0, 0.0], [0.5, 0.0]]), ClusterParams()),
+        (np.array([[0.0, 0.0], [1.4, 0.0], [2.8, 0.0]]), ClusterParams()),
+        # converged modes 2.5 and 1.5, exactly one bandwidth apart: both kept
+        (np.column_stack([[1.5, 3.5, 1.5, 0.5, 3.5, 2.5], np.zeros(6)]),
+         ClusterParams(bandwidth=1.0)),
+        # nine dimensions, which numpy sums pairwise: exactly 1.5 apart that
+        # way, a last bit more when summed left to right
+        (np.array([np.zeros(9), [0.527, 0.398, 0.088, 0.5, 0.573, 0.547, 0.627, 0.684, 0.26]]),
+         ClusterParams()),
+    ]
+    for pts, params in cases:
+        got, want = mean_shift(pts, params), ref_mean_shift(pts, params)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.signbit(mean_shift(*cases[2])[:, 0]).tolist() == [False, True]
+    kept = mean_shift(*cases[6])
+    assert sorted(kept[:, 0]) == [1.5, 2.5]
+
+
+# ---------------------------------------------------------------------------
+# Greedy baseline: connected components over the 3x3 tile neighbourhood
+
+
+def ref_greedy_baseline(segments, angle_tol=math.pi / 8, gap_tol=4.5):
+    """Geometry-only grouping by union-find over adjacent compatible tiles.
+
+    Two segments join when their tiles are within one step in both grid
+    indices, their directions differ (circularly) by at most angle_tol, and
+    their closest endpoints are within gap_tol. Embeddings are ignored; the
+    instance center is the mean member embedding for reporting only.
+    """
+    if angle_tol <= 0 or gap_tol <= 0:
+        raise ValueError("angle_tol and gap_tol must be positive")
+    n = len(segments)
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    angles = [math.atan2(s.direction[1], s.direction[0]) for s in segments]
+    for i in range(n):
+        for j in range(i + 1, n):
+            si, sj = segments[i], segments[j]
+            if abs(si.tile[0] - sj.tile[0]) > 1 or abs(si.tile[1] - sj.tile[1]) > 1:
+                continue
+            if abs(wrap_signed(angles[i] - angles[j])) > angle_tol:
+                continue
+            gap = min(
+                float(np.linalg.norm(si.endpoints[a, :2] - sj.endpoints[b, :2]))
+                for a in range(2) for b in range(2))
+            if gap > gap_tol:
+                continue
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    instances = []
+    for root in sorted(groups):
+        members = [segments[i] for i in groups[root]]
+        emb = np.stack([s.embedding for s in members])
+        instances.append(LaneInstance(
+            segments=members,
+            center=emb.mean(axis=0),
+            confidence=float(np.mean([s.score for s in members])),
+        ))
+    return instances
+
+
+# Directions at multiples of pi/8 (differences land on the default angle_tol
+# and on pi/2 up to the last bit) and just either side of the -x axis, where
+# the angles are near +pi and -pi and the difference must wrap.
+_HEADINGS = [k * math.pi / 8 for k in range(-7, 9)] + [math.pi - 1e-9, -math.pi + 1e-9]
+_DIRECTIONS = [(math.cos(a), math.sin(a)) for a in _HEADINGS] + [(1.0, 0.0), (0.0, 1.0),
+                                                                  (-1.0, 0.0), (-1.0, -0.0)]
+
+
+@st.composite
+def segment_sets(draw):
+    """Segments in a few rows and columns of tiles (negative indices too,
+    several per tile at times), endpoints on a half-metre lattice that spans
+    the tile borders, so gaps such as 4.5 and 2.5 (3-4-5) are exact."""
+    r0, c0 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    segs = []
+    for _ in range(draw(st.integers(0, 24))):
+        tile = (r0 + draw(st.integers(0, 4)), c0 + draw(st.integers(0, 4)))
+        d = np.array(draw(st.sampled_from(_DIRECTIONS)))
+        a = np.array([draw(st.integers(-8, 24)) / 2, draw(st.integers(-8, 24)) / 2, 0.0])
+        b = a + np.array([draw(st.integers(-4, 4)) / 2, draw(st.integers(-4, 4)) / 2, 0.5])
+        segs.append(LaneSegment(midpoint=(a + b) / 2, direction=d, endpoints=np.stack([a, b]),
+                                score=draw(st.sampled_from([0.1, 0.5, 0.7, 1.0])), tile=tile,
+                                embedding=np.array([draw(st.integers(-3, 3)) * 0.3, 0.0])))
+    return segs
+
+
+def _same_instances(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert [id(s) for s in g.segments] == [id(s) for s in w.segments]
+        assert g.center.tobytes() == w.center.tobytes() and g.confidence == w.confidence
+
+
+@EXACT
+@given(segs=segment_sets(), angle_tol=st.sampled_from([math.pi / 8, math.pi / 4, math.pi / 2]),
+       gap_tol=st.sampled_from([4.5, 2.5, 0.5]))
+def test_greedy_matches_pair_loop(segs, angle_tol, gap_tol):
+    _same_instances(greedy_baseline(segs, angle_tol, gap_tol),
+                    ref_greedy_baseline(segs, angle_tol, gap_tol))
+
+
+def test_greedy_exact_ties():
+    def seg(a, b, direction, tile):
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        return LaneSegment(midpoint=(a + b) / 2, direction=np.array(direction),
+                           endpoints=np.stack([a, b]), score=0.5, tile=tile,
+                           embedding=np.zeros(2))
+    up, right = (0.0, 1.0), (1.0, 0.0)
+    cases = [
+        # closest endpoints exactly gap_tol apart, across a tile border
+        [seg([0, 0, 0], [0, 1, 0], up, (0, 0)), seg([0, 5.5, 0], [0, 7, 0], up, (1, 0))],
+        # directions exactly pi/2 apart, at angle_tol = pi/2
+        [seg([0, 0, 0], [0, 1, 0], up, (0, 0)), seg([0, 2, 0], [1, 2, 0], right, (0, 1))],
+        # headings near +pi and -pi: the difference wraps to about 2e-9
+        [seg([1, 0, 0], [0, 0, 0], (-1.0, 1e-9), (2, 2)),
+         seg([-1, 0, 0], [-2, 0, 0], (-1.0, -1e-9), (3, 1))],
+        # two tiles apart: joined only through a segment adjacent to both
+        [seg([0, 0, 0], [0, 1, 0], up, (0, 0)), seg([0, 1, 0], [0, 2, 0], up, (2, 0)),
+         seg([0, 1, 0], [0, 2, 0], up, (1, 1))],
+    ]
+    for segs in cases:
+        for angle_tol in (math.pi / 8, math.pi / 2):
+            got = greedy_baseline(segs, angle_tol, 4.5)
+            _same_instances(got, ref_greedy_baseline(segs, angle_tol, 4.5))
+    assert len(greedy_baseline(cases[0])) == 1
+    assert len(greedy_baseline(cases[1], angle_tol=math.pi / 2)) == 1
+    assert len(greedy_baseline(cases[2])) == 1
+    assert len(greedy_baseline(cases[3])) == 1
