@@ -18,7 +18,6 @@ from bevlanes import GridSpec, NoiseConfig, SceneConfig, generate_scene, oracle_
 from bevlanes.codec import AngleBinSpec, encode_scene
 from bevlanes.losses import EmbeddingParams
 from bevlanes.plots import scene_svg
-from bevlanes.pipeline import scene_curves
 from bevlanes.synth import surface_height
 
 out = Path(__file__).resolve().parent / "out"
@@ -40,7 +39,7 @@ for name in ("parallel", "split", "merge", "short", "perpendicular"):
     zs = np.concatenate([lane.points[:, 2] for lane in scene.lanes])
     print(f"  {name:13s} {len(scene.lanes):5d}  [{ys.min():5.1f}, {ys.max():5.1f}]"
           f"   {np.abs(zs).max():7.3f}")
-    svg = scene_svg(scene_curves(scene), [], grid)
+    svg = scene_svg(scene.lanes, [], grid)
     (out / f"scene_{name}.svg").write_text(svg)
 print(f"SVG overlays written to {out}/scene_<topology>.svg")
 

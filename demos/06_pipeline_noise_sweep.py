@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 from bevlanes import PipelineConfig, run_pipeline
-from bevlanes.pipeline import scene_curves
 from bevlanes.plots import scene_svg
 
 out = Path(__file__).resolve().parent / "out"
@@ -46,7 +45,7 @@ for sigma_r in (0.0, 0.1, 0.3, 0.5):
     reports[sigma_r] = report
     if sigma_r == 0.3:
         r = results[0]
-        svg = scene_svg(scene_curves(r.scene), [c for c, _ in r.lanes], cfg.grid)
+        svg = scene_svg(r.scene.lanes, [c for c, _ in r.lanes], cfg.grid)
         (out / "pipeline_scene0_sigma03.svg").write_text(svg)
 
 print(f"\noverlay of scene 0 at sigma_r = 0.3 written to {out}/pipeline_scene0_sigma03.svg")

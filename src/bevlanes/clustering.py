@@ -58,7 +58,6 @@ class LaneInstance:
     """A clustered group of tile segments forming one lane."""
 
     segments: list[LaneSegment]
-    center: np.ndarray      # embedding-space cluster center
     confidence: float       # mean member segment score
 
     def __post_init__(self):
@@ -68,10 +67,9 @@ class LaneInstance:
 
 @dataclass
 class Curve:
-    """An ordered 3D polyline, optionally tagged with a ground-truth lane id."""
+    """An ordered 3D polyline."""
 
     points: np.ndarray            # (M, 3)
-    lane_id: int | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -197,7 +195,6 @@ def cluster_segments(segments: list[LaneSegment], params: ClusterParams) -> list
             continue
         instances.append(LaneInstance(
             segments=members,
-            center=centers[k].copy(),
             confidence=float(np.mean([s.score for s in members])),
         ))
     return instances
@@ -251,8 +248,7 @@ def greedy_baseline(segments: list[LaneSegment], angle_tol: float = DEFAULT_ANGL
     Two segments join when their tiles are within one step in both grid
     indices, their directions differ (circularly) by at most angle_tol, and
     their closest endpoints are within gap_tol. Components are ordered by
-    their lowest segment index, members by index. Embeddings are ignored; the
-    instance center is the mean member embedding for reporting only.
+    their lowest segment index, members by index. Embeddings are ignored.
     """
     _require_positive("angle_tol", angle_tol)
     _require_positive("gap_tol", gap_tol)
@@ -287,7 +283,6 @@ def greedy_baseline(segments: list[LaneSegment], angle_tol: float = DEFAULT_ANGL
     groups: dict[int, list[int]] = {}
     for k in range(n):
         groups.setdefault(find(k), []).append(k)
-    emb = np.stack([s.embedding for s in segments])
     scores = np.array([s.score for s in segments], dtype=float)
     instances = []
     for root in sorted(groups):
@@ -295,7 +290,6 @@ def greedy_baseline(segments: list[LaneSegment], angle_tol: float = DEFAULT_ANGL
         members = groups[root]
         instances.append(LaneInstance(
             segments=[segments[k] for k in members],
-            center=np.add.reduce(emb[members]) / len(members),
             confidence=float(np.add.reduce(scores[members]) / len(members)),
         ))
     return instances

@@ -483,11 +483,11 @@ def decode_grid(preds: TilePredictionGrid,
     """Turn per-tile predictions into 3D lane segments.
 
     Tiles scoring below the threshold are skipped. Each kept tile contributes
-    one segment: midpoint at tile_center + offset * left_normal (z = height
-    offset), endpoints where the infinite line meets the tile border. A line
-    whose offset pushes it clear of the tile is clamped to the nearest border
-    point and flagged degenerate. All kept tiles are clipped at once; only
-    the segment objects are built one by one, in row-major tile order.
+    one segment: midpoint at the tile center + offset * left_normal (z =
+    height offset), endpoints where the infinite line meets the tile border.
+    A line whose offset pushes it clear of the tile is clamped to the nearest
+    border point and flagged degenerate. All kept tiles are clipped at once;
+    only the segment objects are built one by one, in row-major tile order.
     """
     if not (0.0 <= score_threshold <= 1.0):
         raise ValueError(f"score threshold must be in [0, 1], got {score_threshold}")

@@ -91,10 +91,9 @@ class PipelineConfig:
                 kwargs[name] = section_from_dict(typ, merged)
             except (ValueError, TypeError, KeyError) as e:
                 raise ConfigError(f"section '{name}': {e}")
-        if "eval" not in kwargs:
+        if "extent" not in d.get("eval", {}):
             # Derive the raster window from the (possibly non-default) grid.
-            grid = kwargs.get("grid", GridSpec())
-            base = EvalConfig()
+            grid, base = kwargs.get("grid", GridSpec()), kwargs.get("eval", EvalConfig())
             pad = base.lane_width / 2.0
             kwargs["eval"] = replace(base, extent=(
                 (grid.x_min - pad, grid.x_max + pad), (grid.y_min - pad, grid.y_max + pad)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Curve
-from .geometry import resample_polyline
+from .geometry import Lane3D, resample_polyline
 
 DEFAULT_EXTENT = ((-10.74, 10.74), (-0.5, 78.5))  # default grid padded by w/2
 
@@ -92,7 +92,7 @@ class EvalReport:
 _CELL_BUDGET = 4096
 
 
-def rasterize_curve(curve: Curve, cfg: EvalConfig) -> np.ndarray:
+def rasterize_curve(curve: Curve | Lane3D, cfg: EvalConfig) -> np.ndarray:
     """Binary mask of cells whose centers lie within lane_width/2 of the curve.
 
     The mask covers cfg.extent at cfg.raster_resolution, row index along y.
@@ -276,7 +276,7 @@ def match_and_ap(preds: list, gts: list, threshold: float, cfg: EvalConfig):
 def lateral_error(pairs: list, cfg: EvalConfig):
     """Mean absolute lateral error of matched curves, bucketed by range.
 
-    pairs is a list of (predicted Curve, ground-truth Curve). Each predicted
+    pairs is a list of (predicted Curve, ground-truth Lane3D). Each predicted
     curve is resampled at lateral_sample_step along its xy arc length; every
     sample contributes its distance to the nearest point of the matched GT
     polyline (the first GT segment on ties), bucketed by the first range
@@ -319,11 +319,12 @@ def lateral_error(pairs: list, cfg: EvalConfig):
 def evaluate(scenes, cfg: EvalConfig) -> EvalReport:
     """Run the full protocol over a sequence of (preds, gts) pairs, one per scene.
 
-    preds: list of (Curve, confidence); gts: list of Curve. Predictions match
-    only their own scene's GTs, while detections pool into a single PR curve
-    per threshold, as in standard detection MAP. Confidence ties keep
-    prediction order within a scene and scene order across scenes; with zero
-    noise every confidence is 1.0, so AP there depends on that order.
+    preds: list of (Curve, confidence); gts: the scene's Lane3Ds, which may
+    repeat a vertex. Predictions match only their own scene's GTs, while
+    detections pool into a single PR curve per threshold, as in standard
+    detection MAP. Confidence ties keep prediction order within a scene and
+    scene order across scenes; with zero noise every confidence is 1.0, so
+    AP there depends on that order.
     Lateral errors come from the IOU = 0.5 operating point with all
     predictions kept; if some confidence cutoff reaches recall 0.75, the
     lateral error at that cutoff is reported as well.

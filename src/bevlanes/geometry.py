@@ -122,17 +122,6 @@ def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:
     return np.column_stack([np.interp(targets, s, col) for col in points.T])
 
 
-def tile_center(row: int, col: int, grid: GridSpec) -> np.ndarray:
-    """Plane-frame (x, y) center of tile (row, col)."""
-    if not (0 <= row < grid.n_rows):
-        raise IndexError(f"row {row} outside [0, {grid.n_rows})")
-    if not (0 <= col < grid.n_cols):
-        raise IndexError(f"col {col} outside [0, {grid.n_cols})")
-    x = grid.x_min + (col + 0.5) * grid.tile_width
-    y = grid.y_min + (row + 0.5) * grid.tile_length
-    return np.array([x, y])
-
-
 def tile_centers(grid: GridSpec) -> np.ndarray:
     """(H, W, 2) array of all tile centers."""
     xs = grid.x_min + (np.arange(grid.n_cols) + 0.5) * grid.tile_width
@@ -141,14 +130,3 @@ def tile_centers(grid: GridSpec) -> np.ndarray:
     out[:, :, 0] = xs[None, :]
     out[:, :, 1] = ys[:, None]
     return out
-
-
-def tile_bounds(row: int, col: int, grid: GridSpec) -> tuple[float, float, float, float]:
-    """(x_lo, x_hi, y_lo, y_hi) of tile (row, col)."""
-    if not (0 <= row < grid.n_rows):
-        raise IndexError(f"row {row} outside [0, {grid.n_rows})")
-    if not (0 <= col < grid.n_cols):
-        raise IndexError(f"col {col} outside [0, {grid.n_cols})")
-    x_lo = grid.x_min + col * grid.tile_width
-    y_lo = grid.y_min + row * grid.tile_length
-    return (x_lo, x_lo + grid.tile_width, y_lo, y_lo + grid.tile_length)

@@ -147,9 +147,13 @@ def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise SchemaError(path, field, f"expected (N>=2, 3), got {pts.shape}")
         try:
-            lanes.append(Lane3D(points=pts, lane_id=int(_require(entry, "lane_id", path))))
+            lane = Lane3D(points=pts, lane_id=int(_require(entry, "lane_id", path)))
         except (TypeError, ValueError) as e:
             raise SchemaError(path, f"lanes[{k}]", str(e))
+        if lane.lane_id < 0 or lane.lane_id in {other.lane_id for other in lanes}:
+            raise SchemaError(path, f"lanes[{k}].lane_id",
+                              f"{lane.lane_id} is negative or not unique in the scene")
+        lanes.append(lane)
     surface = _build(SurfaceParams, _require(d, "surface", path), path, "surface")
     rig = _build(CameraRig, _require(d, "rig", path), path, "rig")
     return Scene(lanes=lanes, surface=surface, rig=rig)

@@ -1,10 +1,12 @@
 """End-to-end pipeline stages and their file-based orchestration.
 
 Stage order: generate -> encode -> predict -> decode -> cluster -> eval.
-Each stage is a pure function of (inputs, config, derived seed); per-scene
-seeds are derived from (master_seed, scene_index, stage name), so results do
-not depend on batch order and parallel execution reproduces serial output
-bit for bit. File layout under the configured output directory:
+Each STAGES row's step maps (config, scene index, the previous row's
+artifact, cluster method) to its artifact; eval scores the lanes against the
+scene's `Lane3D`s. Per-scene seeds are derived from (master_seed,
+scene_index, stage name), so results do not depend on batch order and
+parallel execution reproduces serial output bit for bit. File layout under
+the configured output directory:
 
     scenes/scene_NNNNN.json     targets/target_NNNNN.json
     preds/pred_NNNNN.json       segments/segments_NNNNN.json
@@ -44,30 +46,35 @@ def derive_seed(master_seed: int, scene_index: int, stage: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# In-memory stages
+# Stage steps: (config, index, input, method) -> artifact
 
 
-def make_scene(config: PipelineConfig, index: int) -> Scene:
+def _generate_step(config: PipelineConfig, index: int, _, method: str) -> Scene:
     cfg = replace(config.scene, seed=derive_seed(config.master_seed, index, "scene"))
     return generate_scene(cfg, grid=config.grid, rig=config.rig)
 
 
-def encode_one(scene: Scene, config: PipelineConfig) -> TileTargetGrid:
+def _encode_step(config: PipelineConfig, index: int, scene: Scene,
+                 method: str) -> TileTargetGrid:
     return encode_scene(scene.lanes, config.grid, config.bins)
 
 
-def predict_one(targets: TileTargetGrid, config: PipelineConfig,
-                index: int) -> TilePredictionGrid:
+def _predict_step(config: PipelineConfig, index: int, targets: TileTargetGrid,
+                  method: str) -> TilePredictionGrid:
     noise = replace(config.noise, seed=derive_seed(config.master_seed, index, "noise"))
     return oracle_predict(targets, noise, config.embedding)
 
 
-def decode_one(preds: TilePredictionGrid) -> list[LaneSegment]:
+def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
+                 method: str) -> list[LaneSegment]:
+    if preds.grid != config.grid:
+        raise io.SchemaError(_stage_path(config, STAGES["predict"], index), "grid",
+                             "prediction grid shape disagrees with the config grid")
     return decode_grid(preds)
 
 
-def cluster_one(segments: list[LaneSegment], config: PipelineConfig,
-                method: str = "embedding") -> list[tuple[Curve, float]]:
+def _cluster_step(config: PipelineConfig, index: int, segments: list[LaneSegment],
+                  method: str) -> list[tuple[Curve, float]]:
     """Cluster segments and assemble each instance into a (curve, confidence)."""
     if method == "embedding":
         instances = cluster_segments(segments, config.cluster)
@@ -78,10 +85,6 @@ def cluster_one(segments: list[LaneSegment], config: PipelineConfig,
                           f"{CLUSTER_METHODS}")
     return [(assemble_curve(inst), min(1.0, max(0.0, inst.confidence)))
             for inst in instances]
-
-
-def scene_curves(scene: Scene) -> list[Curve]:
-    return [Curve(points=lane.points, lane_id=lane.lane_id) for lane in scene.lanes]
 
 
 @dataclass
@@ -131,7 +134,7 @@ def run_pipeline(config: PipelineConfig, method: str = "embedding",
 def evaluate_results(results: list[SceneResult], config: PipelineConfig) -> EvalReport:
     """Evaluate in scene-index order, whatever the order of results (confidence
     ties across scenes rank by scene order)."""
-    return evaluate([(r.lanes, scene_curves(r.scene))
+    return evaluate([(r.lanes, r.scene.lanes)
                      for r in sorted(results, key=lambda r: r.index)], config.eval)
 
 
@@ -153,28 +156,12 @@ class Stage:
     writer: str
 
 
-def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
-                 method: str) -> list[LaneSegment]:
-    if preds.grid != config.grid:
-        raise io.SchemaError(_stage_path(config, STAGES["predict"], index), "grid",
-                             "prediction grid shape disagrees with the config grid")
-    return decode_one(preds)
-
-
 STAGES = {
-    "generate": Stage("scenes", "scene", "scene_from_dict",
-                      lambda config, i, _, method: make_scene(config, i), "scene_to_dict"),
-    "encode": Stage("targets", "target", "targets_from_dict",
-                    lambda config, i, scene, method: encode_one(scene, config),
-                    "targets_to_dict"),
-    "predict": Stage("preds", "pred", "preds_from_dict",
-                     lambda config, i, targets, method: predict_one(targets, config, i),
-                     "preds_to_dict"),
-    "decode": Stage("segments", "segments", "segments_from_dict", _decode_step,
-                    "segments_to_dict"),
-    "cluster": Stage("lanes", "lanes", "lanes_from_dict",
-                     lambda config, i, segments, method: cluster_one(segments, config, method),
-                     "lanes_to_dict"),
+    "generate": Stage("scenes", "scene", "scene_from_dict", _generate_step, "scene_to_dict"),
+    "encode": Stage("targets", "target", "targets_from_dict", _encode_step, "targets_to_dict"),
+    "predict": Stage("preds", "pred", "preds_from_dict", _predict_step, "preds_to_dict"),
+    "decode": Stage("segments", "segments", "segments_from_dict", _decode_step, "segments_to_dict"),
+    "cluster": Stage("lanes", "lanes", "lanes_from_dict", _cluster_step, "lanes_to_dict"),
 }
 
 
@@ -230,7 +217,7 @@ def cmd_eval(config: PipelineConfig) -> EvalReport:
     if len(lanes_lists) != len(scenes):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(lanes_lists)} lane files vs {len(scenes)} scenes")
-    report = evaluate([(lanes, scene_curves(scene)) for lanes, scene in zip(lanes_lists, scenes)],
+    report = evaluate([(lanes, scene.lanes) for lanes, scene in zip(lanes_lists, scenes)],
                       config.eval)
     _write_report(config, report)
     return report
@@ -243,8 +230,7 @@ def _write_report(config: PipelineConfig, report: EvalReport) -> None:
     io.save_json(out / "report.json", report.to_dict())
 
 
-def cmd_loss(config: PipelineConfig, grad_check: bool = False,
-             grad_samples: int = 64) -> str:
+def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
     """Per-scene loss terms as CSV, optionally with a gradient-check summary."""
     targets = _read_stage(config, STAGES["encode"])
     preds = _read_stage(config, STAGES["predict"])
@@ -268,10 +254,10 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False,
                        if f.name != "embedding"}
         tile_rep = finite_diff_check(
             lambda inputs: total_tile_loss(replace(prd, **inputs), tgt),
-            tile_inputs, sample=grad_samples)
+            tile_inputs, sample=64)
         emb_rep = finite_diff_check(
             lambda inp: embedding_loss(inp["embedding"], tgt.lane_id, config.embedding),
-            {"embedding": prd.embedding}, sample=grad_samples)
+            {"embedding": prd.embedding}, sample=64)
         lines.append(f"grad_check,total_tile,max_rel_error,{tile_rep.max_rel_error!r}")
         lines.append(f"grad_check,embedding,max_rel_error,{emb_rep.max_rel_error!r}")
     csv = "\n".join(lines) + "\n"
@@ -291,10 +277,8 @@ def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
         for stage, artifact in zip(STAGES.values(),
                                    (r.scene, r.targets, r.preds, r.segments, r.lanes)):
             _write_artifact(config, stage, r.index, artifact)
-        gt = scene_curves(r.scene)
-        pred_curves = [c for c, _ in r.lanes]
         (plots / f"scene_{r.index:05d}.svg").write_text(
-            scene_svg(gt, pred_curves, config.grid))
+            scene_svg(r.scene.lanes, [c for c, _ in r.lanes], config.grid))
         (plots / f"scores_{r.index:05d}.svg").write_text(
             heatmap_svg(r.preds.score(), config.grid))
     _write_report(config, report)

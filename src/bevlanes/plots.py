@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clustering import Curve
-from .geometry import GridSpec
+from .geometry import GridSpec, Lane3D
 
 _SCALE = 8.0  # SVG pixels per meter
 _MARGIN = 1.0  # meters of padding around the grid
@@ -57,13 +57,13 @@ def _grid_frame(grid: GridSpec) -> list[str]:
     return parts
 
 
-def scene_svg(gt_curves: list[Curve], pred_curves: list[Curve], grid: GridSpec) -> str:
-    """BEV overlay: grid frame, ground truth in red, predictions in blue."""
+def scene_svg(gt_lanes: list[Lane3D], pred_curves: list[Curve], grid: GridSpec) -> str:
+    """BEV overlay: grid frame, ground-truth lanes in red, predictions in blue."""
     header, _, _ = _header(grid)
     parts = [header]
     parts.extend(_grid_frame(grid))
-    for curve in gt_curves:
-        parts.append(_polyline(curve.points, grid, "#cc2222", 2.0))
+    for lane in gt_lanes:
+        parts.append(_polyline(lane.points, grid, "#cc2222", 2.0))
     for curve in pred_curves:
         parts.append(_polyline(curve.points, grid, "#2244cc", 1.2))
     parts.append("</svg>")

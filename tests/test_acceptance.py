@@ -39,18 +39,7 @@ from bevlanes.losses import (
     score_loss,
     total_tile_loss,
 )
-from bevlanes.pipeline import (
-    cluster_one,
-    cmd_pipeline,
-    decode_one,
-    encode_one,
-    make_scene,
-    predict_one,
-    process_scene,
-    run_pipeline,
-    scene_curves,
-    evaluate_results,
-)
+from bevlanes.pipeline import cmd_pipeline, evaluate_results, process_scene, run_pipeline
 from bevlanes.synth import SceneConfig, simplex_anchors
 from bevlanes import io
 
@@ -314,7 +303,7 @@ def test_criterion_07_noise_monotonicity():
         maps = []
         for i in range(config.n_scenes):
             r = process_scene(config, i)
-            maps.append(evaluate([(r.lanes, scene_curves(r.scene))], config.eval).map_score)
+            maps.append(evaluate([(r.lanes, r.scene.lanes)], config.eval).map_score)
         per_scene[sigma] = np.array(maps)
     means = {s: float(per_scene[s].mean()) for s in levels}
     rng = np.random.default_rng(0)
@@ -339,14 +328,11 @@ def test_criterion_08_ablation_direction():
             _closed_loop_config(_weights(**{topology: 1.0}), n_scenes=25, seed=seed),
             noise=replace(PipelineConfig().noise, sigma_f=0.1))
         for i in range(config.n_scenes):
-            scene = make_scene(config, i)
-            segments = decode_one(predict_one(encode_one(scene, config), config, i))
-            curves = scene_curves(scene)
             for method in pooled:
-                lanes = cluster_one(segments, config, method)
-                pooled[method].append((lanes, curves))
+                r = process_scene(config, i, method)
+                pooled[method].append((r.lanes, r.scene.lanes))
                 if method == "greedy" and topology == "split" \
-                        and len(curves) >= 2 and len(lanes) < len(curves):
+                        and len(r.scene.lanes) >= 2 and len(r.lanes) < len(r.scene.lanes):
                     undersegmented += 1
     eval_cfg = PipelineConfig().eval
     maps = {m: evaluate(scenes, eval_cfg).map_score for m, scenes in pooled.items()}

@@ -1,0 +1,31 @@
+"""The package names that the benchmark's span tracer wraps.
+
+`perfbench/tracer.py` replaces package functions by module and name, and a
+traced benchmark run fails on the first name it cannot find. The tracer is
+loaded here from its file, unchanged, and wraps one artifact batch:
+`cmd_pipeline` and `cmd_loss` on one scene.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from bevlanes import pipeline
+from bevlanes.config import PipelineConfig
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_tracer_wraps_and_records_the_pipeline_layers(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tr = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tr)
+    tracer = tr.Tracer(tmp_path)
+    config = PipelineConfig.from_dict({"n_scenes": 1, "output_dir": str(tmp_path / "out")})
+    tracer.install(tr.TRACED)
+    try:
+        pipeline.cmd_pipeline(config)
+        pipeline.cmd_loss(config)
+    finally:
+        tracer.uninstall()
+    names = {span[tr.NAME] for span in tracer.spans}
+    assert {"pipeline.process_scene", "evaluation.evaluate", "io.save_json"} <= names

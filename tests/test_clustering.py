@@ -196,7 +196,6 @@ def test_cluster_segments_single_shared_embedding():
     instances = cluster_segments(segments, PARAMS)
     assert len(instances) == 1
     npt.assert_allclose(instances[0].confidence, np.mean([s.score for s in segments]))
-    npt.assert_allclose(instances[0].center, [1.0, 1.0], atol=1e-9)
 
 
 def test_cluster_segments_empty():
@@ -248,7 +247,7 @@ def test_assemble_collinear_midpoints_sorted():
     mids = [[0.0, 4.0, 0.0], [0.0, 1.0, 0.0], [0.0, 7.0, 0.0]]
     inst = LaneInstance(
         segments=[make_seg(m, tile=(i, 8), emb=[0, 0]) for i, m in enumerate(mids)],
-        center=np.zeros(2), confidence=0.9)
+        confidence=0.9)
     curve = assemble_curve(inst)
     npt.assert_allclose(curve.points[:, 1], [1.0, 4.0, 7.0], atol=1e-12)
     assert len(curve.points) == 3
@@ -260,7 +259,7 @@ def test_assemble_longer_collinear_chain():
     order = rng.permutation(10)
     inst = LaneInstance(
         segments=[make_seg([2.0, ys[i], 0.1 * ys[i]], tile=(int(ys[i]), 3)) for i in order],
-        center=np.zeros(2), confidence=0.5)
+        confidence=0.5)
     curve = assemble_curve(inst)
     npt.assert_allclose(curve.points[:, 1], ys, atol=1e-12)
     npt.assert_allclose(curve.points[:, 2], 0.1 * ys, atol=1e-12)  # z carried along
@@ -273,7 +272,7 @@ def test_assemble_quarter_arc_in_arc_length_order():
     order = rng.permutation(10)
     inst = LaneInstance(
         segments=[make_seg(pts[i], tile=(i, 0)) for i in order],
-        center=np.zeros(2), confidence=0.9)
+        confidence=0.9)
     curve = assemble_curve(inst)
     assert len(curve.points) == 10
     npt.assert_allclose(curve.points, pts, atol=1e-12)
@@ -281,14 +280,14 @@ def test_assemble_quarter_arc_in_arc_length_order():
 
 def test_assemble_singleton_uses_endpoints():
     seg = make_seg([0.0, 1.5, 0.0], direction=(0, 1), half=1.5)
-    inst = LaneInstance(segments=[seg], center=np.zeros(2), confidence=1.0)
+    inst = LaneInstance(segments=[seg], confidence=1.0)
     curve = assemble_curve(inst)
     npt.assert_allclose(curve.points, [[0.0, 0.0, 0.0], [0.0, 3.0, 0.0]], atol=1e-12)
 
 
 def test_lane_instance_requires_segments():
     with pytest.raises(ValueError):
-        LaneInstance(segments=[], center=np.zeros(2), confidence=0.0)
+        LaneInstance(segments=[], confidence=0.0)
 
 
 def test_curve_validation():
@@ -296,8 +295,7 @@ def test_curve_validation():
         Curve(points=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         Curve(points=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    c = Curve(points=np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5]]), lane_id=2)
-    assert c.lane_id == 2
+    Curve(points=np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5]]))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

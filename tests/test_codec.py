@@ -21,10 +21,17 @@ from bevlanes.codec import (
     soft_labels_to_angle,
     wrap_signed,
 )
-from bevlanes.geometry import GridSpec, Lane3D, tile_bounds, tile_center
+from bevlanes.geometry import GridSpec, Lane3D
 
 GRID = GridSpec()
 BINS = AngleBinSpec(n_bins=8)
+
+
+def tile_bounds(row, col, grid):
+    """(x_lo, x_hi, y_lo, y_hi) of tile (row, col)."""
+    x_lo = grid.x_min + col * grid.tile_width
+    y_lo = grid.y_min + row * grid.tile_length
+    return x_lo, x_lo + grid.tile_width, y_lo, y_lo + grid.tile_length
 
 
 def vertical_lane(x, y0=0.0, y1=78.0, z=0.0, lane_id=0, step=1.0):

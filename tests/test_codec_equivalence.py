@@ -36,7 +36,7 @@ from bevlanes.codec import (
     soft_labels_to_angle,
     wrap_signed,
 )
-from bevlanes.geometry import GridSpec, Lane3D, tile_bounds, tile_center
+from bevlanes.geometry import GridSpec, Lane3D
 from bevlanes.losses import EmbeddingParams
 from bevlanes.synth import NoiseConfig, SceneConfig, generate_scene, oracle_predict, simplex_anchors
 
@@ -61,6 +61,21 @@ NOISES = (
 
 # ---------------------------------------------------------------------------
 # Reference copies
+
+
+# The single-tile helpers the loop code below was written against.
+def tile_center(row: int, col: int, grid: GridSpec) -> np.ndarray:
+    """Plane-frame (x, y) center of tile (row, col)."""
+    x = grid.x_min + (col + 0.5) * grid.tile_width
+    y = grid.y_min + (row + 0.5) * grid.tile_length
+    return np.array([x, y])
+
+
+def tile_bounds(row: int, col: int, grid: GridSpec) -> tuple[float, float, float, float]:
+    """(x_lo, x_hi, y_lo, y_hi) of tile (row, col)."""
+    x_lo = grid.x_min + col * grid.tile_width
+    y_lo = grid.y_min + row * grid.tile_length
+    return (x_lo, x_lo + grid.tile_width, y_lo, y_lo + grid.tile_length)
 
 
 def ref_angle_to_soft_labels(phi: float, bins: AngleBinSpec):

@@ -6,8 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bevlanes.geometry import (CameraRig, GridSpec, Lane3D, resample_polyline, tile_bounds,
-                               tile_center, tile_centers)
+from bevlanes.geometry import CameraRig, GridSpec, Lane3D, resample_polyline, tile_centers
 from bevlanes.io import section_from_dict, section_to_dict
 
 
@@ -16,21 +15,9 @@ from bevlanes.io import section_from_dict, section_to_dict
 
 
 def test_tile_center_hand_values():
-    grid = GridSpec()
-    npt.assert_allclose(tile_center(0, 8, grid), [0.64, 1.5], rtol=0, atol=1e-12)
-    npt.assert_allclose(tile_center(25, 0, grid), [-9.6, 76.5], rtol=0, atol=1e-12)
-
-
-def test_tile_center_bounds_checked():
-    grid = GridSpec()
-    with pytest.raises(IndexError):
-        tile_center(26, 0, grid)
-    with pytest.raises(IndexError):
-        tile_center(0, 16, grid)
-    with pytest.raises(IndexError):
-        tile_center(-1, 0, grid)
-    with pytest.raises(IndexError):
-        tile_bounds(0, -1, grid)
+    centers = tile_centers(GridSpec())
+    npt.assert_allclose(centers[0, 8], [0.64, 1.5], rtol=0, atol=1e-12)
+    npt.assert_allclose(centers[25, 0], [-9.6, 76.5], rtol=0, atol=1e-12)
 
 
 def test_default_grid_extent():
@@ -47,7 +34,8 @@ def test_tile_centers_matches_scalar_version():
     assert centers.shape == (7, 5, 2)
     for i in range(7):
         for j in range(5):
-            npt.assert_allclose(centers[i, j], tile_center(i, j, grid), atol=1e-12)
+            npt.assert_allclose(centers[i, j], [-2.25 + 0.9 * (j + 0.5), -3.0 + 2.5 * (i + 0.5)],
+                                atol=1e-12)
 
 
 def test_tile_centers_tile_the_plane():
@@ -69,14 +57,13 @@ def test_tile_centers_tile_the_plane():
 
 
 def test_tile_bounds_contain_center():
+    # tile (i, j) spans x_min + [j, j + 1] * tile_width, y_min + [i, i + 1] * tile_length
     grid = GridSpec()
+    centers = tile_centers(grid)
     for i, j in [(0, 0), (12, 7), (25, 15)]:
-        x_lo, x_hi, y_lo, y_hi = tile_bounds(i, j, grid)
-        cx, cy = tile_center(i, j, grid)
-        assert x_lo < cx < x_hi
-        assert y_lo < cy < y_hi
-        npt.assert_allclose(x_hi - x_lo, grid.tile_width, atol=1e-12)
-        npt.assert_allclose(y_hi - y_lo, grid.tile_length, atol=1e-12)
+        cx, cy = centers[i, j]
+        assert grid.x_min + j * grid.tile_width < cx < grid.x_min + (j + 1) * grid.tile_width
+        assert grid.y_min + i * grid.tile_length < cy < grid.y_min + (i + 1) * grid.tile_length
 
 
 def test_grid_validation():

@@ -3,10 +3,14 @@
 import csv
 import io as std_io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevlanes import io
 from bevlanes.cli import main
@@ -16,7 +20,7 @@ from bevlanes.config import ConfigError, PipelineConfig
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate
 from bevlanes.geometry import GridSpec
 from bevlanes.losses import EmbeddingParams
-from bevlanes.pipeline import evaluate_results, run_pipeline
+from bevlanes.pipeline import cmd_pipeline, evaluate_results, run_pipeline
 from bevlanes.synth import NoiseConfig, SceneConfig, generate_scene, oracle_predict
 
 GRID = GridSpec()
@@ -326,6 +330,15 @@ def test_config_explicit_eval_extent_must_cover_grid():
         PipelineConfig.from_dict({"eval": {"extent": [[-5.0, 5.0], [0.0, 78.5]]}})
 
 
+def test_config_eval_section_without_extent_derives_it():
+    # the grid is padded by the section's own lane_width / 2
+    cfg = PipelineConfig.from_dict({"grid": {"n_rows": 30}, "eval": {"lateral_sample_step": 0.5}})
+    assert cfg.eval.lateral_sample_step == 0.5
+    assert cfg.eval.extent == ((GRID.x_min - 0.5, GRID.x_max + 0.5), (-0.5, 90.5))
+    cfg = PipelineConfig.from_dict({"eval": {"lane_width": 2.0}})
+    assert cfg.eval.extent == ((GRID.x_min - 1.0, GRID.x_max + 1.0), (-1.0, 79.0))
+
+
 def test_config_scalar_validation():
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"n_scenes": 0})
@@ -523,6 +536,38 @@ def test_cli_nan_scene_surface_is_data_error(tmp_path, capsys):
     assert "scene_00000.json" in err and "surface" in err and "amplitude" in err
 
 
+@pytest.mark.parametrize("k, lane_id", [(0, -1), (1, 0)])
+def test_cli_negative_or_repeated_lane_id_is_data_error(tmp_path, capsys, k, lane_id):
+    # a negative id used to fail only at predict, blaming the target file; a
+    # repeated one ran through and merged the two lanes' embedding anchors
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg]) == 0
+    scene_path = tmp_path / "out" / "scenes" / "scene_00001.json"
+    d = json.loads(scene_path.read_text())
+    assert [lane["lane_id"] for lane in d["lanes"]] == [0, 1]
+    d["lanes"][k]["lane_id"] = lane_id
+    scene_path.write_text(json.dumps(d))
+    assert main(["encode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "scene_00001.json" in err and f"lanes[{k}].lane_id" in err
+
+
+def test_cli_lane_with_a_repeated_vertex_is_evaluated(tmp_path, capsys):
+    # ground truth is the scene's lanes as read, so a repeated vertex is a
+    # zero-length segment, not a curve error (it used to exit 2 at eval)
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    scene_path = tmp_path / "out" / "scenes" / "scene_00000.json"
+    d = json.loads(scene_path.read_text())
+    d["lanes"][0]["points"].insert(3, d["lanes"][0]["points"][3])
+    scene_path.write_text(json.dumps(d))
+    for command in ("encode", "predict", "decode", "cluster", "eval"):
+        assert main([command, "--config", cfg]) == 0, capsys.readouterr().err
+    edited = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (edited["map_score"], edited["counts"]) == (report["map_score"], report["counts"])
+
+
 def test_cli_grid_mismatch_between_stages(tmp_path, capsys):
     cfg = write_config(tmp_path)
     for command in ("generate", "encode", "predict"):
@@ -622,6 +667,26 @@ def test_run_pipeline_parallel_equals_serial(tmp_path):
             io.canonical_json(io.lanes_to_dict(b.lanes))
         assert io.canonical_json(io.preds_to_dict(a.preds)) == \
             io.canonical_json(io.preds_to_dict(b.preds))
+
+
+@settings(max_examples=6)
+@given(n_scenes=st.integers(1, 3), master_seed=st.integers(0, 2 ** 64 - 1),
+       sigmas=st.lists(st.floats(0.0, 0.3), min_size=4, max_size=4),
+       rates=st.lists(st.floats(0.0, 0.2), min_size=2, max_size=2))
+def test_cmd_pipeline_jobs2_tree_equals_serial(n_scenes, master_seed, sigmas, rates):
+    sigma_r, sigma_phi, sigma_z, sigma_f = sigmas
+    noise = {"sigma_r": sigma_r, "sigma_phi": sigma_phi, "sigma_z": sigma_z, "sigma_f": sigma_f,
+             "drop_rate": rates[0], "fp_rate": rates[1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = []
+        for jobs in (1, 2):
+            out = Path(tmp) / f"jobs{jobs}"
+            cmd_pipeline(PipelineConfig.from_dict({
+                "n_scenes": n_scenes, "master_seed": master_seed, "noise": noise,
+                "output_dir": str(out)}), jobs=jobs)
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+    assert trees[0] == trees[1]
 
 
 def test_evaluate_results_follows_scene_index_not_list_order():

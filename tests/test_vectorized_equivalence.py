@@ -239,8 +239,7 @@ def test_lateral_error_matches_sample_loop(pairs, cfg):
 @EXACT
 @given(mids=midpoint_sets())
 def test_assemble_matches_hop_loop(mids):
-    inst = LaneInstance(segments=[_segment(m) for m in mids], center=np.zeros(2),
-                        confidence=0.5)
+    inst = LaneInstance(segments=[_segment(m) for m in mids], confidence=0.5)
     got, want = assemble_curve(inst), ref_assemble_curve(inst)
     assert np.array_equal(got.points, want.points)
 
@@ -250,8 +249,7 @@ def test_assemble_last_bit_near_tie():
     # same length in exact arithmetic; in floats the two candidates differ in
     # the last bit, and norm(axis=1) would rank them the other way.
     mids = [[0.3 * i, 0.3 * j, 0.0] for i, j in [(7, -2), (6, 5), (2, 3)]]
-    inst = LaneInstance(segments=[_segment(m) for m in mids], center=np.zeros(2),
-                        confidence=0.5)
+    inst = LaneInstance(segments=[_segment(m) for m in mids], confidence=0.5)
     assert np.array_equal(assemble_curve(inst).points, ref_assemble_curve(inst).points)
 
 
@@ -373,8 +371,7 @@ def ref_greedy_baseline(segments, angle_tol=math.pi / 8, gap_tol=4.5):
 
     Two segments join when their tiles are within one step in both grid
     indices, their directions differ (circularly) by at most angle_tol, and
-    their closest endpoints are within gap_tol. Embeddings are ignored; the
-    instance center is the mean member embedding for reporting only.
+    their closest endpoints are within gap_tol. Embeddings are ignored.
     """
     if angle_tol <= 0 or gap_tol <= 0:
         raise ValueError("angle_tol and gap_tol must be positive")
@@ -410,10 +407,8 @@ def ref_greedy_baseline(segments, angle_tol=math.pi / 8, gap_tol=4.5):
     instances = []
     for root in sorted(groups):
         members = [segments[i] for i in groups[root]]
-        emb = np.stack([s.embedding for s in members])
         instances.append(LaneInstance(
             segments=members,
-            center=emb.mean(axis=0),
             confidence=float(np.mean([s.score for s in members])),
         ))
     return instances
@@ -449,7 +444,7 @@ def _same_instances(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert [id(s) for s in g.segments] == [id(s) for s in w.segments]
-        assert g.center.tobytes() == w.center.tobytes() and g.confidence == w.confidence
+        assert g.confidence == w.confidence
 
 
 @EXACT
