@@ -64,11 +64,11 @@ print(f"geometry-only baseline: {len(by_geometry)} lanes, "
 def purity(instances):
     agree = total = 0
     for inst in instances:
-        ids = [int(targets.lane_id[s.tile]) for s in inst.segments if targets.occupancy[s.tile] > 0.5]
-        if not ids:
+        rows, cols = inst.segments.tile.T
+        ids = targets.lane_id[rows, cols][targets.occupancy[rows, cols] > 0.5]
+        if not len(ids):
             continue
-        majority = max(set(ids), key=ids.count)
-        agree += sum(1 for i in ids if i == majority)
+        agree += np.bincount(ids).max()     # members of the majority lane
         total += len(ids)
     return agree / total if total else float("nan")
 

@@ -3,7 +3,7 @@ synthetic scenes, and a MAP/lateral-error evaluation protocol in BEV."""
 
 from .clustering import (ClusterParams, Curve, LaneInstance, assemble_curve,
                          assign_clusters, cluster_segments, greedy_baseline, mean_shift)
-from .codec import (AngleBinSpec, LaneSegment, TilePredictionGrid, TileTargetGrid,
+from .codec import (AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid,
                     angle_to_soft_labels, decode_grid, encode_scene, saturated_prediction,
                     soft_labels_to_angle)
 from .config import ConfigError, PipelineConfig

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import LaneSegment, wrap_signed
+from .codec import SegmentSet, wrap_signed
 
 DEFAULT_ANGLE_TOL = math.pi / 8
 DEFAULT_GAP_TOL = 4.5  # 1.5 tile lengths
@@ -57,11 +57,11 @@ class ClusterParams:
 class LaneInstance:
     """A clustered group of tile segments forming one lane."""
 
-    segments: list[LaneSegment]
+    segments: SegmentSet
     confidence: float       # mean member segment score
 
     def __post_init__(self):
-        if not self.segments:
+        if not len(self.segments):
             raise ValueError("a lane instance needs at least one segment")
 
 
@@ -176,27 +176,24 @@ def assign_clusters(embeddings: np.ndarray, centers: np.ndarray,
     return labels
 
 
-def cluster_segments(segments: list[LaneSegment], params: ClusterParams) -> list[LaneInstance]:
+def cluster_segments(segments: SegmentSet, params: ClusterParams) -> list[LaneInstance]:
     """Group segments into lane instances by their embeddings.
 
     Runs mean shift over the segment embeddings, assigns each segment to the
     nearest mode within `assign_radius`, and drops clusters smaller than
     `min_cluster_size`. Instance confidence is the mean member score.
     """
-    if not segments:
+    if not len(segments):
         return []
-    emb = np.stack([s.embedding for s in segments])
-    centers = mean_shift(emb, params)
-    labels = assign_clusters(emb, centers, params.assign_radius)
+    centers = mean_shift(segments.embedding, params)
+    labels = assign_clusters(segments.embedding, centers, params.assign_radius)
     instances = []
     for k in range(len(centers)):
-        members = [segments[i] for i in np.flatnonzero(labels == k)]
+        members = np.flatnonzero(labels == k)
         if len(members) < params.min_cluster_size:
             continue
-        instances.append(LaneInstance(
-            segments=members,
-            confidence=float(np.mean([s.score for s in members])),
-        ))
+        instances.append(LaneInstance(segments=segments.take(members),
+                                      confidence=float(np.mean(segments.score[members]))))
     return instances
 
 
@@ -209,9 +206,10 @@ def assemble_curve(instance: LaneInstance) -> Curve:
     greedily hops to the nearest unvisited midpoint. A single-segment
     instance falls back to that segment's two endpoints.
     """
-    if len(instance.segments) == 1:
-        return Curve(points=instance.segments[0].endpoints.copy())
-    mids = np.stack([s.midpoint for s in instance.segments])
+    segments = instance.segments
+    if len(segments) == 1:
+        return Curve(points=segments.endpoints[0].copy())
+    mids = segments.midpoint
     xy = mids[:, :2]
     centered = xy - xy.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -237,11 +235,11 @@ def assemble_curve(instance: LaneInstance) -> Curve:
         if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-12:
             keep.append(i)
     if len(keep) < 2:
-        return Curve(points=instance.segments[0].endpoints.copy())
+        return Curve(points=segments.endpoints[0].copy())
     return Curve(points=pts[keep])
 
 
-def greedy_baseline(segments: list[LaneSegment], angle_tol: float = DEFAULT_ANGLE_TOL,
+def greedy_baseline(segments: SegmentSet, angle_tol: float = DEFAULT_ANGLE_TOL,
                     gap_tol: float = DEFAULT_GAP_TOL) -> list[LaneInstance]:
     """Geometry-only grouping: the connected components of the join relation.
 
@@ -255,9 +253,9 @@ def greedy_baseline(segments: list[LaneSegment], angle_tol: float = DEFAULT_ANGL
     n = len(segments)
     if n == 0:
         return []
-    i, j = _neighbour_pairs(np.array([s.tile for s in segments], dtype=np.int64))
-    angles = np.array([math.atan2(s.direction[1], s.direction[0]) for s in segments])
-    ends = np.stack([s.endpoints[:, :2] for s in segments])
+    i, j = _neighbour_pairs(segments.tile)
+    angles = np.array([math.atan2(y, x) for x, y in segments.direction.tolist()])
+    ends = segments.endpoints[:, :, :2]
     # endpoint pairs (a, b) in the order (0, 0), (0, 1), (1, 0), (1, 1): vecdot
     # sums like the 1-D norm, and the running `<` is Python's `min`, NaN included
     diff = ends[i][:, :, None, :] - ends[j][:, None, :, :]
@@ -283,15 +281,12 @@ def greedy_baseline(segments: list[LaneSegment], angle_tol: float = DEFAULT_ANGL
     groups: dict[int, list[int]] = {}
     for k in range(n):
         groups.setdefault(find(k), []).append(k)
-    scores = np.array([s.score for s in segments], dtype=float)
     instances = []
     for root in sorted(groups):
         # np.mean's sum and division, without its per-call overhead
         members = groups[root]
-        instances.append(LaneInstance(
-            segments=[segments[k] for k in members],
-            confidence=float(np.add.reduce(scores[members]) / len(members)),
-        ))
+        instances.append(LaneInstance(segments.take(members), float(
+            np.add.reduce(segments.score[members]) / len(members))))
     return instances
 
 

@@ -97,36 +97,38 @@ def soft_labels_to_angle(p_bins: np.ndarray, d_bins: np.ndarray, bins: AngleBinS
     return float(phi) if phi.ndim == 0 else phi
 
 
-def _array(*shape: str, fill: float = 0.0, dtype=float):
-    """A tile-grid array field: its shape over "H", "W" (grid rows, columns),
-    "N" (angle bins) and "d" (any size), and its fill in `zeros`."""
+def _array(*shape, fill: float = 0.0, dtype=float):
+    """An array field: its shape over named axes (grid rows "H", columns "W",
+    angle bins "N", segments "n", any size "d") or sizes, its fill and dtype."""
     return field(metadata={"shape": shape, "fill": fill, "dtype": dtype})
 
 
-def array_fields(grid) -> list:
-    """The array fields of a tile grid class or instance, in order."""
-    return [f for f in fields(grid) if "shape" in f.metadata]
+def array_fields(obj) -> list:
+    """The array fields of a struct-of-arrays class or instance, in order."""
+    return [f for f in fields(obj) if "shape" in f.metadata]
 
 
-def _axis_sizes(grid: GridSpec, bins: AngleBinSpec, d="d") -> dict:
+def _grid_sizes(grid: GridSpec, bins: AngleBinSpec, d=None) -> dict:
     return {"H": grid.n_rows, "W": grid.n_cols, "N": bins.n_bins, "d": d}
 
 
-def _check_arrays(obj) -> None:
-    """Each array has its declared shape and only finite values."""
-    sizes = _axis_sizes(obj.grid, obj.bins)
+def _check_arrays(obj, sizes: dict) -> None:
+    """Each array field has its declared shape (an axis sized None may have
+    any size) and dtype, and only finite values."""
     for f in array_fields(obj):
-        arr, expect = getattr(obj, f.name), tuple(sizes[a] for a in f.metadata["shape"])
-        if arr.ndim != len(expect) or any(e not in ("d", n) for n, e in zip(arr.shape, expect)):
+        arr, expect = getattr(obj, f.name), tuple(sizes.get(a, a) for a in f.metadata["shape"])
+        if arr.ndim != len(expect) or any(e not in (None, n) for n, e in zip(arr.shape, expect)):
             raise ValueError(f"{f.name} has shape {arr.shape}, expected {expect}")
-        if not np.all(np.isfinite(arr)):
+        if arr.dtype != f.metadata["dtype"]:
+            raise ValueError(f"{f.name} has dtype {arr.dtype}, expected "
+                             f"{np.dtype(f.metadata['dtype'])}")
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ValueError(f"{f.name} holds a non-finite value")
 
 
-def _filled(cls, grid: GridSpec, bins: AngleBinSpec, d=None) -> dict:
-    """Each array field of a tile grid class at its declared shape and fill."""
-    sizes = _axis_sizes(grid, bins, d)
-    return {f.name: np.full([sizes[a] for a in f.metadata["shape"]], f.metadata["fill"],
+def _filled(cls, sizes: dict) -> dict:
+    """Each array field of a class at its declared shape, fill and dtype."""
+    return {f.name: np.full([sizes.get(a, a) for a in f.metadata["shape"]], f.metadata["fill"],
                             dtype=f.metadata["dtype"])
             for f in array_fields(cls)}
 
@@ -147,11 +149,11 @@ class TileTargetGrid:
     bin_mask: np.ndarray = _array("H", "W", "N")            # in {0, 1}
 
     def __post_init__(self):
-        _check_arrays(self)
+        _check_arrays(self, _grid_sizes(self.grid, self.bins))
 
     @classmethod
     def zeros(cls, grid: GridSpec, bins: AngleBinSpec) -> "TileTargetGrid":
-        return cls(grid=grid, bins=bins, **_filled(cls, grid, bins))
+        return cls(grid=grid, bins=bins, **_filled(cls, _grid_sizes(grid, bins)))
 
 
 @dataclass
@@ -168,7 +170,7 @@ class TilePredictionGrid:
     embedding: np.ndarray = _array("H", "W", "d")
 
     def __post_init__(self):
-        _check_arrays(self)
+        _check_arrays(self, _grid_sizes(self.grid, self.bins))
 
     @property
     def embedding_dim(self) -> int:
@@ -183,7 +185,7 @@ class TilePredictionGrid:
 
     @classmethod
     def zeros(cls, grid: GridSpec, bins: AngleBinSpec, embedding_dim: int) -> "TilePredictionGrid":
-        return cls(grid=grid, bins=bins, **_filled(cls, grid, bins, embedding_dim))
+        return cls(grid=grid, bins=bins, **_filled(cls, _grid_sizes(grid, bins, embedding_dim)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -226,16 +228,30 @@ def saturated_arrays(targets: TileTargetGrid, embedding_dim: int = 4,
 
 
 @dataclass
-class LaneSegment:
-    """A decoded per-tile 3D line segment."""
+class SegmentSet:
+    """Decoded per-tile 3D line segments, one row per segment."""
 
-    midpoint: np.ndarray    # (3,) foot of the perpendicular from the tile center
-    direction: np.ndarray   # (2,) unit vector (cos phi, sin phi)
-    endpoints: np.ndarray   # (2, 3) on the tile border, ordered along direction
-    score: float
-    tile: tuple[int, int]
-    embedding: np.ndarray   # (d,)
-    degenerate: bool = False
+    midpoint: np.ndarray = _array("n", 3)      # foot of the perpendicular from the tile center
+    direction: np.ndarray = _array("n", 2)     # unit vector (cos phi, sin phi)
+    endpoints: np.ndarray = _array("n", 2, 3)  # on the tile border, ordered along direction
+    score: np.ndarray = _array("n")            # occupancy probability
+    tile: np.ndarray = _array("n", 2, dtype=np.int64)   # (row, col)
+    embedding: np.ndarray = _array("n", "d")
+    degenerate: np.ndarray = _array("n", dtype=bool)    # line clear of its tile, clamped
+
+    def __post_init__(self):
+        _check_arrays(self, {"n": len(self.score), "d": None})
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def take(self, rows) -> "SegmentSet":
+        """The segments at the given row indices, in that order."""
+        return SegmentSet(**{f.name: getattr(self, f.name)[rows] for f in array_fields(self)})
+
+    @classmethod
+    def empty(cls) -> "SegmentSet":
+        return cls(**_filled(cls, {"n": 0, "d": 0}))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +279,7 @@ def encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec,
     counterparts round differently on some inputs and targets are compared
     bit for bit.
     """
-    arrays = _filled(TileTargetGrid, grid, bins)
+    arrays = _filled(TileTargetGrid, _grid_sizes(grid, bins))
     pieces = _clip_lanes_to_tiles(lanes, grid) if lanes else None
     if pieces is not None and len(pieces[0]):
         tile, rank, phi, offset, dz = _fit_tiles(pieces, len(lanes), grid, min_seg_len)
@@ -479,15 +495,15 @@ def _liang_barsky(px, py, dx, dy, rect, t_min: float, t_max: float):
 
 
 def decode_grid(preds: TilePredictionGrid,
-                score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> list[LaneSegment]:
+                score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> SegmentSet:
     """Turn per-tile predictions into 3D lane segments.
 
     Tiles scoring below the threshold are skipped. Each kept tile contributes
     one segment: midpoint at the tile center + offset * left_normal (z =
     height offset), endpoints where the infinite line meets the tile border.
     A line whose offset pushes it clear of the tile is clamped to the nearest
-    border point and flagged degenerate. All kept tiles are clipped at once;
-    only the segment objects are built one by one, in row-major tile order.
+    border point and flagged degenerate. All kept tiles are clipped at once,
+    and the segments come in row-major tile order.
     """
     if not (0.0 <= score_threshold <= 1.0):
         raise ValueError(f"score threshold must be in [0, 1], got {score_threshold}")
@@ -511,11 +527,7 @@ def decode_grid(preds: TilePredictionGrid,
     t0, t1, _ = _liang_barsky(mid[:, 0], mid[:, 1], direction[:, 0], direction[:, 1], rect,
                               -math.inf, math.inf)
     dz = preds.height_offset[rows, cols]
-    midpoint = np.column_stack([mid, dz])
     ends = np.stack([np.column_stack([mid + t[:, None] * direction, dz]) for t in (t0, t1)], axis=1)
-    embedding = preds.embedding[rows, cols]
-    return [LaneSegment(midpoint=m, direction=d, endpoints=e, score=s, tile=(i, j),
-                        embedding=f, degenerate=g)
-            for m, d, e, s, i, j, f, g in zip(midpoint, direction, ends,
-                                               scores[rows, cols].tolist(), rows.tolist(),
-                                               cols.tolist(), embedding, (~hit).tolist())]
+    return SegmentSet(midpoint=np.column_stack([mid, dz]), direction=direction, endpoints=ends,
+                      score=scores[rows, cols], tile=np.column_stack([rows, cols]),
+                      embedding=preds.embedding[rows, cols], degenerate=~hit)

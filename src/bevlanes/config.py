@@ -14,7 +14,7 @@ from .clustering import ClusterParams
 from .codec import AngleBinSpec
 from .evaluation import EvalConfig
 from .geometry import CameraRig, GridSpec
-from .io import section_from_dict, section_to_dict
+from .io import _coerce, section_from_dict, section_to_dict
 from .losses import EmbeddingParams
 from .synth import NoiseConfig, SceneConfig
 
@@ -99,13 +99,9 @@ class PipelineConfig:
                 (grid.x_min - pad, grid.x_max + pad), (grid.y_min - pad, grid.y_max + pad)))
         if "output_dir" in d:
             kwargs["output_dir"] = str(d["output_dir"])
-        for name in ("n_scenes", "master_seed"):
-            if name in d:
-                try:
-                    kwargs[name] = int(d[name])
-                except (TypeError, ValueError):
-                    raise ConfigError(f"'{name}' must be an integer, got {d[name]!r}")
         try:
+            kwargs.update((name, _coerce(0, d[name], name))
+                          for name in ("n_scenes", "master_seed") if name in d)
             return cls(**kwargs)
         except ValueError as e:
             raise ConfigError(str(e))

@@ -6,8 +6,8 @@ outputs are diffable; non-finite numbers cannot be written. Readers validate
 structure and finiteness and report the offending file and field in a
 SchemaError rather than raising bare KeyErrors or ValueErrors. Config
 sections round-trip through one field-driven codec (`section_to_dict`,
-`section_from_dict`), and both tile grids through one grid writer and
-reader driven by the array fields `codec` declares.
+`section_from_dict`), tile grids and segments through the array fields
+`codec` declares; no JSON boolean reads as a number, nor a fraction as an int.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import Curve
-from .codec import AngleBinSpec, LaneSegment, TilePredictionGrid, TileTargetGrid, array_fields
+from .codec import AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields
 from .evaluation import EvalReport
 from .geometry import CameraRig, GridSpec, Lane3D
 from .synth import Scene, SurfaceParams
@@ -68,10 +68,11 @@ def _build(cls, d: dict, path: str, field: str):
 
 def _finite_array(value, path: str, field: str, dtype=float) -> np.ndarray:
     """The value as an array, or a SchemaError naming the field when it is
-    malformed or holds a non-finite number."""
+    malformed, non-finite or, for ints, not whole (`np.asarray` truncates)."""
     try:
-        arr = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as e:
+        whole = np.dtype(dtype).kind == "i"
+        arr = np.asarray(_coerce([0], value, field) if whole else value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(path, field, str(e))
     if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
         raise SchemaError(path, field, "non-finite value")
@@ -96,21 +97,27 @@ def section_to_dict(section) -> dict:
 
 
 def _coerce(default, value, name: str):
-    """The value converted to the type of the field's default: ints, floats,
-    tuples (elementwise, like the default's first element) and dicts (values
-    like the default's first value). A float that is not finite raises
-    ValueError naming the field."""
-    if isinstance(default, tuple):
+    """The value converted to the type of the field's default: bools, ints,
+    floats, tuples or lists (to a tuple, elementwise like the default's first
+    element) and dicts (values like the default's first value). A value of the
+    wrong JSON type, an int that is not whole or a float that is not finite
+    raises ValueError naming the field."""
+    if isinstance(default, (tuple, list)):
         return tuple(_coerce(default[0], v, name) for v in value)
     if isinstance(default, dict):
         template = next(iter(default.values()))
         return {k: _coerce(template, v, name) for k, v in value.items()}
+    if isinstance(default, (int, float)) and (not isinstance(value, (int, float)) or
+                                              isinstance(value, bool) != isinstance(default, bool)):
+        raise ValueError(f"{name} must be of type {type(default).__name__}, got {value!r}")
     if isinstance(default, float):
         out = float(value)
         if not math.isfinite(out):
             raise ValueError(f"{name} must be finite, got {out}")
         return out
     if isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
         return type(default)(value)
     return value
 
@@ -147,7 +154,8 @@ def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise SchemaError(path, field, f"expected (N>=2, 3), got {pts.shape}")
         try:
-            lane = Lane3D(points=pts, lane_id=int(_require(entry, "lane_id", path)))
+            lane = Lane3D(points=pts, lane_id=_coerce(0, _require(entry, "lane_id", path),
+                                                      f"lanes[{k}].lane_id"))
         except (TypeError, ValueError) as e:
             raise SchemaError(path, f"lanes[{k}]", str(e))
         if lane.lane_id < 0 or lane.lane_id in {other.lane_id for other in lanes}:
@@ -172,35 +180,32 @@ def _grid_to_dict(kind: str, g) -> dict:
                        for name, arr in arrays.items()}}
 
 
-def _unpack_field(fields: dict, name: str, path: str) -> np.ndarray:
-    entry = _require(fields, name, path)
-    shape = tuple(_require(entry, "shape", path))
-    data = _require(entry, "data", path)
-    try:
-        dtype = np.dtype(_require(entry, "dtype", path))
-    except TypeError as e:
-        raise SchemaError(path, f"fields.{name}.dtype", str(e))
-    arr = _finite_array(data, path, f"fields.{name}.data", dtype)
-    if arr.size != int(np.prod(shape)):
-        raise SchemaError(path, f"fields.{name}.data",
-                          f"payload length {arr.size} does not match shape {shape}")
+def _unpack_field(fields: dict, f, path: str) -> np.ndarray:
+    """One array field of a grid: its shape must be a list of JSON integers
+    and its dtype the one `codec` declares."""
+    entry, at = _require(fields, f.name, path), f"fields.{f.name}"
+    shape, dtype = _require(entry, "shape", path), np.dtype(f.metadata["dtype"]).str[1:]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise SchemaError(path, f"{at}.shape", f"expected a list of integers >= 0, got {shape!r}")
+    if _require(entry, "dtype", path) != dtype:
+        raise SchemaError(path, f"{at}.dtype", f"expected {dtype!r}, got {entry['dtype']!r}")
+    arr = _finite_array(_require(entry, "data", path), path, f"{at}.data", dtype)
+    if arr.size != math.prod(shape):
+        raise SchemaError(path, f"{at}.data",
+                          f"payload length {arr.size} does not match shape {tuple(shape)}")
     return arr.reshape(shape)
 
 
-def _grid_from_dict(cls, kind: str, d: dict, path: str) -> dict:
-    """The constructor arguments of a tile grid, read from its dict."""
+def _grid_from_dict(cls, kind: str, d: dict, path: str):
+    """A tile grid read from its dict."""
     if d.get("kind") != kind:
         raise SchemaError(path, "kind", f"expected {kind!r}, got {d.get('kind')!r}")
     grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
     bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
     fields = _require(d, "fields", path)
-    return {"grid": grid, "bins": bins,
-            **{f.name: _unpack_field(fields, f.name, path) for f in array_fields(cls)}}
-
-
-def _make_grid(cls, args: dict, path: str):
+    arrays = {f.name: _unpack_field(fields, f, path) for f in array_fields(cls)}
     try:
-        return cls(**args)
+        return cls(grid=grid, bins=bins, **arrays)
     except ValueError as e:
         raise SchemaError(path, "fields", str(e))
 
@@ -210,11 +215,9 @@ def targets_to_dict(targets: TileTargetGrid) -> dict:
 
 
 def targets_from_dict(d: dict, path: str = "<targets>") -> TileTargetGrid:
-    args = _grid_from_dict(TileTargetGrid, "target_grid", d, path)
-    occ = args["occupancy"]
-    if not np.all((occ == 0.0) | (occ == 1.0)):
+    targets = _grid_from_dict(TileTargetGrid, "target_grid", d, path)
+    if not np.all((targets.occupancy == 0.0) | (targets.occupancy == 1.0)):
         raise SchemaError(path, "fields.occupancy.data", "occupancy must be 0 or 1")
-    targets = _make_grid(TileTargetGrid, args, path)
     if np.any(targets.lane_id[targets.occupancy == 1.0] < 0):
         raise SchemaError(path, "fields.lane_id.data", "an occupied tile has a negative lane id")
     return targets
@@ -225,57 +228,50 @@ def preds_to_dict(preds: TilePredictionGrid) -> dict:
 
 
 def preds_from_dict(d: dict, path: str = "<preds>") -> TilePredictionGrid:
-    args = _grid_from_dict(TilePredictionGrid, "prediction_grid", d, path)
-    dim = int(_require(d, "embedding_dim", path))
-    if args["embedding"].shape[-1] != dim:
+    preds = _grid_from_dict(TilePredictionGrid, "prediction_grid", d, path)
+    dim = _require(d, "embedding_dim", path)
+    if isinstance(dim, bool) or dim != preds.embedding_dim:
         raise SchemaError(path, "embedding_dim",
-                          f"declared {dim}, payload has {args['embedding'].shape[-1]}")
-    return _make_grid(TilePredictionGrid, args, path)
+                          f"declared {dim!r}, payload has {preds.embedding_dim}")
+    return preds
 
 
 # ---------------------------------------------------------------------------
 # Segments and clustered lanes
 
 
-def segments_to_dict(segments: list[LaneSegment]) -> dict:
-    return {"kind": "segments", "segments": [{
-        "midpoint": s.midpoint.tolist(),
-        "direction": s.direction.tolist(),
-        "endpoints": s.endpoints.tolist(),
-        "score": s.score,
-        "tile": list(s.tile),
-        "embedding": s.embedding.tolist(),
-        "degenerate": s.degenerate,
-    } for s in segments]}
+def segments_to_dict(segments: SegmentSet) -> dict:
+    """One object per segment, with a key per array field of `SegmentSet`."""
+    columns = {f.name: getattr(segments, f.name).tolist() for f in array_fields(segments)}
+    return {"kind": "segments",
+            "segments": [dict(zip(columns, row)) for row in zip(*columns.values())]}
 
 
-def segments_from_dict(d: dict, path: str = "<segments>") -> list[LaneSegment]:
+def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
     if d.get("kind") != "segments":
         raise SchemaError(path, "kind", f"expected 'segments', got {d.get('kind')!r}")
-    out = []
+    # `_coerce` reads a value against a zero of its field's dtype, nested
+    # once per axis after the segment axis.
+    defaults = {f.name: np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist()
+                for f in array_fields(SegmentSet)}
+    columns = {name: [] for name in defaults}
     for k, entry in enumerate(_require(d, "segments", path)):
-        try:
-            seg = LaneSegment(
-                midpoint=np.asarray(entry["midpoint"], dtype=float),
-                direction=np.asarray(entry["direction"], dtype=float),
-                endpoints=np.asarray(entry["endpoints"], dtype=float),
-                score=float(entry["score"]),
-                tile=tuple(int(v) for v in entry["tile"]),
-                embedding=np.asarray(entry["embedding"], dtype=float),
-                degenerate=bool(entry["degenerate"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(path, f"segments[{k}]", str(e))
-        if seg.midpoint.shape != (3,) or seg.endpoints.shape != (2, 3):
-            raise SchemaError(path, f"segments[{k}]", "midpoint must be (3,), endpoints (2, 3)")
-        if len(seg.tile) != 2 or not all(0 <= v < 2 ** 31 for v in seg.tile):
+        for name, default in defaults.items():
+            try:
+                columns[name].append(_coerce(default, entry[name], name))
+            except (KeyError, TypeError, ValueError) as e:
+                raise SchemaError(path, f"segments[{k}].{name}", str(e))
+        tile = columns["tile"][-1]
+        if len(tile) != 2 or not all(0 <= v < 2 ** 31 for v in tile):
             raise SchemaError(path, f"segments[{k}].tile",
-                              f"expected two grid indices in [0, 2**31), got {list(seg.tile)}")
-        if not all(np.all(np.isfinite(v)) for v in (
-                seg.midpoint, seg.direction, seg.endpoints, seg.score, seg.embedding)):
-            raise SchemaError(path, f"segments[{k}]", "non-finite value")
-        out.append(seg)
-    return out
+                              f"expected two grid indices in [0, 2**31), got {list(tile)}")
+    if not columns["score"]:
+        return SegmentSet.empty()
+    try:
+        return SegmentSet(**{f.name: np.array(columns[f.name], dtype=f.metadata["dtype"])
+                             for f in array_fields(SegmentSet)})
+    except ValueError as e:
+        raise SchemaError(path, "segments", str(e))
 
 
 def lanes_to_dict(lanes: list) -> dict:

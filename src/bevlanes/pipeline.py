@@ -27,7 +27,7 @@ import numpy as np
 
 from . import io
 from .clustering import Curve, assemble_curve, cluster_segments, greedy_baseline
-from .codec import (LaneSegment, TilePredictionGrid, TileTargetGrid, array_fields, decode_grid,
+from .codec import (SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields, decode_grid,
                     encode_scene)
 from .config import ConfigError, PipelineConfig
 from .evaluation import EvalReport, evaluate
@@ -66,14 +66,14 @@ def _predict_step(config: PipelineConfig, index: int, targets: TileTargetGrid,
 
 
 def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
-                 method: str) -> list[LaneSegment]:
+                 method: str) -> SegmentSet:
     if preds.grid != config.grid:
         raise io.SchemaError(_stage_path(config, STAGES["predict"], index), "grid",
                              "prediction grid shape disagrees with the config grid")
     return decode_grid(preds)
 
 
-def _cluster_step(config: PipelineConfig, index: int, segments: list[LaneSegment],
+def _cluster_step(config: PipelineConfig, index: int, segments: SegmentSet,
                   method: str) -> list[tuple[Curve, float]]:
     """Cluster segments and assemble each instance into a (curve, confidence)."""
     if method == "embedding":
@@ -95,7 +95,7 @@ class SceneResult:
     scene: Scene
     targets: TileTargetGrid
     preds: TilePredictionGrid
-    segments: list[LaneSegment]
+    segments: SegmentSet
     lanes: list[tuple[Curve, float]]
 
 

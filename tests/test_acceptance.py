@@ -17,7 +17,7 @@ import numpy as np
 from bevlanes.clustering import ClusterParams, cluster_segments
 from bevlanes.codec import (
     AngleBinSpec,
-    LaneSegment,
+    SegmentSet,
     TilePredictionGrid,
     angle_to_soft_labels,
     encode_scene,
@@ -244,25 +244,24 @@ def test_criterion_05_clustering_recovery():
         k_lanes = 1 + t % 6
         rng = np.random.default_rng(10_000 + t)
         anchors = simplex_anchors(k_lanes, dim=5, separation=3.0)
-        segments, owner = [], []
-        for lane in range(k_lanes):
-            for r in range(6):
-                mid = np.array([(lane - k_lanes / 2) * 1.28, 1.5 + 3.0 * r, 0.0])
-                step = np.array([0.0, 1.5, 0.0])
-                segments.append(LaneSegment(
-                    midpoint=mid, direction=np.array([0.0, 1.0]),
-                    endpoints=np.stack([mid - step, mid + step]), score=0.9,
-                    tile=(r, lane),
-                    embedding=anchors[lane] + rng.normal(0.0, 0.1, 5)))
-                owner.append(lane)
+        # Segment (lane, r) sits in tile (r, lane), so a tile names its segment.
+        owner = np.repeat(np.arange(k_lanes), 6)
+        r = np.tile(np.arange(6), k_lanes)
+        mid = np.column_stack([(owner - k_lanes / 2) * 1.28, 1.5 + 3.0 * r, np.zeros(len(r))])
+        step = np.array([0.0, 1.5, 0.0])
+        segments = SegmentSet(
+            midpoint=mid, direction=np.tile([0.0, 1.0], (len(r), 1)),
+            endpoints=np.stack([mid - step, mid + step], axis=1), score=np.full(len(r), 0.9),
+            tile=np.column_stack([r, owner]),
+            embedding=np.array([anchors[lane] + rng.normal(0.0, 0.1, 5) for lane in owner]),
+            degenerate=np.zeros(len(r), dtype=bool))
         instances = cluster_segments(segments, params)
         trials += 1
         if len(instances) != k_lanes:
             failures += 1
             continue
-        got = sorted(frozenset(id(s) for s in inst.segments) for inst in instances)
-        want = sorted(frozenset(id(s) for s, o in zip(segments, owner) if o == lane)
-                      for lane in range(k_lanes))
+        got = sorted(frozenset(map(tuple, inst.segments.tile.tolist())) for inst in instances)
+        want = sorted(frozenset((i, lane) for i in range(6)) for lane in range(k_lanes))
         if got != want:
             failures += 1
     _check(5, failures == 0,

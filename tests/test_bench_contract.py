@@ -3,10 +3,13 @@
 `perfbench/tracer.py` replaces package functions by module and name, and a
 traced benchmark run fails on the first name it cannot find. The tracer is
 loaded here from its file, unchanged, and wraps one artifact batch:
-`cmd_pipeline` and `cmd_loss` on one scene.
+`cmd_pipeline` and `cmd_loss` on one scene. Its counters take `len` of what
+`decode_grid` returns, of the segments `cluster_segments` is given and of
+each instance's `segments`.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from bevlanes import pipeline
@@ -29,3 +32,9 @@ def test_tracer_wraps_and_records_the_pipeline_layers(tmp_path):
         tracer.uninstall()
     names = {span[tr.NAME] for span in tracer.spans}
     assert {"pipeline.process_scene", "evaluation.evaluate", "io.save_json"} <= names
+    counts = {span[tr.NAME]: span[tr.COUNTS] for span in tracer.spans
+              if span[tr.NAME] in ("codec.decode_grid", "clustering.cluster_segments")}
+    written = json.loads((tmp_path / "out" / "segments" / "segments_00000.json").read_text())
+    assert counts["codec.decode_grid"]["segments"] == len(written["segments"]) > 0
+    cluster = counts["clustering.cluster_segments"]
+    assert 0 < cluster["assigned"] <= cluster["candidates"] == len(written["segments"])

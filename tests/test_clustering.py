@@ -18,24 +18,27 @@ from bevlanes.clustering import (
     greedy_baseline,
     mean_shift,
 )
-from bevlanes.codec import LaneSegment
+from bevlanes.codec import SegmentSet, array_fields
 
 PARAMS = ClusterParams()
 
 
 def make_seg(mid, direction=(0.0, 1.0), tile=(0, 0), emb=(0.0, 0.0), score=0.9, half=1.5):
+    """One segment's fields, a row for `seg_set`."""
     mid = np.asarray(mid, dtype=float)
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     step = np.array([d[0], d[1], 0.0]) * half
-    return LaneSegment(
-        midpoint=mid,
-        direction=d,
-        endpoints=np.stack([mid - step, mid + step]),
-        score=score,
-        tile=tile,
-        embedding=np.asarray(emb, dtype=float),
-    )
+    return dict(midpoint=mid, direction=d, endpoints=np.stack([mid - step, mid + step]),
+                score=score, tile=tile, embedding=np.asarray(emb, dtype=float), degenerate=False)
+
+
+def seg_set(rows) -> SegmentSet:
+    """The SegmentSet of rows made by `make_seg`, in order."""
+    if not rows:
+        return SegmentSet.empty()
+    return SegmentSet(**{f.name: np.array([r[f.name] for r in rows], dtype=f.metadata["dtype"])
+                         for f in array_fields(SegmentSet)})
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +159,19 @@ def _segments_at_anchors(noise=0.0, seed=0, per_lane=6):
 
 
 def _membership(instances, segments):
+    """Each segment's instance index, or -1; a segment is known by its tile."""
+    assert len({s["tile"] for s in segments}) == len(segments)
     label = {}
     for k, inst in enumerate(instances):
-        for seg in inst.segments:
-            assert id(seg) not in label  # no segment in two instances
-            label[id(seg)] = k
-    return np.array([label.get(id(s), -1) for s in segments])
+        for tile in map(tuple, inst.segments.tile.tolist()):
+            assert tile not in label  # no segment in two instances
+            label[tile] = k
+    return np.array([label.get(s["tile"], -1) for s in segments])
 
 
 def test_cluster_segments_separated_anchors():
     segments, truth = _segments_at_anchors(noise=0.0)
-    instances = cluster_segments(segments, PARAMS)
+    instances = cluster_segments(seg_set(segments), PARAMS)
     assert len(instances) == 3
     got = _membership(instances, segments)
     assert (got >= 0).all()
@@ -180,10 +185,10 @@ def test_cluster_segments_noise_below_pull_margin():
     clean, truth = _segments_at_anchors(noise=0.0)
     noisy, _ = _segments_at_anchors(noise=0.1, seed=7)
     # brute-force nearest-anchor oracle on the noisy embeddings
-    emb = np.stack([s.embedding for s in noisy])
+    emb = seg_set(noisy).embedding
     oracle = np.argmin(np.linalg.norm(emb[:, None, :] - ANCHORS[None], axis=2), axis=1)
     npt.assert_array_equal(oracle, truth)
-    instances = cluster_segments(noisy, PARAMS)
+    instances = cluster_segments(seg_set(noisy), PARAMS)
     assert len(instances) == 3
     got = _membership(instances, noisy)
     for lane in range(3):
@@ -193,23 +198,23 @@ def test_cluster_segments_noise_below_pull_margin():
 def test_cluster_segments_single_shared_embedding():
     segments = [make_seg([0.0, 3.0 * t, 0.0], emb=[1.0, 1.0], tile=(t, 8), score=0.5 + 0.1 * t)
                 for t in range(4)]
-    instances = cluster_segments(segments, PARAMS)
+    instances = cluster_segments(seg_set(segments), PARAMS)
     assert len(instances) == 1
-    npt.assert_allclose(instances[0].confidence, np.mean([s.score for s in segments]))
+    npt.assert_allclose(instances[0].confidence, np.mean([s["score"] for s in segments]))
 
 
 def test_cluster_segments_empty():
-    assert cluster_segments([], PARAMS) == []
+    assert cluster_segments(SegmentSet.empty(), PARAMS) == []
 
 
 def test_cluster_segments_drops_small_clusters():
     segments, _ = _segments_at_anchors(noise=0.0)
     lone = make_seg([5.0, 40.0, 0.0], emb=[30.0, 30.0], tile=(13, 12))
-    instances = cluster_segments(segments + [lone], PARAMS)
+    instances = cluster_segments(seg_set(segments + [lone]), PARAMS)
     assert len(instances) == 3
-    assert all(s is not lone for inst in instances for s in inst.segments)
+    assert not any((inst.segments.tile == lone["tile"]).all(axis=1).any() for inst in instances)
     keep_all = ClusterParams(min_cluster_size=1)
-    assert len(cluster_segments(segments + [lone], keep_all)) == 4
+    assert len(cluster_segments(seg_set(segments + [lone]), keep_all)) == 4
 
 
 def test_cluster_recovery_over_random_configurations():
@@ -230,7 +235,7 @@ def test_cluster_recovery_over_random_configurations():
                 emb = anchor + rng.uniform(-0.07, 0.07, 2)
                 segments.append(make_seg([lane, 3.0 * t, 0.0], emb=emb, tile=(t, lane)))
                 truth.append(lane)
-        instances = cluster_segments(segments, PARAMS)
+        instances = cluster_segments(seg_set(segments), PARAMS)
         assert len(instances) == k
         got = _membership(instances, segments)
         truth_arr = np.array(truth)
@@ -246,7 +251,7 @@ def test_cluster_recovery_over_random_configurations():
 def test_assemble_collinear_midpoints_sorted():
     mids = [[0.0, 4.0, 0.0], [0.0, 1.0, 0.0], [0.0, 7.0, 0.0]]
     inst = LaneInstance(
-        segments=[make_seg(m, tile=(i, 8), emb=[0, 0]) for i, m in enumerate(mids)],
+        segments=seg_set([make_seg(m, tile=(i, 8), emb=[0, 0]) for i, m in enumerate(mids)]),
         confidence=0.9)
     curve = assemble_curve(inst)
     npt.assert_allclose(curve.points[:, 1], [1.0, 4.0, 7.0], atol=1e-12)
@@ -258,7 +263,8 @@ def test_assemble_longer_collinear_chain():
     ys = np.arange(10, dtype=float)
     order = rng.permutation(10)
     inst = LaneInstance(
-        segments=[make_seg([2.0, ys[i], 0.1 * ys[i]], tile=(int(ys[i]), 3)) for i in order],
+        segments=seg_set([make_seg([2.0, ys[i], 0.1 * ys[i]], tile=(int(ys[i]), 3))
+                          for i in order]),
         confidence=0.5)
     curve = assemble_curve(inst)
     npt.assert_allclose(curve.points[:, 1], ys, atol=1e-12)
@@ -271,7 +277,7 @@ def test_assemble_quarter_arc_in_arc_length_order():
     rng = np.random.default_rng(1)
     order = rng.permutation(10)
     inst = LaneInstance(
-        segments=[make_seg(pts[i], tile=(i, 0)) for i in order],
+        segments=seg_set([make_seg(pts[i], tile=(i, 0)) for i in order]),
         confidence=0.9)
     curve = assemble_curve(inst)
     assert len(curve.points) == 10
@@ -280,14 +286,14 @@ def test_assemble_quarter_arc_in_arc_length_order():
 
 def test_assemble_singleton_uses_endpoints():
     seg = make_seg([0.0, 1.5, 0.0], direction=(0, 1), half=1.5)
-    inst = LaneInstance(segments=[seg], confidence=1.0)
+    inst = LaneInstance(segments=seg_set([seg]), confidence=1.0)
     curve = assemble_curve(inst)
     npt.assert_allclose(curve.points, [[0.0, 0.0, 0.0], [0.0, 3.0, 0.0]], atol=1e-12)
 
 
 def test_lane_instance_requires_segments():
     with pytest.raises(ValueError):
-        LaneInstance(segments=[], confidence=0.0)
+        LaneInstance(segments=SegmentSet.empty(), confidence=0.0)
 
 
 def test_curve_validation():
@@ -322,23 +328,23 @@ def _column_segments(col, rows, x, tilt=0.0, emb=(0.0, 0.0)):
 
 def test_greedy_joins_straight_column():
     segs = _column_segments(8, range(8), 0.64)
-    instances = greedy_baseline(segs)
+    instances = greedy_baseline(seg_set(segs))
     assert len(instances) == 1
     assert len(instances[0].segments) == 8
 
 
 def test_greedy_keeps_parallel_lanes_apart():
     segs = _column_segments(4, range(6), -4.5) + _column_segments(7, range(6), -0.6)
-    instances = greedy_baseline(segs)
+    instances = greedy_baseline(seg_set(segs))
     assert len(instances) == 2
 
 
 def test_greedy_angle_gate():
     a = make_seg([0.0, 1.5, 0.0], direction=(0.0, 1.0), tile=(0, 8))
     b = make_seg([0.0, 4.5, 0.0], direction=(math.sin(0.6), math.cos(0.6)), tile=(1, 8))
-    assert len(greedy_baseline(a and [a, b])) == 2
+    assert len(greedy_baseline(seg_set([a, b]))) == 2
     c = make_seg([0.0, 4.5, 0.0], direction=(math.sin(0.3), math.cos(0.3)), tile=(1, 8))
-    assert len(greedy_baseline([a, c])) == 1
+    assert len(greedy_baseline(seg_set([a, c]))) == 1
 
 
 def test_greedy_gap_gate():
@@ -346,7 +352,7 @@ def test_greedy_gap_gate():
     a = make_seg([-9.7, 0.3, 0.0], direction=(1.0, 0.0), tile=(0, 0), half=0.4)
     b = make_seg([-7.0, 5.6, 0.0], direction=(1.0, 0.0), tile=(1, 1), half=0.4)
     assert math.hypot(-7.0 + 0.4 - (-9.7 - 0.4), 5.6 - 0.3) > 4.5
-    assert len(greedy_baseline([a, b])) == 2
+    assert len(greedy_baseline(seg_set([a, b]))) == 2
 
 
 def test_greedy_merges_y_split_where_embeddings_separate():
@@ -364,7 +370,7 @@ def test_greedy_merges_y_split_where_embeddings_separate():
         right.append(make_seg([0.64 + 0.9 * (k + 1), y, 0.0],
                               direction=(math.sin(0.28), math.cos(0.28)),
                               tile=(i, 8 + (k + 1)), emb=(4.0, 0.0)))
-    segments = stem + left + right
+    segments = seg_set(stem + left + right)
     greedy = greedy_baseline(segments)
     assert len(greedy) == 1  # under-segmentation: stem bridges the branches
 
@@ -376,9 +382,9 @@ def test_greedy_merges_y_split_where_embeddings_separate():
 
 def test_greedy_validates_tolerances():
     with pytest.raises(ValueError):
-        greedy_baseline([], angle_tol=0.0)
+        greedy_baseline(SegmentSet.empty(), angle_tol=0.0)
     with pytest.raises(ValueError):
-        greedy_baseline([], gap_tol=-1.0)
+        greedy_baseline(SegmentSet.empty(), gap_tol=-1.0)
 
 
 @pytest.mark.parametrize("field", ["angle_tol", "gap_tol"])
@@ -388,11 +394,11 @@ def test_greedy_rejects_non_finite_tolerances(field, value):
     a = make_seg([0.0, 1.5, 0.0], direction=(0.0, 1.0), tile=(0, 8))
     b = make_seg([0.0, 4.5, 0.0], direction=(1.0, 0.0), tile=(1, 8))
     with pytest.raises(ValueError, match=field):
-        greedy_baseline([a, b], **{field: value})
+        greedy_baseline(seg_set([a, b]), **{field: value})
 
 
 def test_greedy_empty():
-    assert greedy_baseline([]) == []
+    assert greedy_baseline(SegmentSet.empty()) == []
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -408,7 +414,8 @@ def test_mean_shift_rejects_non_finite(bad):
 
 
 def _partition(instances):
-    return {frozenset(id(s) for s in inst.segments) for inst in instances}
+    """Each instance's members; a member is known by its midpoint's bits."""
+    return {frozenset(m.tobytes() for m in inst.segments.midpoint) for inst in instances}
 
 
 @st.composite
@@ -428,8 +435,9 @@ def lane_segment_sets(draw):
                                                      math.cos(tilt)),
                                      tile=(row, c), emb=anchor + rng.uniform(-0.07, 0.07, 4),
                                      score=float(rng.uniform(0.1, 1.0))))
-    perm = draw(st.permutations(range(len(segments))))
-    return segments, [segments[i] for i in perm]
+    segments = seg_set(segments)
+    assert len({m.tobytes() for m in segments.midpoint}) == len(segments)
+    return segments, segments.take(draw(st.permutations(range(len(segments)))))
 
 
 @settings(max_examples=60)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bevlanes.codec import (
     AngleBinSpec,
+    SegmentSet,
     TilePredictionGrid,
     TileTargetGrid,
     angle_to_soft_labels,
@@ -267,17 +268,16 @@ def test_decode_axis_aligned_tile():
     targets.bin_probs[0, 8] = p
     targets.bin_residuals[0, 8] = d
     targets.bin_mask[0, 8] = m
-    segments = decode_grid(saturated_prediction(targets))
-    assert len(segments) == 1
-    seg = segments[0]
-    assert seg.tile == (0, 8)
-    npt.assert_allclose(seg.midpoint, [0.64, 1.5, 0.0], atol=1e-12)
-    npt.assert_allclose(seg.direction, [0.0, 1.0], atol=1e-12)
-    ends = seg.endpoints[np.argsort(seg.endpoints[:, 1])]
+    seg = decode_grid(saturated_prediction(targets))
+    assert len(seg) == 1
+    assert seg.tile.tolist() == [[0, 8]]
+    npt.assert_allclose(seg.midpoint[0], [0.64, 1.5, 0.0], atol=1e-12)
+    npt.assert_allclose(seg.direction[0], [0.0, 1.0], atol=1e-12)
+    ends = seg.endpoints[0][np.argsort(seg.endpoints[0][:, 1])]
     npt.assert_allclose(ends[0], [0.64, 0.0, 0.0], atol=1e-12)
     npt.assert_allclose(ends[1], [0.64, 3.0, 0.0], atol=1e-12)
-    assert not seg.degenerate
-    assert seg.score > 0.99
+    assert not seg.degenerate[0]
+    assert seg.score[0] > 0.99
 
 
 def test_decode_threshold():
@@ -289,7 +289,7 @@ def test_decode_threshold():
     targets.bin_residuals[0, 8] = d
     pred = saturated_prediction(targets)
     pred.score_logit[0, 8] = logit(0.29)
-    assert decode_grid(pred, score_threshold=0.3) == []
+    assert len(decode_grid(pred, score_threshold=0.3)) == 0
     pred.score_logit[0, 8] = logit(0.31)
     assert len(decode_grid(pred, score_threshold=0.3)) == 1
     with pytest.raises(ValueError):
@@ -304,12 +304,11 @@ def test_decode_degenerate_line_clamped_to_border():
     p, d, m = angle_to_soft_labels(math.pi / 2, BINS)
     targets.bin_probs[0, 0] = p
     targets.bin_residuals[0, 0] = d
-    segments = decode_grid(saturated_prediction(targets))
-    assert len(segments) == 1
-    seg = segments[0]
-    assert seg.degenerate
+    seg = decode_grid(saturated_prediction(targets))
+    assert len(seg) == 1
+    assert seg.degenerate[0]
     x_lo, x_hi, y_lo, y_hi = tile_bounds(0, 0, GRID)
-    npt.assert_allclose(seg.midpoint[:2], [x_lo, 1.5], atol=1e-12)
+    npt.assert_allclose(seg.midpoint[0, :2], [x_lo, 1.5], atol=1e-12)
 
 
 def _point_line_distance(p, a, direction):
@@ -327,12 +326,13 @@ def test_straight_lane_round_trip_exact():
     segments = decode_grid(saturated_prediction(targets))
     assert len(segments) == int(targets.occupancy.sum()) > 20
     phi_true = math.atan2(78.0, 3.0)
-    for seg in segments:
-        assert _point_line_distance(seg.midpoint[:2], a, b - a) < 1e-9
-        assert abs(math.atan2(seg.direction[1], seg.direction[0]) - phi_true) < 1e-12
+    for mid, direction, tile, endpoints in zip(segments.midpoint, segments.direction,
+                                               segments.tile, segments.endpoints):
+        assert _point_line_distance(mid[:2], a, b - a) < 1e-9
+        assert abs(math.atan2(direction[1], direction[0]) - phi_true) < 1e-12
         # endpoints sit on the tile border
-        x_lo, x_hi, y_lo, y_hi = tile_bounds(*seg.tile, GRID)
-        for e in seg.endpoints:
+        x_lo, x_hi, y_lo, y_hi = tile_bounds(*tile, GRID)
+        for e in endpoints:
             border = min(abs(e[0] - x_lo), abs(e[0] - x_hi),
                          abs(e[1] - y_lo), abs(e[1] - y_hi))
             assert border < 1e-9
@@ -359,16 +359,17 @@ def test_straight_lane_round_trip_property(grid, u, v, theta, slope, vertices):
     targets = encode_scene([lane], grid, BINS)
     segments = decode_grid(saturated_prediction(targets))
     assert len(segments) == int(targets.occupancy.sum()) > 0
-    for seg in segments:
-        assert not seg.degenerate
-        assert seg.direction @ heading > 1.0 - 1e-12
-        x_lo, x_hi, y_lo, y_hi = tile_bounds(*seg.tile, grid)
-        for p in (seg.midpoint, *seg.endpoints):
+    assert not segments.degenerate.any()
+    for mid, direction, tile, endpoints in zip(segments.midpoint, segments.direction,
+                                               segments.tile, segments.endpoints):
+        assert direction @ heading > 1.0 - 1e-12
+        x_lo, x_hi, y_lo, y_hi = tile_bounds(*tile, grid)
+        for p in (mid, *endpoints):
             assert _point_line_distance(p[:2], a, heading) < 1e-9
-        ends = sorted((e[:2] - a) @ heading for e in seg.endpoints)
-        along = min(max((seg.midpoint[:2] - a) @ heading, ends[0]), ends[1])
-        assert abs(seg.midpoint[2] - (0.2 + slope * along)) < 1e-9
-        for e in seg.endpoints:
+        ends = sorted((e[:2] - a) @ heading for e in endpoints)
+        along = min(max((mid[:2] - a) @ heading, ends[0]), ends[1])
+        assert abs(mid[2] - (0.2 + slope * along)) < 1e-9
+        for e in endpoints:
             assert min(abs(e[0] - x_lo), abs(e[0] - x_hi), abs(e[1] - y_lo),
                        abs(e[1] - y_hi)) < 1e-9
             assert x_lo - 1e-9 <= e[0] <= x_hi + 1e-9 and y_lo - 1e-9 <= e[1] <= y_hi + 1e-9
@@ -385,23 +386,21 @@ def test_piecewise_straight_round_trip_with_border_vertices():
     lane = Lane3D(points=pts)
     targets = encode_scene([lane], GRID, BINS)
     segments = decode_grid(saturated_prediction(targets))
-    for seg in segments:
-        i = seg.tile[0]
+    for mid, (i, _) in zip(segments.midpoint, segments.tile):
         if i < 3:
-            assert _point_line_distance(seg.midpoint[:2], pts[0, :2], [0, 1]) < 1e-9
+            assert _point_line_distance(mid[:2], pts[0, :2], [0, 1]) < 1e-9
         elif i == 3:
-            assert _point_line_distance(seg.midpoint[:2], pts[1, :2], pts[2, :2] - pts[1, :2]) < 1e-9
+            assert _point_line_distance(mid[:2], pts[1, :2], pts[2, :2] - pts[1, :2]) < 1e-9
         else:
-            assert _point_line_distance(seg.midpoint[:2], pts[2, :2], [0, 1]) < 1e-9
+            assert _point_line_distance(mid[:2], pts[2, :2], [0, 1]) < 1e-9
 
 
 def test_offset_lane_decodes_to_original_line():
     targets = encode_scene([vertical_lane(1.0)], GRID, BINS)
     segments = decode_grid(saturated_prediction(targets))
     assert len(segments) == 26
-    for seg in segments:
-        npt.assert_allclose(seg.midpoint[0], 1.0, atol=1e-12)
-        npt.assert_allclose(abs(seg.direction[1]), 1.0, atol=1e-12)
+    npt.assert_allclose(segments.midpoint[:, 0], 1.0, atol=1e-12)
+    npt.assert_allclose(np.abs(segments.direction[:, 1]), 1.0, atol=1e-12)
 
 
 def test_curved_lane_chord_deviation_bound():
@@ -419,11 +418,9 @@ def test_curved_lane_chord_deviation_bound():
     ])
     targets = encode_scene([Lane3D(points=pts)], GRID, BINS)
     segments = decode_grid(saturated_prediction(targets))
-    assert segments
-    deviations = [
-        abs(math.hypot(seg.midpoint[0] - center[0], seg.midpoint[1] - center[1]) - radius)
-        for seg in segments
-    ]
+    assert len(segments)
+    deviations = [abs(math.hypot(x - center[0], y - center[1]) - radius)
+                  for x, y in segments.midpoint[:, :2].tolist()]
     assert max(deviations) <= 0.01 * 3.0**2 / 8 + 1.5e-3
 
 
@@ -461,6 +458,61 @@ def test_prediction_grid_shape_validation():
             bin_residuals=np.zeros((26, 16, 8)),
             bin_mask=np.zeros((26, 16, 8)),
         )
+
+
+# ---------------------------------------------------------------------------
+# SegmentSet: one row per decoded segment, checked like the grids
+
+
+def _segment_set(n=3, d=4):
+    return decode_grid(saturated_prediction(encode_scene([vertical_lane(0.64)], GRID, BINS),
+                                            embedding_dim=d)).take(np.arange(n))
+
+
+def test_segment_set_rows_and_take():
+    segs = _segment_set()
+    assert len(segs) == 3 and segs.embedding.shape == (3, 4)
+    sub = segs.take([2, 0])
+    assert len(sub) == 2
+    npt.assert_array_equal(sub.tile, segs.tile[[2, 0]])
+    npt.assert_array_equal(sub.endpoints, segs.endpoints[[2, 0]])
+    empty = SegmentSet.empty()
+    assert len(empty) == 0 and empty.midpoint.shape == (0, 3) and empty.tile.dtype == np.int64
+
+
+@pytest.mark.parametrize("name", ["midpoint", "direction", "endpoints", "score", "embedding"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_segment_set_rejects_non_finite_fields(name, bad):
+    arr = getattr(_segment_set(), name).copy()
+    arr.reshape(-1)[-1] = bad
+    with pytest.raises(ValueError, match=f"{name} holds a non-finite value"):
+        replace(_segment_set(), **{name: arr})
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("midpoint", (3, 2)), ("direction", (3, 3)), ("endpoints", (3, 3)), ("endpoints", (3, 3, 2)),
+    ("score", (3, 1)), ("tile", (3,)), ("embedding", (3,)), ("degenerate", (3, 2)),
+])
+def test_segment_set_rejects_wrong_trailing_shape(name, shape):
+    arr = np.zeros(shape, dtype=getattr(_segment_set(), name).dtype)
+    with pytest.raises(ValueError, match=f"{name} has shape"):
+        replace(_segment_set(), **{name: arr})
+
+
+@pytest.mark.parametrize("name", ["midpoint", "direction", "endpoints", "score", "tile",
+                                  "embedding", "degenerate"])
+def test_segment_set_rejects_row_counts_that_disagree(name):
+    with pytest.raises(ValueError, match="has shape"):
+        replace(_segment_set(), **{name: getattr(_segment_set(4), name)})
+
+
+@pytest.mark.parametrize("name, dtype", [("tile", float), ("degenerate", np.int64),
+                                         ("score", np.int64), ("midpoint", np.float32)])
+def test_segment_set_rejects_other_dtypes(name, dtype):
+    # a float tile would index the grid by truncation, and be written as 3.0
+    arr = getattr(_segment_set(), name).astype(dtype)
+    with pytest.raises(ValueError, match=f"{name} has dtype"):
+        replace(_segment_set(), **{name: arr})
 
 
 def test_grid_zeros_fields():

@@ -5,13 +5,15 @@ they replaced.
 and fit each tile in a Python loop; `oracle_predict` and `decode_grid` looped
 over tiles. The reference copies below are those functions verbatim, with a
 `ref_` prefix (plus the former scalar `angle_to_soft_labels`,
-`soft_labels_to_angle` and `saturated_prediction` they call). Every case
-asserts identical arrays, bit for bit (signed zeros included), and identical
-segment fields, so the target, prediction and segment files written from them
-stay byte-identical.
+`soft_labels_to_angle` and `saturated_prediction` they call, and the
+per-segment record `RefSegment` the decode loop built). Every case asserts
+identical arrays, bit for bit (signed zeros included), and identical segment
+fields row by row, so the target, prediction and segment files written from
+them stay byte-identical.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from bevlanes.codec import (
     TWO_PI,
     _P_EPS,
     AngleBinSpec,
-    LaneSegment,
+    SegmentSet,
     TilePredictionGrid,
     TileTargetGrid,
     angle_to_soft_labels,
@@ -283,8 +285,20 @@ def _ref_fit_tile_line(pieces, center):
             dz = za + t * (zb - za)
     return phi, offset, dz
 
+@dataclass
+class RefSegment:
+    """A decoded per-tile 3D line segment."""
+
+    midpoint: np.ndarray    # (3,) foot of the perpendicular from the tile center
+    direction: np.ndarray   # (2,) unit vector (cos phi, sin phi)
+    endpoints: np.ndarray   # (2, 3) on the tile border, ordered along direction
+    score: float
+    tile: tuple[int, int]
+    embedding: np.ndarray   # (d,)
+    degenerate: bool = False
+
 def ref_decode_grid(preds: TilePredictionGrid,
-                score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> list[LaneSegment]:
+                score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> list[RefSegment]:
     """Turn per-tile predictions into 3D lane segments.
 
     Tiles scoring below the threshold are skipped. Each kept tile contributes
@@ -298,7 +312,7 @@ def ref_decode_grid(preds: TilePredictionGrid,
     grid, bins = preds.grid, preds.bins
     scores = preds.score()
     probs = preds.bin_probs()
-    segments: list[LaneSegment] = []
+    segments: list[RefSegment] = []
     for i in range(grid.n_rows):
         for j in range(grid.n_cols):
             if scores[i, j] < score_threshold:
@@ -323,7 +337,7 @@ def ref_decode_grid(preds: TilePredictionGrid,
                     t0 = t1 = 0.0
             e0 = np.array([mid_xy[0] + t0 * direction[0], mid_xy[1] + t0 * direction[1], dz])
             e1 = np.array([mid_xy[0] + t1 * direction[0], mid_xy[1] + t1 * direction[1], dz])
-            segments.append(LaneSegment(
+            segments.append(RefSegment(
                 midpoint=np.array([mid_xy[0], mid_xy[1], dz]),
                 direction=direction,
                 endpoints=np.stack([e0, e1]),
@@ -408,15 +422,16 @@ def assert_same_grid(got, want):
 
 
 def assert_same_segments(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert type(g) is LaneSegment
+    """Row k of the SegmentSet equals the k-th reference segment, to the bit."""
+    assert type(got) is SegmentSet and len(got) == len(want)
+    for k, w in enumerate(want):
         for name in ("midpoint", "direction", "endpoints", "embedding"):
-            a, b = getattr(g, name), getattr(w, name)
+            a, b = getattr(got, name)[k], getattr(w, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
         # repr: equal values of equal types
-        assert repr((g.score, g.tile, g.degenerate)) == repr((w.score, w.tile, w.degenerate))
+        row = (got.score[k].item(), tuple(got.tile[k].tolist()), got.degenerate[k].item())
+        assert repr(row) == repr((w.score, w.tile, w.degenerate))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bevlanes import io
 from bevlanes.cli import main
 from bevlanes.clustering import Curve
-from bevlanes.codec import decode_grid, encode_scene, AngleBinSpec
+from bevlanes.codec import AngleBinSpec, SegmentSet, array_fields, decode_grid, encode_scene
 from bevlanes.config import ConfigError, PipelineConfig
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate
 from bevlanes.geometry import GridSpec
@@ -166,6 +166,17 @@ def test_targets_payload_length_mismatch_rejected():
     assert "lateral_offset" in exc.value.field
 
 
+@pytest.mark.parametrize("value", [3.7, True, "3", 2 ** 70])
+def test_targets_lane_id_must_be_whole_numbers(value):
+    # 3.7 used to read as lane 3, and 2**70 ended in an OverflowError
+    d = io.targets_to_dict(_targets())
+    k = d["fields"]["occupancy"]["data"].index(1.0)
+    d["fields"]["lane_id"]["data"][k] = value
+    with pytest.raises(io.SchemaError) as exc:
+        io.targets_from_dict(d)
+    assert exc.value.field == "fields.lane_id.data"
+
+
 def test_preds_round_trip_byte_identical():
     preds = oracle_predict(_targets(), NoiseConfig(sigma_r=0.05, fp_rate=0.02, seed=3),
                            EmbeddingParams())
@@ -176,10 +187,8 @@ def test_preds_round_trip_byte_identical():
     npt.assert_array_equal(back.embedding, preds.embedding)
     segs_a = decode_grid(preds)
     segs_b = decode_grid(back)
-    assert len(segs_a) == len(segs_b)
-    for a, b in zip(segs_a, segs_b):
-        npt.assert_array_equal(a.midpoint, b.midpoint)
-        assert a.tile == b.tile
+    npt.assert_array_equal(segs_a.midpoint, segs_b.midpoint)
+    npt.assert_array_equal(segs_a.tile, segs_b.tile)
 
 
 def test_preds_embedding_dim_mismatch_rejected():
@@ -197,14 +206,13 @@ def test_preds_embedding_dim_mismatch_rejected():
 def test_segments_round_trip_byte_identical():
     preds = oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())
     segments = decode_grid(preds)
-    assert segments
+    assert len(segments)
     first = io.canonical_json(io.segments_to_dict(segments))
     back = io.segments_from_dict(json.loads(first))
     assert io.canonical_json(io.segments_to_dict(back)) == first
-    for a, b in zip(back, segments):
-        npt.assert_array_equal(a.endpoints, b.endpoints)
-        npt.assert_array_equal(a.embedding, b.embedding)
-        assert a.tile == b.tile and a.score == b.score and a.degenerate == b.degenerate
+    for f in array_fields(SegmentSet):
+        a, b = getattr(back, f.name), getattr(segments, f.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
 
 def test_segments_missing_key_rejected():
@@ -222,6 +230,38 @@ def test_segments_tile_must_be_two_grid_indices(tile):
     with pytest.raises(io.SchemaError) as exc:
         io.segments_from_dict(d)
     assert exc.value.field == "segments[1].tile"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tile", [3.7, 4]), ("tile", [True, 4]), ("tile", ["3", 4]), ("degenerate", "no"),
+    ("degenerate", 0), ("score", True), ("midpoint", [0.0, True, 1.0]),
+    ("embedding", [0.1, None, 0.0, 0.0]),
+])
+def test_segments_value_of_the_wrong_json_type_rejected(key, value):
+    # each used to be truncated or cast: tile [3.7, 4] read as (3, 4),
+    # degenerate "no" as True, score true as 1.0
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    d["segments"][1][key] = value
+    with pytest.raises(io.SchemaError) as exc:
+        io.segments_from_dict(d)
+    assert exc.value.field == f"segments[1].{key}"
+
+
+def test_segments_whole_float_tile_reads_as_int():
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    want = d["segments"][1]["tile"]
+    d["segments"][1]["tile"] = [float(v) for v in want]
+    assert io.segments_from_dict(d).tile[1].tolist() == want
+
+
+@pytest.mark.parametrize("name", ["midpoint", "score", "embedding"])
+def test_segments_non_finite_value_rejected(name):
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    value = d["segments"][2][name]
+    d["segments"][2][name] = [float("nan")] + value[1:] if isinstance(value, list) else float("inf")
+    with pytest.raises(io.SchemaError, match="finite") as exc:
+        io.segments_from_dict(d)
+    assert exc.value.field == f"segments[2].{name}"
 
 
 def test_lanes_round_trip_byte_identical():
@@ -550,6 +590,72 @@ def test_cli_negative_or_repeated_lane_id_is_data_error(tmp_path, capsys, k, lan
     assert main(["encode", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "scene_00001.json" in err and f"lanes[{k}].lane_id" in err
+
+
+@pytest.mark.parametrize("k, lane_id", [(0, 0.9), (1, 1.2), (1, True), (0, "0")])
+def test_cli_lane_id_that_is_not_a_whole_number_is_data_error(tmp_path, capsys, k, lane_id):
+    # 0.9 and 1.2 used to read as lane ids 0 and 1
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg]) == 0
+    scene_path = tmp_path / "out" / "scenes" / "scene_00001.json"
+    d = json.loads(scene_path.read_text())
+    d["lanes"][k]["lane_id"] = lane_id
+    scene_path.write_text(json.dumps(d))
+    assert main(["encode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "scene_00001.json" in err and f"lanes[{k}].lane_id" in err
+
+
+def _predicted(tmp_path):
+    """A config with scenes encoded and predicted, and the path of scene 0's
+    prediction file."""
+    cfg = write_config(tmp_path)
+    for command in ("generate", "encode", "predict"):
+        assert main([command, "--config", cfg]) == 0
+    return cfg, tmp_path / "out" / "preds" / "pred_00000.json"
+
+
+@pytest.mark.parametrize("dim", [4.6, "4", 5])
+def test_cli_embedding_dim_unlike_the_payload_is_data_error(tmp_path, capsys, dim):
+    # 4.6 and "4" used to read as 4, and decode ran
+    cfg, pred_path = _predicted(tmp_path)
+    d = json.loads(pred_path.read_text())
+    d["embedding_dim"] = dim
+    pred_path.write_text(json.dumps(d))
+    assert main(["decode", "--config", cfg]) == 3
+    assert "embedding_dim" in capsys.readouterr().err
+    d["embedding_dim"] = 4.0
+    pred_path.write_text(json.dumps(d))
+    assert main(["decode", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("shape", [26.0, 16]), ("shape", [26, -16]), ("shape", "26x16"), ("shape", [26, True]),
+    ("dtype", "O"), ("dtype", "i8"), ("dtype", None),
+])
+def test_cli_malformed_grid_header_is_data_error(tmp_path, capsys, key, value):
+    # a float in the shape or dtype "O" used to end decode in a TypeError
+    # traceback; dtype "i8" truncated the logits
+    cfg, pred_path = _predicted(tmp_path)
+    d = json.loads(pred_path.read_text())
+    d["fields"]["score_logit"][key] = value
+    pred_path.write_text(json.dumps(d))
+    assert main(["decode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "pred_00000.json" in err and f"fields.score_logit.{key}" in err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_scenes": 2.5}, {"master_seed": 1.5}, {"n_scenes": True}, {"grid": {"n_cols": 16.9}},
+    {"grid": {"n_cols": True}}, {"noise": {"sigma_r": True}}, {"cluster": {"max_iters": "100"}},
+])
+def test_cli_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, overrides):
+    # each used to be truncated or cast: n_scenes 2.5 ran 2 scenes, n_cols
+    # 16.9 a 16-column grid
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["generate", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_lane_with_a_repeated_vertex_is_evaluated(tmp_path, capsys):

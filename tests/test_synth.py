@@ -266,7 +266,7 @@ def test_oracle_zero_noise_recovers_membership():
               if np.sum(targets.lane_id == i) >= 2]
     assert len(instances) == len(gt_ids)
     for inst in instances:
-        ids = {int(targets.lane_id[seg.tile]) for seg in inst.segments}
+        ids = set(targets.lane_id[tuple(inst.segments.tile.T)].tolist())
         assert len(ids) == 1  # never mixes two ground-truth lanes
         assert len(inst.segments) == int(np.sum(targets.lane_id == ids.pop()))
 
@@ -316,7 +316,7 @@ def test_oracle_drop_rate_one_clears_grid():
     scene = generate_scene(SceneConfig(seed=4))
     targets = encode_scene(scene.lanes, GRID, BINS)
     pred = oracle_predict(targets, NoiseConfig(drop_rate=1.0), EMB)
-    assert decode_grid(pred) == []
+    assert len(decode_grid(pred)) == 0
 
 
 def test_oracle_noise_stream_independent_of_occupancy():

@@ -4,14 +4,17 @@
 per-sample and per-hop Python loops; `mean_shift` held the whole
 (centers, points, d) difference tensor at once and computed support and the
 merge once per seed; `greedy_baseline` tested every pair of segments in
-Python. The reference copies below are those functions verbatim; every case
-asserts exact equality with the array versions (masks by `np.array_equal`,
-floats by `==` or their bytes, point and member order included), so the
-reports written from them stay byte-identical.
+Python. The reference copies below are those functions verbatim, over a
+list of the per-segment records they were written for (`RefSegment`); the
+array versions get the same segments as one `SegmentSet`. Every case asserts
+exact equality (masks by `np.array_equal`, floats by `==` or their bytes,
+point and member order included), so the reports written from them stay
+byte-identical.
 """
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from bevlanes.clustering import (ClusterParams, Curve, LaneInstance, assemble_curve,
                                  greedy_baseline, mean_shift)
-from bevlanes.codec import LaneSegment, wrap_signed
+from bevlanes.codec import SegmentSet, array_fields, wrap_signed
 from bevlanes.evaluation import EvalConfig, lateral_error, rasterize_curve
 from bevlanes.geometry import resample_polyline
 
@@ -159,12 +162,34 @@ def curves(draw, max_points=8):
     return Curve(points=pts)
 
 
+@dataclass
+class RefSegment:
+    """A decoded per-tile 3D line segment, as the reference loops take it."""
+
+    midpoint: np.ndarray    # (3,)
+    direction: np.ndarray   # (2,)
+    endpoints: np.ndarray   # (2, 3)
+    score: float
+    tile: tuple[int, int]
+    embedding: np.ndarray   # (d,)
+    degenerate: bool = False
+
+
+def as_set(segments: list) -> SegmentSet:
+    """The RefSegments as one SegmentSet, in order."""
+    if not segments:
+        return SegmentSet.empty()
+    return SegmentSet(**{f.name: np.array([getattr(s, f.name) for s in segments],
+                                          dtype=f.metadata["dtype"])
+                         for f in array_fields(SegmentSet)})
+
+
 def _segment(mid):
     mid = np.asarray(mid, dtype=float)
     step = np.array([0.0, 1.5, 0.0])
-    return LaneSegment(midpoint=mid, direction=np.array([0.0, 1.0]),
-                       endpoints=np.stack([mid - step, mid + step]), score=0.9,
-                       tile=(0, 0), embedding=np.zeros(2))
+    return RefSegment(midpoint=mid, direction=np.array([0.0, 1.0]),
+                      endpoints=np.stack([mid - step, mid + step]), score=0.9,
+                      tile=(0, 0), embedding=np.zeros(2))
 
 
 @st.composite
@@ -239,8 +264,9 @@ def test_lateral_error_matches_sample_loop(pairs, cfg):
 @EXACT
 @given(mids=midpoint_sets())
 def test_assemble_matches_hop_loop(mids):
-    inst = LaneInstance(segments=[_segment(m) for m in mids], confidence=0.5)
-    got, want = assemble_curve(inst), ref_assemble_curve(inst)
+    segs = [_segment(m) for m in mids]
+    got = assemble_curve(LaneInstance(segments=as_set(segs), confidence=0.5))
+    want = ref_assemble_curve(LaneInstance(segments=segs, confidence=0.5))
     assert np.array_equal(got.points, want.points)
 
 
@@ -249,8 +275,9 @@ def test_assemble_last_bit_near_tie():
     # same length in exact arithmetic; in floats the two candidates differ in
     # the last bit, and norm(axis=1) would rank them the other way.
     mids = [[0.3 * i, 0.3 * j, 0.0] for i, j in [(7, -2), (6, 5), (2, 3)]]
-    inst = LaneInstance(segments=[_segment(m) for m in mids], confidence=0.5)
-    assert np.array_equal(assemble_curve(inst).points, ref_assemble_curve(inst).points)
+    segs = [_segment(m) for m in mids]
+    assert np.array_equal(assemble_curve(LaneInstance(as_set(segs), 0.5)).points,
+                          ref_assemble_curve(LaneInstance(segs, 0.5)).points)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +461,21 @@ def segment_sets(draw):
         d = np.array(draw(st.sampled_from(_DIRECTIONS)))
         a = np.array([draw(st.integers(-8, 24)) / 2, draw(st.integers(-8, 24)) / 2, 0.0])
         b = a + np.array([draw(st.integers(-4, 4)) / 2, draw(st.integers(-4, 4)) / 2, 0.5])
-        segs.append(LaneSegment(midpoint=(a + b) / 2, direction=d, endpoints=np.stack([a, b]),
-                                score=draw(st.sampled_from([0.1, 0.5, 0.7, 1.0])), tile=tile,
-                                embedding=np.array([draw(st.integers(-3, 3)) * 0.3, 0.0])))
+        segs.append(RefSegment(midpoint=(a + b) / 2, direction=d, endpoints=np.stack([a, b]),
+                               score=draw(st.sampled_from([0.1, 0.5, 0.7, 1.0])), tile=tile,
+                               embedding=np.array([draw(st.integers(-3, 3)) * 0.3, 0.0])))
     return segs
 
 
 def _same_instances(got, want):
+    """The same members in the same order (every field, to the bit), and the
+    same confidence."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert [id(s) for s in g.segments] == [id(s) for s in w.segments]
+        members = as_set(w.segments)
+        for f in array_fields(SegmentSet):
+            a, b = getattr(g.segments, f.name), getattr(members, f.name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
         assert g.confidence == w.confidence
 
 
@@ -451,16 +483,16 @@ def _same_instances(got, want):
 @given(segs=segment_sets(), angle_tol=st.sampled_from([math.pi / 8, math.pi / 4, math.pi / 2]),
        gap_tol=st.sampled_from([4.5, 2.5, 0.5]))
 def test_greedy_matches_pair_loop(segs, angle_tol, gap_tol):
-    _same_instances(greedy_baseline(segs, angle_tol, gap_tol),
+    _same_instances(greedy_baseline(as_set(segs), angle_tol, gap_tol),
                     ref_greedy_baseline(segs, angle_tol, gap_tol))
 
 
 def test_greedy_exact_ties():
     def seg(a, b, direction, tile):
         a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-        return LaneSegment(midpoint=(a + b) / 2, direction=np.array(direction),
-                           endpoints=np.stack([a, b]), score=0.5, tile=tile,
-                           embedding=np.zeros(2))
+        return RefSegment(midpoint=(a + b) / 2, direction=np.array(direction),
+                          endpoints=np.stack([a, b]), score=0.5, tile=tile,
+                          embedding=np.zeros(2))
     up, right = (0.0, 1.0), (1.0, 0.0)
     cases = [
         # closest endpoints exactly gap_tol apart, across a tile border
@@ -476,9 +508,9 @@ def test_greedy_exact_ties():
     ]
     for segs in cases:
         for angle_tol in (math.pi / 8, math.pi / 2):
-            got = greedy_baseline(segs, angle_tol, 4.5)
+            got = greedy_baseline(as_set(segs), angle_tol, 4.5)
             _same_instances(got, ref_greedy_baseline(segs, angle_tol, 4.5))
-    assert len(greedy_baseline(cases[0])) == 1
-    assert len(greedy_baseline(cases[1], angle_tol=math.pi / 2)) == 1
-    assert len(greedy_baseline(cases[2])) == 1
-    assert len(greedy_baseline(cases[3])) == 1
+    assert len(greedy_baseline(as_set(cases[0]))) == 1
+    assert len(greedy_baseline(as_set(cases[1]), angle_tol=math.pi / 2)) == 1
+    assert len(greedy_baseline(as_set(cases[2]))) == 1
+    assert len(greedy_baseline(as_set(cases[3]))) == 1
