@@ -11,7 +11,8 @@ contribute a lateral error split into near/far range buckets.
 
 import numpy as np
 
-from bevlanes import EvalConfig, curve_iou, evaluate, lateral_error, match_and_ap
+from bevlanes import (EvalConfig, curve_iou, evaluate, lateral_error, match_and_ap,
+                      range_means, score_scene)
 from bevlanes.clustering import Curve
 
 cfg = EvalConfig()
@@ -49,7 +50,8 @@ print(f"  AP@0.5 = {ap:.4f}, recall = {recall:.2f}, "
 print(f"  expected from the precision envelope: {5/6:.4f}")
 
 # Lateral error: the prediction is resampled every metre of arc length
-# and each sample measures its distance to the nearest ground-truth point.
+# and each sample measures its distance to the nearest ground-truth point;
+# range_means averages the samples per range bucket.
 # Jitter the GT laterally by N(0, 0.05) and the mean absolute distance
 # approaches sigma * sqrt(2/pi).
 rng = np.random.default_rng(0)
@@ -59,14 +61,16 @@ gt_pts = np.column_stack([rng.normal(0.0, sigma, len(ys)), ys, np.zeros(len(ys))
 pred_line = Curve(points=np.array([[0.0, 0.0, 0.0], [0.0, 3999.0, 0.0]]))
 long_cfg = EvalConfig(range_buckets=((0.0, 1e6),),
                       extent=((-50.0, 50.0), (-1.0, 4001.0)))
-means, mean_dz = lateral_error([(pred_line, Curve(points=gt_pts))], long_cfg)
+means, mean_dz = range_means(lateral_error([(pred_line, Curve(points=gt_pts))], long_cfg),
+                             long_cfg)
 expect = sigma * np.sqrt(2.0 / np.pi)
 print(f"\nlateral error vs. N(0, {sigma}) jitter over {len(ys)} samples:")
 print(f"  measured {means[(0.0, 1e6)]:.5f} m, half-normal mean {expect:.5f} m")
 
-# The full protocol: per-scene matching pooled into one PR curve per
-# threshold, near/far buckets, and the confidence cutoff where recall
-# first reaches 0.75. Four scenes of three lanes each; predictions sit
+# The full protocol: each scene is scored on its own (matches at every
+# threshold, lateral samples), then the records are pooled into one PR
+# curve per threshold, near/far buckets, and the confidence cutoff where
+# recall first reaches 0.75. Four scenes of three lanes each; predictions sit
 # 0.03 m off their lane, scene confidence decays, and the last scene
 # misses one lane entirely.
 scenes = []
@@ -75,8 +79,8 @@ for s in range(4):
     preds = [(Curve(points=gt.points + [0.03, 0.0, 0.0]), 0.9 - 0.02 * s) for gt in gts]
     if s == 3:
         preds = preds[:2]  # a miss: no prediction for the last lane
-    scenes.append((preds, gts))
-report = evaluate(scenes, cfg)  # one (predictions, ground truth) pair per scene
+    scenes.append(score_scene(preds, gts, cfg))
+report = evaluate(scenes, cfg)  # one score record per scene, in scene order
 print(f"\nend-to-end report, 4 scenes x 3 lanes, one lane missed in the last scene:")
 print(f"  mAP = {report.map_score:.4f}, recall@0.5 = "
       f"{report.recall_at_reference:.4f} ({report.counts['n_matched']}/{report.counts['n_gt']})")

@@ -8,6 +8,11 @@ sweep of IOU thresholds. Geometric accuracy is reported separately as the
 mean absolute lateral error of matched curves, bucketed by range, at the
 IOU = 0.5 operating point; height error is a supplementary scalar, not part
 of the lateral metric.
+
+As in COCOeval's split into per-image `evaluate` and `accumulate`, the
+protocol has a per-scene part and a reduction: `score_scene` rasterizes,
+matches and samples one scene into a small `SceneRecord`, and `evaluate`
+pools the records of all scenes into the report.
 """
 
 from __future__ import annotations
@@ -219,16 +224,12 @@ def _ap_from_flags(confidences: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
     return float(ap)
 
 
-def _check_confidences(preds: list) -> None:
+def _scene_iou(preds: list, gts: list, cfg: EvalConfig):
+    """IOU matrix (P, G), confidences (each in [0, 1]) and confidence order of
+    one scene. GT masks are held for the scene, each prediction's only for its row.
+    """
     if any(not (0.0 <= c <= 1.0) for _, c in preds):
         raise ValueError("confidences must lie in [0, 1]")
-
-
-def _score_scene(preds: list, gts: list, cfg: EvalConfig):
-    """IOU matrix (P, G), confidences and confidence order of one scene.
-
-    GT masks are held for the scene; each prediction's mask only for its row.
-    """
     masks_g = [rasterize_curve(g, cfg) for g in gts]
     iou = np.zeros((len(preds), len(gts)))
     for i, (curve, _) in enumerate(preds):
@@ -238,52 +239,32 @@ def _score_scene(preds: list, gts: list, cfg: EvalConfig):
     return iou, conf, _confidence_order(conf)
 
 
-def _pooled_match(scored: list, threshold: float):
-    """Greedy matching of every scored scene at one IOU threshold, pooled.
-
-    scored holds each scene's _score_scene result. Returns the confidences
-    and TP flags of all predictions (scene by scene, each scene in its
-    confidence order) and the matches as (scene, pred, gt) triples.
-    """
-    conf, tp, matches = [], [], []
-    for s, (iou, scene_conf, order) in enumerate(scored):
-        flags, pairs = _greedy_match(iou, order, threshold)
-        conf.extend(scene_conf[order])
-        tp.extend(flags)
-        matches.extend((s, p, g) for p, g in pairs)
-    return np.array(conf), np.array(tp, dtype=bool), matches
-
-
 def match_and_ap(preds: list, gts: list, threshold: float, cfg: EvalConfig):
     """Greedy confidence-ordered matching at one IOU threshold, for one scene.
 
     preds is a list of (Curve, confidence). Returns (AP, matches, recall)
     where matches are (pred_index, gt_index, iou) triples.
     """
-    _check_confidences(preds)
-    scored = _score_scene(preds, gts, cfg)
-    conf, tp, matches = _pooled_match([scored], threshold)
-    ap = _ap_from_flags(conf, tp, len(gts))
-    iou = scored[0]
+    iou, conf, order = _scene_iou(preds, gts, cfg)
+    tp, matches = _greedy_match(iou, order, threshold)
+    ap = _ap_from_flags(conf[order], tp, len(gts))
     recall = len(matches) / len(gts) if gts else 0.0
-    return ap, [(p, g, float(iou[p, g])) for _, p, g in matches], recall
+    return ap, [(p, g, float(iou[p, g])) for p, g in matches], recall
 
 
 # ---------------------------------------------------------------------------
 # Lateral error
 
 
-def lateral_error(pairs: list, cfg: EvalConfig):
-    """Mean absolute lateral error of matched curves, bucketed by range.
+def lateral_error(pairs: list, cfg: EvalConfig) -> list[np.ndarray]:
+    """Lateral samples of matched curves, one (3, n) array per pair, for `range_means`.
 
     pairs is a list of (predicted Curve, ground-truth Lane3D). Each predicted
     curve is resampled at lateral_sample_step along its xy arc length; every
-    sample contributes its distance to the nearest point of the matched GT
-    polyline (the first GT segment on ties), bucketed by the first range
-    bucket holding the sample's y. Returns (bucket means, mean |dz|); buckets
-    without samples are omitted rather than reported as zero.
+    sample gives a column (distance to the nearest point of the matched GT
+    polyline, the first GT segment on ties; its y; |dz| to that point).
     """
-    dists, ys, dzs = [], [], []
+    samples = []
     for pred, gt in pairs:
         q = resample_polyline(pred.points, cfg.lateral_sample_step)
         p = gt.points[:-1]
@@ -296,12 +277,19 @@ def lateral_error(pairs: list, cfg: EvalConfig):
         d2 = (p[:, 0] + t * v[:, 0] - qx) ** 2 + (p[:, 1] + t * v[:, 1] - qy) ** 2
         k = np.argmin(d2, axis=1)
         rows = np.arange(len(q))
-        dists.append(np.sqrt(d2[rows, k]))
-        ys.append(q[:, 1])
-        dzs.append(np.abs(q[:, 2] - (p[k, 2] + t[rows, k] * v[k, 2])))
-    if not sum(len(d) for d in dists):   # no pairs, or only zero-length predictions
+        samples.append(np.stack([np.sqrt(d2[rows, k]), q[:, 1],
+                                 np.abs(q[:, 2] - (p[k, 2] + t[rows, k] * v[k, 2]))]))
+    return samples
+
+
+def range_means(samples: list, cfg: EvalConfig):
+    """(mean absolute lateral error by range bucket, mean |dz|) of the
+    `lateral_error` samples in the given order; a sample counts in the first
+    bucket holding its y. Buckets without samples are omitted rather than
+    reported as zero, and no samples at all give ({}, None)."""
+    d, y, dz = np.concatenate([np.zeros((3, 0)), *samples], axis=1)
+    if not len(d):     # no pairs, or only zero-length predictions
         return {}, None
-    d, y = np.concatenate(dists), np.concatenate(ys)
     means = {}
     free = np.ones(len(d), dtype=bool)
     for lo, hi in cfg.range_buckets:
@@ -309,65 +297,89 @@ def lateral_error(pairs: list, cfg: EvalConfig):
         if inside.any():
             means[(lo, hi)] = float(np.mean(d[inside]))
         free &= ~inside
-    return means, float(np.mean(np.concatenate(dzs)))
+    return means, float(np.mean(dz))
 
 
 # ---------------------------------------------------------------------------
-# Full protocol
+# Full protocol: score_scene per scene, evaluate over all of them
+
+OPERATING_IOU = 0.5
 
 
-def evaluate(scenes, cfg: EvalConfig) -> EvalReport:
-    """Run the full protocol over a sequence of (preds, gts) pairs, one per scene.
+def _thresholds(cfg: EvalConfig) -> list:
+    """The IOU thresholds matched in each scene: the sweep and the operating point."""
+    return sorted(set(cfg.iou_thresholds) | {OPERATING_IOU})
+
+
+@dataclass(frozen=True)
+class SceneRecord:
+    """What `evaluate` needs of one scene, without its curves. Predictions are
+    in confidence order, and the matches at the operating IOU in match order."""
+
+    n_gt: int
+    conf: np.ndarray          # (P,) confidences
+    tp: np.ndarray            # (T, P) TP flags at each threshold of `_thresholds`
+    match_conf: np.ndarray    # (M,) confidence of each match
+    n_samples: np.ndarray     # (M,) lateral samples of each match
+    samples: np.ndarray       # (3, S) their `lateral_error` columns, match after match
+
+
+def score_scene(preds: list, gts: list, cfg: EvalConfig) -> SceneRecord:
+    """Match one scene at every threshold and sample its operating-point matches.
 
     preds: list of (Curve, confidence); gts: the scene's Lane3Ds, which may
-    repeat a vertex. Predictions match only their own scene's GTs, while
-    detections pool into a single PR curve per threshold, as in standard
-    detection MAP. Confidence ties keep prediction order within a scene and
-    scene order across scenes; with zero noise every confidence is 1.0, so
-    AP there depends on that order.
-    Lateral errors come from the IOU = 0.5 operating point with all
-    predictions kept; if some confidence cutoff reaches recall 0.75, the
-    lateral error at that cutoff is reported as well.
+    repeat a vertex. Predictions match only this scene's GTs.
     """
-    scenes = list(scenes)
-    for preds, _ in scenes:
-        _check_confidences(preds)
-    scored = [_score_scene(preds, gts, cfg) for preds, gts in scenes]
-    n_gt = sum(len(gts) for _, gts in scenes)
-    n_pred = sum(len(preds) for preds, _ in scenes)
-    thresholds = list(cfg.iou_thresholds)
-    operating = 0.5
-    ap_per_threshold = {}
-    for t in sorted(set(thresholds) | {operating}):
-        conf, tp, matches = _pooled_match(scored, t)
-        if t in thresholds:
-            ap_per_threshold[t] = _ap_from_flags(conf, tp, n_gt)
-        if t == operating:
-            op_conf, op_tp, op_matches = conf, tp, matches
+    iou, conf, order = _scene_iou(preds, gts, cfg)
+    thresholds = _thresholds(cfg)
+    tp, pairs = zip(*(_greedy_match(iou, order, t) for t in thresholds))
+    matches = pairs[thresholds.index(OPERATING_IOU)]
+    samples = lateral_error([(preds[p][0], gts[g]) for p, g in matches], cfg)
+    return SceneRecord(len(gts), conf[order], np.array(tp, dtype=bool),
+                       np.array([preds[p][1] for p, _ in matches], dtype=float),
+                       np.array([s.shape[1] for s in samples], dtype=np.int64),
+                       np.concatenate([np.zeros((3, 0)), *samples], axis=1))
 
-    matched = [(*scenes[s][0][p], scenes[s][1][g]) for s, p, g in op_matches]
-    lat, mean_dz = lateral_error([(curve, gt) for curve, _, gt in matched], cfg)
-    recall_ref = len(op_matches) / n_gt if n_gt else 0.0
 
-    recall75_conf = None
-    lat75 = None
+def evaluate(records, cfg: EvalConfig) -> EvalReport:
+    """Pool the `score_scene` records of all scenes, in scene order, into one PR
+    curve per threshold, as in standard detection MAP. Confidence ties keep
+    prediction order within a scene and scene order across scenes (with zero
+    noise every confidence is 1.0, so AP there depends on that order).
+    Lateral errors come from the IOU = 0.5 matches of all predictions; if some
+    confidence cutoff reaches recall 0.75, those of the matches at or above
+    it are reported as well."""
+    records = list(records)
+    thresholds = _thresholds(cfg)
+    n_gt = sum(r.n_gt for r in records)
+    conf = np.concatenate([np.zeros(0), *(r.conf for r in records)])
+    tp = np.concatenate([np.zeros((len(thresholds), 0), dtype=bool),
+                         *(r.tp for r in records)], axis=1)
+    ap_per_threshold = {t: _ap_from_flags(conf, flags, n_gt)
+                        for t, flags in zip(thresholds, tp) if t in cfg.iou_thresholds}
+    op_tp = tp[thresholds.index(OPERATING_IOU)]
+    n_matched = int(np.count_nonzero(op_tp))
+    lat, mean_dz = range_means([r.samples for r in records], cfg)
+
+    recall75_conf = lat75 = None
     if n_gt:
-        desc = np.argsort(-op_conf, kind="stable")
+        desc = np.argsort(-conf, kind="stable")
         cum = np.cumsum(op_tp[desc])
         reach = np.flatnonzero(cum / n_gt >= 0.75)
         if len(reach):
-            recall75_conf = float(op_conf[desc][reach[0]])
-            lat75, _ = lateral_error(
-                [(curve, gt) for curve, c, gt in matched if c >= recall75_conf], cfg)
+            recall75_conf = float(conf[desc][reach[0]])
+            lat75, _ = range_means(
+                [r.samples[:, np.repeat(r.match_conf, r.n_samples) >= recall75_conf]
+                 for r in records], cfg)
 
     return EvalReport(
         ap_per_threshold=ap_per_threshold,
         map_score=float(np.mean(list(ap_per_threshold.values()))),
-        recall_at_reference=recall_ref,
+        recall_at_reference=n_matched / n_gt if n_gt else 0.0,
         lateral_error=lat,
         mean_abs_dz=mean_dz,
-        counts={"n_gt": n_gt, "n_pred": n_pred, "n_matched": len(op_matches)},
-        operating_iou=operating,
+        counts={"n_gt": n_gt, "n_pred": len(conf), "n_matched": n_matched},
+        operating_iou=OPERATING_IOU,
         recall75_confidence=recall75_conf,
         lateral_error_at_recall75=lat75,
     )

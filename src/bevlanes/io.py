@@ -30,9 +30,11 @@ class SchemaError(Exception):
     """A file does not match its declared format."""
 
     def __init__(self, path: str, field: str, message: str):
-        self.path = str(path)
-        self.field = field
+        self.path, self.field, self.message = str(path), field, message
         super().__init__(f"{path}: field '{field}': {message}")
+
+    def __reduce__(self):     # so that one raised in a pool worker unpickles
+        return type(self), (self.path, self.field, self.message)
 
 
 def canonical_json(obj) -> str:
@@ -56,6 +58,24 @@ def _require(d: dict, key: str, path: str):
     if not isinstance(d, dict) or key not in d:
         raise SchemaError(path, key, "missing required field")
     return d[key]
+
+
+def _check_kind(d: dict, kind: str, path: str) -> None:
+    if not isinstance(d, dict):
+        raise SchemaError(path, "<file>", f"expected a JSON object, got {type(d).__name__}")
+    if d.get("kind") != kind:
+        raise SchemaError(path, "kind", f"expected {kind!r}, got {d.get('kind')!r}")
+
+
+def _entries(d: dict, key: str, path: str) -> list:
+    """The list of JSON objects under key, or a SchemaError naming the field."""
+    value = _require(d, key, path)
+    if not isinstance(value, list):
+        raise SchemaError(path, key, f"expected a list, got {type(value).__name__}")
+    for k, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise SchemaError(path, f"{key}[{k}]", f"expected an object, got {entry!r}")
+    return value
 
 
 def _build(cls, d: dict, path: str, field: str):
@@ -145,10 +165,9 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
-    if d.get("kind") != "scene":
-        raise SchemaError(path, "kind", f"expected 'scene', got {d.get('kind')!r}")
+    _check_kind(d, "scene", path)
     lanes = []
-    for k, entry in enumerate(_require(d, "lanes", path)):
+    for k, entry in enumerate(_entries(d, "lanes", path)):
         field = f"lanes[{k}].points"
         pts = _finite_array(_require(entry, "points", path), path, field)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
@@ -198,8 +217,7 @@ def _unpack_field(fields: dict, f, path: str) -> np.ndarray:
 
 def _grid_from_dict(cls, kind: str, d: dict, path: str):
     """A tile grid read from its dict."""
-    if d.get("kind") != kind:
-        raise SchemaError(path, "kind", f"expected {kind!r}, got {d.get('kind')!r}")
+    _check_kind(d, kind, path)
     grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
     bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
     fields = _require(d, "fields", path)
@@ -248,14 +266,13 @@ def segments_to_dict(segments: SegmentSet) -> dict:
 
 
 def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
-    if d.get("kind") != "segments":
-        raise SchemaError(path, "kind", f"expected 'segments', got {d.get('kind')!r}")
+    _check_kind(d, "segments", path)
     # `_coerce` reads a value against a zero of its field's dtype, nested
     # once per axis after the segment axis.
     defaults = {f.name: np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist()
                 for f in array_fields(SegmentSet)}
     columns = {name: [] for name in defaults}
-    for k, entry in enumerate(_require(d, "segments", path)):
+    for k, entry in enumerate(_entries(d, "segments", path)):
         for name, default in defaults.items():
             try:
                 columns[name].append(_coerce(default, entry[name], name))
@@ -283,14 +300,13 @@ def lanes_to_dict(lanes: list) -> dict:
 
 
 def lanes_from_dict(d: dict, path: str = "<lanes>") -> list:
-    if d.get("kind") != "lanes":
-        raise SchemaError(path, "kind", f"expected 'lanes', got {d.get('kind')!r}")
+    _check_kind(d, "lanes", path)
     out = []
-    for k, entry in enumerate(_require(d, "lanes", path)):
+    for k, entry in enumerate(_entries(d, "lanes", path)):
         pts = _finite_array(_require(entry, "points", path), path, f"lanes[{k}].points")
         try:
-            conf = float(_require(entry, "confidence", path))
-        except (TypeError, ValueError) as e:
+            conf = _coerce(0.0, _require(entry, "confidence", path), "confidence")
+        except ValueError as e:
             raise SchemaError(path, f"lanes[{k}].confidence", str(e))
         if not 0.0 <= conf <= 1.0:
             raise SchemaError(path, f"lanes[{k}].confidence", f"{conf} outside [0, 1]")

@@ -30,7 +30,7 @@ from .clustering import Curve, assemble_curve, cluster_segments, greedy_baseline
 from .codec import (SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields, decode_grid,
                     encode_scene)
 from .config import ConfigError, PipelineConfig
-from .evaluation import EvalReport, evaluate
+from .evaluation import EvalReport, SceneRecord, evaluate, score_scene
 from .losses import embedding_loss, finite_diff_check, total_tile_loss
 from .plots import heatmap_svg, scene_svg
 from .synth import Scene, generate_scene, oracle_predict
@@ -108,33 +108,35 @@ def process_scene(config: PipelineConfig, index: int, method: str = "embedding")
     return SceneResult(index, *artifacts)
 
 
-def _worker(args) -> SceneResult:
-    config, index, method = args
-    return process_scene(config, index, method)
+def _fan_out(worker: Callable, config: PipelineConfig, method: str, jobs: int) -> list:
+    """worker((config, index, method)) for every scene index, in index order;
+    jobs > 1 spreads the scenes over a process pool."""
+    tasks = [(config, i, method) for i in range(config.n_scenes)]
+    if jobs <= 1:
+        return [worker(t) for t in tasks]
+    with multiprocessing.Pool(jobs) as pool:
+        return list(pool.imap(worker, tasks))
+
+
+def _worker(args) -> SceneResult:     # picklable, and finds process_scene at call time
+    return process_scene(*args)
 
 
 def run_pipeline(config: PipelineConfig, method: str = "embedding",
                  jobs: int = 1) -> tuple[EvalReport, list[SceneResult]]:
     """Run every stage over n_scenes, in memory; returns the report + results.
 
-    jobs > 1 distributes scenes over a process pool; results are reduced in
+    jobs > 1 distributes scenes over a process pool; results come back in
     scene-index order, so output is identical to a serial run.
     """
-    tasks = [(config, i, method) for i in range(config.n_scenes)]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_worker, tasks)
-    else:
-        results = [_worker(t) for t in tasks]
-    results.sort(key=lambda r: r.index)
-    report = evaluate_results(results, config)
-    return report, results
+    results = _fan_out(_worker, config, method, jobs)
+    return evaluate_results(results, config), results
 
 
 def evaluate_results(results: list[SceneResult], config: PipelineConfig) -> EvalReport:
     """Evaluate in scene-index order, whatever the order of results (confidence
     ties across scenes rank by scene order)."""
-    return evaluate([(r.lanes, r.scene.lanes)
+    return evaluate([score_scene(r.lanes, r.scene.lanes, config.eval)
                      for r in sorted(results, key=lambda r: r.index)], config.eval)
 
 
@@ -194,7 +196,6 @@ def _read_stage(config: PipelineConfig, stage: Stage) -> list:
 
 def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) -> Path:
     path = _stage_path(config, stage, index)
-    path.parent.mkdir(parents=True, exist_ok=True)
     io.save_json(path, getattr(io, stage.writer)(artifact))
     return path
 
@@ -207,6 +208,7 @@ def run_stage(config: PipelineConfig, command: str, method: str = "embedding") -
     k = names.index(command)
     inputs = _read_stage(config, STAGES[names[k - 1]]) if k else [None] * config.n_scenes
     stage = STAGES[command]
+    (Path(config.output_dir) / stage.dir).mkdir(parents=True, exist_ok=True)
     return [_write_artifact(config, stage, i, stage.step(config, i, item, method))
             for i, item in enumerate(inputs)]
 
@@ -217,8 +219,8 @@ def cmd_eval(config: PipelineConfig) -> EvalReport:
     if len(lanes_lists) != len(scenes):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(lanes_lists)} lane files vs {len(scenes)} scenes")
-    report = evaluate([(lanes, scene.lanes) for lanes, scene in zip(lanes_lists, scenes)],
-                      config.eval)
+    report = evaluate([score_scene(lanes, scene.lanes, config.eval)
+                       for lanes, scene in zip(lanes_lists, scenes)], config.eval)
     _write_report(config, report)
     return report
 
@@ -267,19 +269,26 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
     return csv
 
 
+def _write_scene(args) -> SceneRecord:
+    """Run one scene and write its five stage files and two plots; returns its score."""
+    config, index, method = args
+    r = process_scene(config, index, method)
+    for stage, artifact in zip(STAGES.values(), (r.scene, r.targets, r.preds, r.segments, r.lanes)):
+        _write_artifact(config, stage, index, artifact)
+    plots = Path(config.output_dir) / "plots"
+    (plots / f"scene_{index:05d}.svg").write_text(
+        scene_svg(r.scene.lanes, [c for c, _ in r.lanes], config.grid))
+    (plots / f"scores_{index:05d}.svg").write_text(heatmap_svg(r.preds.score(), config.grid))
+    return score_scene(r.lanes, r.scene.lanes, config.eval)
+
+
 def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
                  jobs: int = 1) -> EvalReport:
-    """Run all stages, writing every intermediate file, report and SVG plots."""
-    report, results = run_pipeline(config, method=method, jobs=jobs)
-    plots = Path(config.output_dir) / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
-    for r in results:
-        for stage, artifact in zip(STAGES.values(),
-                                   (r.scene, r.targets, r.preds, r.segments, r.lanes)):
-            _write_artifact(config, stage, r.index, artifact)
-        (plots / f"scene_{r.index:05d}.svg").write_text(
-            scene_svg(r.scene.lanes, [c for c, _ in r.lanes], config.grid))
-        (plots / f"scores_{r.index:05d}.svg").write_text(
-            heatmap_svg(r.preds.score(), config.grid))
+    """Run all stages, writing every intermediate file, report and SVG plots.
+    The workers write their scenes' files; this process makes the directories
+    and writes the report, so a run that fails can leave a partial tree."""
+    for d in [stage.dir for stage in STAGES.values()] + ["plots"]:
+        (Path(config.output_dir) / d).mkdir(parents=True, exist_ok=True)
+    report = evaluate(_fan_out(_write_scene, config, method, jobs), config.eval)
     _write_report(config, report)
     return report

@@ -25,7 +25,7 @@ from bevlanes.codec import (
     saturated_prediction,
 )
 from bevlanes.config import PipelineConfig
-from bevlanes.evaluation import EvalConfig, curve_iou, evaluate
+from bevlanes.evaluation import EvalConfig, curve_iou, evaluate, score_scene
 from bevlanes.geometry import GridSpec, Lane3D
 from bevlanes.losses import (
     ClusterSummary,
@@ -302,7 +302,8 @@ def test_criterion_07_noise_monotonicity():
         maps = []
         for i in range(config.n_scenes):
             r = process_scene(config, i)
-            maps.append(evaluate([(r.lanes, r.scene.lanes)], config.eval).map_score)
+            maps.append(evaluate([score_scene(r.lanes, r.scene.lanes, config.eval)],
+                                 config.eval).map_score)
         per_scene[sigma] = np.array(maps)
     means = {s: float(per_scene[s].mean()) for s in levels}
     rng = np.random.default_rng(0)
@@ -321,6 +322,7 @@ def test_criterion_07_noise_monotonicity():
 
 def test_criterion_08_ablation_direction():
     pooled = {"embedding": [], "greedy": []}
+    eval_cfg = PipelineConfig().eval
     undersegmented = 0
     for topology, seed in (("split", 41), ("merge", 59)):
         config = replace(
@@ -329,11 +331,10 @@ def test_criterion_08_ablation_direction():
         for i in range(config.n_scenes):
             for method in pooled:
                 r = process_scene(config, i, method)
-                pooled[method].append((r.lanes, r.scene.lanes))
+                pooled[method].append(score_scene(r.lanes, r.scene.lanes, eval_cfg))
                 if method == "greedy" and topology == "split" \
                         and len(r.scene.lanes) >= 2 and len(r.lanes) < len(r.scene.lanes):
                     undersegmented += 1
-    eval_cfg = PipelineConfig().eval
     maps = {m: evaluate(scenes, eval_cfg).map_score for m, scenes in pooled.items()}
     ok = maps["embedding"] >= maps["greedy"] and undersegmented >= 1
     _check(8, ok, f"50 split/merge scenes, sigma_f=0.1: embedding MAP "

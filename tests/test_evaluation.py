@@ -20,11 +20,23 @@ from bevlanes.evaluation import (
     lateral_error,
     mask_iou,
     match_and_ap,
+    range_means,
     rasterize_curve,
+    score_scene,
 )
 from bevlanes.io import section_from_dict, section_to_dict
 
 CFG = EvalConfig()
+
+
+def _evaluate(pairs, cfg):
+    """The report of (preds, gts) pairs, one per scene."""
+    return evaluate([score_scene(preds, gts, cfg) for preds, gts in pairs], cfg)
+
+
+def _lateral(pairs, cfg):
+    """(bucket means, mean |dz|) of (pred, gt) pairs."""
+    return range_means(lateral_error(pairs, cfg), cfg)
 
 # Tilted so cell quantization dithers out along the length instead of
 # aliasing against the column grid; phases chosen off any cell boundary.
@@ -216,7 +228,7 @@ def test_evaluate_map_does_not_depend_on_scene_order_with_distinct_confidences(s
     pairs = [([(c, next(conf)) for c in preds], gts) for preds, gts in scenes]
     shuffled = list(pairs)
     order.shuffle(shuffled)
-    want, got = evaluate(pairs, SMALL), evaluate(shuffled, SMALL)
+    want, got = _evaluate(pairs, SMALL), _evaluate(shuffled, SMALL)
     assert got.map_score == want.map_score
     assert got.ap_per_threshold == want.ap_per_threshold
 
@@ -343,7 +355,7 @@ def test_match_rejects_out_of_range_confidence():
 
 def test_lateral_error_zero_for_exact_prediction():
     gt = vertical_line(0.5, 0.0, 78.0)
-    means, dz = lateral_error([(gt, gt)], CFG)
+    means, dz = _lateral([(gt, gt)], CFG)
     assert set(means) == {(0.0, 30.0), (30.0, 80.0)}
     npt.assert_allclose(list(means.values()), 0.0, atol=1e-12)
     npt.assert_allclose(dz, 0.0, atol=1e-12)
@@ -352,7 +364,7 @@ def test_lateral_error_zero_for_exact_prediction():
 def test_lateral_error_constant_shift():
     gt = vertical_line(0.5, 0.0, 78.0)
     pred = vertical_line(0.6, 0.0, 78.0)
-    means, dz = lateral_error([(pred, gt)], CFG)
+    means, dz = _lateral([(pred, gt)], CFG)
     npt.assert_allclose(means[(0.0, 30.0)], 0.1, atol=1e-6)
     npt.assert_allclose(means[(30.0, 80.0)], 0.1, atol=1e-6)
     assert dz == 0.0
@@ -369,14 +381,14 @@ def test_lateral_error_half_normal_noise_mean():
         [noise, np.arange(n + 1, dtype=float), np.zeros(n + 1)]))
     pred = Curve(points=[[0.0, 0.0, 0.0], [0.0, float(n), 0.0]])
     cfg = EvalConfig(range_buckets=((0.0, 1.0e6),))
-    means, _ = lateral_error([(pred, gt)], cfg)
+    means, _ = _lateral([(pred, gt)], cfg)
     expected = 0.05 * math.sqrt(2.0 / math.pi)
     assert abs(means[(0.0, 1.0e6)] - expected) <= 0.05 * expected
 
 
 def test_lateral_error_empty_bucket_absent():
     gt = vertical_line(0.5, 40.0, 70.0)
-    means, _ = lateral_error([(gt, gt)], CFG)
+    means, _ = _lateral([(gt, gt)], CFG)
     assert (0.0, 30.0) not in means
     assert means[(30.0, 80.0)] == 0.0
 
@@ -384,13 +396,13 @@ def test_lateral_error_empty_bucket_absent():
 def test_lateral_error_reports_height_separately():
     gt = vertical_line(0.5, 0.0, 78.0, z=0.0)
     pred = vertical_line(0.5, 0.0, 78.0, z=0.05)
-    means, dz = lateral_error([(pred, gt)], CFG)
+    means, dz = _lateral([(pred, gt)], CFG)
     npt.assert_allclose(means[(0.0, 30.0)], 0.0, atol=1e-12)
     npt.assert_allclose(dz, 0.05, atol=1e-9)
 
 
 def test_lateral_error_no_pairs():
-    assert lateral_error([], CFG) == ({}, None)
+    assert _lateral([], CFG) == ({}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +417,7 @@ def _two_scene_setup():
 
 
 def test_evaluate_perfect_predictions():
-    report = evaluate(_two_scene_setup(), CFG)
+    report = _evaluate(_two_scene_setup(), CFG)
     assert report.map_score == 1.0
     assert set(report.ap_per_threshold) == set(CFG.iou_thresholds)
     assert all(v == 1.0 for v in report.ap_per_threshold.values())
@@ -422,7 +434,7 @@ def _first_pred_only(scenes):
 
 
 def test_evaluate_half_deleted_recall_half_everywhere():
-    report = evaluate(_first_pred_only(_two_scene_setup()), CFG)
+    report = _evaluate(_first_pred_only(_two_scene_setup()), CFG)
     assert report.recall_at_reference == 0.5
     assert all(v == 0.5 for v in report.ap_per_threshold.values())
     assert report.map_score == 0.5
@@ -431,14 +443,14 @@ def test_evaluate_half_deleted_recall_half_everywhere():
 
 def test_evaluate_order_invariant_with_distinct_confidences():
     scenes = _two_scene_setup()
-    base = evaluate(scenes, CFG).to_dict()
-    shuffled = evaluate([(preds[::-1], gts) for preds, gts in scenes[::-1]], CFG).to_dict()
+    base = _evaluate(scenes, CFG).to_dict()
+    shuffled = _evaluate([(preds[::-1], gts) for preds, gts in scenes[::-1]], CFG).to_dict()
     assert shuffled == base
 
 
 def test_evaluate_matching_stays_within_scenes():
     gt = vertical_line(0.03)
-    report = evaluate([([], [gt]), ([(gt, 0.9)], [])], CFG)
+    report = _evaluate([([], [gt]), ([(gt, 0.9)], [])], CFG)
     assert report.map_score == 0.0
     assert report.counts["n_matched"] == 0
     assert report.lateral_error == {}
@@ -446,7 +458,7 @@ def test_evaluate_matching_stays_within_scenes():
 
 
 def test_evaluate_reports_recall75_operating_point():
-    report = evaluate(_two_scene_setup(), CFG)
+    report = _evaluate(_two_scene_setup(), CFG)
     # confidences 0.95/0.9/0.85/0.8 all true positives: recall crosses 0.75
     # at the third-highest confidence
     assert report.recall75_confidence == 0.85
@@ -455,13 +467,13 @@ def test_evaluate_reports_recall75_operating_point():
 
 
 def test_evaluate_recall75_absent_when_unreachable():
-    report = evaluate(_first_pred_only(_two_scene_setup()), CFG)
+    report = _evaluate(_first_pred_only(_two_scene_setup()), CFG)
     assert report.recall75_confidence is None
     assert report.lateral_error_at_recall75 is None
 
 
 def test_evaluate_empty_predictions():
-    report = evaluate([([], gts) for _, gts in _two_scene_setup()], CFG)
+    report = _evaluate([([], gts) for _, gts in _two_scene_setup()], CFG)
     assert report.map_score == 0.0
     assert report.recall_at_reference == 0.0
     assert report.lateral_error == {}
@@ -475,18 +487,18 @@ def test_evaluate_confidence_ties_across_scenes_keep_scene_order():
     gt = vertical_line(0.03)
     miss = ([(vertical_line(8.0), 1.0)], [gt])
     hit = ([(gt, 1.0)], [gt])
-    assert evaluate([miss, hit], CFG).map_score == 0.25   # precision 1/2 at recall 1/2
-    assert evaluate([hit, miss], CFG).map_score == 0.5    # precision 1 at recall 1/2
+    assert _evaluate([miss, hit], CFG).map_score == 0.25   # precision 1/2 at recall 1/2
+    assert _evaluate([hit, miss], CFG).map_score == 0.5    # precision 1 at recall 1/2
 
 
 def test_evaluate_rejects_bad_confidence():
     gt = vertical_line(0.03)
     with pytest.raises(ValueError):
-        evaluate([([(gt, 1.5)], [gt])], CFG)
+        score_scene([(gt, 1.5)], [gt], CFG)
 
 
 def test_report_to_dict_json_serializable():
-    d = evaluate(_two_scene_setup(), CFG).to_dict()
+    d = _evaluate(_two_scene_setup(), CFG).to_dict()
     text = json.dumps(d)
     back = json.loads(text)
     assert back["ap_per_threshold"]["0.5"] == 1.0

@@ -1,11 +1,16 @@
-"""`evaluate` over per-scene pairs and `match_and_ap` against the code they replaced.
+"""`evaluate` over `score_scene` records and `match_and_ap` against the code
+they replaced.
 
-`evaluate` took flat prediction and GT lists plus parallel scene-id lists and
-grouped them back into scenes; `match_and_ap` had its own AP path. Both now
-run one pooled matcher. The reference copies below are the former functions
-verbatim (on the unchanged scoring, matching and AP helpers); every case
-asserts that the report JSON, and the `match_and_ap` tuples with their types,
-are identical.
+`evaluate` first took flat prediction and GT lists plus parallel scene-id
+lists and grouped them back into scenes; then it took one (preds, gts) pair
+per scene, scored every scene itself and sampled the lateral error of all
+matches at once, and again for the recall-0.75 cutoff. `match_and_ap` had its
+own AP path. Now `score_scene` matches and samples each scene into a record
+and `evaluate` only pools the records. The reference copies below are the
+former functions verbatim (with the former scene scoring and lateral error,
+on the unchanged rasterizer, matching and AP helpers); every case asserts
+that the report JSON, and the `match_and_ap` tuples with their types, are
+identical.
 """
 
 from dataclasses import replace
@@ -19,13 +24,14 @@ from bevlanes.evaluation import (
     EvalConfig,
     EvalReport,
     _ap_from_flags,
-    _check_confidences,
     _greedy_match,
-    _score_scene,
     evaluate,
-    lateral_error,
+    mask_iou,
     match_and_ap,
+    rasterize_curve,
+    score_scene,
 )
+from bevlanes.geometry import resample_polyline
 from bevlanes.io import canonical_json
 
 # The "exact" profile (tests/conftest.py) fixes the examples.
@@ -40,6 +46,110 @@ NO_OPERATING = replace(CFG, iou_thresholds=(0.3, 0.7))
 
 # ---------------------------------------------------------------------------
 # Reference copies
+
+
+def _check_confidences(preds: list) -> None:
+    if any(not (0.0 <= c <= 1.0) for _, c in preds):
+        raise ValueError("confidences must lie in [0, 1]")
+
+
+def _score_scene(preds: list, gts: list, cfg: EvalConfig):
+    masks_g = [rasterize_curve(g, cfg) for g in gts]
+    iou = np.zeros((len(preds), len(gts)))
+    for i, (curve, _) in enumerate(preds):
+        mask = rasterize_curve(curve, cfg)
+        iou[i] = [mask_iou(mask, mg) for mg in masks_g]
+    conf = np.array([c for _, c in preds])
+    return iou, conf, _confidence_order(conf)
+
+
+def _confidence_order(confidences) -> list[int]:
+    return sorted(range(len(confidences)), key=lambda i: (-confidences[i], i))
+
+
+def _pooled_match(scored: list, threshold: float):
+    conf, tp, matches = [], [], []
+    for s, (iou, scene_conf, order) in enumerate(scored):
+        flags, pairs = _greedy_match(iou, order, threshold)
+        conf.extend(scene_conf[order])
+        tp.extend(flags)
+        matches.extend((s, p, g) for p, g in pairs)
+    return np.array(conf), np.array(tp, dtype=bool), matches
+
+
+def lateral_error(pairs: list, cfg: EvalConfig):
+    dists, ys, dzs = [], [], []
+    for pred, gt in pairs:
+        q = resample_polyline(pred.points, cfg.lateral_sample_step)
+        p = gt.points[:-1]
+        v = gt.points[1:] - p
+        den = np.sum(v[:, :2] ** 2, axis=1)
+        den[den == 0] = 1.0
+        # (samples, GT segments): every sample projected on every segment
+        qx, qy = q[:, :1], q[:, 1:2]
+        t = np.clip(((qx - p[:, 0]) * v[:, 0] + (qy - p[:, 1]) * v[:, 1]) / den, 0.0, 1.0)
+        d2 = (p[:, 0] + t * v[:, 0] - qx) ** 2 + (p[:, 1] + t * v[:, 1] - qy) ** 2
+        k = np.argmin(d2, axis=1)
+        rows = np.arange(len(q))
+        dists.append(np.sqrt(d2[rows, k]))
+        ys.append(q[:, 1])
+        dzs.append(np.abs(q[:, 2] - (p[k, 2] + t[rows, k] * v[k, 2])))
+    if not sum(len(d) for d in dists):   # no pairs, or only zero-length predictions
+        return {}, None
+    d, y = np.concatenate(dists), np.concatenate(ys)
+    means = {}
+    free = np.ones(len(d), dtype=bool)
+    for lo, hi in cfg.range_buckets:
+        inside = free & (lo <= y) & (y < hi)
+        if inside.any():
+            means[(lo, hi)] = float(np.mean(d[inside]))
+        free &= ~inside
+    return means, float(np.mean(np.concatenate(dzs)))
+
+
+def ref_evaluate_pairs(scenes, cfg: EvalConfig) -> EvalReport:
+    scenes = list(scenes)
+    for preds, _ in scenes:
+        _check_confidences(preds)
+    scored = [_score_scene(preds, gts, cfg) for preds, gts in scenes]
+    n_gt = sum(len(gts) for _, gts in scenes)
+    n_pred = sum(len(preds) for preds, _ in scenes)
+    thresholds = list(cfg.iou_thresholds)
+    operating = 0.5
+    ap_per_threshold = {}
+    for t in sorted(set(thresholds) | {operating}):
+        conf, tp, matches = _pooled_match(scored, t)
+        if t in thresholds:
+            ap_per_threshold[t] = _ap_from_flags(conf, tp, n_gt)
+        if t == operating:
+            op_conf, op_tp, op_matches = conf, tp, matches
+
+    matched = [(*scenes[s][0][p], scenes[s][1][g]) for s, p, g in op_matches]
+    lat, mean_dz = lateral_error([(curve, gt) for curve, _, gt in matched], cfg)
+    recall_ref = len(op_matches) / n_gt if n_gt else 0.0
+
+    recall75_conf = None
+    lat75 = None
+    if n_gt:
+        desc = np.argsort(-op_conf, kind="stable")
+        cum = np.cumsum(op_tp[desc])
+        reach = np.flatnonzero(cum / n_gt >= 0.75)
+        if len(reach):
+            recall75_conf = float(op_conf[desc][reach[0]])
+            lat75, _ = lateral_error(
+                [(curve, gt) for curve, c, gt in matched if c >= recall75_conf], cfg)
+
+    return EvalReport(
+        ap_per_threshold=ap_per_threshold,
+        map_score=float(np.mean(list(ap_per_threshold.values()))),
+        recall_at_reference=recall_ref,
+        lateral_error=lat,
+        mean_abs_dz=mean_dz,
+        counts={"n_gt": n_gt, "n_pred": n_pred, "n_matched": len(op_matches)},
+        operating_iou=operating,
+        recall75_confidence=recall75_conf,
+        lateral_error_at_recall75=lat75,
+    )
 
 
 def ref_match_and_ap(preds: list, gts: list, threshold: float, cfg: EvalConfig):
@@ -145,14 +255,18 @@ scenes = st.tuples(
 
 
 def assert_same_report(pairs, cfg):
-    """evaluate(pairs) writes the JSON the former call wrote for the same
-    scenes as flat lists with parallel scene ids."""
+    """evaluate over the scenes' records writes the JSON that both former
+    calls wrote: over (preds, gts) pairs, and over the same scenes as flat
+    lists with parallel scene ids. Returns the report."""
     preds = [p for ps, _ in pairs for p in ps]
     gts = [g for _, gs in pairs for g in gs]
     pred_ids = [s for s, (ps, _) in enumerate(pairs) for _ in ps]
     gt_ids = [s for s, (_, gs) in enumerate(pairs) for _ in gs]
-    want = ref_evaluate(preds, gts, cfg, pred_ids, gt_ids)
-    assert canonical_json(evaluate(pairs, cfg).to_dict()) == canonical_json(want.to_dict())
+    report = evaluate([score_scene(ps, gs, cfg) for ps, gs in pairs], cfg)
+    got = canonical_json(report.to_dict())
+    assert got == canonical_json(ref_evaluate_pairs(pairs, cfg).to_dict())
+    assert got == canonical_json(ref_evaluate(preds, gts, cfg, pred_ids, gt_ids).to_dict())
+    return report
 
 
 @EXACT
@@ -168,6 +282,31 @@ def test_evaluate_equals_flat_reference_on_ties_across_scenes():
     pairs = [([(far, 1.0)], [gt]), ([(gt, 1.0), (far, 1.0)], [gt]), ([], [far])]
     for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
         assert_same_report([pairs[k] for k in order], CFG)
+
+
+def test_evaluate_equals_references_with_empty_scenes():
+    gt = Curve(points=[[0.0, 0.5, 0.0], [0.2, 11.5, 0.1]])
+    near = Curve(points=[[0.05, 0.5, 0.0], [0.25, 11.5, 0.0]])
+    empty = ([], [])
+    for pairs in ([], [empty], [empty, ([(near, 0.5)], [gt]), empty],
+                  [([], [gt]), empty, ([(near, 0.3)], [])]):
+        assert_same_report(pairs, CFG)
+
+
+def test_evaluate_equals_references_at_recall75_reached_and_missed():
+    # three GTs per scene, each matched by a shifted copy, so recall runs
+    # 1/6 ... 6/6 down the pooled ranking 1, 1, 0.5, 0.5, 0.3, 0.2: the 5th
+    # match reaches 0.75, and the cutoff drops the match at 0.2
+    gts = [Curve(points=[[x, 0.5, 0.0], [x + 0.2, 11.5, 0.1]]) for x in (-2.0, 0.0, 2.0)]
+
+    def preds(*conf):
+        return [(Curve(points=g.points + [0.05 * c, 0.0, 0.0]), c) for g, c in zip(gts, conf)]
+
+    reached = assert_same_report([(preds(1.0, 0.5, 0.3), gts), (preds(0.2, 0.5, 1.0), gts)], CFG)
+    assert reached.recall75_confidence == 0.3
+    assert reached.lateral_error_at_recall75 != reached.lateral_error
+    missed = assert_same_report([(preds(1.0), gts), (preds(1.0, 0.5), gts)], CFG)
+    assert missed.recall75_confidence is None
 
 
 @EXACT

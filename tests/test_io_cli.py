@@ -3,6 +3,11 @@
 import csv
 import io as std_io
 import json
+import os
+import pickle
+import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,15 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevlanes import io
+import bevlanes
+from bevlanes import io, pipeline
 from bevlanes.cli import main
 from bevlanes.clustering import Curve
 from bevlanes.codec import AngleBinSpec, SegmentSet, array_fields, decode_grid, encode_scene
 from bevlanes.config import ConfigError, PipelineConfig
-from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate
+from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate, score_scene
 from bevlanes.geometry import GridSpec
 from bevlanes.losses import EmbeddingParams
-from bevlanes.pipeline import cmd_pipeline, evaluate_results, run_pipeline
+from bevlanes.pipeline import cmd_pipeline, evaluate_results, process_scene, run_pipeline
 from bevlanes.synth import NoiseConfig, SceneConfig, generate_scene, oracle_predict
 
 GRID = GridSpec()
@@ -78,6 +84,14 @@ def test_load_json_missing_file_raises_schema_error(tmp_path):
         io.load_json(tmp_path / "absent.json")
     assert exc.value.field == "<file>"
     assert "absent.json" in str(exc.value)
+
+
+def test_schema_error_round_trips_through_pickle():
+    err = io.SchemaError(Path("out") / "lanes_00001.json", "lanes[0].confidence", "bad value")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is io.SchemaError
+    assert (back.path, back.field, back.message, str(back)) == \
+        (err.path, err.field, err.message, str(err))
 
 
 def test_load_json_invalid_json(tmp_path):
@@ -281,6 +295,52 @@ def test_lanes_bad_confidence_rejected():
     assert exc.value.field == "lanes[0].confidence"
 
 
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+def test_lanes_confidence_must_be_a_json_number(value):
+    d = io.lanes_to_dict([(Curve(points=[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0]]), 0.5)])
+    d["lanes"][0]["confidence"] = value
+    with pytest.raises(io.SchemaError) as exc:
+        io.lanes_from_dict(d, path="lanes_00000.json")
+    assert exc.value.field == "lanes[0].confidence"
+
+
+def test_lanes_whole_number_confidence_reads_as_float():
+    d = io.lanes_to_dict([(Curve(points=[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0]]), 0.5)])
+    d["lanes"][0]["confidence"] = 1
+    [(_, conf)] = io.lanes_from_dict(d)
+    assert type(conf) is float and conf == 1.0
+
+
+def _artifact_dicts():
+    """kind -> (reader, a valid dict of that kind, its list field)."""
+    lanes = [(Curve(points=[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0]]), 0.5)]
+    segments = decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams()))
+    return {"scene": (io.scene_from_dict, io.scene_to_dict(small_scene()), "lanes"),
+            "lanes": (io.lanes_from_dict, io.lanes_to_dict(lanes), "lanes"),
+            "segments": (io.segments_from_dict, io.segments_to_dict(segments), "segments")}
+
+
+@pytest.mark.parametrize("kind", ["scene", "lanes", "segments"])
+@pytest.mark.parametrize("value, field", [
+    (5, "{key}"), ({"a": 1}, "{key}"), ("ab", "{key}"), (None, "{key}"),
+    ([5], "{key}[0]"), ([[1.0, 2.0]], "{key}[0]")])
+def test_list_field_must_be_a_list_of_objects(kind, value, field):
+    reader, d, key = _artifact_dicts()[kind]
+    d[key] = value
+    with pytest.raises(io.SchemaError) as exc:
+        reader(d, path=f"{kind}.json")
+    assert exc.value.field == field.format(key=key)
+
+
+@pytest.mark.parametrize("kind", ["scene", "lanes", "segments"])
+@pytest.mark.parametrize("value", [[], [1], "scene", 5, None])
+def test_artifact_that_is_not_a_json_object_rejected(kind, value):
+    reader, _, _ = _artifact_dicts()[kind]
+    with pytest.raises(io.SchemaError) as exc:
+        reader(value, path=f"{kind}.json")
+    assert exc.value.field == "<file>"
+
+
 def test_lanes_degenerate_curve_rejected():
     d = {"kind": "lanes", "lanes": [{"points": [[0.0, 0.0, 0.0]], "confidence": 0.5}]}
     with pytest.raises(io.SchemaError) as exc:
@@ -296,7 +356,7 @@ def _perfect_report():
     gts = [Curve(points=[[-2.03, 5.0, 0.0], [-2.03, 65.0, 0.0]]),
            Curve(points=[[2.03, 5.0, 0.0], [2.03, 65.0, 0.0]])]
     preds = [(gts[0], 0.9), (gts[1], 0.8)]
-    return evaluate([(preds, gts)], EvalConfig())
+    return evaluate([score_scene(preds, gts, EvalConfig())], EvalConfig())
 
 
 def test_report_csv_structure():
@@ -501,6 +561,52 @@ def test_cli_wrong_kind_stage_file_is_data_error(tmp_path, capsys):
     scene_path.write_text(json.dumps(d))
     assert main(["encode", "--config", cfg]) == 3
     assert "kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, key, value, command", [
+    ("scenes/scene_00001.json", "lanes", 5, "encode"),
+    ("scenes/scene_00001.json", "lanes", [5], "encode"),
+    ("segments/segments_00000.json", "segments", 5, "cluster"),
+    ("segments/segments_00000.json", "segments", {"a": 1}, "cluster"),
+    ("lanes/lanes_00001.json", "lanes", 5, "eval"),
+    ("lanes/lanes_00001.json", "lanes", [5], "eval"),
+])
+def test_cli_list_field_that_is_not_a_list_of_objects_is_data_error(
+        tmp_path, capsys, path, key, value, command):
+    # a bare int used to end in "'int' object is not iterable", a list of
+    # numbers in a misleading "points: missing required field"
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    file = tmp_path / "out" / path
+    d = json.loads(file.read_text())
+    d[key] = value
+    file.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and file.name in err and f"field '{key}" in err
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_cli_lane_confidence_that_is_not_a_number_is_data_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    file = tmp_path / "out" / "lanes" / "lanes_00000.json"
+    d = json.loads(file.read_text())
+    d["lanes"][0]["confidence"] = value
+    file.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg]) == 3
+    assert "lanes[0].confidence" in capsys.readouterr().err
+
+
+def test_cli_stage_file_that_is_not_an_object_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg]) == 0
+    (tmp_path / "out" / "scenes" / "scene_00000.json").write_text("[1, 2]")
+    assert main(["encode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "scene_00000.json" in err
 
 
 def test_cli_bad_config_is_config_error(tmp_path, capsys):
@@ -793,6 +899,63 @@ def test_cmd_pipeline_jobs2_tree_equals_serial(n_scenes, master_seed, sigmas, ra
             trees.append({p.relative_to(out): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()})
     assert trees[0] == trees[1]
+
+
+# Runs `bevlanes pipeline` with a clustering step that raises a SchemaError,
+# so every pool worker raises one.
+_WORKER_RAISES = """
+import sys
+from bevlanes import cli, io, pipeline
+
+def cluster_segments(segments, params):
+    raise io.SchemaError("segments/segments_00000.json", "segments[0].score", "planted")
+
+pipeline.cluster_segments = cluster_segments
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_pipeline_schema_error_in_a_pool_worker_is_data_error(tmp_path):
+    # The error used to fail to unpickle in the parent, which then waited for
+    # the lost result forever; a timeout turns such a hang into a failure.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(bevlanes.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _WORKER_RAISES, "pipeline", "--jobs", "2",
+         "--config", write_config(tmp_path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)     # the pool workers too
+        proc.communicate()
+        pytest.fail("a SchemaError raised in a pool worker hung the parent")
+    assert proc.returncode == 3, err
+    assert "data error" in err and "segments[0].score" in err and "planted" in err
+
+
+def test_score_records_of_an_artifact_batch_pickle_small(tmp_path):
+    # what a cmd_pipeline worker returns, on 16 scenes with the noise of
+    # acceptance criterion 10 (the artifacts_jobs2 benchmark workload)
+    cfg = PipelineConfig.from_dict({
+        "n_scenes": 16, "output_dir": str(tmp_path),
+        "noise": {"sigma_r": 0.1, "fp_rate": 0.02, "sigma_f": 0.05}})
+    for d in [stage.dir for stage in pipeline.STAGES.values()] + ["plots"]:
+        (tmp_path / d).mkdir()
+    sizes = [len(pickle.dumps(pipeline._write_scene((cfg, i, "embedding")),
+                              pickle.HIGHEST_PROTOCOL)) for i in range(cfg.n_scenes)]
+    assert max(sizes) <= 16 * 1024, sizes
+
+
+def test_cmd_pipeline_report_is_the_report_of_run_pipeline(tmp_path):
+    cfg = PipelineConfig.from_dict({**tiny_config_dict(tmp_path),
+                                    "noise": {"sigma_r": 0.1, "fp_rate": 0.02}})
+    want = run_pipeline(cfg)[0].to_dict()
+    for jobs in (1, 2):
+        assert cmd_pipeline(cfg, jobs=jobs).to_dict() == want
+        assert json.loads((tmp_path / "out" / "report.json").read_text()) == \
+            json.loads(json.dumps(want))
 
 
 def test_evaluate_results_follows_scene_index_not_list_order():
