@@ -48,7 +48,7 @@ lanes = [Lane3D(np.column_stack([b, np.zeros(len(y))]), lane_id=i)
 grid, bins = GridSpec(), AngleBinSpec()
 targets = encode_scene(lanes, grid, bins)
 emb_params = EmbeddingParams(dim=4)
-preds = oracle_predict(targets, NoiseConfig(sigma_f=0.1, seed=11), emb_params)
+preds = oracle_predict(targets, NoiseConfig(sigma_f=0.1), emb_params, seed=11)
 segments = decode_grid(preds)
 print(f"\nY-split scene: {len(segments)} tile segments from 2 lanes sharing a stem")
 

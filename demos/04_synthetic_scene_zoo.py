@@ -33,8 +33,8 @@ print("one scene per topology (3 base lanes, curvature <= 0.02 1/m):")
 print("  topology       lanes  span_y [m]      |z| max")
 for name in ("parallel", "split", "merge", "short", "perpendicular"):
     cfg = SceneConfig(curvature_max=0.02, surface_amplitude=0.3,
-                      topology_weights=weights(name), seed=5)
-    scene = generate_scene(cfg, grid=grid)
+                      topology_weights=weights(name))
+    scene = generate_scene(cfg, grid=grid, seed=5)
     ys = np.concatenate([lane.points[:, 1] for lane in scene.lanes])
     zs = np.concatenate([lane.points[:, 2] for lane in scene.lanes])
     print(f"  {name:13s} {len(scene.lanes):5d}  [{ys.min():5.1f}, {ys.max():5.1f}]"
@@ -45,8 +45,8 @@ print(f"SVG overlays written to {out}/scene_<topology>.svg")
 
 # The height field is a separable sinusoid, so every lane point obeys
 # |z| <= amplitude and lanes share the same surface:
-cfg = SceneConfig(surface_amplitude=0.4, topology_weights=weights("parallel"), seed=8)
-scene = generate_scene(cfg, grid=grid)
+cfg = SceneConfig(surface_amplitude=0.4, topology_weights=weights("parallel"))
+scene = generate_scene(cfg, grid=grid, seed=8)
 worst = 0.0
 for lane in scene.lanes:
     z_surface = surface_height(lane.points[:, 0], lane.points[:, 1], scene.surface)
@@ -65,7 +65,7 @@ noise = dict(sigma_r=0.1, sigma_phi=0.05, sigma_z=0.05, drop_rate=0.1, fp_rate=0
 dropped = false_pos = 0
 trials = 200
 for seed in range(trials):
-    pred = oracle_predict(targets, NoiseConfig(seed=seed, **noise), EmbeddingParams())
+    pred = oracle_predict(targets, NoiseConfig(**noise), EmbeddingParams(), seed=seed)
     score = pred.score()
     dropped += int(np.sum(occ & (score < 0.5)))
     false_pos += int(np.sum(~occ & (score >= 0.5)))
@@ -76,6 +76,6 @@ print(f"  false-positive rate: {false_pos / (trials * n_empty):.4f} "
 
 # Offsets move by the configured jitter; the angle is re-encoded through
 # the soft labels, so decoding stays consistent with the noisy direction.
-pred = oracle_predict(targets, NoiseConfig(seed=0, **noise), EmbeddingParams())
+pred = oracle_predict(targets, NoiseConfig(**noise), EmbeddingParams(), seed=0)
 dr = (pred.lateral_offset - targets.lateral_offset)[occ]
 print(f"  lateral jitter std on kept tiles: {dr.std():.4f} (configured {noise['sigma_r']})")

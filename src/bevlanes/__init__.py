@@ -9,7 +9,7 @@ from .codec import (AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid
 from .config import ConfigError, PipelineConfig
 from .evaluation import (EvalConfig, EvalReport, SceneRecord, curve_iou, evaluate,
                          lateral_error, match_and_ap, range_means, rasterize_curve, score_scene)
-from .geometry import CameraRig, GridSpec, Lane3D, tile_centers
+from .geometry import GridSpec, Lane3D, tile_centers
 from .io import SchemaError
 from .losses import (ClusterSummary, EmbeddingParams, FiniteDiffReport, LossValueAndGrad,
                      angle_loss, embedding_loss, finite_diff_check, offsets_loss, pull_loss,

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="clustering method")
         if name == "pipeline":
             sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                             help="parallel worker processes")
+                             help="parallel worker processes, at least 1")
         if name == "loss":
             sub.add_argument("--check-grads", action="store_true",
                              help="append a finite-difference gradient summary")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from .clustering import ClusterParams
 from .codec import AngleBinSpec
 from .evaluation import EvalConfig
-from .geometry import CameraRig, GridSpec
+from .geometry import GridSpec
 from .io import _coerce, section_from_dict, section_to_dict
 from .losses import EmbeddingParams
 from .synth import NoiseConfig, SceneConfig
@@ -26,7 +26,6 @@ class ConfigError(ValueError):
 _SECTIONS = {
     "grid": GridSpec,
     "bins": AngleBinSpec,
-    "rig": CameraRig,
     "embedding": EmbeddingParams,
     "cluster": ClusterParams,
     "scene": SceneConfig,
@@ -40,7 +39,6 @@ _SCALARS = ("output_dir", "n_scenes", "master_seed")
 class PipelineConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     bins: AngleBinSpec = field(default_factory=AngleBinSpec)
-    rig: CameraRig = field(default_factory=CameraRig)
     embedding: EmbeddingParams = field(default_factory=EmbeddingParams)
     cluster: ClusterParams = field(default_factory=ClusterParams)
     scene: SceneConfig = field(default_factory=SceneConfig)
@@ -82,13 +80,8 @@ class PipelineConfig:
             section = d[name]
             if not isinstance(section, dict):
                 raise ConfigError(f"section '{name}' must be an object")
-            defaults = section_to_dict(typ())
-            extra = set(section) - set(defaults)
-            if extra:
-                raise ConfigError(f"unknown keys in section '{name}': {sorted(extra)}")
-            merged = {**defaults, **section}
             try:
-                kwargs[name] = section_from_dict(typ, merged)
+                kwargs[name] = section_from_dict(typ, {**section_to_dict(typ()), **section})
             except (ValueError, TypeError, KeyError) as e:
                 raise ConfigError(f"section '{name}': {e}")
         if "extent" not in d.get("eval", {}):
@@ -97,11 +90,9 @@ class PipelineConfig:
             pad = base.lane_width / 2.0
             kwargs["eval"] = replace(base, extent=(
                 (grid.x_min - pad, grid.x_max + pad), (grid.y_min - pad, grid.y_max + pad)))
-        if "output_dir" in d:
-            kwargs["output_dir"] = str(d["output_dir"])
         try:
-            kwargs.update((name, _coerce(0, d[name], name))
-                          for name in ("n_scenes", "master_seed") if name in d)
+            kwargs.update((name, _coerce(getattr(cls, name), d[name], name))
+                          for name in _SCALARS if name in d)
             return cls(**kwargs)
         except ValueError as e:
             raise ConfigError(str(e))

@@ -19,32 +19,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class CameraRig:
-    """Camera mounting and intrinsics, carried on every scene as a config record.
-
-    pitch: mounting pitch in radians, positive = camera tilted downward.
-    height: camera center height above the projection plane, meters.
-    focal: (fx, fy) in pixels.
-    principal_point: (cx, cy) in pixels.
-    image_size: (width, height) in pixels.
-    """
-
-    pitch: float = 0.02
-    height: float = 1.6
-    focal: tuple[float, float] = (1000.0, 1000.0)
-    principal_point: tuple[float, float] = (640.0, 360.0)
-    image_size: tuple[int, int] = (1280, 720)
-
-    def __post_init__(self):
-        if not (self.height > 0):
-            raise ValueError(f"camera height must be > 0, got {self.height}")
-        if not (-math.pi / 2 < self.pitch < math.pi / 2):
-            raise ValueError(f"pitch must be in (-pi/2, pi/2), got {self.pitch}")
-        if not (self.focal[0] > 0 and self.focal[1] > 0):
-            raise ValueError(f"focal components must be > 0, got {self.focal}")
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """Layout of the W x H tile grid on the projection plane.
 

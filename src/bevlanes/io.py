@@ -5,13 +5,16 @@ newline) so that write -> read -> write round trips are byte-identical and
 outputs are diffable; non-finite numbers cannot be written. Readers validate
 structure and finiteness and report the offending file and field in a
 SchemaError rather than raising bare KeyErrors or ValueErrors. Config
-sections round-trip through one field-driven codec (`section_to_dict`,
-`section_from_dict`), tile grids and segments through the array fields
-`codec` declares; no JSON boolean reads as a number, nor a fraction as an int.
+sections, and the records of a file that hold one, round-trip through one
+field-driven codec (`section_to_dict`, `section_from_dict`) that rejects a key
+that is not a field; tile grids and segments go through the array fields
+`codec` declares. No JSON boolean or string reads as a number, nor a fraction
+as an int.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import fields
@@ -22,7 +25,7 @@ import numpy as np
 from .clustering import Curve
 from .codec import AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields
 from .evaluation import EvalReport
-from .geometry import CameraRig, GridSpec, Lane3D
+from .geometry import GridSpec, Lane3D
 from .synth import Scene, SurfaceParams
 
 
@@ -87,11 +90,20 @@ def _build(cls, d: dict, path: str, field: str):
 
 
 def _finite_array(value, path: str, field: str, dtype=float) -> np.ndarray:
-    """The value as an array, or a SchemaError naming the field when it is
-    malformed, non-finite or, for ints, not whole (`np.asarray` truncates)."""
+    """The value, a JSON number or a list of them nested at most once, as an
+    array; a SchemaError names the field when it holds anything else (a
+    boolean too, which `np.asarray` reads as 1 or 0), a non-finite value or,
+    for ints, a fraction (which `np.asarray` truncates)."""
+    nested = isinstance(value, list) and bool(value) and isinstance(value[0], list)
     try:
-        whole = np.dtype(dtype).kind == "i"
-        arr = np.asarray(_coerce([0], value, field) if whole else value, dtype=dtype)
+        items = itertools.chain.from_iterable(value) if nested else value
+        types = set(map(type, items)) if isinstance(value, list) else {type(value)}
+        if not types <= {int, float}:
+            raise TypeError(f"expected JSON numbers, got "
+                            f"{sorted(t.__name__ for t in types - {int, float})}")
+        if float in types and np.dtype(dtype).kind == "i":   # each must be whole
+            value = _coerce([[0]] if nested else [0], value, field)
+        arr = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(path, field, str(e))
     if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
@@ -139,12 +151,17 @@ def _coerce(default, value, name: str):
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{name} must be a whole number, got {value!r}")
         return type(default)(value)
+    if isinstance(default, str) and not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 
 def section_from_dict(cls, d: dict):
-    """Build a section from a dict holding every field; other keys are
-    ignored. A missing field raises KeyError with its name."""
+    """Build a section from a dict holding every field and no other key. A
+    missing field raises KeyError with its name, another key ValueError."""
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
     defaults = cls()
     return cls(**{f.name: _coerce(getattr(defaults, f.name), d[f.name], f.name)
                   for f in fields(cls)})
@@ -153,6 +170,10 @@ def section_from_dict(cls, d: dict):
 # ---------------------------------------------------------------------------
 # Scenes
 
+# The camera record every scene file carries, in canonical JSON; no stage reads it.
+_RIG_JSON = ('{"focal":[1000.0,1000.0],"height":1.6,"image_size":[1280,720],"pitch":0.02,'
+             '"principal_point":[640.0,360.0]}')
+
 
 def scene_to_dict(scene: Scene) -> dict:
     return {
@@ -160,7 +181,7 @@ def scene_to_dict(scene: Scene) -> dict:
         "lanes": [{"lane_id": lane.lane_id, "points": lane.points.tolist()}
                   for lane in scene.lanes],
         "surface": section_to_dict(scene.surface),
-        "rig": section_to_dict(scene.rig),
+        "rig": json.loads(_RIG_JSON),
     }
 
 
@@ -182,8 +203,10 @@ def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
                               f"{lane.lane_id} is negative or not unique in the scene")
         lanes.append(lane)
     surface = _build(SurfaceParams, _require(d, "surface", path), path, "surface")
-    rig = _build(CameraRig, _require(d, "rig", path), path, "rig")
-    return Scene(lanes=lanes, surface=surface, rig=rig)
+    rig = _require(d, "rig", path)
+    if json.dumps(rig, sort_keys=True, separators=(",", ":")) != _RIG_JSON:
+        raise SchemaError(path, "rig", f"expected {_RIG_JSON}, got {rig!r}")
+    return Scene(lanes=lanes, surface=surface)
 
 
 # ---------------------------------------------------------------------------

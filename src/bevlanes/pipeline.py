@@ -50,8 +50,8 @@ def derive_seed(master_seed: int, scene_index: int, stage: str) -> int:
 
 
 def _generate_step(config: PipelineConfig, index: int, _, method: str) -> Scene:
-    cfg = replace(config.scene, seed=derive_seed(config.master_seed, index, "scene"))
-    return generate_scene(cfg, grid=config.grid, rig=config.rig)
+    return generate_scene(config.scene, config.grid,
+                          derive_seed(config.master_seed, index, "scene"))
 
 
 def _encode_step(config: PipelineConfig, index: int, scene: Scene,
@@ -61,8 +61,8 @@ def _encode_step(config: PipelineConfig, index: int, scene: Scene,
 
 def _predict_step(config: PipelineConfig, index: int, targets: TileTargetGrid,
                   method: str) -> TilePredictionGrid:
-    noise = replace(config.noise, seed=derive_seed(config.master_seed, index, "noise"))
-    return oracle_predict(targets, noise, config.embedding)
+    return oracle_predict(targets, config.noise, config.embedding,
+                          derive_seed(config.master_seed, index, "noise"))
 
 
 def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
@@ -108,13 +108,20 @@ def process_scene(config: PipelineConfig, index: int, method: str = "embedding")
     return SceneResult(index, *artifacts)
 
 
-def _fan_out(worker: Callable, config: PipelineConfig, method: str, jobs: int) -> list:
+def _pool_size(config: PipelineConfig, jobs: int) -> int:
+    """Worker processes for a run: jobs, but no more than there are scenes."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, config.n_scenes)
+
+
+def _fan_out(worker: Callable, config: PipelineConfig, method: str, processes: int) -> list:
     """worker((config, index, method)) for every scene index, in index order;
-    jobs > 1 spreads the scenes over a process pool."""
+    a pool of more than one process shares the scenes out."""
     tasks = [(config, i, method) for i in range(config.n_scenes)]
-    if jobs <= 1:
+    if processes == 1:
         return [worker(t) for t in tasks]
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(processes) as pool:
         return list(pool.imap(worker, tasks))
 
 
@@ -126,10 +133,11 @@ def run_pipeline(config: PipelineConfig, method: str = "embedding",
                  jobs: int = 1) -> tuple[EvalReport, list[SceneResult]]:
     """Run every stage over n_scenes, in memory; returns the report + results.
 
-    jobs > 1 distributes scenes over a process pool; results come back in
-    scene-index order, so output is identical to a serial run.
+    jobs > 1 distributes scenes over a process pool of at most n_scenes
+    workers; results come back in scene-index order, so output is identical
+    to a serial run. jobs < 1 raises ConfigError.
     """
-    results = _fan_out(_worker, config, method, jobs)
+    results = _fan_out(_worker, config, method, _pool_size(config, jobs))
     return evaluate_results(results, config), results
 
 
@@ -287,8 +295,9 @@ def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
     """Run all stages, writing every intermediate file, report and SVG plots.
     The workers write their scenes' files; this process makes the directories
     and writes the report, so a run that fails can leave a partial tree."""
+    processes = _pool_size(config, jobs)       # a bad value fails before any directory is made
     for d in [stage.dir for stage in STAGES.values()] + ["plots"]:
         (Path(config.output_dir) / d).mkdir(parents=True, exist_ok=True)
-    report = evaluate(_fan_out(_write_scene, config, method, jobs), config.eval)
+    report = evaluate(_fan_out(_write_scene, config, method, processes), config.eval)
     _write_report(config, report)
     return report

@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import (DEFAULT_SATURATION, TilePredictionGrid, TileTargetGrid, angle_to_soft_labels,
                     logit, saturated_arrays)
-from .geometry import CameraRig, GridSpec, Lane3D, resample_polyline
+from .geometry import GridSpec, Lane3D, resample_polyline
 from .losses import EmbeddingParams
 
 TOPOLOGIES = ("parallel", "split", "merge", "short", "perpendicular")
@@ -75,7 +75,6 @@ class SceneConfig:
         "parallel": 0.6, "split": 0.1, "merge": 0.1, "short": 0.1, "perpendicular": 0.1})
     y_range: tuple[float, float] = (0.0, 78.0)
     short_y_range: tuple[float, float] = (20.0, 50.0)
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_lanes < 1:
@@ -107,7 +106,6 @@ class NoiseConfig:
     drop_rate: float = 0.0
     fp_rate: float = 0.0
     sigma_f: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("sigma_r", "sigma_phi", "sigma_z", "sigma_f"):
@@ -120,20 +118,18 @@ class NoiseConfig:
 
 @dataclass
 class Scene:
-    """Ground truth: 3D lane polylines on a height field, seen from a rig."""
+    """Ground truth: 3D lane polylines on a height field."""
 
     lanes: list[Lane3D]
     surface: SurfaceParams
-    rig: CameraRig
 
 
 # ---------------------------------------------------------------------------
 # Scene generation
 
 
-def generate_scene(cfg: SceneConfig, grid: GridSpec | None = None,
-                   rig: CameraRig | None = None) -> Scene:
-    """Generate one deterministic scene from the config seed.
+def generate_scene(cfg: SceneConfig, grid: GridSpec | None = None, seed: int = 0) -> Scene:
+    """Generate one deterministic scene from the seed.
 
     The center path is an arc-spline (piecewise-constant random curvature,
     heading clamped toward +y). Lanes are lateral offsets of it at multiples
@@ -142,12 +138,11 @@ def generate_scene(cfg: SceneConfig, grid: GridSpec | None = None,
     onto the surface height field.
     """
     grid = grid or GridSpec()
-    rig = rig or CameraRig()
     if cfg.surface_wavelength <= 2.0 * grid.tile_length:
         raise ValueError(
             f"surface_wavelength must exceed twice the tile length "
             f"({2.0 * grid.tile_length}), got {cfg.surface_wavelength}")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & (2 ** 64 - 1), 0x5CE7E]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed & (2 ** 64 - 1), 0x5CE7E]))
     surface = SurfaceParams(
         amplitude=cfg.surface_amplitude,
         wavelength_x=2.0 * cfg.surface_wavelength,
@@ -194,7 +189,7 @@ def generate_scene(cfg: SceneConfig, grid: GridSpec | None = None,
             continue
         z = surface_height(pts[:, 0], pts[:, 1], surface)
         lanes.append(Lane3D(points=np.column_stack([pts, z]), lane_id=len(lanes)))
-    return Scene(lanes=lanes, surface=surface, rig=rig)
+    return Scene(lanes=lanes, surface=surface)
 
 
 def _center_path(cfg: SceneConfig, rng):
@@ -293,9 +288,10 @@ def simplex_anchors(n: int, dim: int, separation: float) -> np.ndarray:
     return out
 
 
-def oracle_predict(targets: TileTargetGrid, noise: NoiseConfig,
-                   params: EmbeddingParams) -> TilePredictionGrid:
-    """Produce a prediction grid from targets plus configured corruption.
+def oracle_predict(targets: TileTargetGrid, noise: NoiseConfig, params: EmbeddingParams,
+                   seed: int = 0) -> TilePredictionGrid:
+    """Produce a prediction grid from targets plus configured corruption,
+    drawn from the seed.
 
     Occupied tiles get saturated scores (dropped to the floor with
     drop_rate), Gaussian-perturbed offsets/angle/height, and their lane's
@@ -310,7 +306,7 @@ def oracle_predict(targets: TileTargetGrid, noise: NoiseConfig,
     anchors = simplex_anchors(len(lane_ids), params.dim, params.push_margin)
     fp_anchors = anchors if len(anchors) else np.zeros((1, params.dim))
 
-    rng = np.random.default_rng(np.random.SeedSequence([noise.seed & (2 ** 64 - 1), 0x0AC1E]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed & (2 ** 64 - 1), 0x0AC1E]))
     # Fixed draw order (whole-grid arrays) keeps the stream independent of
     # the occupancy pattern.
     noise_r = rng.normal(0.0, 1.0, (h, w)) * noise.sigma_r

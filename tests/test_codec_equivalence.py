@@ -6,7 +6,9 @@ and fit each tile in a Python loop; `oracle_predict` and `decode_grid` looped
 over tiles. The reference copies below are those functions verbatim, with a
 `ref_` prefix (plus the former scalar `angle_to_soft_labels`,
 `soft_labels_to_angle` and `saturated_prediction` they call, and the
-per-segment record `RefSegment` the decode loop built). Every case asserts
+per-segment record `RefSegment` the decode loop built); the only edit is that
+`ref_oracle_predict` takes its seed as an argument, as `oracle_predict` now
+does, where it read `noise.seed`. Every case asserts
 identical arrays, bit for bit (signed zeros included), and identical segment
 fields row by row, so the target, prediction and segment files written from
 them stay byte-identical.
@@ -349,7 +351,7 @@ def ref_decode_grid(preds: TilePredictionGrid,
     return segments
 
 def ref_oracle_predict(targets: TileTargetGrid, noise: NoiseConfig,
-                   params: EmbeddingParams) -> TilePredictionGrid:
+                   params: EmbeddingParams, seed: int) -> TilePredictionGrid:
     """Produce a prediction grid from targets plus configured corruption.
 
     Occupied tiles get saturated scores (dropped to the floor with
@@ -366,7 +368,7 @@ def ref_oracle_predict(targets: TileTargetGrid, noise: NoiseConfig,
     anchor_of = {int(c): anchors[k] for k, c in enumerate(lane_ids)}
     fp_anchors = anchors if len(anchors) else np.zeros((1, params.dim))
 
-    rng = np.random.default_rng(np.random.SeedSequence([noise.seed & (2 ** 64 - 1), 0x0AC1E]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed & (2 ** 64 - 1), 0x0AC1E]))
     # Fixed draw order (whole-grid arrays) keeps the stream independent of
     # the occupancy pattern.
     noise_r = rng.normal(0.0, 1.0, (h, w)) * noise.sigma_r
@@ -664,12 +666,11 @@ EMB = EmbeddingParams()
        noise=st.sampled_from(NOISES), noise_seed=st.integers(0, 2 ** 32 - 1))
 def test_generated_scene_stages_equal_reference(seed, grid, noise, noise_seed):
     weights = {"parallel": 0.2, "split": 0.2, "merge": 0.2, "short": 0.2, "perpendicular": 0.2}
-    scene = generate_scene(SceneConfig(seed=seed, topology_weights=weights), grid)
+    scene = generate_scene(SceneConfig(topology_weights=weights), grid, seed)
     targets = encode_scene(scene.lanes, grid, BINS)
     assert_same_grid(targets, ref_encode_scene(scene.lanes, grid, BINS))
-    noise = NoiseConfig(**{**noise.__dict__, "seed": noise_seed})
-    preds = oracle_predict(targets, noise, EMB)
-    assert_same_grid(preds, ref_oracle_predict(targets, noise, EMB))
+    preds = oracle_predict(targets, noise, EMB, noise_seed)
+    assert_same_grid(preds, ref_oracle_predict(targets, noise, EMB, noise_seed))
     assert_same_segments(decode_grid(preds), ref_decode_grid(preds))
 
 
@@ -677,14 +678,13 @@ def test_generated_scene_stages_equal_reference(seed, grid, noise, noise_seed):
 @given(targets=target_grids(), noise=st.sampled_from(NOISES),
        noise_seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((4, 6)))
 def test_oracle_predict_equals_reference(targets, noise, noise_seed, dim):
-    noise = NoiseConfig(**{**noise.__dict__, "seed": noise_seed})
     params = EmbeddingParams(dim=dim)
-    assert_same_grid(oracle_predict(targets, noise, params),
-                     ref_oracle_predict(targets, noise, params))
+    assert_same_grid(oracle_predict(targets, noise, params, noise_seed),
+                     ref_oracle_predict(targets, noise, params, noise_seed))
 
 
 def test_saturated_prediction_equals_reference():
-    targets = encode_scene(generate_scene(SceneConfig(seed=4)).lanes, DEFAULT, BINS)
+    targets = encode_scene(generate_scene(SceneConfig(), seed=4).lanes, DEFAULT, BINS)
     for dim in (1, 4):
         assert_same_grid(saturated_prediction(targets, dim), ref_saturated_prediction(targets, dim))
 

@@ -1,4 +1,4 @@
-"""Tests for the tile grid, the camera rig record and Lane3D."""
+"""Tests for the tile grid and Lane3D."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bevlanes.geometry import CameraRig, GridSpec, Lane3D, resample_polyline, tile_centers
+from bevlanes.geometry import GridSpec, Lane3D, resample_polyline, tile_centers
 from bevlanes.io import section_from_dict, section_to_dict
 
 
@@ -93,27 +93,6 @@ def test_grid_rejects_an_extent_that_overflows():
 def test_grid_serialization_round_trip():
     grid = GridSpec(n_cols=4, n_rows=9, tile_width=1.5, tile_length=2.0, y_min=5.0)
     assert section_from_dict(GridSpec, section_to_dict(grid)) == grid
-
-
-# ---------------------------------------------------------------------------
-# camera rig
-
-
-def test_rig_validation():
-    with pytest.raises(ValueError):
-        CameraRig(height=0.0)
-    with pytest.raises(ValueError):
-        CameraRig(height=-1.0)
-    with pytest.raises(ValueError):
-        CameraRig(pitch=math.pi / 2)
-    with pytest.raises(ValueError):
-        CameraRig(focal=(0.0, 1000.0))
-
-
-def test_rig_serialization_round_trip():
-    rig = CameraRig(pitch=0.05, height=1.4, focal=(900.0, 910.0),
-                    principal_point=(600.0, 350.0), image_size=(1200, 700))
-    assert section_from_dict(CameraRig, section_to_dict(rig)) == rig
 
 
 # ---------------------------------------------------------------------------

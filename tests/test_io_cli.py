@@ -3,12 +3,14 @@
 import csv
 import io as std_io
 import json
+import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +36,9 @@ BINS = AngleBinSpec()
 
 
 def small_scene(seed=42):
-    cfg = SceneConfig(seed=seed, topology_weights={
+    cfg = SceneConfig(topology_weights={
         "parallel": 1.0, "split": 0.0, "merge": 0.0, "short": 0.0, "perpendicular": 0.0})
-    return generate_scene(cfg)
+    return generate_scene(cfg, seed=seed)
 
 
 def tiny_config_dict(tmp_path, **overrides):
@@ -116,7 +118,6 @@ def test_scene_round_trip_byte_identical():
     for a, b in zip(back.lanes, scene.lanes):
         assert a.lane_id == b.lane_id
         npt.assert_array_equal(a.points, b.points)
-    assert back.rig == scene.rig
 
 
 def test_scene_wrong_kind_rejected():
@@ -131,6 +132,22 @@ def test_scene_wrong_kind_rejected():
 def test_scene_missing_field_names_it():
     d = io.scene_to_dict(small_scene())
     del d["rig"]
+    with pytest.raises(io.SchemaError) as exc:
+        io.scene_from_dict(d)
+    assert exc.value.field == "rig"
+
+
+def test_scene_file_carries_the_fixed_rig_record():
+    assert io.canonical_json(io.scene_to_dict(small_scene())["rig"]) == (
+        '{"focal":[1000.0,1000.0],"height":1.6,"image_size":[1280,720],"pitch":0.02,'
+        '"principal_point":[640.0,360.0]}\n')
+
+
+@pytest.mark.parametrize("change", [{"height": 1.5}, {"focal": [1000, 1000]},
+                                    {"image_size": [1280.0, 720.0]}, {"roll": 0.0}])
+def test_scene_rig_record_other_than_the_fixed_one_rejected(change):
+    d = io.scene_to_dict(small_scene())
+    d["rig"].update(change)
     with pytest.raises(io.SchemaError) as exc:
         io.scene_from_dict(d)
     assert exc.value.field == "rig"
@@ -192,8 +209,8 @@ def test_targets_lane_id_must_be_whole_numbers(value):
 
 
 def test_preds_round_trip_byte_identical():
-    preds = oracle_predict(_targets(), NoiseConfig(sigma_r=0.05, fp_rate=0.02, seed=3),
-                           EmbeddingParams())
+    preds = oracle_predict(_targets(), NoiseConfig(sigma_r=0.05, fp_rate=0.02),
+                           EmbeddingParams(), seed=3)
     first = io.canonical_json(io.preds_to_dict(preds))
     back = io.preds_from_dict(json.loads(first))
     assert io.canonical_json(io.preds_to_dict(back)) == first
@@ -206,7 +223,7 @@ def test_preds_round_trip_byte_identical():
 
 
 def test_preds_embedding_dim_mismatch_rejected():
-    d = io.preds_to_dict(oracle_predict(_targets(), NoiseConfig(seed=3), EmbeddingParams()))
+    d = io.preds_to_dict(oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), seed=3))
     d["embedding_dim"] = 7
     with pytest.raises(io.SchemaError) as exc:
         io.preds_from_dict(d)
@@ -218,7 +235,7 @@ def test_preds_embedding_dim_mismatch_rejected():
 
 
 def test_segments_round_trip_byte_identical():
-    preds = oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())
+    preds = oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), seed=5)
     segments = decode_grid(preds)
     assert len(segments)
     first = io.canonical_json(io.segments_to_dict(segments))
@@ -230,7 +247,7 @@ def test_segments_round_trip_byte_identical():
 
 
 def test_segments_missing_key_rejected():
-    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), 5)))
     del d["segments"][1]["score"]
     with pytest.raises(io.SchemaError) as exc:
         io.segments_from_dict(d)
@@ -239,7 +256,7 @@ def test_segments_missing_key_rejected():
 
 @pytest.mark.parametrize("tile", [[3], [3, 4, 5], [-1, 4], [3, 2 ** 31], [10 ** 30, 0]])
 def test_segments_tile_must_be_two_grid_indices(tile):
-    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), 5)))
     d["segments"][1]["tile"] = tile
     with pytest.raises(io.SchemaError) as exc:
         io.segments_from_dict(d)
@@ -254,7 +271,7 @@ def test_segments_tile_must_be_two_grid_indices(tile):
 def test_segments_value_of_the_wrong_json_type_rejected(key, value):
     # each used to be truncated or cast: tile [3.7, 4] read as (3, 4),
     # degenerate "no" as True, score true as 1.0
-    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), 5)))
     d["segments"][1][key] = value
     with pytest.raises(io.SchemaError) as exc:
         io.segments_from_dict(d)
@@ -262,7 +279,7 @@ def test_segments_value_of_the_wrong_json_type_rejected(key, value):
 
 
 def test_segments_whole_float_tile_reads_as_int():
-    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), 5)))
     want = d["segments"][1]["tile"]
     d["segments"][1]["tile"] = [float(v) for v in want]
     assert io.segments_from_dict(d).tile[1].tolist() == want
@@ -270,7 +287,7 @@ def test_segments_whole_float_tile_reads_as_int():
 
 @pytest.mark.parametrize("name", ["midpoint", "score", "embedding"])
 def test_segments_non_finite_value_rejected(name):
-    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams())))
+    d = io.segments_to_dict(decode_grid(oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), 5)))
     value = d["segments"][2][name]
     d["segments"][2][name] = [float("nan")] + value[1:] if isinstance(value, list) else float("inf")
     with pytest.raises(io.SchemaError, match="finite") as exc:
@@ -314,7 +331,7 @@ def test_lanes_whole_number_confidence_reads_as_float():
 def _artifact_dicts():
     """kind -> (reader, a valid dict of that kind, its list field)."""
     lanes = [(Curve(points=[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0]]), 0.5)]
-    segments = decode_grid(oracle_predict(_targets(), NoiseConfig(seed=5), EmbeddingParams()))
+    segments = decode_grid(oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), seed=5))
     return {"scene": (io.scene_from_dict, io.scene_to_dict(small_scene()), "lanes"),
             "lanes": (io.lanes_from_dict, io.lanes_to_dict(lanes), "lanes"),
             "segments": (io.segments_from_dict, io.segments_to_dict(segments), "segments")}
@@ -346,6 +363,38 @@ def test_lanes_degenerate_curve_rejected():
     with pytest.raises(io.SchemaError) as exc:
         io.lanes_from_dict(d)
     assert "points" in exc.value.field
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("target", "fields.lateral_offset.data"), ("pred", "fields.score_logit.data"),
+    ("scene", "lanes[0].points"), ("lanes", "lanes[0].points")])
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_float_payload_takes_only_json_numbers(kind, field, value):
+    # true used to read as 1.0, false as 0.0 and "0.5" as 0.5
+    reader, d = {
+        "target": (io.targets_from_dict, io.targets_to_dict(_targets())),
+        "pred": (io.preds_from_dict, io.preds_to_dict(
+            oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), seed=5))),
+        "scene": (io.scene_from_dict, io.scene_to_dict(small_scene())),
+        "lanes": (io.lanes_from_dict, io.lanes_to_dict(
+            [(Curve(points=[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0]]), 0.5)])),
+    }[kind]
+    if field.startswith("fields."):
+        d["fields"][field.split(".")[1]]["data"][3] = value
+    else:
+        d["lanes"][0]["points"][1][2] = value
+    with pytest.raises(io.SchemaError) as exc:
+        reader(d, path=f"{kind}.json")
+    assert exc.value.field == field
+
+
+def test_targets_whole_float_lane_id_reads_as_int():
+    d = io.targets_to_dict(_targets())
+    data = d["fields"]["lane_id"]["data"]
+    data[:] = [float(v) for v in data]
+    targets = io.targets_from_dict(d)
+    assert targets.lane_id.dtype == np.int64
+    npt.assert_array_equal(targets.lane_id, _targets().lane_id)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +454,11 @@ def test_config_unknown_top_level_key():
 def test_config_unknown_section_key():
     with pytest.raises(ConfigError, match="grid"):
         PipelineConfig.from_dict({"grid": {"n_colums": 8}})
+
+
+def test_section_from_dict_rejects_a_key_that_is_not_a_field():
+    with pytest.raises(ValueError, match="n_colums"):
+        io.section_from_dict(GridSpec, {**io.section_to_dict(GRID), "n_colums": 8})
 
 
 def test_config_partial_section_keeps_defaults():
@@ -762,6 +816,77 @@ def test_cli_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, ov
     assert main(["generate", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"rig": {}}, "'rig'"), ({"rig": {"pitch": 0.02}}, "'rig'"),
+    ({"scene": {"seed": 3}}, "'seed'"), ({"noise": {"seed": 3}}, "'seed'")])
+def test_cli_config_with_a_camera_rig_or_a_section_seed_is_config_error(
+        tmp_path, capsys, overrides, named):
+    # scene and noise seeds come only from master_seed, and no stage reads a rig
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["pipeline", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [None, 5, ["out"], True])
+def test_cli_output_dir_that_is_not_a_string_is_config_error(tmp_path, capsys, monkeypatch,
+                                                              value):
+    # null used to run into a directory named "None", 5 into one named "5"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BEVLANES_OUTPUT_DIR", raising=False)
+    cfg = write_config(tmp_path, output_dir=value)
+    assert main(["generate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "output_dir" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("path, record", [
+    ("scenes/scene_00000.json", "surface"), ("scenes/scene_00000.json", "rig"),
+    ("targets/target_00000.json", "grid"), ("targets/target_00000.json", "bins"),
+    ("preds/pred_00000.json", "grid")])
+def test_cli_record_with_a_key_that_is_not_a_field_is_data_error(tmp_path, capsys, path,
+                                                                 record):
+    # the key used to be ignored, as a config section never did (the rig
+    # record was then read as a camera rig, which no stage used)
+    cfg, _ = _predicted(tmp_path)
+    stage_path = tmp_path / "out" / path
+    d = json.loads(stage_path.read_text())
+    d[record]["typo_key"] = 1
+    stage_path.write_text(json.dumps(d))
+    reader = {"scenes": "encode", "targets": "predict", "preds": "decode"}[path.split("/")[0]]
+    assert main([reader, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert Path(path).name in err and f"'{record}'" in err and "typo_key" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    # both used to run serially without a word
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg, "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "jobs" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="jobs"):
+        run_pipeline(PipelineConfig.from_dict(tiny_config_dict(tmp_path)), jobs=int(jobs))
+
+
+def test_pool_has_no_more_workers_than_scenes(tmp_path, monkeypatch):
+    sizes, real_pool = [], multiprocessing.Pool
+
+    def pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    cfg = PipelineConfig.from_dict(tiny_config_dict(tmp_path))       # two scenes
+    assert run_pipeline(cfg, jobs=3)[0].to_dict() == run_pipeline(cfg)[0].to_dict()
+    cmd_pipeline(replace(cfg, n_scenes=1), jobs=2)
+    assert sizes == [2]
 
 
 def test_cli_lane_with_a_repeated_vertex_is_evaluated(tmp_path, capsys):

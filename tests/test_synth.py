@@ -74,21 +74,21 @@ def test_surface_params_validated():
 
 
 def test_generate_deterministic():
-    cfg = SceneConfig(seed=1234)
-    a = generate_scene(cfg)
-    b = generate_scene(cfg)
+    cfg = SceneConfig()
+    a = generate_scene(cfg, seed=1234)
+    b = generate_scene(cfg, seed=1234)
     assert len(a.lanes) == len(b.lanes)
     for la, lb in zip(a.lanes, b.lanes):
         assert la.lane_id == lb.lane_id
         npt.assert_array_equal(la.points, lb.points)
     assert a.surface == b.surface
-    c = generate_scene(SceneConfig(seed=1235))
+    c = generate_scene(cfg, seed=1235)
     assert len(c.lanes) != len(a.lanes) or not np.array_equal(c.lanes[0].points, a.lanes[0].points)
 
 
 def test_generate_straight_parallel_spacing():
-    cfg = cfg_with("parallel", n_lanes=3, curvature_max=0.0, surface_amplitude=0.0, seed=7)
-    scene = generate_scene(cfg)
+    cfg = cfg_with("parallel", n_lanes=3, curvature_max=0.0, surface_amplitude=0.0)
+    scene = generate_scene(cfg, seed=7)
     assert len(scene.lanes) == 3
     dirs = []
     for lane in scene.lanes:
@@ -110,8 +110,8 @@ def test_generate_straight_parallel_spacing():
 
 
 def test_generate_vertices_on_surface():
-    cfg = SceneConfig(seed=42, surface_amplitude=0.35)
-    scene = generate_scene(cfg)
+    cfg = SceneConfig(surface_amplitude=0.35)
+    scene = generate_scene(cfg, seed=42)
     assert scene.lanes
     for lane in scene.lanes:
         z = surface_height(lane.points[:, 0], lane.points[:, 1], scene.surface)
@@ -121,12 +121,12 @@ def test_generate_vertices_on_surface():
 def test_generate_one_meter_vertex_spacing():
     # exact on straight paths; on curved ones the chord of a 1 m arc is
     # shorter by at most (kappa*1)^2/24, about 4e-5 at kappa = 0.03
-    scene = generate_scene(cfg_with("parallel", curvature_max=0.0, seed=5))
+    scene = generate_scene(cfg_with("parallel", curvature_max=0.0), seed=5)
     for lane in scene.lanes:
         steps = np.linalg.norm(np.diff(lane.points[:, :2], axis=0), axis=1)
         npt.assert_allclose(steps[:-1], 1.0, atol=1e-9)
         assert 0.0 < steps[-1] <= 1.0 + 1e-9
-    scene = generate_scene(SceneConfig(seed=5))
+    scene = generate_scene(SceneConfig(), seed=5)
     for lane in scene.lanes:
         steps = np.linalg.norm(np.diff(lane.points[:, :2], axis=0), axis=1)
         npt.assert_allclose(steps[:-1], 1.0, atol=1e-4)
@@ -135,7 +135,7 @@ def test_generate_one_meter_vertex_spacing():
 
 def test_generate_clipped_to_grid():
     for seed in range(12):
-        scene = generate_scene(SceneConfig(seed=seed, n_lanes=5))
+        scene = generate_scene(SceneConfig(n_lanes=5), seed=seed)
         for lane in scene.lanes:
             assert np.all(lane.points[:, 0] >= GRID.x_min - 1e-9)
             assert np.all(lane.points[:, 0] <= GRID.x_max + 1e-9)
@@ -144,8 +144,8 @@ def test_generate_clipped_to_grid():
 
 
 def test_generate_split_shares_stem_and_separates():
-    cfg = cfg_with("split", n_lanes=2, curvature_max=0.0, surface_amplitude=0.0, seed=11)
-    scene = generate_scene(cfg)
+    cfg = cfg_with("split", n_lanes=2, curvature_max=0.0, surface_amplitude=0.0)
+    scene = generate_scene(cfg, seed=11)
     assert len(scene.lanes) == 3
     branch = scene.lanes[-1].points
     # the branch shares its first vertices exactly with one base lane (the stem)
@@ -168,8 +168,8 @@ def test_generate_split_shares_stem_and_separates():
 
 
 def test_generate_merge_shares_tail():
-    cfg = cfg_with("merge", n_lanes=2, curvature_max=0.0, surface_amplitude=0.0, seed=3)
-    scene = generate_scene(cfg)
+    cfg = cfg_with("merge", n_lanes=2, curvature_max=0.0, surface_amplitude=0.0)
+    scene = generate_scene(cfg, seed=3)
     assert len(scene.lanes) == 3
     branch = scene.lanes[-1].points
     base = None
@@ -184,8 +184,8 @@ def test_generate_merge_shares_tail():
 
 
 def test_generate_short_lane_starts_midrange():
-    cfg = cfg_with("short", n_lanes=3, seed=19)
-    scene = generate_scene(cfg)
+    cfg = cfg_with("short", n_lanes=3)
+    scene = generate_scene(cfg, seed=19)
     starts = sorted(float(lane.points[:, 1].min()) for lane in scene.lanes)
     assert starts[-1] >= cfg.short_y_range[0] - 1.0
     assert starts[-1] <= cfg.short_y_range[1] + 1.0
@@ -194,8 +194,8 @@ def test_generate_short_lane_starts_midrange():
 
 
 def test_generate_perpendicular_crossing():
-    cfg = cfg_with("perpendicular", n_lanes=2, seed=23)
-    scene = generate_scene(cfg)
+    cfg = cfg_with("perpendicular", n_lanes=2)
+    scene = generate_scene(cfg, seed=23)
     flat = [lane for lane in scene.lanes
             if np.ptp(lane.points[:, 1]) < 1e-6]
     assert len(flat) == 1
@@ -218,9 +218,9 @@ def test_scene_config_validated():
 
 
 def test_scene_config_round_trip():
-    cfg = SceneConfig(seed=9, n_lanes=4, curvature_max=0.01)
+    cfg = SceneConfig(n_lanes=4, curvature_max=0.01)
     assert section_from_dict(SceneConfig, section_to_dict(cfg)) == cfg
-    noise = NoiseConfig(sigma_r=0.1, drop_rate=0.2, seed=3)
+    noise = NoiseConfig(sigma_r=0.1, drop_rate=0.2)
     assert section_from_dict(NoiseConfig, section_to_dict(noise)) == noise
 
 
@@ -256,7 +256,7 @@ def test_simplex_anchor_dimension_limit():
 
 
 def test_oracle_zero_noise_recovers_membership():
-    scene = generate_scene(cfg_with("parallel", seed=31, curvature_max=0.01))
+    scene = generate_scene(cfg_with("parallel", curvature_max=0.01), seed=31)
     targets = encode_scene(scene.lanes, GRID, BINS)
     pred = oracle_predict(targets, NoiseConfig(), EMB)
     segments = decode_grid(pred)
@@ -272,25 +272,25 @@ def test_oracle_zero_noise_recovers_membership():
 
 
 def test_oracle_deterministic():
-    scene = generate_scene(SceneConfig(seed=2))
+    scene = generate_scene(SceneConfig(), seed=2)
     targets = encode_scene(scene.lanes, GRID, BINS)
-    noise = NoiseConfig(sigma_r=0.1, sigma_phi=0.05, fp_rate=0.05, sigma_f=0.1, seed=77)
-    a = oracle_predict(targets, noise, EMB)
-    b = oracle_predict(targets, noise, EMB)
+    noise = NoiseConfig(sigma_r=0.1, sigma_phi=0.05, fp_rate=0.05, sigma_f=0.1)
+    a = oracle_predict(targets, noise, EMB, seed=77)
+    b = oracle_predict(targets, noise, EMB, seed=77)
     npt.assert_array_equal(a.score_logit, b.score_logit)
     npt.assert_array_equal(a.lateral_offset, b.lateral_offset)
     npt.assert_array_equal(a.embedding, b.embedding)
 
 
 def test_oracle_lateral_noise_half_normal_mean():
-    scene = generate_scene(cfg_with("parallel", seed=13))
+    scene = generate_scene(cfg_with("parallel"), seed=13)
     targets = encode_scene(scene.lanes, GRID, BINS)
     occ = targets.occupancy > 0.5
     assert occ.sum() >= 70
     devs = []
     k = 0
     while len(devs) < 10000:
-        pred = oracle_predict(targets, NoiseConfig(sigma_r=0.1, seed=1000 + k), EMB)
+        pred = oracle_predict(targets, NoiseConfig(sigma_r=0.1), EMB, seed=1000 + k)
         devs.extend(np.abs(pred.lateral_offset - targets.lateral_offset)[occ].tolist())
         k += 1
     mean = float(np.mean(devs))
@@ -300,7 +300,7 @@ def test_oracle_lateral_noise_half_normal_mean():
 
 def test_oracle_false_positive_rate_binomial():
     empty = TileTargetGrid.zeros(GRID, BINS)
-    pred = oracle_predict(empty, NoiseConfig(fp_rate=0.05, seed=5), EMB)
+    pred = oracle_predict(empty, NoiseConfig(fp_rate=0.05), EMB, seed=5)
     activated = int(np.sum(pred.score() >= 0.3))
     n = GRID.n_rows * GRID.n_cols
     mean = 0.05 * n
@@ -313,7 +313,7 @@ def test_oracle_false_positive_rate_binomial():
 
 
 def test_oracle_drop_rate_one_clears_grid():
-    scene = generate_scene(SceneConfig(seed=4))
+    scene = generate_scene(SceneConfig(), seed=4)
     targets = encode_scene(scene.lanes, GRID, BINS)
     pred = oracle_predict(targets, NoiseConfig(drop_rate=1.0), EMB)
     assert len(decode_grid(pred)) == 0
@@ -322,18 +322,18 @@ def test_oracle_drop_rate_one_clears_grid():
 def test_oracle_noise_stream_independent_of_occupancy():
     # the same noise seed must flag the same false-positive tiles whether or
     # not other tiles happen to be occupied (whole-grid draws, fixed order)
-    scene = generate_scene(SceneConfig(seed=6))
+    scene = generate_scene(SceneConfig(), seed=6)
     targets = encode_scene(scene.lanes, GRID, BINS)
     empty = TileTargetGrid.zeros(GRID, BINS)
-    noise = NoiseConfig(fp_rate=0.1, seed=21)
+    noise = NoiseConfig(fp_rate=0.1)
     occ = targets.occupancy > 0.5
-    on_scene = (oracle_predict(targets, noise, EMB).score() >= 0.3) & ~occ
-    on_empty = oracle_predict(empty, noise, EMB).score() >= 0.3
+    on_scene = (oracle_predict(targets, noise, EMB, seed=21).score() >= 0.3) & ~occ
+    on_empty = oracle_predict(empty, noise, EMB, seed=21).score() >= 0.3
     npt.assert_array_equal(on_scene, on_empty & ~occ)
 
 
 def test_oracle_rejects_too_many_lanes_for_dimension():
-    lanes = generate_scene(cfg_with("parallel", n_lanes=6, lane_spacing=2.0, seed=8)).lanes
+    lanes = generate_scene(cfg_with("parallel", n_lanes=6, lane_spacing=2.0), seed=8).lanes
     assert len(lanes) == 6
     targets = encode_scene(lanes, GRID, BINS)
     with pytest.raises(ValueError):
@@ -342,9 +342,9 @@ def test_oracle_rejects_too_many_lanes_for_dimension():
 
 
 def test_oracle_angle_noise_reencoded_consistently():
-    scene = generate_scene(cfg_with("parallel", seed=15))
+    scene = generate_scene(cfg_with("parallel"), seed=15)
     targets = encode_scene(scene.lanes, GRID, BINS)
-    pred = oracle_predict(targets, NoiseConfig(sigma_phi=0.1, seed=2), EMB)
+    pred = oracle_predict(targets, NoiseConfig(sigma_phi=0.1), EMB, seed=2)
     probs = pred.bin_probs()
     occ = targets.occupancy > 0.5
     # per-tile soft labels remain a valid (<= 2 bins, sums to 1) encoding
