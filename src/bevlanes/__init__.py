@@ -7,7 +7,7 @@ from .codec import (AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid
                     angle_to_soft_labels, decode_grid, encode_scene, saturated_prediction,
                     soft_labels_to_angle)
 from .config import ConfigError, PipelineConfig
-from .evaluation import (EvalConfig, EvalReport, SceneRecord, curve_iou, evaluate,
+from .evaluation import (EvalConfig, EvalReport, SceneRecord, curve_iou, evaluate, footprint_iou,
                          lateral_error, match_and_ap, range_means, rasterize_curve, score_scene)
 from .geometry import GridSpec, Lane3D, tile_centers
 from .io import SchemaError

@@ -91,34 +91,85 @@ class EvalReport:
 # Rasterization and IOU
 
 
-# Cells evaluated per step of the rasterizer. One segment's box can span the
-# whole raster (~1.7e5 cells at the default extent), so boxes are walked in
-# bands of rows rather than materialized at once.
-_CELL_BUDGET = 4096
+# Rows and tested cells per step of the rasterizer, so that its working
+# memory beside the footprints stays near a megabyte however many curves a
+# call gets and however long their segments are.
+_ROW_BUDGET = 4096
+_CELL_BUDGET = 8192
+
+# A segment's ribbon (the points within `half` of it) is a capsule: the part
+# of the strip |distance to the segment's line| <= half inside the slab
+# 0 <= t <= 1, and a disk at each end. Each piece is convex, so each row of
+# cells cuts it in one interval of x, found analytically. Cells whose centre
+# lies inside the interval at radius half - _ETA are filled without a test;
+# cells outside the interval at radius half + _ETA are skipped; the few
+# between are tested with the cell-centre predicate. For coordinates up to
+# _REACH that predicate computes d2 with a rounding error of about 1e-12 m^2,
+# far below the 2 * half * _ETA (1e-6 m^2 at half = 0.5) that separates those
+# radii from half, so a filled centre tests true and a skipped one false. The
+# interval ends are products of coordinates divided by |vx| or |vy| >= _AXIS,
+# or square roots of differences of squares, so they carry errors of at most
+# about 1e-8 m, well inside _MARGIN, the slack in x (and in y for the rows a
+# piece spans). A segment that is shorter than _AXIS, closer to an axis, or
+# reaches beyond _REACH tests its whole box rows instead.
+_ETA = 1e-6
+_MARGIN = 1e-6
+_AXIS = 1e-3
+_REACH = 1e4
 
 
-def rasterize_curve(curve: Curve | Lane3D, cfg: EvalConfig) -> np.ndarray:
-    """Binary mask of cells whose centers lie within lane_width/2 of the curve.
+def _rows(y0, y1, lo, hi, y_lo, res):
+    """First row and number of rows whose centre y lies in [y0, y1], widened
+    by _MARGIN and clipped to the rows [lo, hi]."""
+    first = np.maximum(np.ceil((y0 - _MARGIN - y_lo) / res - 0.5), lo)
+    last = np.minimum(np.floor((y1 + _MARGIN - y_lo) / res - 0.5), hi)
+    return first.astype(np.int64), np.maximum(last - first + 1, 0).astype(np.int64)
 
-    The mask covers cfg.extent at cfg.raster_resolution, row index along y.
-    Cell (j, i) has center (x_lo + (i + 0.5) * res, y_lo + (j + 0.5) * res)
-    and is set when, for some polyline segment p -> q, its squared xy
-    distance to p + t (q - p) is at most (lane_width/2)^2, where t is the
-    projection of the center onto the segment clipped to [0, 1] (t = 0 when
-    |q - p|_xy is 0). Only cells in each segment's bounding box, padded by
-    lane_width/2 and clipped to the extent, are tested. The box rows of all
-    segments, grouped by box width, are tested in bands of at most
-    _CELL_BUDGET cells (one row when a row is wider), so the working memory
-    beside the mask is a few hundred KB however long a segment is. Curves
-    outside the extent produce empty masks.
+
+def _entries(first, count, params, budget):
+    """(piece, row, params of the piece) of every row of the pieces, in bands
+    of whole pieces of about `budget` rows."""
+    ends = np.cumsum(count)
+    start = ends - count
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1] if len(ends) else 0, budget),
+                                     side="right"))
+    for s0, s1 in zip(cuts, np.append(cuts[1:], len(count))):
+        n = count[s0:s1]
+        piece = np.repeat(np.arange(s0, s1), n)
+        row = np.arange(len(piece)) + np.repeat(first[s0:s1] - (start[s0:s1] - start[s0]), n)
+        yield piece, row, np.repeat(params[:, s0:s1], n, axis=1)
+
+
+def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
+    """The footprint of each curve: cells whose centers lie within lane_width/2.
+
+    Cell (j, i) of cfg.extent at cfg.raster_resolution (row index along y)
+    has center (x_lo + (i + 0.5) * res, y_lo + (j + 0.5) * res) and is set
+    when, for some polyline segment p -> q, its squared xy distance to
+    p + t (q - p) is at most (lane_width/2)^2, where t is the projection of
+    the center onto the segment clipped to [0, 1] (t = 0 when |q - p|_xy is
+    0). Only cells in each segment's bounding box, padded by lane_width/2 and
+    clipped to the extent, can be set. A footprint is (row0, col0, mask): the
+    bool mask of the box that holds all of its curve's segment boxes, whose
+    first cell is (row0, col0). Curves outside the extent get a 0 x 0 mask.
+
+    Each row of each piece of a segment's ribbon (see _ETA) is filled
+    between its ends, and only the cells at its ends are tested with the
+    predicate above. All curves of a call share one buffer, and the runs of
+    all their rows are filled by one pass over it.
     """
     (x_lo, x_hi), (y_lo, y_hi) = cfg.extent
     res = cfg.raster_resolution
     nx = int(round((x_hi - x_lo) / res))
     ny = int(round((y_hi - y_lo) / res))
-    mask = np.zeros((ny, nx), dtype=bool)
     half = cfg.lane_width / 2.0
-    p, q = curve.points[:-1, :2], curve.points[1:, :2]
+    n_seg = [len(c.points) - 1 for c in curves]
+    xy = [c.points[:, :2] for c in curves]
+    p = np.concatenate([np.zeros((0, 2))] + [c[:-1] for c in xy])
+    q = np.concatenate([np.zeros((0, 2))] + [c[1:] for c in xy])
+    owner = np.repeat(np.arange(len(curves)), n_seg)
+    last = np.zeros(len(p), dtype=bool)
+    last[np.cumsum(n_seg, dtype=np.int64) - 1] = True     # the last segment of its curve
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     # Clamp before the integer cast; a box clamped past the far edge is empty.
     ia = np.clip(np.floor((lo[:, 0] - half - x_lo) / res - 0.5), 0, nx).astype(np.int64)
@@ -126,54 +177,144 @@ def rasterize_curve(curve: Curve | Lane3D, cfg: EvalConfig) -> np.ndarray:
     ja = np.clip(np.floor((lo[:, 1] - half - y_lo) / res - 0.5), 0, ny).astype(np.int64)
     jb = np.clip(np.ceil((hi[:, 1] + half - y_lo) / res), -1, ny - 1).astype(np.int64)
     kept = np.flatnonzero((ia <= ib) & (ja <= jb))
-    if not len(kept):
-        return mask
-    kept = kept[np.argsort((ib - ia)[kept], kind="stable")]    # by box width
-    ia, ja, jb, width = ia[kept], ja[kept], jb[kept], (ib - ia + 1)[kept]
+    ia, ib, ja, jb, owner, last = ia[kept], ib[kept], ja[kept], jb[kept], owner[kept], last[kept]
+    far = np.maximum(np.abs(p[kept]), np.abs(q[kept])).max(axis=1, initial=0.0) > _REACH
     p, v = p[kept], (q - p)[kept]
+
+    # Each curve's box and its place in the shared buffer.
+    row0, col0 = np.full(len(curves), ny), np.full(len(curves), nx)
+    row1, col1 = np.full(len(curves), -1), np.full(len(curves), -1)
+    np.minimum.at(row0, owner, ja)
+    np.minimum.at(col0, owner, ia)
+    np.maximum.at(row1, owner, jb)
+    np.maximum.at(col1, owner, ib)
+    height, width = np.maximum(row1 - row0 + 1, 0), np.maximum(col1 - col0 + 1, 0)
+    base = np.cumsum(height * width) - height * width
+    # Per segment: its box's columns [ia, ib + 1), and the buffer offset of
+    # column 0 of row 0 in its curve's footprint and that footprint's width,
+    # as floats to ride along with each piece's lines.
+    frame = np.stack([ia, ib + 1, (base - row0 * width - col0)[owner], width[owner]]).astype(float)
+
     den = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    exact = (np.abs(v) >= _AXIS).all(axis=1) & ~far
     # A segment without xy extent measures to p: with v = 0, t is 0 and
     # p + t * v is p exactly.
     point = den <= 0
     v[point] = 0.0
     den[point] = 1.0
-    # One entry per box row. Terms constant along a row are computed here,
-    # with the operations the per-cell predicate would apply to them.
-    rows = jb - ja + 1
-    seg = np.repeat(np.arange(len(kept)), rows)
-    row = ja[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(rows) - rows, rows)
-    first_col, width = ia[seg], width[seg]
-    gy = y_lo + (row + 0.5) * res
-    table = np.stack([p[seg, 0], v[seg, 0], p[seg, 1], v[seg, 1], gy,
-                      (gy - p[seg, 1]) * v[seg, 1], den[seg]], axis=1)
+    table = np.stack([p[:, 0], v[:, 0], p[:, 1], v[:, 1], den], axis=1)
     cx = x_lo + (np.arange(nx) + 0.5) * res     # cell-centre x of every column
-    limit = half * half
-    groups = np.concatenate([[0], np.flatnonzero(np.diff(width)) + 1, [len(seg)]])
-    for g0, g1 in zip(groups[:-1], groups[1:]):     # rows of one box width
-        cols = np.arange(width[g0])
-        band = max(1, _CELL_BUDGET // len(cols))
-        for r0 in range(g0, g1, band):
-            r1 = min(r0 + band, g1)
-            px, vx, py, vy, cy, ay, dn = table[r0:r1, :, None].transpose(1, 0, 2)
-            gx = cx[first_col[r0:r1, None] + cols]
-            t = np.maximum(((gx - px) * vx + ay) / dn, 0.0)     # clip to [0, 1]
+    limit, m = half * half, _MARGIN / res
+    r_out, r_in = half + _ETA, max(half - _ETA, 0.0)
+    starts, stops, hits = [], [], []
+
+    def emit(seg, row, a, b, f, g, box_a, box_b, origin, w):
+        """Fill [f, g) and test [a, f) and [g, b) of each (segment, row)
+        entry, in columns u = (x - x_lo) / res - 0.5, after clipping the
+        window [a, b] to the segment's box and the run [f, g] to the window."""
+        a = np.clip(np.ceil(a), box_a, box_b)
+        b = np.clip(np.floor(b) + 1, a, box_b)
+        f = np.clip(np.ceil(f), a, b)
+        g = np.clip(np.floor(g) + 1, f, b)
+        a, b, f, g, line = np.array([a, b, f, g, origin + row * w], dtype=np.int64)
+        run = f < g
+        starts.append((line + f)[run])
+        stops.append((line + g)[run])
+        begin, count = np.concatenate([a, g]), np.concatenate([f - a, b - g])
+        entry = np.concatenate([np.arange(len(seg))] * 2)
+        ends = np.cumsum(count)
+        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _CELL_BUDGET), side="right"))
+        for c0, c1 in zip(cuts, np.append(cuts[1:], len(count))):
+            n = count[c0:c1]
+            ent = np.repeat(entry[c0:c1], n)
+            col = np.repeat(begin[c0:c1] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+            px, vx, py, vy, dn = table[seg[ent]].T
+            gx, gy = cx[col], y_lo + (row[ent] + 0.5) * res
+            t = np.maximum(((gx - px) * vx + (gy - py) * vy) / dn, 0.0)     # clip to [0, 1]
             np.minimum(t, 1.0, out=t)
-            hit_r, hit_c = np.nonzero(
-                (gx - (px + t * vx)) ** 2 + (cy - (py + t * vy)) ** 2 <= limit)
-            mask[row[r0 + hit_r], first_col[r0 + hit_r] + hit_c] = True
-    return mask
+            hit = (gx - (px + t * vx)) ** 2 + (gy - (py + t * vy)) ** 2 <= limit
+            hits.append((line[ent] + col)[hit])
+
+    # The strip inside the slab, in columns u = c + k * y for the row at
+    # height y: the sides at radius r_out widened and at r_in narrowed by
+    # _MARGIN, and the slab's ends t = 0 and t = 1 likewise. Rows of a
+    # segment that is not exact get the whole box to test and nothing to fill.
+    lines = np.zeros((10, len(p)))
+    lines[2:] = np.array([-np.inf, np.inf, np.inf, -np.inf, -np.inf, np.inf, np.inf, -np.inf])[:, None]
+    first, count = ja, jb - ja + 1
+    ex = np.flatnonzero(exact)
+    if len(ex):
+        (px, py), (vx, vy), dn = p[ex].T, v[ex].T, den[ex]
+        side = (px - py * (vx / vy) - x_lo) / res - 0.5    # the line through p and q at y = 0
+        end = (px + py * (vy / vx) - x_lo) / res - 0.5      # the slab's end through p at y = 0
+        end_lo, end_hi = end + np.minimum(0.0, dn / (vx * res)), end + np.maximum(0.0, dn / (vx * res))
+        length = np.sqrt(dn)
+        wo, wi = r_out * length / (np.abs(vy) * res) + m, r_in * length / (np.abs(vy) * res) - m
+        lines[:, ex] = [vx / (vy * res), -vy / (vx * res), side - wo, side + wo, side - wi, side + wi,
+                        end_lo - m, end_hi + m, end_lo + m, end_hi - m]
+        rise = r_out * np.abs(vx) / length          # the strip's corners reach this far past p, q
+        first, count = first.copy(), count.copy()
+        first[ex], count[ex] = _rows(np.minimum(py, py + vy) - rise, np.maximum(py, py + vy) + rise,
+                                     ja[ex], jb[ex], y_lo, res)
+    for seg, row, (k_side, k_end, ol, oh, il, ih, el, eh, fl, fh, *box) in _entries(
+            first, count, np.concatenate([lines, frame]), _ROW_BUDGET):
+        gy = y_lo + (row + 0.5) * res
+        side, end = k_side * gy, k_end * gy
+        emit(seg, row, np.maximum(ol + side, el + end), np.minimum(oh + side, eh + end),
+             np.maximum(il + side, fl + end), np.minimum(ih + side, fh + end), *box)
+
+    # The end disks of exact segments: every segment's p, and the q of the
+    # last segment of a curve (any other q is the next segment's p).
+    ends = np.concatenate([ex, ex[last[ex]]])
+    centre = np.concatenate([p[ex], (p + v)[ex[last[ex]]]]).T     # (2, disks)
+    first, count = _rows(centre[1] - r_out, centre[1] + r_out, ja[ends], jb[ends], y_lo, res)
+    disks = np.concatenate([[(centre[0] - x_lo) / res - 0.5, centre[1], ends], frame[:, ends]])
+    for _, row, (u, cy, seg, *box) in _entries(first, count, disks, _ROW_BUDGET):
+        d2 = (y_lo + (row + 0.5) * res - cy) ** 2
+        wo = np.sqrt(np.maximum(r_out * r_out - d2, 0.0)) / res + m
+        wi = np.sqrt(np.maximum(r_in * r_in - d2, 0.0)) / res - m
+        emit(seg.astype(np.int64), row, u - wo, u + wo, u - wi, u + wi, *box)
+
+    # Fill the runs: merge those that overlap or touch, mark the first cell
+    # of each merged run and the cell past its end, and toggle along the
+    # buffer from mark to mark.
+    total = int(height @ width)
+    cells = np.zeros(total + 1, dtype=bool)
+    none = np.zeros(0, dtype=np.int64)
+    starts, stops = np.concatenate([none, *starts]), np.concatenate([none, *stops])
+    if len(starts):
+        order = np.argsort(starts, kind="stable")
+        starts, reach = starts[order], np.maximum.accumulate(stops[order])
+        new = np.flatnonzero(np.append(True, starts[1:] > reach[:-1]))
+        cells[starts[new]] = True
+        cells[reach[np.append(new[1:] - 1, len(starts) - 1)]] = True
+        np.bitwise_xor.accumulate(cells, out=cells)
+    cells[np.concatenate([none, *hits])] = True
+    return [(int(r), int(c), cells[o:o + h * w].reshape(h, w))
+            for r, c, o, h, w in zip(row0 * (height > 0), col0 * (width > 0), base, height, width)]
+
+
+def footprint_iou(a: tuple, b: tuple) -> float:
+    """IOU of two `rasterize_curve` footprints of one config. The intersection
+    is counted on the overlap of the two boxes and the union is
+    |a| + |b| - |a & b|, so a pair whose boxes do not overlap reads 0 without
+    touching a cell."""
+    (ra, ca, ma), (rb, cb, mb) = a, b
+    r0, r1 = max(ra, rb), min(ra + ma.shape[0], rb + mb.shape[0])
+    c0, c1 = max(ca, cb), min(ca + ma.shape[1], cb + mb.shape[1])
+    inter = 0
+    if r0 < r1 and c0 < c1:
+        inter = int(np.count_nonzero(ma[r0 - ra:r1 - ra, c0 - ca:c1 - ca]
+                                     & mb[r0 - rb:r1 - rb, c0 - cb:c1 - cb]))
+    union = int(np.count_nonzero(ma)) + int(np.count_nonzero(mb)) - inter
+    if union == 0:
+        return 0.0
+    return inter / union
 
 
 def curve_iou(a: Curve, b: Curve, cfg: EvalConfig) -> float:
     """Intersection over union of the two curves' rasterized footprints."""
-    return mask_iou(rasterize_curve(a, cfg), rasterize_curve(b, cfg))
-
-
-def mask_iou(ma: np.ndarray, mb: np.ndarray) -> float:
-    union = int(np.count_nonzero(ma | mb))
-    if union == 0:
-        return 0.0
-    return int(np.count_nonzero(ma & mb)) / union
+    return footprint_iou(*rasterize_curve([a, b], cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +367,14 @@ def _ap_from_flags(confidences: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
 
 def _scene_iou(preds: list, gts: list, cfg: EvalConfig):
     """IOU matrix (P, G), confidences (each in [0, 1]) and confidence order of
-    one scene. GT masks are held for the scene, each prediction's only for its row.
+    one scene, from one `rasterize_curve` call over all of its curves.
     """
     if any(not (0.0 <= c <= 1.0) for _, c in preds):
         raise ValueError("confidences must lie in [0, 1]")
-    masks_g = [rasterize_curve(g, cfg) for g in gts]
+    footprints = rasterize_curve([c for c, _ in preds] + list(gts), cfg)
     iou = np.zeros((len(preds), len(gts)))
-    for i, (curve, _) in enumerate(preds):
-        mask = rasterize_curve(curve, cfg)
-        iou[i] = [mask_iou(mask, mg) for mg in masks_g]
+    for i, fp in enumerate(footprints[:len(preds)]):
+        iou[i] = [footprint_iou(fp, fg) for fg in footprints[len(preds):]]
     conf = np.array([c for _, c in preds])
     return iou, conf, _confidence_order(conf)
 

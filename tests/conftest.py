@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
@@ -7,6 +8,10 @@ from hypothesis import HealthCheck, settings
 settings.register_profile("exact", derandomize=True, database=None, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("exact")
+
+# Test modules import shared helpers (the digest cells, the reference loops)
+# from this directory by module name, whatever the import mode.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -17,8 +17,8 @@ from bevlanes.evaluation import (
     EvalReport,
     curve_iou,
     evaluate,
+    footprint_iou,
     lateral_error,
-    mask_iou,
     match_and_ap,
     range_means,
     rasterize_curve,
@@ -102,34 +102,46 @@ def test_config_dict_round_trip():
 # rasterize_curve
 
 
+def full_mask(curve, cfg):
+    """The curve's footprint pasted into a mask of the whole extent."""
+    (x_lo, x_hi), (y_lo, y_hi) = cfg.extent
+    mask = np.zeros((round((y_hi - y_lo) / cfg.raster_resolution),
+                     round((x_hi - x_lo) / cfg.raster_resolution)), dtype=bool)
+    ((r, c, sub),) = rasterize_curve([curve], cfg)
+    mask[r:r + sub.shape[0], c:c + sub.shape[1]] = sub
+    return mask
+
+
 def test_rasterize_mask_shape_covers_extent():
-    mask = rasterize_curve(tilted_line(), CFG)
+    ((r, c, mask),) = rasterize_curve([tilted_line()], CFG)
     (x_lo, x_hi), (y_lo, y_hi) = CFG.extent
-    assert mask.shape == (round((y_hi - y_lo) / 0.1), round((x_hi - x_lo) / 0.1))
+    assert 0 <= r and r + mask.shape[0] <= round((y_hi - y_lo) / 0.1)
+    assert 0 <= c and c + mask.shape[1] <= round((x_hi - x_lo) / 0.1)
     assert mask.dtype == bool
+    assert full_mask(tilted_line(), CFG).sum() == mask.sum()
 
 
 def test_rasterize_sixty_meter_cell_count():
     # area = L*w + pi*(w/2)^2 end caps = 60.785 m^2 -> about 6079 cells
-    count = int(rasterize_curve(tilted_line(), CFG).sum())
+    count = int(rasterize_curve([tilted_line()], CFG)[0][2].sum())
     assert abs(count - 6000) <= 0.03 * 6000
 
 
 def test_rasterize_deterministic():
-    a = rasterize_curve(tilted_line(0.25), CFG)
-    b = rasterize_curve(tilted_line(0.25), CFG)
-    assert np.array_equal(a, b)
+    (a,) = rasterize_curve([tilted_line(0.25)], CFG)
+    (b,) = rasterize_curve([tilted_line(0.25)], CFG)
+    assert a[:2] == b[:2] and np.array_equal(a[2], b[2])
 
 
 def test_rasterize_outside_extent_empty():
     far = Curve(points=[[50.0, 5.0, 0.0], [50.0, 65.0, 0.0]])
-    assert rasterize_curve(far, CFG).sum() == 0
+    assert rasterize_curve([far], CFG)[0][2].sum() == 0
 
 
 def test_rasterize_matches_brute_force_distance():
     # independent oracle: distance from every cell center to the polyline
     curve = Curve(points=[[-3.17, 8.23, 0.0], [0.57, 30.11, 0.2], [-1.03, 55.77, 0.1]])
-    mask = rasterize_curve(curve, CFG)
+    mask = full_mask(curve, CFG)
     (x_lo, _), (y_lo, _) = CFG.extent
     xs = x_lo + (np.arange(mask.shape[1]) + 0.5) * 0.1
     ys = y_lo + (np.arange(mask.shape[0]) + 0.5) * 0.1
@@ -150,7 +162,7 @@ def test_rasterize_memory_is_bounded_for_a_full_diagonal():
     curve = Curve(points=[[x_lo, y_lo, 0.0], [x_hi, y_hi, 0.0]])
     tracemalloc.start()
     try:
-        mask = rasterize_curve(curve, CFG)
+        ((_, _, mask),) = rasterize_curve([curve], CFG)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -175,7 +187,7 @@ def test_iou_both_outside_extent_is_zero():
     a = Curve(points=[[40.0, 5.0, 0.0], [40.0, 65.0, 0.0]])
     b = Curve(points=[[41.0, 5.0, 0.0], [41.0, 65.0, 0.0]])
     assert curve_iou(a, b, CFG) == 0.0
-    assert mask_iou(np.zeros((4, 4), bool), np.zeros((4, 4), bool)) == 0.0
+    assert footprint_iou((0, 0, np.zeros((4, 4), bool)), (2, 1, np.zeros((4, 4), bool))) == 0.0
 
 
 def test_iou_symmetric():
@@ -200,21 +212,31 @@ def small_curves(draw):
 @settings(max_examples=100)
 @given(a=small_curves(), b=small_curves())
 def test_iou_symmetric_and_in_unit_interval(a, b):
-    ma, mb = rasterize_curve(a, SMALL), rasterize_curve(b, SMALL)
-    iou = mask_iou(ma, mb)
-    assert iou == mask_iou(mb, ma) == curve_iou(b, a, SMALL)
+    fa, fb = rasterize_curve([a, b], SMALL)
+    iou = footprint_iou(fa, fb)
+    assert iou == footprint_iou(fb, fa) == curve_iou(b, a, SMALL)
     assert 0.0 <= iou <= 1.0
-    assert mask_iou(ma, ma) == (1.0 if ma.any() else 0.0)
+    assert footprint_iou(fa, fa) == (1.0 if fa[2].any() else 0.0)
 
 
 @settings(max_examples=100)
-@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.tuples(st.integers(0, 9), st.integers(0, 9)),
        density=st.sampled_from((0.0, 0.1, 0.5, 1.0)))
 def test_mask_iou_symmetric_and_in_unit_interval(seed, shape, density):
+    # footprints at random offsets, overlapping or not, against the IOU of
+    # the same masks pasted into one canvas
     rng = np.random.default_rng(seed)
-    ma, mb = rng.random(shape) < density, rng.random(shape) < rng.random()
-    iou = mask_iou(ma, mb)
-    assert iou == mask_iou(mb, ma) and 0.0 <= iou <= 1.0
+    fa = (*rng.integers(0, 12, 2), rng.random(shape) < density)
+    fb = (*rng.integers(0, 12, 2), rng.random(rng.integers(0, 9, 2)) < rng.random())
+    canvas = []
+    for r, c, m in (fa, fb):
+        full = np.zeros((21, 21), dtype=bool)
+        full[r:r + m.shape[0], c:c + m.shape[1]] = m
+        canvas.append(full)
+    union = np.count_nonzero(canvas[0] | canvas[1])
+    want = np.count_nonzero(canvas[0] & canvas[1]) / union if union else 0.0
+    iou = footprint_iou(fa, fb)
+    assert iou == footprint_iou(fb, fa) == want and 0.0 <= iou <= 1.0
 
 
 @settings(max_examples=60)

@@ -8,9 +8,10 @@ matches at once, and again for the recall-0.75 cutoff. `match_and_ap` had its
 own AP path. Now `score_scene` matches and samples each scene into a record
 and `evaluate` only pools the records. The reference copies below are the
 former functions verbatim (with the former scene scoring and lateral error,
-on the unchanged rasterizer, matching and AP helpers); every case asserts
-that the report JSON, and the `match_and_ap` tuples with their types, are
-identical.
+on the unchanged matching and AP helpers, and on full-extent masks from the
+reference rasterizer loop of `test_vectorized_equivalence` where scoring now
+takes the IOU of cropped footprints); every case asserts that the report
+JSON, and the `match_and_ap` tuples with their types, are identical.
 """
 
 from dataclasses import replace
@@ -26,13 +27,13 @@ from bevlanes.evaluation import (
     _ap_from_flags,
     _greedy_match,
     evaluate,
-    mask_iou,
     match_and_ap,
-    rasterize_curve,
     score_scene,
 )
 from bevlanes.geometry import resample_polyline
 from bevlanes.io import canonical_json
+from test_vectorized_equivalence import ref_mask_iou as mask_iou
+from test_vectorized_equivalence import ref_rasterize_curve as rasterize_curve
 
 # The "exact" profile (tests/conftest.py) fixes the examples.
 EXACT = settings(max_examples=150)

@@ -1,7 +1,10 @@
 """The array kernels of evaluation and clustering against the loops they replaced.
 
 `rasterize_curve`, `lateral_error` and `assemble_curve` were per-segment,
-per-sample and per-hop Python loops; `mean_shift` held the whole
+per-sample and per-hop Python loops (the rasterizer tested every cell of
+each segment's box and returned one mask of the whole extent per curve; it
+now tests only the cells at the ends of each row's run and returns cropped
+footprints, which are compared here after pasting them into the extent); `mean_shift` held the whole
 (centers, points, d) difference tensor at once and computed support and the
 merge once per seed; `greedy_baseline` tested every pair of segments in
 Python. The reference copies below are those functions verbatim, over a
@@ -20,10 +23,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevlanes import evaluation
 from bevlanes.clustering import (ClusterParams, Curve, LaneInstance, assemble_curve,
                                  greedy_baseline, mean_shift)
 from bevlanes.codec import SegmentSet, array_fields, wrap_signed
-from bevlanes.evaluation import EvalConfig, lateral_error, range_means, rasterize_curve
+from bevlanes.evaluation import (EvalConfig, footprint_iou, lateral_error, range_means,
+                                 rasterize_curve)
 from bevlanes.geometry import resample_polyline
 
 # The "exact" profile (tests/conftest.py) fixes the examples.
@@ -69,6 +74,13 @@ def ref_rasterize_curve(curve, cfg):
             d2 = (gx - (p[0] + t * vx)) ** 2 + (gy - (p[1] + t * vy)) ** 2
         mask[ja:jb + 1, ia:ib + 1] |= d2 <= half * half
     return mask
+
+
+def ref_mask_iou(ma, mb):
+    union = int(np.count_nonzero(ma | mb))
+    if union == 0:
+        return 0.0
+    return int(np.count_nonzero(ma & mb)) / union
 
 
 def _ref_nearest_on_polyline(points, q):
@@ -228,16 +240,37 @@ def midpoint_sets(draw):
 # Equivalence
 
 
+def pasted(curves, cfg):
+    """The `rasterize_curve` footprints of one call, each pasted into a mask
+    of the whole extent, after checking that each lies inside it."""
+    (x_lo, x_hi), (y_lo, y_hi) = cfg.extent
+    shape = (int(round((y_hi - y_lo) / cfg.raster_resolution)),
+             int(round((x_hi - x_lo) / cfg.raster_resolution)))
+    out = []
+    for r, c, sub in rasterize_curve(curves, cfg):
+        assert sub.dtype == bool and 0 <= r and 0 <= c
+        assert r + sub.shape[0] <= shape[0] and c + sub.shape[1] <= shape[1]
+        mask = np.zeros(shape, dtype=bool)
+        mask[r:r + sub.shape[0], c:c + sub.shape[1]] = sub
+        out.append(mask)
+    return out
+
+
+def same_as_reference(curves, cfg):
+    return all(np.array_equal(got, ref_rasterize_curve(curve, cfg))
+               for got, curve in zip(pasted(curves, cfg), curves, strict=True))
+
+
 @EXACT
 @given(curve=curves(), cfg=st.sampled_from([CFG, SMALL, BINARY]))
 def test_rasterize_matches_segment_loop(curve, cfg):
-    assert np.array_equal(rasterize_curve(curve, cfg), ref_rasterize_curve(curve, cfg))
+    assert same_as_reference([curve], cfg)
 
 
 def test_rasterize_full_diagonal_is_banded_and_exact():
     (x_lo, x_hi), (y_lo, y_hi) = CFG.extent
     curve = Curve(points=[[x_lo, y_lo, 0.0], [x_hi, y_hi, 1.0]])
-    mask = rasterize_curve(curve, CFG)
+    (mask,) = pasted([curve], CFG)
     assert mask.size > 40 * 4096 and mask.any()
     assert np.array_equal(mask, ref_rasterize_curve(curve, CFG))
 
@@ -249,9 +282,109 @@ def test_rasterize_xy_repeat_and_outside_extent():
         [[-30.0, -30.0, 0.0], [-20.0, -25.0, 0.0]],                  # fully outside
         [[11.2, 40.0, 0.0], [11.2, 40.0, 2.0]],                      # point just outside
     ]
-    for pts in cases:
-        curve = Curve(points=pts)
-        assert np.array_equal(rasterize_curve(curve, CFG), ref_rasterize_curve(curve, CFG))
+    curves = [Curve(points=pts) for pts in cases]
+    assert same_as_reference(curves, CFG)
+    assert rasterize_curve(curves[2:3], CFG)[0][2].shape == (0, 0)
+
+
+def _d2(curve, cfg):
+    """The reference predicate's d2 of every cell of the extent to the
+    curve's first segment, computed as the reference computes it."""
+    (x_lo, x_hi), (y_lo, y_hi) = cfg.extent
+    res = cfg.raster_resolution
+    gx, gy = np.meshgrid(x_lo + (np.arange(int(round((x_hi - x_lo) / res))) + 0.5) * res,
+                         y_lo + (np.arange(int(round((y_hi - y_lo) / res))) + 0.5) * res)
+    (px, py), (qx, qy) = curve.points[:2, :2]
+    vx, vy = qx - px, qy - py
+    t = np.clip(((gx - px) * vx + (gy - py) * vy) / (vx * vx + vy * vy), 0.0, 1.0)
+    return (gx - (px + t * vx)) ** 2 + (gy - (py + t * vy)) ** 2
+
+
+def test_rasterize_run_ends_and_exact_ties():
+    # Vertices on BINARY's cell centres and 3-4-5 directions: the ribbon's
+    # sides pass through cell centres (|4 dx - 3 dy| / 5 = 1/2 on the
+    # quarter-metre lattice) and the caps' tips do (a centre half a metre
+    # from a vertex along an axis). Those centres are tested, with d2 at
+    # 0.25 or within a few ulps of it, and on a side the centre one cell
+    # inside each of them is filled.
+    c0 = -3.875
+    curves = [Curve(points=[[c0 + 2.0, 1.125, 0.0], [c0 + 2.0 + 3.0, 1.125 + 4.0, 0.0]]),
+              Curve(points=[[c0 + 4.0, 6.125, 0.0], [c0 + 0.0, 9.125, 0.0]]),
+              Curve(points=[[c0 + 1.0, 0.125, 0.0], [c0 + 4.0, 4.125, 0.0],
+                            [c0 + 7.0, 0.125, 0.0]])]
+    assert same_as_reference(curves, BINARY)
+    ends, unset = 0, 0
+    for curve, mask in zip(curves[:2], pasted(curves[:2], BINARY)):
+        d2 = _d2(curve, BINARY)
+        tie = np.abs(d2 - 0.25) <= 1e-12
+        assert np.array_equal(mask[tie], d2[tie] <= 0.25) and (d2[tie] == 0.25).any()
+        unset += np.count_nonzero(~mask[tie])          # rounded a few ulps past 0.25
+        rows, cols = np.nonzero(tie & mask)
+        inside = np.where(d2[rows, cols - 1] < d2[rows, cols + 1], cols - 1, cols + 1)
+        run = d2[rows, inside] < 0.25        # not the tip of a cap, a run of one cell
+        assert mask[rows[run], inside[run]].all()
+        ends += np.count_nonzero(run)
+    assert ends >= 4 and unset >= 4
+
+
+def test_rasterize_rows_boxes_and_short_segments():
+    one_row = EvalConfig(extent=((-4.0, 4.0), (0.0, 0.25)), lane_width=1.0,
+                         raster_resolution=0.25)
+    cases = [
+        [[-2.0, 5.0, 0.0], [3.0, 5.0, 0.0]],               # along a row: |vy| = 0
+        [[-2.0, 5.0, 0.0], [3.0, 5.0005, 0.0]],            # |vy| under a millimetre
+        [[-2.0, 5.0, 0.0], [3.0, 5.002, 0.0]],             # |vy| just over
+        [[1.0, 2.0, 0.0], [1.0005, 9.0, 0.0]],             # |vx| under a millimetre
+        [[1.0, 2.0, 0.0], [1.002, 9.0, 0.0]],              # |vx| just over
+        [[0.3, 4.0, 0.0], [0.3003, 4.0002, 1.0]],          # sub-millimetre segment
+        [[0.3, 4.0, 0.0], [0.3, 4.0, 1.0], [0.3, 4.0, 2.0]],   # zero-length segments
+        [[-1.0, 3.0, 0.0], [-1.0, 3.0, 0.5], [2.0, 7.0, 0.5], [2.0, 7.0, 0.0]],
+    ]
+    curves = [Curve(points=pts) for pts in cases]
+    for cfg in (BINARY, SMALL, CFG):
+        assert same_as_reference(curves, cfg)
+    crossing = [Curve(points=[[-3.0, -1.0, 0.0], [2.0, 1.5, 0.0]]),
+                Curve(points=[[-3.0, 0.6, 0.0], [3.0, 0.55, 0.0]])]
+    assert same_as_reference(crossing + curves, one_row)
+    assert [f[2].shape[0] for f in rasterize_curve(crossing, one_row)] == [1, 1]
+    assert pasted(crossing, one_row)[0].any()
+
+
+def test_rasterize_bands_do_not_change_the_footprints(monkeypatch):
+    # rows and tested cells split into bands of a few entries, pieces and
+    # runs of cells straddling every band edge
+    curves = [Curve(points=[[-9.0, -0.4, 0.0], [9.5, 77.0, 0.0]]),
+              Curve(points=[[-2.0, 5.0, 0.0], [3.0, 5.0, 0.0], [3.0, 5.0, 1.0], [2.5, 40.0, 0.0]]),
+              Curve(points=[[-30.0, -30.0, 0.0], [-20.0, -25.0, 0.0]])]
+    want = rasterize_curve(curves, CFG)
+    monkeypatch.setattr(evaluation, "_ROW_BUDGET", 7)
+    monkeypatch.setattr(evaluation, "_CELL_BUDGET", 5)
+    got = rasterize_curve(curves, CFG)
+    assert [f[:2] for f in got] == [f[:2] for f in want]
+    assert all(np.array_equal(g[2], w[2]) for g, w in zip(got, want))
+    assert same_as_reference(curves, CFG)
+
+
+@EXACT
+@given(a=curves(), b=curves(), cfg=st.sampled_from([CFG, SMALL, BINARY]))
+def test_footprint_iou_matches_full_mask_iou(a, b, cfg):
+    # disjoint boxes, empty footprints and curves outside the extent included
+    fa, fb = rasterize_curve([a, b], cfg)
+    want = ref_mask_iou(ref_rasterize_curve(a, cfg), ref_rasterize_curve(b, cfg))
+    assert footprint_iou(fa, fb) == footprint_iou(fb, fa) == want
+
+
+@EXACT
+@given(scene=st.lists(curves(5), min_size=1, max_size=6), cfg=st.sampled_from([CFG, SMALL]),
+       order=st.randoms(use_true_random=False))
+def test_rasterize_scene_call_equals_per_curve_calls(scene, cfg, order):
+    perm = list(range(len(scene)))
+    order.shuffle(perm)
+    alone = [rasterize_curve([c], cfg)[0] for c in scene]
+    shuffled = rasterize_curve([scene[i] for i in perm], cfg)
+    for got, i in zip(shuffled, perm):
+        r, c, mask = alone[i]
+        assert (got[0], got[1]) == (r, c) and np.array_equal(got[2], mask)
 
 
 @EXACT
