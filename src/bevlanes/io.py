@@ -8,8 +8,9 @@ SchemaError rather than raising bare KeyErrors or ValueErrors. Config
 sections, and the records of a file that hold one, round-trip through one
 field-driven codec (`section_to_dict`, `section_from_dict`) that rejects a key
 that is not a field; tile grids and segments go through the array fields
-`codec` declares. No JSON boolean or string reads as a number, nor a fraction
-as an int.
+`codec` declares. Every other JSON object of a file also holds only the keys
+its writer writes. No JSON boolean or string reads as a number, nor a
+fraction as an int.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ def _check_kind(d: dict, kind: str, path: str) -> None:
         raise SchemaError(path, "<file>", f"expected a JSON object, got {type(d).__name__}")
     if d.get("kind") != kind:
         raise SchemaError(path, "kind", f"expected {kind!r}, got {d.get('kind')!r}")
+
+
+def _only(d, keys, path: str, at: str = "") -> None:
+    """A SchemaError naming the first key of the object d that is not one of
+    keys; `at` prefixes the field name."""
+    unknown = sorted(set(d) - set(keys)) if isinstance(d, dict) else []
+    if unknown:
+        raise SchemaError(path, at + unknown[0], f"unknown key; expected only {sorted(keys)}")
 
 
 def _entries(d: dict, key: str, path: str) -> list:
@@ -187,8 +196,10 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
     _check_kind(d, "scene", path)
+    _only(d, ("kind", "lanes", "surface", "rig"), path)
     lanes = []
     for k, entry in enumerate(_entries(d, "lanes", path)):
+        _only(entry, ("lane_id", "points"), path, f"lanes[{k}].")
         field = f"lanes[{k}].points"
         pts = _finite_array(_require(entry, "points", path), path, field)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
@@ -226,6 +237,7 @@ def _unpack_field(fields: dict, f, path: str) -> np.ndarray:
     """One array field of a grid: its shape must be a list of JSON integers
     and its dtype the one `codec` declares."""
     entry, at = _require(fields, f.name, path), f"fields.{f.name}"
+    _only(entry, ("dtype", "shape", "data"), path, at + ".")
     shape, dtype = _require(entry, "shape", path), np.dtype(f.metadata["dtype"]).str[1:]
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise SchemaError(path, f"{at}.shape", f"expected a list of integers >= 0, got {shape!r}")
@@ -238,12 +250,14 @@ def _unpack_field(fields: dict, f, path: str) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _grid_from_dict(cls, kind: str, d: dict, path: str):
-    """A tile grid read from its dict."""
+def _grid_from_dict(cls, kind: str, d: dict, path: str, keys=()):
+    """A tile grid read from its dict, which may hold `keys` besides the grid's."""
     _check_kind(d, kind, path)
+    _only(d, ("kind", "grid", "bins", "fields", *keys), path)
     grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
     bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
     fields = _require(d, "fields", path)
+    _only(fields, [f.name for f in array_fields(cls)], path, "fields.")
     arrays = {f.name: _unpack_field(fields, f, path) for f in array_fields(cls)}
     try:
         return cls(grid=grid, bins=bins, **arrays)
@@ -269,7 +283,7 @@ def preds_to_dict(preds: TilePredictionGrid) -> dict:
 
 
 def preds_from_dict(d: dict, path: str = "<preds>") -> TilePredictionGrid:
-    preds = _grid_from_dict(TilePredictionGrid, "prediction_grid", d, path)
+    preds = _grid_from_dict(TilePredictionGrid, "prediction_grid", d, path, ("embedding_dim",))
     dim = _require(d, "embedding_dim", path)
     if isinstance(dim, bool) or dim != preds.embedding_dim:
         raise SchemaError(path, "embedding_dim",
@@ -290,12 +304,14 @@ def segments_to_dict(segments: SegmentSet) -> dict:
 
 def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
     _check_kind(d, "segments", path)
+    _only(d, ("kind", "segments"), path)
     # `_coerce` reads a value against a zero of its field's dtype, nested
     # once per axis after the segment axis.
     defaults = {f.name: np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist()
                 for f in array_fields(SegmentSet)}
     columns = {name: [] for name in defaults}
     for k, entry in enumerate(_entries(d, "segments", path)):
+        _only(entry, defaults, path, f"segments[{k}].")
         for name, default in defaults.items():
             try:
                 columns[name].append(_coerce(default, entry[name], name))
@@ -324,8 +340,10 @@ def lanes_to_dict(lanes: list) -> dict:
 
 def lanes_from_dict(d: dict, path: str = "<lanes>") -> list:
     _check_kind(d, "lanes", path)
+    _only(d, ("kind", "lanes"), path)
     out = []
     for k, entry in enumerate(_entries(d, "lanes", path)):
+        _only(entry, ("points", "confidence"), path, f"lanes[{k}].")
         pts = _finite_array(_require(entry, "points", path), path, f"lanes[{k}].points")
         try:
             conf = _coerce(0.0, _require(entry, "confidence", path), "confidence")

@@ -5,7 +5,9 @@ traced benchmark run fails on the first name it cannot find. The tracer is
 loaded here from its file, unchanged, and wraps one artifact batch:
 `cmd_pipeline` and `cmd_loss` on one scene. Its counters take `len` of what
 `decode_grid` returns, of the segments `cluster_segments` is given and of
-each instance's `segments`.
+each instance's `segments`. The rasterizer must run under its traced name,
+`evaluation.rasterize_curve`, so that the benchmark's rasterize time keeps
+measuring it.
 """
 
 import importlib.util
@@ -31,7 +33,8 @@ def test_tracer_wraps_and_records_the_pipeline_layers(tmp_path):
     finally:
         tracer.uninstall()
     names = {span[tr.NAME] for span in tracer.spans}
-    assert {"pipeline.process_scene", "evaluation.evaluate", "io.save_json"} <= names
+    assert {"pipeline.process_scene", "evaluation.evaluate", "io.save_json",
+            "evaluation.rasterize_curve"} <= names
     counts = {span[tr.NAME]: span[tr.COUNTS] for span in tracer.spans
               if span[tr.NAME] in ("codec.decode_grid", "clustering.cluster_segments")}
     written = json.loads((tmp_path / "out" / "segments" / "segments_00000.json").read_text())

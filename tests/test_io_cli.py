@@ -1089,3 +1089,40 @@ def test_evaluate_results_follows_scene_index_not_list_order():
     cfg = PipelineConfig(n_scenes=10)
     report, results = run_pipeline(cfg)
     assert evaluate_results(results[::-1], cfg).to_dict() == report.to_dict()
+
+
+def _set(d: dict, where: tuple, key: str):
+    """d with `key` added to the object at the path `where`."""
+    for step in where:
+        d = d[step]
+    d[key] = 1
+
+
+@pytest.mark.parametrize("path, where, key, field", [
+    ("scenes/scene_00000.json", (), "extra", "extra"),
+    ("scenes/scene_00000.json", ("lanes", 0), "colour", "lanes[0].colour"),
+    ("targets/target_00000.json", (), "extra", "extra"),
+    ("targets/target_00000.json", ("fields", "angle"), "units", "fields.angle.units"),
+    ("targets/target_00000.json", ("fields",), "extra", "fields.extra"),
+    ("preds/pred_00000.json", (), "extra", "extra"),
+    ("preds/pred_00000.json", ("fields", "score_logit"), "units", "fields.score_logit.units"),
+    ("preds/pred_00000.json", ("fields",), "extra", "fields.extra"),
+    ("segments/segments_00000.json", (), "extra", "extra"),
+    ("segments/segments_00000.json", ("segments", 0), "colour", "segments[0].colour"),
+    ("lanes/lanes_00000.json", (), "extra", "extra"),
+    ("lanes/lanes_00000.json", ("lanes", 0), "colour", "lanes[0].colour"),
+])
+def test_cli_unknown_key_in_any_file_object_is_data_error(tmp_path, capsys, path, where, key,
+                                                           field):
+    # each of these used to read without a word, and the key was dropped
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    stage_path = tmp_path / "out" / path
+    d = json.loads(stage_path.read_text())
+    _set(d, where, key)
+    stage_path.write_text(json.dumps(d))
+    reader = {"scenes": "eval", "targets": "loss", "preds": "loss", "segments": "cluster",
+              "lanes": "eval"}[path.split("/")[0]]
+    assert main([reader, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and Path(path).name in err and f"'{field}'" in err
