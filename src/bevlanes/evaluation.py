@@ -126,14 +126,20 @@ def _rows(y0, y1, lo, hi, y_lo, res):
     return first.astype(np.int64), np.maximum(last - first + 1, 0).astype(np.int64)
 
 
+def _bands(count, budget):
+    """Ranges [s0, s1) of items, in order, that hold about `budget` of the
+    summed count each (one item may hold more)."""
+    ends = np.cumsum(count)
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1] if len(ends) else 0, budget),
+                                     side="right"))
+    return zip(cuts, np.append(cuts[1:], len(count)))
+
+
 def _entries(first, count, params, budget):
     """(piece, row, params of the piece) of every row of the pieces, in bands
     of whole pieces of about `budget` rows."""
-    ends = np.cumsum(count)
-    start = ends - count
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1] if len(ends) else 0, budget),
-                                     side="right"))
-    for s0, s1 in zip(cuts, np.append(cuts[1:], len(count))):
+    start = np.cumsum(count) - count
+    for s0, s1 in _bands(count, budget):
         n = count[s0:s1]
         piece = np.repeat(np.arange(s0, s1), n)
         row = np.arange(len(piece)) + np.repeat(first[s0:s1] - (start[s0:s1] - start[s0]), n)
@@ -168,8 +174,6 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
     p = np.concatenate([np.zeros((0, 2))] + [c[:-1] for c in xy])
     q = np.concatenate([np.zeros((0, 2))] + [c[1:] for c in xy])
     owner = np.repeat(np.arange(len(curves)), n_seg)
-    last = np.zeros(len(p), dtype=bool)
-    last[np.cumsum(n_seg, dtype=np.int64) - 1] = True     # the last segment of its curve
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     # Clamp before the integer cast; a box clamped past the far edge is empty.
     ia = np.clip(np.floor((lo[:, 0] - half - x_lo) / res - 0.5), 0, nx).astype(np.int64)
@@ -177,8 +181,8 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
     ja = np.clip(np.floor((lo[:, 1] - half - y_lo) / res - 0.5), 0, ny).astype(np.int64)
     jb = np.clip(np.ceil((hi[:, 1] + half - y_lo) / res), -1, ny - 1).astype(np.int64)
     kept = np.flatnonzero((ia <= ib) & (ja <= jb))
-    ia, ib, ja, jb, owner, last = ia[kept], ib[kept], ja[kept], jb[kept], owner[kept], last[kept]
-    far = np.maximum(np.abs(p[kept]), np.abs(q[kept])).max(axis=1, initial=0.0) > _REACH
+    ia, ib, ja, jb, owner = ia[kept], ib[kept], ja[kept], jb[kept], owner[kept]
+    far = np.maximum(np.maximum(-lo[:, 0], hi[:, 0]), np.maximum(-lo[:, 1], hi[:, 1]))[kept] > _REACH
     p, v = p[kept], (q - p)[kept]
 
     # Each curve's box and its place in the shared buffer.
@@ -208,10 +212,11 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
     r_out, r_in = half + _ETA, max(half - _ETA, 0.0)
     starts, stops, hits = [], [], []
 
-    def emit(seg, row, a, b, f, g, box_a, box_b, origin, w):
-        """Fill [f, g) and test [a, f) and [g, b) of each (segment, row)
-        entry, in columns u = (x - x_lo) / res - 0.5, after clipping the
-        window [a, b] to the segment's box and the run [f, g] to the window."""
+    def emit(segs, row, a, b, f, g, box_a, box_b, origin, w):
+        """Fill [f, g) and test [a, f) and [g, b) of each (piece, row) entry,
+        in columns u = (x - x_lo) / res - 0.5, after clipping the window
+        [a, b] to the box and the run [f, g] to the window. A tested cell is
+        set when the predicate of any of the entry's segments `segs` holds."""
         a = np.clip(np.ceil(a), box_a, box_b)
         b = np.clip(np.floor(b) + 1, a, box_b)
         f = np.clip(np.ceil(f), a, b)
@@ -221,36 +226,39 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
         starts.append((line + f)[run])
         stops.append((line + g)[run])
         begin, count = np.concatenate([a, g]), np.concatenate([f - a, b - g])
-        entry = np.concatenate([np.arange(len(seg))] * 2)
-        ends = np.cumsum(count)
-        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _CELL_BUDGET), side="right"))
-        for c0, c1 in zip(cuts, np.append(cuts[1:], len(count))):
+        entry = np.flatnonzero(count)
+        begin, count = begin[entry], count[entry]
+        entry %= len(row)
+        for c0, c1 in _bands(count, _CELL_BUDGET):
             n = count[c0:c1]
             ent = np.repeat(entry[c0:c1], n)
             col = np.repeat(begin[c0:c1] - (np.cumsum(n) - n), n) + np.arange(n.sum())
-            px, vx, py, vy, dn = table[seg[ent]].T
             gx, gy = cx[col], y_lo + (row[ent] + 0.5) * res
-            t = np.maximum(((gx - px) * vx + (gy - py) * vy) / dn, 0.0)     # clip to [0, 1]
-            np.minimum(t, 1.0, out=t)
-            hit = (gx - (px + t * vx)) ** 2 + (gy - (py + t * vy)) ** 2 <= limit
+            hit = np.zeros(len(col), dtype=bool)
+            for seg in segs:
+                px, vx, py, vy, dn = table[seg[ent]].T
+                t = np.maximum(((gx - px) * vx + (gy - py) * vy) / dn, 0.0)     # clip to [0, 1]
+                np.minimum(t, 1.0, out=t)
+                hit |= (gx - (px + t * vx)) ** 2 + (gy - (py + t * vy)) ** 2 <= limit
             hits.append((line[ent] + col)[hit])
 
-    # The strip inside the slab, in columns u = c + k * y for the row at
-    # height y: the sides at radius r_out widened and at r_in narrowed by
-    # _MARGIN, and the slab's ends t = 0 and t = 1 likewise. Rows of a
-    # segment that is not exact get the whole box to test and nothing to fill.
+    # The strip inside the slab, in columns u = c + k * j for row j: the
+    # sides at radius r_out widened and at r_in narrowed by _MARGIN, and the
+    # slab's ends t = 0 and t = 1 likewise. Rows of a segment that is not
+    # exact get the whole box to test and nothing to fill.
     lines = np.zeros((10, len(p)))
     lines[2:] = np.array([-np.inf, np.inf, np.inf, -np.inf, -np.inf, np.inf, np.inf, -np.inf])[:, None]
     first, count = ja, jb - ja + 1
     ex = np.flatnonzero(exact)
     if len(ex):
         (px, py), (vx, vy), dn = p[ex].T, v[ex].T, den[ex]
-        side = (px - py * (vx / vy) - x_lo) / res - 0.5    # the line through p and q at y = 0
-        end = (px + py * (vy / vx) - x_lo) / res - 0.5      # the slab's end through p at y = 0
+        dy = y_lo + 0.5 * res - py                          # from p to the centre of row 0
+        side = (px + dy * (vx / vy) - x_lo) / res - 0.5     # the line through p and q in row 0
+        end = (px - dy * (vy / vx) - x_lo) / res - 0.5      # the slab's end through p in row 0
         end_lo, end_hi = end + np.minimum(0.0, dn / (vx * res)), end + np.maximum(0.0, dn / (vx * res))
         length = np.sqrt(dn)
         wo, wi = r_out * length / (np.abs(vy) * res) + m, r_in * length / (np.abs(vy) * res) - m
-        lines[:, ex] = [vx / (vy * res), -vy / (vx * res), side - wo, side + wo, side - wi, side + wi,
+        lines[:, ex] = [vx / vy, -vy / vx, side - wo, side + wo, side - wi, side + wi,
                         end_lo - m, end_hi + m, end_lo + m, end_hi - m]
         rise = r_out * np.abs(vx) / length          # the strip's corners reach this far past p, q
         first, count = first.copy(), count.copy()
@@ -258,22 +266,31 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
                                      ja[ex], jb[ex], y_lo, res)
     for seg, row, (k_side, k_end, ol, oh, il, ih, el, eh, fl, fh, *box) in _entries(
             first, count, np.concatenate([lines, frame]), _ROW_BUDGET):
-        gy = y_lo + (row + 0.5) * res
-        side, end = k_side * gy, k_end * gy
-        emit(seg, row, np.maximum(ol + side, el + end), np.minimum(oh + side, eh + end),
+        side, end = k_side * row, k_end * row
+        emit([seg], row, np.maximum(ol + side, el + end), np.minimum(oh + side, eh + end),
              np.maximum(il + side, fl + end), np.minimum(ih + side, fh + end), *box)
 
-    # The end disks of exact segments: every segment's p, and the q of the
-    # last segment of a curve (any other q is the next segment's p).
-    ends = np.concatenate([ex, ex[last[ex]]])
-    centre = np.concatenate([p[ex], (p + v)[ex[last[ex]]]]).T     # (2, disks)
-    first, count = _rows(centre[1] - r_out, centre[1] + r_out, ja[ends], jb[ends], y_lo, res)
-    disks = np.concatenate([[(centre[0] - x_lo) / res - 0.5, centre[1], ends], frame[:, ends]])
-    for _, row, (u, cy, seg, *box) in _entries(first, count, disks, _ROW_BUDGET):
+    # The end disks of exact segments. Where exact segments s and s + 1 of a
+    # curve meet, one disk at the next p serves both, and its cells are tested
+    # with both predicates: the predicate of s puts its end at p + v (t = 1),
+    # which may differ from the next p in the last bit.
+    joined = np.zeros(len(p), dtype=bool)
+    joined[:-1] = exact[:-1] & exact[1:] & (np.diff(kept) == 1) & (np.diff(owner) == 0)
+    at_p = np.flatnonzero(exact & ~np.append(False, joined[:-1]))
+    at_q = np.flatnonzero(exact & ~joined)
+    at_join = np.flatnonzero(joined)
+    centre = np.concatenate([p[at_p], p[at_q] + v[at_q], p[at_join + 1]]).T     # (2, disks)
+    seg_a = np.concatenate([at_p, at_q, at_join])
+    seg_b = np.concatenate([at_p, at_q, at_join + 1])
+    first, count = _rows(centre[1] - r_out, centre[1] + r_out, ja[seg_a], jb[seg_a], y_lo, res)
+    disks = np.concatenate([[(centre[0] - x_lo) / res - 0.5, centre[1], seg_a, seg_b],
+                            frame[:, seg_a]])
+    for _, row, (u, cy, sa, sb, *box) in _entries(first, count, disks, _ROW_BUDGET):
         d2 = (y_lo + (row + 0.5) * res - cy) ** 2
         wo = np.sqrt(np.maximum(r_out * r_out - d2, 0.0)) / res + m
         wi = np.sqrt(np.maximum(r_in * r_in - d2, 0.0)) / res - m
-        emit(seg.astype(np.int64), row, u - wo, u + wo, u - wi, u + wi, *box)
+        emit([sa.astype(np.int64), sb.astype(np.int64)], row, u - wo, u + wo, u - wi, u + wi,
+             *box)
 
     # Fill the runs: merge those that overlap or touch, mark the first cell
     # of each merged run and the cell past its end, and toggle along the
@@ -283,7 +300,7 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
     none = np.zeros(0, dtype=np.int64)
     starts, stops = np.concatenate([none, *starts]), np.concatenate([none, *stops])
     if len(starts):
-        order = np.argsort(starts, kind="stable")
+        order = np.argsort(starts)
         starts, reach = starts[order], np.maximum.accumulate(stops[order])
         new = np.flatnonzero(np.append(True, starts[1:] > reach[:-1]))
         cells[starts[new]] = True

@@ -327,6 +327,22 @@ def test_rasterize_run_ends_and_exact_ties():
     assert ends >= 4 and unset >= 4
 
 
+def test_rasterize_joint_where_the_segments_put_the_vertex_apart():
+    # The first segment's predicate puts its end at p + (q - p), one ulp off
+    # the vertex here; the cell centre C lies past that end and behind the
+    # second segment's start, a quarter of an ulp of d2 inside the ribbon by
+    # the first segment and outside it by the second.
+    c = (1.2100000000000009, 35.15)
+    curve = Curve(points=[[4.253294573747697, 38.093890386230534, 0.0],
+                          [1.6521415435314808, 35.38347559933235, 0.0],
+                          [2.1521415435314808, 38.38347559933235, 0.0]])
+    (x_lo, _), (y_lo, _) = CFG.extent
+    i, j = round((c[0] - x_lo) / 0.1 - 0.5), round((c[1] - y_lo) / 0.1 - 0.5)
+    assert (x_lo + (i + 0.5) * 0.1, y_lo + (j + 0.5) * 0.1) == c
+    (mask,) = pasted([curve], CFG)
+    assert mask[j, i] and np.array_equal(mask, ref_rasterize_curve(curve, CFG))
+
+
 def test_rasterize_rows_boxes_and_short_segments():
     one_row = EvalConfig(extent=((-4.0, 4.0), (0.0, 0.25)), lane_width=1.0,
                          raster_resolution=0.25)
