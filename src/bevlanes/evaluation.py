@@ -210,7 +210,8 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
     cx = x_lo + (np.arange(nx) + 0.5) * res     # cell-centre x of every column
     limit, m = half * half, _MARGIN / res
     r_out, r_in = half + _ETA, max(half - _ETA, 0.0)
-    starts, stops, hits = [], [], []
+    runs, hits = [], []
+    span = nx + 1       # a run is kept as one key: buffer offset * span + length
 
     def emit(segs, row, a, b, f, g, box_a, box_b, origin, w):
         """Fill [f, g) and test [a, f) and [g, b) of each (piece, row) entry,
@@ -221,14 +222,13 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
         b = np.clip(np.floor(b) + 1, a, box_b)
         f = np.clip(np.ceil(f), a, b)
         g = np.clip(np.floor(g) + 1, f, b)
-        a, b, f, g, line = np.array([a, b, f, g, origin + row * w], dtype=np.int64)
+        line = origin + row * w                 # buffer offset of column 0, a whole float
         run = f < g
-        starts.append((line + f)[run])
-        stops.append((line + g)[run])
-        begin, count = np.concatenate([a, g]), np.concatenate([f - a, b - g])
-        entry = np.flatnonzero(count)
-        begin, count = begin[entry], count[entry]
-        entry %= len(row)
+        runs.append((((line + f) * span + (g - f))[run]).astype(np.int64))
+        left, right = np.flatnonzero(f > a), np.flatnonzero(b > g)
+        entry = np.concatenate([left, right])
+        begin = np.concatenate([a[left], g[right]]).astype(np.int64)
+        count = np.concatenate([(f - a)[left], (b - g)[right]]).astype(np.int64)
         for c0, c1 in _bands(count, _CELL_BUDGET):
             n = count[c0:c1]
             ent = np.repeat(entry[c0:c1], n)
@@ -240,7 +240,7 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
                 t = np.maximum(((gx - px) * vx + (gy - py) * vy) / dn, 0.0)     # clip to [0, 1]
                 np.minimum(t, 1.0, out=t)
                 hit |= (gx - (px + t * vx)) ** 2 + (gy - (py + t * vy)) ** 2 <= limit
-            hits.append((line[ent] + col)[hit])
+            hits.append((line[ent] + col)[hit].astype(np.int64))
 
     # The strip inside the slab, in columns u = c + k * j for row j: the
     # sides at radius r_out widened and at r_in narrowed by _MARGIN, and the
@@ -298,10 +298,9 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
     total = int(height @ width)
     cells = np.zeros(total + 1, dtype=bool)
     none = np.zeros(0, dtype=np.int64)
-    starts, stops = np.concatenate([none, *starts]), np.concatenate([none, *stops])
+    starts, length = np.divmod(np.sort(np.concatenate([none, *runs])), span)
     if len(starts):
-        order = np.argsort(starts)
-        starts, reach = starts[order], np.maximum.accumulate(stops[order])
+        reach = np.maximum.accumulate(starts + length)
         new = np.flatnonzero(np.append(True, starts[1:] > reach[:-1]))
         cells[starts[new]] = True
         cells[reach[np.append(new[1:] - 1, len(starts) - 1)]] = True
