@@ -107,10 +107,11 @@ _CELL_BUDGET = 8192
 # _REACH that predicate computes d2 with a rounding error of about 1e-12 m^2,
 # far below the 2 * half * _ETA (1e-6 m^2 at half = 0.5) that separates those
 # radii from half, so a filled centre tests true and a skipped one false. The
-# interval ends are products of coordinates divided by |vx| or |vy| >= _AXIS,
-# or square roots of differences of squares, so they carry errors of at most
-# about 1e-8 m, well inside _MARGIN, the slack in x (and in y for the rows a
-# piece spans). A segment that is shorter than _AXIS, closer to an axis, or
+# interval ends are square roots of differences of squares, or products of
+# coordinates and slopes |vx / vy|, |vy / vx| <= 2 * _REACH / _AXIS taken
+# from each piece's first row (so over no more rows than the piece spans);
+# they carry errors of at most about 1e-8 m, well inside _MARGIN, the slack
+# in x (and in y for the rows a piece spans). A segment that is shorter than _AXIS, closer to an axis, or
 # reaches beyond _REACH tests its whole box rows instead.
 _ETA = 1e-6
 _MARGIN = 1e-6
@@ -136,14 +137,14 @@ def _bands(count, budget):
 
 
 def _entries(first, count, params, budget):
-    """(piece, row, params of the piece) of every row of the pieces, in bands
-    of whole pieces of about `budget` rows."""
+    """(piece, rows past the piece's first, row, params of the piece) of every
+    row of the pieces, in bands of whole pieces of about `budget` rows."""
     start = np.cumsum(count) - count
     for s0, s1 in _bands(count, budget):
         n = count[s0:s1]
-        piece = np.repeat(np.arange(s0, s1), n)
-        row = np.arange(len(piece)) + np.repeat(first[s0:s1] - (start[s0:s1] - start[s0]), n)
-        yield piece, row, np.repeat(params[:, s0:s1], n, axis=1)
+        step = np.arange(n.sum()) - np.repeat(start[s0:s1] - start[s0], n)
+        yield (np.repeat(np.arange(s0, s1), n), step, step + np.repeat(first[s0:s1], n),
+               np.repeat(params[:, s0:s1], n, axis=1))
 
 
 def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
@@ -242,33 +243,35 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
                 hit |= (gx - (px + t * vx)) ** 2 + (gy - (py + t * vy)) ** 2 <= limit
             hits.append((line[ent] + col)[hit].astype(np.int64))
 
-    # The strip inside the slab, in columns u = c + k * j for row j: the
-    # sides at radius r_out widened and at r_in narrowed by _MARGIN, and the
-    # slab's ends t = 0 and t = 1 likewise. Rows of a segment that is not
-    # exact get the whole box to test and nothing to fill.
+    # The strip inside the slab, in columns u = c + k * i for the i-th row of
+    # the strip's rows: the sides at radius r_out widened and at r_in
+    # narrowed by _MARGIN, and the slab's ends t = 0 and t = 1 likewise. Rows
+    # of a segment that is not exact get the whole box to test and nothing
+    # to fill.
     lines = np.zeros((10, len(p)))
     lines[2:] = np.array([-np.inf, np.inf, np.inf, -np.inf, -np.inf, np.inf, np.inf, -np.inf])[:, None]
     first, count = ja, jb - ja + 1
     ex = np.flatnonzero(exact)
     if len(ex):
         (px, py), (vx, vy), dn = p[ex].T, v[ex].T, den[ex]
-        dy = y_lo + 0.5 * res - py                          # from p to the centre of row 0
-        side = (px + dy * (vx / vy) - x_lo) / res - 0.5     # the line through p and q in row 0
-        end = (px - dy * (vy / vx) - x_lo) / res - 0.5      # the slab's end through p in row 0
-        end_lo, end_hi = end + np.minimum(0.0, dn / (vx * res)), end + np.maximum(0.0, dn / (vx * res))
         length = np.sqrt(dn)
-        wo, wi = r_out * length / (np.abs(vy) * res) + m, r_in * length / (np.abs(vy) * res) - m
-        lines[:, ex] = [vx / vy, -vy / vx, side - wo, side + wo, side - wi, side + wi,
-                        end_lo - m, end_hi + m, end_lo + m, end_hi - m]
         rise = r_out * np.abs(vx) / length          # the strip's corners reach this far past p, q
         first, count = first.copy(), count.copy()
         first[ex], count[ex] = _rows(np.minimum(py, py + vy) - rise, np.maximum(py, py + vy) + rise,
                                      ja[ex], jb[ex], y_lo, res)
-    for seg, row, (k_side, k_end, ol, oh, il, ih, el, eh, fl, fh, *box) in _entries(
+        dy = y_lo + (first[ex] + 0.5) * res - py            # from p to the strip's first row
+        side = (px + dy * (vx / vy) - x_lo) / res - 0.5     # the line through p and q there
+        end = (px - dy * (vy / vx) - x_lo) / res - 0.5      # the slab's end through p there
+        end_lo, end_hi = end + np.minimum(0.0, dn / (vx * res)), end + np.maximum(0.0, dn / (vx * res))
+        wo, wi = r_out * length / (np.abs(vy) * res) + m, r_in * length / (np.abs(vy) * res) - m
+        lines[:, ex] = [vx / vy, -vy / vx, side - wo, side + wo, side - wi, side + wi,
+                        end_lo - m, end_hi + m, end_lo + m, end_hi - m]
+    for seg, step, row, (k_side, k_end, ol, oh, il, ih, el, eh, fl, fh, *box) in _entries(
             first, count, np.concatenate([lines, frame]), _ROW_BUDGET):
-        side, end = k_side * row, k_end * row
-        emit([seg], row, np.maximum(ol + side, el + end), np.minimum(oh + side, eh + end),
-             np.maximum(il + side, fl + end), np.minimum(ih + side, fh + end), *box)
+        side, end = k_side * step, k_end * step
+        emit([seg], row, np.maximum(ol + side, el + end),
+             np.minimum(oh + side, eh + end), np.maximum(il + side, fl + end),
+             np.minimum(ih + side, fh + end), *box)
 
     # The end disks of exact segments. Where exact segments s and s + 1 of a
     # curve meet, one disk at the next p serves both, and its cells are tested
@@ -285,7 +288,7 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
     first, count = _rows(centre[1] - r_out, centre[1] + r_out, ja[seg_a], jb[seg_a], y_lo, res)
     disks = np.concatenate([[(centre[0] - x_lo) / res - 0.5, centre[1], seg_a, seg_b],
                             frame[:, seg_a]])
-    for _, row, (u, cy, sa, sb, *box) in _entries(first, count, disks, _ROW_BUDGET):
+    for _, _, row, (u, cy, sa, sb, *box) in _entries(first, count, disks, _ROW_BUDGET):
         d2 = (y_lo + (row + 0.5) * res - cy) ** 2
         wo = np.sqrt(np.maximum(r_out * r_out - d2, 0.0)) / res + m
         wi = np.sqrt(np.maximum(r_in * r_in - d2, 0.0)) / res - m

@@ -355,6 +355,9 @@ def test_rasterize_rows_boxes_and_short_segments():
         [[0.3, 4.0, 0.0], [0.3003, 4.0002, 1.0]],          # sub-millimetre segment
         [[0.3, 4.0, 0.0], [0.3, 4.0, 1.0], [0.3, 4.0, 2.0]],   # zero-length segments
         [[-1.0, 3.0, 0.0], [-1.0, 3.0, 0.5], [2.0, 7.0, 0.5], [2.0, 7.0, 0.0]],
+        [[-9000.0, 5.0, 0.0], [9000.0, 5.002, 0.0]],       # long, near an axis, far out
+        [[3.0, -9000.0, 0.0], [3.002, 9000.0, 0.0]],
+        [[-20000.0, 5.0, 0.0], [20000.0, 9.0, 0.0]],       # past the reach of the run ends
     ]
     curves = [Curve(points=pts) for pts in cases]
     for cfg in (BINARY, SMALL, CFG):
