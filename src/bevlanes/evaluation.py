@@ -301,9 +301,14 @@ def rasterize_curve(curves: list, cfg: EvalConfig) -> list:
     total = int(height @ width)
     cells = np.zeros(total + 1, dtype=bool)
     none = np.zeros(0, dtype=np.int64)
-    starts, length = np.divmod(np.sort(np.concatenate([none, *runs])), span)
+    keys = np.concatenate([none, *runs])
+    runs.clear()
+    keys.sort()
+    starts, reach = np.divmod(keys, span)
+    del keys
     if len(starts):
-        reach = np.maximum.accumulate(starts + length)
+        reach += starts                         # the cell past each run's end
+        np.maximum.accumulate(reach, out=reach)
         new = np.flatnonzero(np.append(True, starts[1:] > reach[:-1]))
         cells[starts[new]] = True
         cells[reach[np.append(new[1:] - 1, len(starts) - 1)]] = True
