@@ -2,16 +2,25 @@
 
     PYTHONPATH=src python3 tests/record_digests.py
 
-Each cell runs `bevlanes pipeline` (which calls `cmd_pipeline`) and then
-`bevlanes eval` on a few scenes into a fresh directory, and hashes every file
-of the tree together with the stdout of both commands (the output directory
-replaced by `<out>`). The cells are {default, criterion-10 noisy, 64x104
-dense} x {embedding, greedy}, serially, plus one `--jobs 2` run per config
-that must give the same digests as its serial embedding cell. This script is
-the only writer of the record, and it refuses to write when a `--jobs 2` run
-differs from the serial one. Re-record only for a change that is meant to
-change outputs, and say which digests changed. `tests/test_digests.py`
-regenerates every cell and names each file whose digest differs.
+Each cell runs a list of `bevlanes` commands on a few scenes into a fresh
+directory, and hashes every file of the tree together with the stdout of each
+command (the output directory replaced by `<out>`). The cells are:
+
+- `<config>-<method>`: `bevlanes pipeline` (which calls `cmd_pipeline`) and
+  then `bevlanes eval`, for {default, criterion-10 noisy, 64x104 dense} x
+  {embedding, greedy}, serially;
+- `<config>-embedding-jobs2`: the same with `--jobs 2`, which must give the
+  digests of its serial cell;
+- `<config>-<method>-stages`: the stage chain `generate`, `encode`,
+  `predict`, `decode`, `cluster`, `eval` for the default and noisy configs;
+- `noisy-loss`: `generate`, `encode`, `predict` and `loss --check-grads`.
+
+This script is the only writer of the record. It refuses to write when a
+`--jobs 2` run differs from the serial one, or when a stage-chain or loss
+cell has a file (or an `eval` stdout) that differs from the same file of its
+config's pipeline cell. Re-record only for a change that is meant to change
+outputs, and say which digests changed. `tests/test_digests.py` regenerates
+every cell and names each file whose digest differs.
 """
 
 from __future__ import annotations
@@ -36,16 +45,34 @@ CONFIGS = {
                          "drop_rate": 0.05, "fp_rate": 0.05, "sigma_f": 0.2}}, 2),
 }
 METHODS = ("embedding", "greedy")
-# cell name -> (config name, method, jobs); a jobs-2 cell has the digests of
-# the serial cell of its config and method
-CELLS = {f"{name}-{method}": (name, method, 1) for name in CONFIGS for method in METHODS}
-CELLS.update({f"{name}-embedding-jobs2": (name, "embedding", 2) for name in CONFIGS})
+
+
+# cell name -> (config name, the commands it runs in order)
+CELLS = {}
+# a jobs-2 cell -> the serial cell whose digests it must have
+SAME = {}
+# a stage-chain or loss cell -> the pipeline cell whose files it shares
+SHARES = {}
+for name in CONFIGS:
+    for method in METHODS:
+        CELLS[f"{name}-{method}"] = (name, (("pipeline", "--method", method, "--jobs", "1"),
+                                            ("eval",)))
+        if name != "dense":
+            CELLS[f"{name}-{method}-stages"] = (name, (
+                ("generate",), ("encode",), ("predict",), ("decode",),
+                ("cluster", "--method", method), ("eval",)))
+            SHARES[f"{name}-{method}-stages"] = f"{name}-{method}"
+    CELLS[f"{name}-embedding-jobs2"] = (name, (("pipeline", "--method", "embedding", "--jobs", "2"),
+                                               ("eval",)))
+    SAME[f"{name}-embedding-jobs2"] = f"{name}-embedding"
+CELLS["noisy-loss"] = ("noisy", (("generate",), ("encode",), ("predict",),
+                                 ("loss", "--check-grads")))
+SHARES["noisy-loss"] = "noisy-embedding"
 
 
 def recorded_as(cell: str) -> str:
     """The record entry a cell is compared with."""
-    name, method, _ = CELLS[cell]
-    return f"{name}-{method}"
+    return SAME.get(cell, cell)
 
 
 def _sha256(data: bytes) -> str:
@@ -55,12 +82,12 @@ def _sha256(data: bytes) -> str:
 def run_cell(cell: str, work: Path) -> dict:
     """Run one cell in the empty directory `work`; relative path -> sha256 of
     every file written, and `<command>.stdout` -> sha256 of what it printed."""
-    name, method, jobs = CELLS[cell]
+    name, commands = CELLS[cell]
     sections, n_scenes = CONFIGS[name]
     config, out = work / "config.json", work / "out"
     config.write_text(json.dumps({**sections, "n_scenes": n_scenes, "master_seed": SEED}))
     digests = {}
-    for command in (["pipeline", "--method", method, "--jobs", str(jobs)], ["eval"]):
+    for command in commands:
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             code = main([command[0], "--config", str(config), "--out", str(out), *command[1:]])
@@ -73,18 +100,31 @@ def run_cell(cell: str, work: Path) -> dict:
     return digests
 
 
+def shared_differences(digests: dict, pipeline_digests: dict) -> list[str]:
+    """The entries (files, `eval.stdout`) that a stage-chain or loss cell has
+    in common with its pipeline cell but with other bytes."""
+    return sorted(name for name in set(digests) & set(pipeline_digests)
+                  if digests[name] != pipeline_digests[name])
+
+
 def record() -> dict:
-    """Every serial cell's digests, after checking each jobs-2 cell against them."""
+    """Every cell's digests but the jobs-2 ones, after checking each jobs-2
+    cell against its serial cell and each stage-chain or loss cell against the
+    files of its pipeline cell."""
     got = {}
     with tempfile.TemporaryDirectory() as tmp:
         for cell in CELLS:
             (Path(tmp) / cell).mkdir()
             got[cell] = run_cell(cell, Path(tmp) / cell)
-    for cell in CELLS:
-        if got[cell] != got[recorded_as(cell)]:
+    for cell, serial in SAME.items():
+        if got[cell] != got[serial]:
+            raise SystemExit(f"refusing to write {RECORD.name}: {cell} differs from {serial}")
+    for cell, pipeline in SHARES.items():
+        differ = shared_differences(got[cell], got[pipeline])
+        if differ:
             raise SystemExit(f"refusing to write {RECORD.name}: {cell} differs from "
-                             f"{recorded_as(cell)}")
-    return {cell: got[cell] for cell in CELLS if recorded_as(cell) == cell}
+                             f"{pipeline} in {differ}")
+    return {cell: got[cell] for cell in CELLS if cell not in SAME}
 
 
 if __name__ == "__main__":
