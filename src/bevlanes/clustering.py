@@ -92,7 +92,9 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     seed index). Returns the surviving centers ordered by descending support.
 
     The bits are those of the whole-tensor form: `_within` sums the squared
-    distances dimension by dimension in numpy's order, and `within @ pts`
+    distances dimension by dimension in numpy's order (the first sweep,
+    seeded from the points themselves, fills half the mask and mirrors it),
+    and `within @ pts`
     stays one product over every active seed (a BLAS row's result depends on
     its position in the product). Support and merge run once per distinct
     mode, visited by (-support, first seed index). That is exact because a
@@ -107,10 +109,10 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     bw2 = params.bandwidth ** 2
     modes = pts.copy()
     active = np.ones(len(pts), dtype=bool)
-    for _ in range(params.max_iters):
+    for it in range(params.max_iters):
         if not active.any():
             break
-        within = _within(modes[active], pts, bw2)
+        within = _within_self(pts, bw2) if it == 0 else _within(modes[active], pts, bw2)
         counts = within.sum(axis=1)
         counts[counts == 0] = 1  # window drifted empty: freeze in place
         new = (within @ pts) / counts[:, None]
@@ -133,7 +135,7 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     return distinct[kept]
 
 
-# Centers whose (centers, N) distances `_within` holds at once.
+# Rows whose (rows, N) distances `_within` and `_pair_dist` hold at once.
 _ROWS = 64
 
 
@@ -144,6 +146,18 @@ def _within(centers: np.ndarray, pts: np.ndarray, bw2: float) -> np.ndarray:
     out = np.empty((len(centers), len(pts)), dtype=bool)
     for i in range(0, len(centers), _ROWS):
         out[i:i + _ROWS] = _sq_dist(centers[i:i + _ROWS], pts) <= bw2
+    return out
+
+
+def _within_self(pts: np.ndarray, bw2: float) -> np.ndarray:
+    """`_within(pts, pts, bw2)` from the row blocks' upper parts, mirrored:
+    entries (i, j) and (j, i) have the same bits, because (a - b)^2 equals
+    (b - a)^2 and the terms are summed in the same order."""
+    n = len(pts)
+    out = np.empty((n, n), dtype=bool)
+    for i in range(0, n, _ROWS):
+        out[i:i + _ROWS, i:] = _sq_dist(pts[i:i + _ROWS], pts[i:]) <= bw2
+        out[i + _ROWS:, i:i + _ROWS] = out[i:i + _ROWS, i + _ROWS:].T
     return out
 
 
@@ -203,8 +217,10 @@ def assemble_curve(instance: LaneInstance) -> Curve:
     The chain starts at the midpoint with the smallest projection onto the
     first principal axis of the midpoints (the axis is oriented toward +y,
     then +x, so collinear instances come out sorted along the line) and
-    greedily hops to the nearest unvisited midpoint. A single-segment
-    instance falls back to that segment's two endpoints.
+    greedily hops to the nearest unvisited midpoint (ties to the lowest
+    index). The xy distances are computed once per instance; each hop then
+    masks the visited column and takes the argmin of one row. A
+    single-segment instance falls back to that segment's two endpoints.
     """
     segments = instance.segments
     if len(segments) == 1:
@@ -218,18 +234,18 @@ def assemble_curve(instance: LaneInstance) -> Curve:
         axis = -axis
     proj = centered @ axis
     current = int(np.argmin(proj))
-    visited = np.zeros(len(mids), dtype=bool)
+    dist = _pair_dist(xy)
     order = [current]
     for _ in range(len(mids) - 1):
-        visited[current] = True
-        # vecdot, like the 1-D norm, sums through the dot kernel; norm(axis=1)
-        # can differ in the last bit and so flip a near-tie hop.
-        diff = xy - xy[current]
-        d = np.sqrt(np.vecdot(diff, diff))
-        d[visited] = np.inf
-        current = int(np.argmin(d))
+        dist[:, current] = np.inf       # visited
+        current = int(dist[current].argmin())
         order.append(current)
     pts = mids[order]
+    # A midpoint that repeats the one before it is dropped; consecutive steps
+    # are what the loop compares until it drops one, so it runs only then.
+    steps = np.diff(pts, axis=0)
+    if np.all(np.sqrt(np.vecdot(steps, steps)) > 1e-12):
+        return Curve(points=pts)
     keep = [0]
     for i in range(1, len(pts)):
         if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-12:
@@ -237,6 +253,19 @@ def assemble_curve(instance: LaneInstance) -> Curve:
     if len(keep) < 2:
         return Curve(points=segments.endpoints[0].copy())
     return Curve(points=pts[keep])
+
+
+def _pair_dist(xy: np.ndarray) -> np.ndarray:
+    """(N, N) distances, row k from `xy[k]`, with the bits of the per-row
+    `sqrt(vecdot(xy - xy[k], xy - xy[k]))`: vecdot, like the 1-D norm, sums
+    through the dot kernel, where norm(axis=1) can differ in the last bit and
+    so flip a near-tie hop. Rows are worked `_ROWS` at a time, so the
+    (N, N, 2) difference tensor never exists."""
+    out = np.empty((len(xy), len(xy)))
+    for i in range(0, len(xy), _ROWS):
+        diff = xy[None, :, :] - xy[i:i + _ROWS, None, :]
+        np.vecdot(diff, diff, out=out[i:i + _ROWS])
+    return np.sqrt(out, out=out)
 
 
 def greedy_baseline(segments: SegmentSet, angle_tol: float = DEFAULT_ANGLE_TOL,

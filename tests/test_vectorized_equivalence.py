@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevlanes import evaluation
+from bevlanes import clustering, evaluation
 from bevlanes.clustering import (ClusterParams, Curve, LaneInstance, assemble_curve,
                                  greedy_baseline, mean_shift)
 from bevlanes.codec import SegmentSet, array_fields, wrap_signed
@@ -204,11 +204,18 @@ def _segment(mid):
                       tile=(0, 0), embedding=np.zeros(2))
 
 
+# Steps just under, at and just over the duplicate filter's 1e-12.
+NEAR_REPEATS = (math.nextafter(1e-12, 0.0), 1e-12, math.nextafter(1e-12, 1.0))
+
+
 @st.composite
 def midpoint_sets(draw):
     """Midpoints with exact and last-bit distance ties: lattices, equally
-    spaced collinear runs, mirror-symmetric branches off a stem, repeats."""
-    kind = draw(st.sampled_from(["lattice", "collinear", "branches", "free"]))
+    spaced collinear runs, mirror-symmetric branches off a stem, repeats,
+    and zig-zag lanes of 65-200 midpoints that cross a block of distance
+    rows. Some midpoints get a twin one step of about 1e-12 away along one
+    axis, from a coordinate of 0 so that the step is exact."""
+    kind = draw(st.sampled_from(["lattice", "collinear", "branches", "free", "large"]))
     if kind == "lattice":
         # Offsets such as (1, 7) and (5, 5) have equal lengths; scaled by a
         # step that is not a binary fraction their float lengths differ in
@@ -229,9 +236,27 @@ def midpoint_sets(draw):
         top = 3.0 * (stem - 1)
         for k in range(1, arm + 1):
             pts += [[-spread * k, top + 3.0 * k, 0.0], [spread * k, top + 3.0 * k, 0.0]]
-    else:
+    elif kind == "free":
         n = draw(st.integers(1, 14))
         pts = [[draw(coord_x), draw(coord_y), draw(coord_z)] for _ in range(n)]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        n = draw(st.integers(65, 200))
+        if draw(st.booleans()):     # a dense lattice: exact and last-bit ties
+            xyz = np.column_stack([0.3 * rng.integers(-3, 4, n), 0.3 * rng.integers(0, n // 4, n),
+                                   rng.integers(-1, 2, n)])
+        else:
+            y = np.sort(rng.uniform(0.0, 80.0, n))
+            xyz = np.column_stack([np.sin(y) + rng.normal(0.0, 0.2, n), y,
+                                   rng.normal(0.0, 0.1, n)])
+        pts = xyz.tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        p = list(draw(st.sampled_from(pts)))
+        k = draw(st.integers(0, 2))
+        p[k] = 0.0
+        twin = list(p)
+        twin[k] = draw(st.sampled_from(NEAR_REPEATS))
+        pts += [p, twin]
     perm = draw(st.permutations(range(len(pts))))
     return [pts[i] for i in perm]
 
@@ -423,14 +448,43 @@ def test_assemble_matches_hop_loop(mids):
     assert np.array_equal(got.points, want.points)
 
 
+def test_assemble_near_repeats_on_both_sides_of_the_filter():
+    # steps of 1e-12 and under are dropped, and the loop then compares the
+    # next midpoint with the last one kept
+    base = [[0.0, 3.0 * k, 0.0] for k in range(4)]
+    for step in NEAR_REPEATS:
+        mids = base + [[0.0, 3.0, step], [0.0, 3.0, 2 * step], [0.0, 6.0, -step]]
+        segs = [_segment(m) for m in mids]
+        got = assemble_curve(LaneInstance(as_set(segs), 0.5)).points
+        assert np.array_equal(got, ref_assemble_curve(LaneInstance(segs, 0.5)).points)
+        assert len(got) == (5 if step <= 1e-12 else 7)
+
+
+def test_assemble_memory_is_bounded():
+    # 1,000 midpoints: the (N, N) distances are 8 MB; the (N, N, 2)
+    # difference tensor (16 MB) is never made
+    rng = np.random.default_rng(0)
+    mids = np.column_stack([rng.normal(0.0, 2.0, 1000), rng.uniform(0.0, 80.0, 1000),
+                            np.zeros(1000)])
+    instance = LaneInstance(as_set([_segment(m) for m in mids]), 0.5)
+    tracemalloc.start()
+    assemble_curve(instance)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 12e6
+
+
 def test_assemble_last_bit_near_tie():
     # From the first midpoint, offsets (-1, 7) and (-5, 5) times 0.3 have the
     # same length in exact arithmetic; in floats the two candidates differ in
     # the last bit, and norm(axis=1) would rank them the other way.
+    # After 64 midpoints far ahead, the chain still starts there, and the
+    # tie is read from the second block of distance rows.
     mids = [[0.3 * i, 0.3 * j, 0.0] for i, j in [(7, -2), (6, 5), (2, 3)]]
-    segs = [_segment(m) for m in mids]
-    assert np.array_equal(assemble_curve(LaneInstance(as_set(segs), 0.5)).points,
-                          ref_assemble_curve(LaneInstance(segs, 0.5)).points)
+    for before in ([], [[0.0, 100.0 + 3.0 * k, 0.0] for k in range(64)]):
+        segs = [_segment(m) for m in before + mids]
+        assert np.array_equal(assemble_curve(LaneInstance(as_set(segs), 0.5)).points,
+                              ref_assemble_curve(LaneInstance(segs, 0.5)).points)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +536,14 @@ def embeddings(draw):
     """Points in a few clumps, more than one block of rows at times, on a
     lattice (exact ties at the bandwidth) or not, with repeats."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n, d = draw(st.integers(1, 150)), draw(st.sampled_from((2, 4)))
-    pts = (rng.integers(0, 4, (n, 1)) * 3.0 + rng.normal(0.0, draw(st.sampled_from((0.05, 0.6))),
-                                                         (n, d)))
+    # whole blocks of rows, and one row past them
+    n = draw(st.one_of(st.sampled_from((64, 65, 128)), st.integers(1, 150)))
+    repeats, d = draw(st.integers(0, min(5, n - 1))), draw(st.sampled_from((2, 4)))
+    pts = (rng.integers(0, 4, (n - repeats, 1)) * 3.0
+           + rng.normal(0.0, draw(st.sampled_from((0.05, 0.6))), (n - repeats, d)))
     if draw(st.booleans()):
         pts = np.round(pts * 4) / 4
-    return np.concatenate([pts, pts[: draw(st.integers(0, 5))]])
+    return np.concatenate([pts, pts[:repeats]])
 
 
 @EXACT
@@ -496,6 +552,15 @@ def embeddings(draw):
 def test_mean_shift_matches_whole_tensor(pts, params):
     got, want = mean_shift(pts, params), ref_mean_shift(pts, params)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@EXACT
+@given(pts=embeddings(), bandwidth=st.sampled_from((1.5, 0.75)))
+def test_first_sweep_mask_matches_whole_tensor(pts, bandwidth):
+    # mean shift converges to the same modes from a slightly wrong first
+    # mask, so the mirrored half is checked here, entry by entry
+    want = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= bandwidth ** 2
+    assert np.array_equal(clustering._within_self(pts, bandwidth ** 2), want)
 
 
 def test_mean_shift_memory_is_bounded():
