@@ -78,16 +78,17 @@ def heatmap_svg(scores: np.ndarray, grid: GridSpec) -> str:
                          f"({grid.n_rows}, {grid.n_cols})")
     header, _, _ = _header(grid)
     parts = [header]
-    for i in range(grid.n_rows):
-        for j in range(grid.n_cols):
-            s = min(1.0, max(0.0, float(scores[i, j])))
-            r, g = int(round(220 * (1.0 - s))), int(round(200 * s))
-            x = grid.x_min + j * grid.tile_width
-            y = grid.y_min + (i + 1) * grid.tile_length
-            px, py = _to_px(x, y, grid)
+    # each column's x and each row's y (the tile's top edge) formatted once
+    xs = [f"{_to_px(grid.x_min + j * grid.tile_width, 0.0, grid)[0]:.2f}"
+          for j in range(grid.n_cols)]
+    size = (f'width="{grid.tile_width * _SCALE:.2f}" '
+            f'height="{grid.tile_length * _SCALE:.2f}"')
+    for i, row in enumerate(scores.tolist()):
+        y = f"{_to_px(0.0, grid.y_min + (i + 1) * grid.tile_length, grid)[1]:.2f}"
+        for x, score in zip(xs, row):
+            s = min(1.0, max(0.0, score))
             parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{grid.tile_width * _SCALE:.2f}" '
-                f'height="{grid.tile_length * _SCALE:.2f}" fill="rgb({r},{g},40)" '
-                f'stroke="#666" stroke-width="0.3"/>')
+                f'<rect x="{x}" y="{y}" {size} fill="rgb({int(round(220 * (1.0 - s)))},'
+                f'{int(round(200 * s))},40)" stroke="#666" stroke-width="0.3"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
