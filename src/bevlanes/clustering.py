@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SegmentSet, wrap_signed
+from .geometry import repeated_vertices
 
 DEFAULT_ANGLE_TOL = math.pi / 8
 DEFAULT_GAP_TOL = 4.5  # 1.5 tile lengths
@@ -77,8 +78,7 @@ class Curve:
             raise ValueError(f"curve needs at least two 3D points, got shape {self.points.shape}")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("curve points must be finite")
-        steps = np.linalg.norm(np.diff(self.points[:, :2], axis=0), axis=1)
-        if np.any(steps + np.abs(np.diff(self.points[:, 2])) == 0.0):
+        if np.any(repeated_vertices(self.points)):
             raise ValueError("curve has consecutive duplicate points")
 
 

@@ -82,6 +82,15 @@ class Lane3D:
         seg = np.diff(self.points[:, :2], axis=0)
         if float(np.sum(np.hypot(seg[:, 0], seg[:, 1]))) <= 0.0:
             raise ValueError("lane polyline has zero length")
+        if np.any(repeated_vertices(self.points)):
+            raise ValueError("lane polyline has consecutive duplicate vertices")
+
+
+def repeated_vertices(points: np.ndarray) -> np.ndarray:
+    """(N - 1,) bool: vertex k + 1 of an (N, 3) polyline repeats vertex k, that
+    is its xy step plus its |dz| is 0. Lanes and curves reject a repeat."""
+    steps = np.linalg.norm(np.diff(points[:, :2], axis=0), axis=1)
+    return steps + np.abs(np.diff(points[:, 2])) == 0.0
 
 
 def resample_polyline(points: np.ndarray, step: float) -> np.ndarray:

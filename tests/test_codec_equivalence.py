@@ -40,7 +40,7 @@ from bevlanes.codec import (
     soft_labels_to_angle,
     wrap_signed,
 )
-from bevlanes.geometry import GridSpec, Lane3D
+from bevlanes.geometry import GridSpec, Lane3D, repeated_vertices
 from bevlanes.losses import EmbeddingParams
 from bevlanes.synth import NoiseConfig, SceneConfig, generate_scene, oracle_predict, simplex_anchors
 
@@ -445,7 +445,8 @@ def polylines(draw, grid):
     """(N, 3) lane points: free vertices reaching past the grid (the lane
     leaves it and comes back), a quarter-tile lattice (vertices on grid lines,
     runs along a line) or a 1 m walk like a generated lane; some vertices
-    repeat their xy with another height."""
+    repeat their xy with another height, and none repeats the one before it
+    whole, which `Lane3D` rejects."""
     n = draw(st.integers(2, 9))
     mode = draw(st.sampled_from(("free", "lattice", "walk")))
     if mode == "free":
@@ -475,6 +476,9 @@ def polylines(draw, grid):
     pts = np.column_stack([x, y, z])
     for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         pts = np.insert(pts, k + 1, pts[k] + [0.0, 0.0, 0.25], axis=0)
+    pts = pts[np.r_[True, ~repeated_vertices(pts)]]     # Lane3D rejects a repeat
+    if len(pts) == 1:
+        pts = np.vstack([pts, pts])
     if not np.any(np.diff(pts[:, :2], axis=0)):
         pts[-1, 0] += 1.0
     return pts

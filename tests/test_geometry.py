@@ -108,6 +108,9 @@ def test_lane3d_validation():
         Lane3D(points=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))  # zero xy length
     with pytest.raises(ValueError):
         Lane3D(points=np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match="duplicate"):
+        Lane3D(points=[[0.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 5.0, 0.0]])
+    Lane3D(points=[[0.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 5.0, 0.5]])   # a vertical step
     lane = Lane3D(points=[[0.0, 0.0, 0.0], [0.0, 5.0, 0.0]], lane_id=3)
     assert lane.points.dtype == np.float64
     assert lane.lane_id == 3

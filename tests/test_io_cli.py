@@ -889,20 +889,22 @@ def test_pool_has_no_more_workers_than_scenes(tmp_path, monkeypatch):
     assert sizes == [2]
 
 
-def test_cli_lane_with_a_repeated_vertex_is_evaluated(tmp_path, capsys):
-    # ground truth is the scene's lanes as read, so a repeated vertex is a
-    # zero-length segment, not a curve error (it used to exit 2 at eval)
+@pytest.mark.parametrize("dz, code", [(0.0, 3), (0.25, 0)])
+def test_cli_lane_with_a_repeated_vertex_is_data_error(tmp_path, capsys, dz, code):
+    # a lane, like a curve, rejects a vertex that repeats the one before it
+    # (the tile fits would weight the repeat and encode another target); the
+    # same xy at another height is a vertical step, which a lane may take
     cfg = write_config(tmp_path)
-    assert main(["pipeline", "--config", cfg]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert main(["generate", "--config", cfg]) == 0
     scene_path = tmp_path / "out" / "scenes" / "scene_00000.json"
     d = json.loads(scene_path.read_text())
-    d["lanes"][0]["points"].insert(3, d["lanes"][0]["points"][3])
+    x, y, z = d["lanes"][0]["points"][3]
+    d["lanes"][0]["points"].insert(4, [x, y, z + dz])
     scene_path.write_text(json.dumps(d))
-    for command in ("encode", "predict", "decode", "cluster", "eval"):
-        assert main([command, "--config", cfg]) == 0, capsys.readouterr().err
-    edited = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert (edited["map_score"], edited["counts"]) == (report["map_score"], report["counts"])
+    assert main(["encode", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "scene_00000.json" in err and "lanes[0]" in err and "duplicate" in err
 
 
 def test_cli_grid_mismatch_between_stages(tmp_path, capsys):
