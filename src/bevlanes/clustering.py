@@ -94,9 +94,8 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     The bits are those of the whole-tensor form: `_within` sums the squared
     distances dimension by dimension in numpy's order (the first sweep,
     seeded from the points themselves, fills half the mask and mirrors it),
-    and `within @ pts`
-    stays one product over every active seed (a BLAS row's result depends on
-    its position in the product). Support and merge run once per distinct
+    and `within @ pts` stays one product over every active seed (a BLAS
+    row's result depends on its position in the product). Support and merge run once per distinct
     mode, visited by (-support, first seed index). That is exact because a
     repeated seed can never be kept: its first copy was either kept or
     rejected by a kept mode at the same distance.

@@ -87,8 +87,8 @@ def heatmap_svg(scores: np.ndarray, grid: GridSpec) -> str:
         y = f"{_to_px(0.0, grid.y_min + (i + 1) * grid.tile_length, grid)[1]:.2f}"
         for x, score in zip(xs, row):
             s = min(1.0, max(0.0, score))
-            parts.append(
-                f'<rect x="{x}" y="{y}" {size} fill="rgb({int(round(220 * (1.0 - s)))},'
-                f'{int(round(200 * s))},40)" stroke="#666" stroke-width="0.3"/>')
+            r, g = int(round(220 * (1.0 - s))), int(round(200 * s))
+            parts.append(f'<rect x="{x}" y="{y}" {size} fill="rgb({r},{g},40)" '
+                         f'stroke="#666" stroke-width="0.3"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
