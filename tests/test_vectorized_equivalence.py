@@ -212,9 +212,10 @@ NEAR_REPEATS = (math.nextafter(1e-12, 0.0), 1e-12, math.nextafter(1e-12, 1.0))
 def midpoint_sets(draw):
     """Midpoints with exact and last-bit distance ties: lattices, equally
     spaced collinear runs, mirror-symmetric branches off a stem, repeats,
-    and zig-zag lanes of 65-200 midpoints that cross a block of distance
-    rows. Some midpoints get a twin one step of about 1e-12 away along one
-    axis, from a coordinate of 0 so that the step is exact."""
+    and 65-200 midpoints (a zig-zag lane or a dense lattice) that cross a
+    block of distance rows. Some midpoints get a twin one step of about
+    1e-12 away along one axis, from a coordinate of 0 so that the step is
+    exact."""
     kind = draw(st.sampled_from(["lattice", "collinear", "branches", "free", "large"]))
     if kind == "lattice":
         # Offsets such as (1, 7) and (5, 5) have equal lengths; scaled by a
