@@ -11,9 +11,7 @@ contribute a lateral error split into near/far range buckets.
 
 import numpy as np
 
-from bevlanes import (EvalConfig, curve_iou, evaluate, lateral_error, match_and_ap,
-                      range_means, score_scene)
-from bevlanes.clustering import Curve
+from bevlanes import Curve, EvalConfig, curve_iou, evaluate, lateral_error, range_means, score_scene
 
 cfg = EvalConfig()
 print(f"ribbon width {cfg.lane_width} m, raster cell {cfg.raster_resolution} m, "
@@ -39,13 +37,17 @@ for d in (0.1, 0.25, 0.5, 0.75):
 
 # Matching and AP on a hand-built case: two ground-truth lanes, three
 # predictions. The confident stray (conf 0.9, no overlap) costs precision
-# before the two true positives are swept in.
+# before the two true positives are swept in. The scene's record holds the
+# TP flags of its predictions in confidence order.
 gts = [tilted(0.0), tilted(3.7)]
 preds = [(tilted(0.02), 0.95), (tilted(8.0), 0.90), (tilted(3.68), 0.85)]
-ap, matches, recall = match_and_ap(preds, gts, threshold=0.5, cfg=cfg)
+at_05 = EvalConfig(iou_thresholds=(0.5,))
+record = score_scene(preds, gts, at_05)
+report = evaluate([record], at_05)
 print(f"\n2 GT lanes, 3 predictions (one stray at conf 0.90):")
-print(f"  AP@0.5 = {ap:.4f}, recall = {recall:.2f}, "
-      f"matched pairs = {[(p, g) for p, g, _ in matches]}")
+print(f"  AP@0.5 = {report.ap_per_threshold[0.5]:.4f}, "
+      f"recall = {report.recall_at_reference:.2f}, "
+      f"TP flags by confidence = {record.tp[0].tolist()}")
 # precision sweep: 1/1, 1/2, 2/3 -> area under the envelope = 5/6
 print(f"  expected from the precision envelope: {5/6:.4f}")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SegmentSet, wrap_signed
-from .geometry import repeated_vertices
+from .geometry import Curve
 
 DEFAULT_ANGLE_TOL = math.pi / 8
 DEFAULT_GAP_TOL = 4.5  # 1.5 tile lengths
@@ -64,22 +64,6 @@ class LaneInstance:
     def __post_init__(self):
         if not len(self.segments):
             raise ValueError("a lane instance needs at least one segment")
-
-
-@dataclass
-class Curve:
-    """An ordered 3D polyline."""
-
-    points: np.ndarray            # (M, 3)
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] < 2 or self.points.shape[1] != 3:
-            raise ValueError(f"curve needs at least two 3D points, got shape {self.points.shape}")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("curve points must be finite")
-        if np.any(repeated_vertices(self.points)):
-            raise ValueError("curve has consecutive duplicate points")
 
 
 def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Curve
-from .geometry import Lane3D, resample_polyline
+from .geometry import Curve, resample_polyline
 
 DEFAULT_EXTENT = ((-10.74, 10.74), (-0.5, 78.5))  # default grid padded by w/2
 
@@ -345,12 +344,7 @@ def curve_iou(a: Curve, b: Curve, cfg: EvalConfig) -> float:
 # Matching and average precision
 
 
-def _confidence_order(confidences) -> list[int]:
-    """Indices by descending confidence; ties keep insertion order."""
-    return sorted(range(len(confidences)), key=lambda i: (-confidences[i], i))
-
-
-def _greedy_match(iou: np.ndarray, order: list[int], threshold: float):
+def _greedy_match(iou: np.ndarray, order, threshold: float):
     """Match each prediction (in the given order) to the best free GT.
 
     Returns (tp flags aligned with `order`, matches as (pred, gt) pairs).
@@ -371,12 +365,11 @@ def _greedy_match(iou: np.ndarray, order: list[int], threshold: float):
     return tp, matches
 
 
-def _ap_from_flags(confidences: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
-    """Exact area under the precision envelope (all-point interpolation)."""
-    if n_gt == 0 or len(tp) == 0:
+def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
+    """Exact area under the precision envelope (all-point interpolation) of TP
+    flags in confidence order."""
+    if n_gt == 0 or len(flags) == 0:
         return 0.0
-    order = np.argsort(-confidences, kind="stable")
-    flags = tp[order]
     cum_tp = np.cumsum(flags)
     precision = cum_tp / np.arange(1, len(flags) + 1)
     recall = cum_tp / n_gt
@@ -391,7 +384,8 @@ def _ap_from_flags(confidences: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
 
 def _scene_iou(preds: list, gts: list, cfg: EvalConfig):
     """IOU matrix (P, G), confidences (each in [0, 1]) and confidence order of
-    one scene, from one `rasterize_curve` call over all of its curves.
+    one scene, from one `rasterize_curve` call over all of its curves. The
+    order is by descending confidence; ties keep prediction order.
     """
     if any(not (0.0 <= c <= 1.0) for _, c in preds):
         raise ValueError("confidences must lie in [0, 1]")
@@ -399,21 +393,8 @@ def _scene_iou(preds: list, gts: list, cfg: EvalConfig):
     iou = np.zeros((len(preds), len(gts)))
     for i, fp in enumerate(footprints[:len(preds)]):
         iou[i] = [footprint_iou(fp, fg) for fg in footprints[len(preds):]]
-    conf = np.array([c for _, c in preds])
-    return iou, conf, _confidence_order(conf)
-
-
-def match_and_ap(preds: list, gts: list, threshold: float, cfg: EvalConfig):
-    """Greedy confidence-ordered matching at one IOU threshold, for one scene.
-
-    preds is a list of (Curve, confidence). Returns (AP, matches, recall)
-    where matches are (pred_index, gt_index, iou) triples.
-    """
-    iou, conf, order = _scene_iou(preds, gts, cfg)
-    tp, matches = _greedy_match(iou, order, threshold)
-    ap = _ap_from_flags(conf[order], tp, len(gts))
-    recall = len(matches) / len(gts) if gts else 0.0
-    return ap, [(p, g, float(iou[p, g])) for p, g in matches], recall
+    conf = np.array([c for _, c in preds], dtype=float)
+    return iou, conf, np.argsort(-conf, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +472,8 @@ class SceneRecord:
 def score_scene(preds: list, gts: list, cfg: EvalConfig) -> SceneRecord:
     """Match one scene at every threshold and sample its operating-point matches.
 
-    preds: list of (Curve, confidence); gts: the scene's Lane3Ds, which may
-    repeat a vertex. Predictions match only this scene's GTs.
+    preds: list of (Curve, confidence); gts: the scene's Lane3Ds. Predictions
+    match only this scene's GTs.
     """
     iou, conf, order = _scene_iou(preds, gts, cfg)
     thresholds = _thresholds(cfg)
@@ -517,9 +498,11 @@ def evaluate(records, cfg: EvalConfig) -> EvalReport:
     thresholds = _thresholds(cfg)
     n_gt = sum(r.n_gt for r in records)
     conf = np.concatenate([np.zeros(0), *(r.conf for r in records)])
+    order = np.argsort(-conf, kind="stable")
+    conf = conf[order]
     tp = np.concatenate([np.zeros((len(thresholds), 0), dtype=bool),
-                         *(r.tp for r in records)], axis=1)
-    ap_per_threshold = {t: _ap_from_flags(conf, flags, n_gt)
+                         *(r.tp for r in records)], axis=1)[:, order]
+    ap_per_threshold = {t: _ap_from_flags(flags, n_gt)
                         for t, flags in zip(thresholds, tp) if t in cfg.iou_thresholds}
     op_tp = tp[thresholds.index(OPERATING_IOU)]
     n_matched = int(np.count_nonzero(op_tp))
@@ -527,11 +510,9 @@ def evaluate(records, cfg: EvalConfig) -> EvalReport:
 
     recall75_conf = lat75 = None
     if n_gt:
-        desc = np.argsort(-conf, kind="stable")
-        cum = np.cumsum(op_tp[desc])
-        reach = np.flatnonzero(cum / n_gt >= 0.75)
+        reach = np.flatnonzero(np.cumsum(op_tp) / n_gt >= 0.75)
         if len(reach):
-            recall75_conf = float(conf[desc][reach[0]])
+            recall75_conf = float(conf[reach[0]])
             lat75, _ = range_means(
                 [r.samples[:, np.repeat(r.match_conf, r.n_samples) >= recall75_conf]
                  for r in records], cfg)

@@ -65,30 +65,39 @@ class GridSpec:
 
 
 @dataclass
-class Lane3D:
-    """Ordered 3D polyline in the plane frame with a lane identity."""
+class Curve:
+    """An ordered 3D polyline in the plane frame: at least two finite
+    vertices, none repeating the one before it."""
 
-    points: np.ndarray  # (N, 3) float64
-    lane_id: int = 0
+    points: np.ndarray            # (N, 3) float64
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError(f"lane points must be (N, 3), got {self.points.shape}")
-        if self.points.shape[0] < 2:
-            raise ValueError("lane polyline needs at least 2 vertices")
+        if self.points.ndim != 2 or self.points.shape[0] < 2 or self.points.shape[1] != 3:
+            raise ValueError(f"polyline needs at least two 3D points, got shape "
+                             f"{self.points.shape}")
         if not np.all(np.isfinite(self.points)):
-            raise ValueError("lane points must be finite")
+            raise ValueError("polyline points must be finite")
+        if np.any(repeated_vertices(self.points)):
+            raise ValueError("polyline has consecutive duplicate vertices")
+
+
+@dataclass
+class Lane3D(Curve):
+    """A ground-truth lane: a `Curve` with a lane identity and nonzero xy length."""
+
+    lane_id: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
         seg = np.diff(self.points[:, :2], axis=0)
         if float(np.sum(np.hypot(seg[:, 0], seg[:, 1]))) <= 0.0:
             raise ValueError("lane polyline has zero length")
-        if np.any(repeated_vertices(self.points)):
-            raise ValueError("lane polyline has consecutive duplicate vertices")
 
 
 def repeated_vertices(points: np.ndarray) -> np.ndarray:
     """(N - 1,) bool: vertex k + 1 of an (N, 3) polyline repeats vertex k, that
-    is its xy step plus its |dz| is 0. Lanes and curves reject a repeat."""
+    is its xy step plus its |dz| is 0. A `Curve` rejects a repeat."""
     steps = np.linalg.norm(np.diff(points[:, :2], axis=0), axis=1)
     return steps + np.abs(np.diff(points[:, 2])) == 0.0
 

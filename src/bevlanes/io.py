@@ -23,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Curve
 from .codec import AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields
 from .evaluation import EvalReport
-from .geometry import GridSpec, Lane3D
+from .geometry import Curve, GridSpec, Lane3D
 from .synth import Scene, SurfaceParams
 
 

@@ -26,11 +26,12 @@ from typing import Callable
 import numpy as np
 
 from . import io
-from .clustering import Curve, assemble_curve, cluster_segments, greedy_baseline
+from .clustering import assemble_curve, cluster_segments, greedy_baseline
 from .codec import (SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields, decode_grid,
                     encode_scene)
 from .config import ConfigError, PipelineConfig
 from .evaluation import EvalReport, SceneRecord, evaluate, score_scene
+from .geometry import Curve
 from .losses import embedding_loss, finite_diff_check, total_tile_loss
 from .plots import heatmap_svg, scene_svg
 from .synth import Scene, generate_scene, oracle_predict
@@ -227,17 +228,18 @@ def cmd_eval(config: PipelineConfig) -> EvalReport:
     if len(lanes_lists) != len(scenes):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(lanes_lists)} lane files vs {len(scenes)} scenes")
-    report = evaluate([score_scene(lanes, scene.lanes, config.eval)
-                       for lanes, scene in zip(lanes_lists, scenes)], config.eval)
-    _write_report(config, report)
-    return report
+    return _write_report(config, [score_scene(lanes, scene.lanes, config.eval)
+                                  for lanes, scene in zip(lanes_lists, scenes)])
 
 
-def _write_report(config: PipelineConfig, report: EvalReport) -> None:
+def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:
+    """Evaluate the scenes' records and write report.csv and report.json."""
+    report = evaluate(records, config.eval)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(io.report_to_csv(report))
     io.save_json(out / "report.json", report.to_dict())
+    return report
 
 
 def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
@@ -298,6 +300,4 @@ def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
     processes = _pool_size(config, jobs)       # a bad value fails before any directory is made
     for d in [stage.dir for stage in STAGES.values()] + ["plots"]:
         (Path(config.output_dir) / d).mkdir(parents=True, exist_ok=True)
-    report = evaluate(_fan_out(_write_scene, config, method, processes), config.eval)
-    _write_report(config, report)
-    return report
+    return _write_report(config, _fan_out(_write_scene, config, method, processes))

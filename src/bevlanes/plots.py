@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clustering import Curve
-from .geometry import GridSpec, Lane3D
+from .geometry import Curve, GridSpec, Lane3D
 
 _SCALE = 8.0  # SVG pixels per meter
 _MARGIN = 1.0  # meters of padding around the grid

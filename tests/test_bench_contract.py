@@ -2,12 +2,14 @@
 
 `perfbench/tracer.py` replaces package functions by module and name, and a
 traced benchmark run fails on the first name it cannot find. The tracer is
-loaded here from its file, unchanged, and wraps one artifact batch:
-`cmd_pipeline` and `cmd_loss` on one scene. Its counters take `len` of what
-`decode_grid` returns, of the segments `cluster_segments` is given and of
-each instance's `segments`. The rasterizer must run under its traced name,
-`evaluation.rasterize_curve`, so that the benchmark's rasterize time keeps
-measuring it.
+loaded here from its file, unchanged, and wraps one artifact batch
+(`cmd_pipeline` and `cmd_loss` on one scene) and one in-memory batch
+(`run_pipeline`). Its counters take `len` of what `decode_grid` returns, of
+the segments `cluster_segments` is given and of each instance's `segments`.
+The rasterizer must run under its traced name, `evaluation.rasterize_curve`,
+so that the benchmark's rasterize time keeps measuring it; `evaluate` must
+run inside `evaluate_results` inside `run_pipeline`, because the benchmark's
+fan-out time is the one span minus the other.
 """
 
 import importlib.util
@@ -20,10 +22,15 @@ from bevlanes.config import PipelineConfig
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_tracer_wraps_and_records_the_pipeline_layers(tmp_path):
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tr = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tr)
+    return tr
+
+
+def test_tracer_wraps_and_records_the_pipeline_layers(tmp_path):
+    tr = _load_tracer()
     tracer = tr.Tracer(tmp_path)
     config = PipelineConfig.from_dict({"n_scenes": 1, "output_dir": str(tmp_path / "out")})
     tracer.install(tr.TRACED)
@@ -41,3 +48,23 @@ def test_tracer_wraps_and_records_the_pipeline_layers(tmp_path):
     assert counts["codec.decode_grid"]["segments"] == len(written["segments"]) > 0
     cluster = counts["clustering.cluster_segments"]
     assert 0 < cluster["assigned"] <= cluster["candidates"] == len(written["segments"])
+
+
+def test_tracer_nests_evaluate_in_a_run_pipeline_batch(tmp_path):
+    tr = _load_tracer()
+    tracer = tr.Tracer(tmp_path)
+    config = PipelineConfig.from_dict({"n_scenes": 2})
+    tracer.install(tr.TRACED)
+    try:
+        pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    assert tr.nesting_errors(tracer.spans) == []
+    by_name = {}
+    for span in tracer.spans:
+        by_name.setdefault(span[tr.NAME], []).append(span)
+    (run,) = by_name["pipeline.run_pipeline"]
+    (results,) = by_name["pipeline.evaluate_results"]
+    (evaluate,) = by_name["evaluation.evaluate"]
+    assert results[tr.PARENT] == run[tr.SID]
+    assert evaluate[tr.PARENT] == results[tr.SID]

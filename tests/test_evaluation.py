@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,11 +16,12 @@ from bevlanes.evaluation import (
     DEFAULT_EXTENT,
     EvalConfig,
     EvalReport,
+    _greedy_match,
+    _scene_iou,
     curve_iou,
     evaluate,
     footprint_iou,
     lateral_error,
-    match_and_ap,
     range_means,
     rasterize_curve,
     score_scene,
@@ -281,13 +283,31 @@ def test_iou_stable_under_resolution_halving(d):
 
 
 # ---------------------------------------------------------------------------
-# match_and_ap
+# Matching and AP of one scene at one threshold
+
+
+def _match(preds, gts, threshold):
+    """(AP, matches as (pred, gt, iou), recall) of one scene at one IOU
+    threshold: AP and recall from `score_scene` + `evaluate` with that
+    threshold swept, which GT each prediction matches from `_scene_iou` +
+    `_greedy_match`."""
+    cfg = replace(CFG, iou_thresholds=(threshold,))
+    record = score_scene(preds, gts, cfg)
+    report = evaluate([record], cfg)
+    flags = record.tp[sorted({threshold, 0.5}).index(threshold)]
+    recall = int(np.count_nonzero(flags)) / len(gts) if gts else 0.0
+    if threshold == 0.5:
+        assert recall == report.recall_at_reference
+    iou, _, order = _scene_iou(preds, gts, cfg)
+    tp, pairs = _greedy_match(iou, order, threshold)
+    assert tp.tolist() == flags.tolist()
+    return report.ap_per_threshold[threshold], [(p, g, float(iou[p, g])) for p, g in pairs], recall
 
 
 def test_match_perfect_predictions():
     gts = [vertical_line(-2.03), vertical_line(2.03)]
     preds = [(gts[0], 0.9), (gts[1], 0.8)]
-    ap, matches, recall = match_and_ap(preds, gts, 0.5, CFG)
+    ap, matches, recall = _match(preds, gts, 0.5)
     assert ap == 1.0
     assert recall == 1.0
     assert sorted((p, g) for p, g, _ in matches) == [(0, 0), (1, 1)]
@@ -296,7 +316,7 @@ def test_match_perfect_predictions():
 
 def test_match_two_gt_one_pred():
     gts = [vertical_line(-2.03), vertical_line(2.03)]
-    ap, matches, recall = match_and_ap([(gts[0], 0.9)], gts, 0.5, CFG)
+    ap, matches, recall = _match([(gts[0], 0.9)], gts, 0.5)
     assert recall == 0.5
     assert ap == 0.5
     assert matches == [(0, 0, 1.0)]
@@ -306,7 +326,7 @@ def test_match_low_confidence_false_positive_keeps_ap_one():
     # PR points: (precision 1/1, recall 1), then (1/2, 1) -> envelope area 1.0
     gt = vertical_line(0.03)
     preds = [(gt, 0.9), (vertical_line(8.0), 0.2)]
-    ap, matches, recall = match_and_ap(preds, [gt], 0.5, CFG)
+    ap, matches, recall = _match(preds, [gt], 0.5)
     assert ap == 1.0
     assert recall == 1.0
     assert matches == [(0, 0, 1.0)]
@@ -316,7 +336,7 @@ def test_match_high_confidence_false_positive_halves_ap():
     # FP ranked first: precision at the TP is 1/2 and the envelope stays there
     gt = vertical_line(0.03)
     preds = [(vertical_line(8.0), 0.9), (gt, 0.2)]
-    ap, _, recall = match_and_ap(preds, [gt], 0.5, CFG)
+    ap, _, recall = _match(preds, [gt], 0.5)
     assert ap == 0.5
     assert recall == 1.0
 
@@ -324,7 +344,7 @@ def test_match_high_confidence_false_positive_halves_ap():
 def test_match_confidence_ties_keep_insertion_order():
     gt = vertical_line(0.03)
     preds = [(gt, 0.7), (gt, 0.7)]
-    _, matches, recall = match_and_ap(preds, [gt], 0.5, CFG)
+    _, matches, recall = _match(preds, [gt], 0.5)
     assert matches == [(0, 0, 1.0)]
     assert recall == 1.0
 
@@ -332,7 +352,7 @@ def test_match_confidence_ties_keep_insertion_order():
 def test_match_prefers_highest_iou_gt():
     gts = [vertical_line(0.03), vertical_line(0.53)]
     pred = vertical_line(0.13)  # 0.1 m from gt 0, 0.4 m from gt 1
-    _, matches, _ = match_and_ap([(pred, 0.9)], gts, 0.1, CFG)
+    _, matches, _ = _match([(pred, 0.9)], gts, 0.1)
     assert len(matches) == 1
     assert matches[0][1] == 0
 
@@ -340,7 +360,7 @@ def test_match_prefers_highest_iou_gt():
 def test_match_taken_gt_not_reused():
     gts = [vertical_line(0.03), vertical_line(0.53)]
     preds = [(vertical_line(0.13), 0.9), (vertical_line(0.23), 0.5)]
-    ap, matches, recall = match_and_ap(preds, gts, 0.3, CFG)
+    ap, matches, recall = _match(preds, gts, 0.3)
     assert sorted((p, g) for p, g, _ in matches) == [(0, 0), (1, 1)]
     assert recall == 1.0
     assert ap == 1.0
@@ -350,25 +370,25 @@ def test_match_threshold_gates_association():
     # parallel offset 0.5 m -> IOU about 1/3
     gt = vertical_line(0.03)
     pred = vertical_line(0.53)
-    _, matches_lo, _ = match_and_ap([(pred, 0.9)], [gt], 0.30, CFG)
-    _, matches_hi, _ = match_and_ap([(pred, 0.9)], [gt], 0.35, CFG)
+    _, matches_lo, _ = _match([(pred, 0.9)], [gt], 0.30)
+    _, matches_hi, _ = _match([(pred, 0.9)], [gt], 0.35)
     assert len(matches_lo) == 1
     assert matches_hi == []
 
 
 def test_match_empty_inputs():
     gt = vertical_line(0.03)
-    assert match_and_ap([], [gt], 0.5, CFG) == (0.0, [], 0.0)
-    ap, matches, recall = match_and_ap([(gt, 0.9)], [], 0.5, CFG)
+    assert _match([], [gt], 0.5) == (0.0, [], 0.0)
+    ap, matches, recall = _match([(gt, 0.9)], [], 0.5)
     assert (ap, matches, recall) == (0.0, [], 0.0)
 
 
 def test_match_rejects_out_of_range_confidence():
     gt = vertical_line(0.03)
     with pytest.raises(ValueError):
-        match_and_ap([(gt, 1.2)], [gt], 0.5, CFG)
+        _match([(gt, 1.2)], [gt], 0.5)
     with pytest.raises(ValueError):
-        match_and_ap([(gt, -0.1)], [gt], 0.5, CFG)
+        _match([(gt, -0.1)], [gt], 0.5)
 
 
 # ---------------------------------------------------------------------------

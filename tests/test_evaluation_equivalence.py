@@ -1,17 +1,16 @@
-"""`evaluate` over `score_scene` records and `match_and_ap` against the code
-they replaced.
+"""`evaluate` over `score_scene` records against the code it replaced.
 
 `evaluate` first took flat prediction and GT lists plus parallel scene-id
 lists and grouped them back into scenes; then it took one (preds, gts) pair
 per scene, scored every scene itself and sampled the lateral error of all
-matches at once, and again for the recall-0.75 cutoff. `match_and_ap` had its
-own AP path. Now `score_scene` matches and samples each scene into a record
-and `evaluate` only pools the records. The reference copies below are the
-former functions verbatim (with the former scene scoring and lateral error,
-on the unchanged matching and AP helpers, and on full-extent masks from the
-reference rasterizer loop of `test_vectorized_equivalence` where scoring now
-takes the IOU of cropped footprints); every case asserts that the report
-JSON, and the `match_and_ap` tuples with their types, are identical.
+matches at once, and again for the recall-0.75 cutoff. Now `score_scene`
+matches and samples each scene into a record and `evaluate` only pools the
+records, sorting the pool by confidence once. The reference copies below are
+the former functions verbatim (with the former scene scoring, confidence
+order, AP and lateral error, on the unchanged greedy matcher, and on
+full-extent masks from the reference rasterizer loop of
+`test_vectorized_equivalence` where scoring now takes the IOU of cropped
+footprints); every case asserts that the report JSON is identical.
 """
 
 from dataclasses import replace
@@ -24,10 +23,8 @@ from bevlanes.clustering import Curve
 from bevlanes.evaluation import (
     EvalConfig,
     EvalReport,
-    _ap_from_flags,
     _greedy_match,
     evaluate,
-    match_and_ap,
     score_scene,
 )
 from bevlanes.geometry import resample_polyline
@@ -66,6 +63,24 @@ def _score_scene(preds: list, gts: list, cfg: EvalConfig):
 
 def _confidence_order(confidences) -> list[int]:
     return sorted(range(len(confidences)), key=lambda i: (-confidences[i], i))
+
+
+def _ap_from_flags(confidences: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
+    """Exact area under the precision envelope (all-point interpolation)."""
+    if n_gt == 0 or len(tp) == 0:
+        return 0.0
+    order = np.argsort(-confidences, kind="stable")
+    flags = tp[order]
+    cum_tp = np.cumsum(flags)
+    precision = cum_tp / np.arange(1, len(flags) + 1)
+    recall = cum_tp / n_gt
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    ap, prev_r = 0.0, 0.0
+    for k in range(len(flags)):
+        if flags[k]:
+            ap += (recall[k] - prev_r) * env[k]
+            prev_r = recall[k]
+    return float(ap)
 
 
 def _pooled_match(scored: list, threshold: float):
@@ -151,16 +166,6 @@ def ref_evaluate_pairs(scenes, cfg: EvalConfig) -> EvalReport:
         recall75_confidence=recall75_conf,
         lateral_error_at_recall75=lat75,
     )
-
-
-def ref_match_and_ap(preds: list, gts: list, threshold: float, cfg: EvalConfig):
-    _check_confidences(preds)
-    iou, conf, order = _score_scene(preds, gts, cfg)
-    tp, pairs = _greedy_match(iou, order, threshold)
-    ap = _ap_from_flags(conf[order], tp, len(gts))
-    recall = (sum(tp) / len(gts)) if gts else 0.0
-    matches = [(p, g, float(iou[p, g])) for p, g in pairs]
-    return ap, matches, float(recall)
 
 
 def ref_evaluate(preds: list, gts: list, cfg: EvalConfig,
@@ -308,13 +313,3 @@ def test_evaluate_equals_references_at_recall75_reached_and_missed():
     assert reached.lateral_error_at_recall75 != reached.lateral_error
     missed = assert_same_report([(preds(1.0), gts), (preds(1.0, 0.5), gts)], CFG)
     assert missed.recall75_confidence is None
-
-
-@EXACT
-@given(scene=scenes)
-def test_match_and_ap_equals_reference(scene):
-    preds, gts = scene
-    for t in CFG.iou_thresholds:
-        # repr: equal values of equal types
-        assert repr(match_and_ap(preds, gts, t, CFG)) == \
-            repr(ref_match_and_ap(preds, gts, t, CFG))
