@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SegmentSet, wrap_signed
-from .geometry import Curve
+from .geometry import Curve, repeated_vertices, require_finite
 
 DEFAULT_ANGLE_TOL = math.pi / 8
 DEFAULT_GAP_TOL = 4.5  # 1.5 tile lengths
@@ -44,6 +44,7 @@ class ClusterParams:
     min_cluster_size: int = 2
 
     def __post_init__(self):
+        require_finite(self)
         _require_positive("bandwidth", self.bandwidth)
         _require_positive("assign_radius", self.assign_radius)
         if not (math.isfinite(self.shift_tol) and self.shift_tol >= 0):
@@ -194,7 +195,7 @@ def cluster_segments(segments: SegmentSet, params: ClusterParams) -> list[LaneIn
     return instances
 
 
-def assemble_curve(instance: LaneInstance) -> Curve:
+def assemble_curve(instance: LaneInstance) -> Curve | None:
     """Order an instance's segment midpoints into a polyline.
 
     The chain starts at the midpoint with the smallest projection onto the
@@ -204,10 +205,13 @@ def assemble_curve(instance: LaneInstance) -> Curve:
     index). The xy distances are computed once per instance; each hop then
     masks the visited column and takes the argmin of one row. A
     single-segment instance falls back to that segment's two endpoints.
+    An instance without two distinct points (one segment clamped to a tile
+    corner, or midpoints that all coincide) makes no lane and gives None.
     """
     segments = instance.segments
     if len(segments) == 1:
-        return Curve(points=segments.endpoints[0].copy())
+        ends = segments.endpoints[0]
+        return None if repeated_vertices(ends)[0] else Curve(points=ends.copy())
     mids = segments.midpoint
     xy = mids[:, :2]
     centered = xy - xy.mean(axis=0)
@@ -233,9 +237,7 @@ def assemble_curve(instance: LaneInstance) -> Curve:
     for i in range(1, len(pts)):
         if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-12:
             keep.append(i)
-    if len(keep) < 2:
-        return Curve(points=segments.endpoints[0].copy())
-    return Curve(points=pts[keep])
+    return Curve(points=pts[keep]) if len(keep) >= 2 else None
 
 
 def _pair_dist(xy: np.ndarray) -> np.ndarray:

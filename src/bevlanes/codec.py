@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import GridSpec, Lane3D, tile_centers
+from .geometry import GridSpec, Lane3D, require_finite, tile_centers
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,6 +43,7 @@ class AngleBinSpec:
     n_bins: int = 8
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_bins < 4:
             raise ValueError(f"need at least 4 angle bins, got {self.n_bins}")
 

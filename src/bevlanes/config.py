@@ -16,7 +16,7 @@ from .evaluation import EvalConfig
 from .geometry import GridSpec
 from .io import _coerce, section_from_dict, section_to_dict
 from .losses import EmbeddingParams
-from .synth import NoiseConfig, SceneConfig
+from .synth import NoiseConfig, SceneConfig, check_surface_wavelength
 
 
 class ConfigError(ValueError):
@@ -59,6 +59,7 @@ class PipelineConfig:
                 "eval.extent must cover the grid padded by lane_width/2; "
                 f"got {self.eval.extent} for grid x [{self.grid.x_min}, {self.grid.x_max}], "
                 f"y [{self.grid.y_min}, {self.grid.y_max}]")
+        check_surface_wavelength(self.scene, self.grid)
 
     def to_dict(self) -> dict:
         out = {name: section_to_dict(getattr(self, name)) for name in _SECTIONS}

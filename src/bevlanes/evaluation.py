@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Curve, resample_polyline
+from .geometry import Curve, require_finite, resample_polyline
 
 DEFAULT_EXTENT = ((-10.74, 10.74), (-0.5, 78.5))  # default grid padded by w/2
 
@@ -38,6 +38,7 @@ class EvalConfig:
     extent: tuple = DEFAULT_EXTENT   # ((x_lo, x_hi), (y_lo, y_hi)) raster window
 
     def __post_init__(self):
+        require_finite(self)
         t = self.iou_thresholds
         if not t or any(not (0.0 < v < 1.0) for v in t) or any(
                 b <= a for a, b in zip(t[:-1], t[1:])):

@@ -13,7 +13,7 @@ index j along x (right).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,11 +33,9 @@ class GridSpec:
     y_min: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValueError("grid must have at least one tile per axis")
-        for name in ("tile_width", "tile_length", "y_min"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tile_width <= 0 or self.tile_length <= 0:
             raise ValueError("tile dimensions must be positive")
         if not (math.isfinite(self.x_extent) and math.isfinite(self.y_max)):
@@ -62,6 +60,20 @@ class GridSpec:
     @property
     def y_max(self) -> float:
         return self.y_min + self.y_extent
+
+
+def require_finite(record) -> None:
+    """Reject a dataclass record that holds a NaN or infinite float in any
+    field, itself or nested in tuples, lists and dict values, naming the field."""
+    for f in fields(record):
+        if not _finite(getattr(record, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(record, f.name)}")
+
+
+def _finite(value) -> bool:
+    if isinstance(value, (tuple, list, dict)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
 
 
 @dataclass
@@ -90,8 +102,7 @@ class Lane3D(Curve):
 
     def __post_init__(self):
         super().__post_init__()
-        seg = np.diff(self.points[:, :2], axis=0)
-        if float(np.sum(np.hypot(seg[:, 0], seg[:, 1]))) <= 0.0:
+        if not np.diff(self.points[:, :2], axis=0).any():      # every vertex at one xy
             raise ValueError("lane polyline has zero length")
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import TilePredictionGrid, TileTargetGrid, _sigmoid
+from .geometry import require_finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,7 @@ class EmbeddingParams:
     dim: int = 4
 
     def __post_init__(self):
+        require_finite(self)
         if not (0.0 < self.pull_margin < self.push_margin):
             raise ValueError(
                 f"need 0 < pull_margin < push_margin, got {self.pull_margin}, {self.push_margin}")

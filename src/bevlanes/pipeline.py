@@ -68,15 +68,19 @@ def _predict_step(config: PipelineConfig, index: int, targets: TileTargetGrid,
 
 def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
                  method: str) -> SegmentSet:
+    path = _stage_path(config, STAGES["predict"], index)
     if preds.grid != config.grid:
-        raise io.SchemaError(_stage_path(config, STAGES["predict"], index), "grid",
-                             "prediction grid shape disagrees with the config grid")
-    return decode_grid(preds)
+        raise io.SchemaError(path, "grid", "prediction grid shape disagrees with the config grid")
+    try:
+        return decode_grid(preds)
+    except ValueError as e:     # a kept tile whose bin logits all underflow to probability 0
+        raise io.SchemaError(path, "fields.bin_logits", str(e))
 
 
 def _cluster_step(config: PipelineConfig, index: int, segments: SegmentSet,
                   method: str) -> list[tuple[Curve, float]]:
-    """Cluster segments and assemble each instance into a (curve, confidence)."""
+    """Cluster segments and assemble each instance into a (curve, confidence);
+    an instance that `assemble_curve` makes no curve of is left out."""
     if method == "embedding":
         instances = cluster_segments(segments, config.cluster)
     elif method == "greedy":
@@ -84,8 +88,8 @@ def _cluster_step(config: PipelineConfig, index: int, segments: SegmentSet,
     else:
         raise ConfigError(f"unknown cluster method {method!r}; expected one of "
                           f"{CLUSTER_METHODS}")
-    return [(assemble_curve(inst), min(1.0, max(0.0, inst.confidence)))
-            for inst in instances]
+    lanes = [(assemble_curve(inst), min(1.0, max(0.0, inst.confidence))) for inst in instances]
+    return [(curve, conf) for curve, conf in lanes if curve is not None]
 
 
 @dataclass
@@ -235,8 +239,7 @@ def cmd_eval(config: PipelineConfig) -> EvalReport:
 def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:
     """Evaluate the scenes' records and write report.csv and report.json."""
     report = evaluate(records, config.eval)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.output_dir)      # exists: the records' inputs were read or written there
     (out / "report.csv").write_text(io.report_to_csv(report))
     io.save_json(out / "report.json", report.to_dict())
     return report

@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import (DEFAULT_SATURATION, TilePredictionGrid, TileTargetGrid, angle_to_soft_labels,
                     logit, saturated_arrays)
-from .geometry import GridSpec, Lane3D, resample_polyline
+from .geometry import GridSpec, Lane3D, require_finite, resample_polyline
 from .losses import EmbeddingParams
 
 TOPOLOGIES = ("parallel", "split", "merge", "short", "perpendicular")
@@ -49,6 +49,7 @@ class SurfaceParams:
     phase_y: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.amplitude < 0:
             raise ValueError(f"surface amplitude must be >= 0, got {self.amplitude}")
         if self.wavelength_x <= 0 or self.wavelength_y <= 0:
@@ -77,6 +78,7 @@ class SceneConfig:
     short_y_range: tuple[float, float] = (20.0, 50.0)
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_lanes < 1:
             raise ValueError(f"n_lanes must be >= 1, got {self.n_lanes}")
         if self.lane_spacing <= 0:
@@ -108,6 +110,7 @@ class NoiseConfig:
     sigma_f: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("sigma_r", "sigma_phi", "sigma_z", "sigma_f"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -128,6 +131,12 @@ class Scene:
 # Scene generation
 
 
+def check_surface_wavelength(cfg: SceneConfig, grid: GridSpec) -> None:
+    """Reject a height field whose wavelength is not above twice the tile length."""
+    if cfg.surface_wavelength <= 2.0 * grid.tile_length:
+        raise ValueError(f"surface_wavelength {cfg.surface_wavelength} must exceed 2 * tile_length")
+
+
 def generate_scene(cfg: SceneConfig, grid: GridSpec | None = None, seed: int = 0) -> Scene:
     """Generate one deterministic scene from the seed.
 
@@ -138,10 +147,7 @@ def generate_scene(cfg: SceneConfig, grid: GridSpec | None = None, seed: int = 0
     onto the surface height field.
     """
     grid = grid or GridSpec()
-    if cfg.surface_wavelength <= 2.0 * grid.tile_length:
-        raise ValueError(
-            f"surface_wavelength must exceed twice the tile length "
-            f"({2.0 * grid.tile_length}), got {cfg.surface_wavelength}")
+    check_surface_wavelength(cfg, grid)
     rng = np.random.default_rng(np.random.SeedSequence([seed & (2 ** 64 - 1), 0x5CE7E]))
     surface = SurfaceParams(
         amplitude=cfg.surface_amplitude,

@@ -291,6 +291,14 @@ def test_assemble_singleton_uses_endpoints():
     npt.assert_allclose(curve.points, [[0.0, 0.0, 0.0], [0.0, 3.0, 0.0]], atol=1e-12)
 
 
+def test_assemble_without_two_distinct_points_makes_no_lane():
+    # one segment clamped to a tile corner, and midpoints that all coincide
+    corner = make_seg([-10.24, 78.0, 0.0], direction=(1, 1), half=0.0)
+    assert assemble_curve(LaneInstance(segments=seg_set([corner]), confidence=1.0)) is None
+    same = [make_seg([0.0, 1.5, 0.0], tile=(0, k)) for k in range(3)]
+    assert assemble_curve(LaneInstance(segments=seg_set(same), confidence=1.0)) is None
+
+
 def test_lane_instance_requires_segments():
     with pytest.raises(ValueError):
         LaneInstance(segments=SegmentSet.empty(), confidence=0.0)

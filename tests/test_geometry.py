@@ -1,4 +1,4 @@
-"""Tests for the tile grid and Lane3D."""
+"""Tests for the tile grid, Lane3D and the finiteness of settings records."""
 
 import math
 
@@ -6,8 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bevlanes.clustering import ClusterParams
+from bevlanes.codec import AngleBinSpec
+from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig
 from bevlanes.geometry import GridSpec, Lane3D, resample_polyline, tile_centers
 from bevlanes.io import section_from_dict, section_to_dict
+from bevlanes.losses import EmbeddingParams
+from bevlanes.synth import NoiseConfig, SceneConfig, SurfaceParams
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +86,47 @@ def test_grid_rejects_non_finite_values(name, value):
     # `tile_width <= 0` is False for NaN, so NaN used to give x_min = nan
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         GridSpec(**{name: value})
+
+
+NAN, INF = math.nan, math.inf
+WEIGHTS = {"parallel": 0.6, "split": 0.1, "merge": 0.1, "short": 0.1, "perpendicular": 0.1}
+
+
+# Every field of a settings record that took a NaN or an infinity before the
+# records checked their numbers, with a value that it took.
+@pytest.mark.parametrize("record, name, value", [
+    (AngleBinSpec, "n_bins", NAN),
+    (EmbeddingParams, "push_margin", INF),
+    (EmbeddingParams, "dim", INF),
+    (ClusterParams, "max_iters", INF),
+    (ClusterParams, "min_cluster_size", NAN),
+    (SceneConfig, "n_lanes", INF),
+    (SceneConfig, "lane_spacing", INF),
+    (SceneConfig, "curvature_max", NAN),
+    (SceneConfig, "surface_amplitude", INF),
+    (SceneConfig, "surface_wavelength", NAN),
+    (SceneConfig, "topology_weights", {**WEIGHTS, "split": NAN}),
+    (SceneConfig, "y_range", (0.0, INF)),
+    (SceneConfig, "short_y_range", (20.0, INF)),
+    (NoiseConfig, "sigma_r", NAN),
+    (NoiseConfig, "sigma_phi", INF),
+    (NoiseConfig, "sigma_z", NAN),
+    (NoiseConfig, "sigma_f", INF),
+    (EvalConfig, "lane_width", INF),
+    (EvalConfig, "range_buckets", ((0.0, 30.0), (30.0, NAN))),
+    (EvalConfig, "lateral_sample_step", NAN),
+    (EvalConfig, "extent", (DEFAULT_EXTENT[0], (-0.5, NAN))),
+    (SurfaceParams, "amplitude", INF),
+    (SurfaceParams, "wavelength_x", NAN),
+    (SurfaceParams, "wavelength_y", INF),
+    (SurfaceParams, "phase_x", NAN),
+    (SurfaceParams, "phase_y", -INF),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_settings_records_reject_non_finite_numbers(record, name, value):
+    # SceneConfig(y_range=(0, inf)) made generate_scene loop forever, and a
+    # NaN range bucket dropped out of the report
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        record(**{name: value})
 
 
 def test_grid_rejects_an_extent_that_overflows():

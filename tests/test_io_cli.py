@@ -23,7 +23,8 @@ import bevlanes
 from bevlanes import io, pipeline
 from bevlanes.cli import main
 from bevlanes.clustering import Curve
-from bevlanes.codec import AngleBinSpec, SegmentSet, array_fields, decode_grid, encode_scene
+from bevlanes.codec import (AngleBinSpec, SegmentSet, angle_to_soft_labels, array_fields,
+                            decode_grid, encode_scene)
 from bevlanes.config import ConfigError, PipelineConfig
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate, score_scene
 from bevlanes.geometry import GridSpec
@@ -948,6 +949,68 @@ def test_cli_cluster_greedy_method(tmp_path):
     assert main(["cluster", "--config", cfg, "--method", "greedy"]) == 0
     lanes = json.loads((tmp_path / "out" / "lanes" / "lanes_00000.json").read_text())
     assert lanes["kind"] == "lanes" and len(lanes["lanes"]) == 2
+
+
+def _default_predicted(tmp_path):
+    """One scene of the default config at seed 1, predicted: (config path,
+    prediction file path, the parsed prediction file)."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_scenes": 1, "master_seed": 1,
+                               "output_dir": str(tmp_path / "out")}))
+    for command in ("generate", "encode", "predict"):
+        assert main([command, "--config", str(cfg)]) == 0
+    pred_path = tmp_path / "out" / "preds" / "pred_00000.json"
+    return str(cfg), pred_path, json.loads(pred_path.read_text())
+
+
+def test_cli_cluster_drops_an_instance_without_two_distinct_points(tmp_path, capsys):
+    # a line 3 m left of the corner tile (25, 0) at pi/4 touches the tile
+    # only at its corner; its one-segment instance used to end cluster with
+    # a config error
+    cfg, pred_path, d = _default_predicted(tmp_path)
+    p, res, _ = angle_to_soft_labels(np.pi / 4, BINS)
+    k = 25 * GRID.n_cols
+    fields = d["fields"]
+    fields["score_logit"]["data"][k] = 50.0
+    fields["lateral_offset"]["data"][k] = 3.0
+    fields["bin_logits"]["data"][k * BINS.n_bins:(k + 1) * BINS.n_bins] = p.tolist()
+    fields["bin_residuals"]["data"][k * BINS.n_bins:(k + 1) * BINS.n_bins] = res.tolist()
+    pred_path.write_text(json.dumps(d))
+    assert main(["decode", "--config", cfg]) == 0
+    segments = json.loads((tmp_path / "out" / "segments" / "segments_00000.json").read_text())
+    (corner,) = [s for s in segments["segments"] if s["tile"] == [25, 0]]
+    assert corner["endpoints"] == [[-10.24, 78.0, 0.0]] * 2
+    for method in ("greedy", "embedding"):
+        assert main(["cluster", "--config", cfg, "--method", method]) == 0, \
+            capsys.readouterr().err
+        lanes = json.loads((tmp_path / "out" / "lanes" / "lanes_00000.json").read_text())
+        assert lanes["lanes"] and all(lane["points"] != corner["endpoints"]
+                                      for lane in lanes["lanes"])
+    assert main(["eval", "--config", cfg]) == 0
+
+
+def test_cli_underflowed_bin_logits_are_a_data_error(tmp_path, capsys):
+    # every bin of an occupied tile at probability 0 leaves no angle to
+    # decode; this was reported as a config error
+    cfg, pred_path, d = _default_predicted(tmp_path)
+    k = d["fields"]["score_logit"]["data"].index(max(d["fields"]["score_logit"]["data"]))
+    d["fields"]["bin_logits"]["data"][k * BINS.n_bins:(k + 1) * BINS.n_bins] = \
+        [-800.0] * BINS.n_bins
+    pred_path.write_text(json.dumps(d))
+    assert main(["decode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "pred_00000.json" in err and "fields.bin_logits" in err
+
+
+def test_cli_surface_wavelength_too_short_for_the_grid_is_config_error(tmp_path, capsys):
+    # generate used to make an empty scenes/ and fail inside generate_scene
+    cfg = write_config(tmp_path, n_scenes=1, scene={"surface_wavelength": 5.0})
+    assert main(["generate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "surface_wavelength" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="surface_wavelength"):
+        PipelineConfig(scene=SceneConfig(surface_wavelength=6.0))
 
 
 def test_cli_rejects_unknown_method(tmp_path):
