@@ -8,10 +8,10 @@ comparison; its characteristic failure is merging both branches of a split.
 
 All tie-breaking is by lowest index, so every routine here is deterministic
 and permutation-stable. Mean shift returns the bits of the plain
-whole-tensor loop: distances are summed dimension by dimension, the mean
-update is one matrix product, and support and merge run once per distinct
-mode. The greedy baseline labels connected components over candidate pairs
-from each tile's 3x3 neighbourhood instead of testing every pair.
+whole-tensor loop with each distance computed once (summed dimension by
+dimension, one mask row per distinct mode, symmetric matrices mirrored).
+The greedy baseline labels connected components over candidate pairs from
+each tile's 3x3 neighbourhood instead of testing every pair.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ class ClusterParams:
 
     def __post_init__(self):
         require_finite(self)
-        _require_positive("bandwidth", self.bandwidth)
-        _require_positive("assign_radius", self.assign_radius)
-        if not (math.isfinite(self.shift_tol) and self.shift_tol >= 0):
-            raise ValueError(f"shift_tol must be finite and >= 0, got {self.shift_tol}")
+        if self.bandwidth <= 0 or self.assign_radius <= 0 or self.shift_tol < 0:
+            raise ValueError(f"bandwidth and assign_radius must be > 0 and shift_tol >= 0, got "
+                             f"{self.bandwidth}, {self.assign_radius}, {self.shift_tol}")
         if self.min_cluster_size < 1:
             raise ValueError(f"min_cluster_size must be >= 1, got {self.min_cluster_size}")
         if self.max_iters < 1:
@@ -77,13 +76,14 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     seed index). Returns the surviving centers ordered by descending support.
 
     The bits are those of the whole-tensor form: `_within` sums the squared
-    distances dimension by dimension in numpy's order (the first sweep,
-    seeded from the points themselves, fills half the mask and mirrors it),
-    and `within @ pts` stays one product over every active seed (a BLAS
-    row's result depends on its position in the product). Support and merge run once per distinct
-    mode, visited by (-support, first seed index). That is exact because a
-    repeated seed can never be kept: its first copy was either kept or
-    rejected by a kept mode at the same distance.
+    distances dimension by dimension in numpy's order, one row per distinct
+    mode (the first sweep, seeded from the points themselves, fills half the
+    mask and mirrors it), and `within @ pts` stays one product over every
+    active seed (a BLAS row's result depends on its position in the
+    product). Support and merge run once per distinct mode, visited by
+    (-support, first seed index). That is exact because a repeated seed can
+    never be kept: its first copy was either kept or rejected by a kept
+    mode at the same distance.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -105,9 +105,9 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
         still = shift >= params.shift_tol
         active[np.flatnonzero(active)[~still]] = False
 
-    # Rows equal up to the sign of a zero count as one mode; both have the
-    # same distances to everything, and the first seed's bits are returned.
-    _, first = np.unique(modes, axis=0, return_index=True)
+    # A row that repeats another up to the sign of a zero has the same
+    # distances to everything, so it is never kept after its first copy.
+    first, _ = _unique_rows(modes)
     distinct = modes[first]
     support = _within(distinct, pts, bw2).sum(axis=1)
     kept: list[int] = []
@@ -124,23 +124,34 @@ _ROWS = 64
 
 
 def _within(centers: np.ndarray, pts: np.ndarray, bw2: float) -> np.ndarray:
-    """(len(centers), N) mask: point within the bandwidth of the center. Rows
-    are worked `_ROWS` at a time, which bounds the memory without changing
-    any row's values."""
-    out = np.empty((len(centers), len(pts)), dtype=bool)
-    for i in range(0, len(centers), _ROWS):
-        out[i:i + _ROWS] = _sq_dist(centers[i:i + _ROWS], pts) <= bw2
-    return out
+    """(len(centers), N) mask: point within the bandwidth of the center. One
+    row is computed per distinct center and copied to its repeats (a row
+    depends only on its center), `_ROWS` rows at a time to bound the memory."""
+    first, inv = _unique_rows(centers)
+    out = np.empty((len(first), len(pts)), dtype=bool)
+    for i in range(0, len(first), _ROWS):
+        out[i:i + _ROWS] = _sq_dist(centers[first[i:i + _ROWS]], pts) <= bw2
+    return out[inv]
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`first`, the lowest index of each distinct row, and `inv`, with
+    `a[first][inv]` equal to `a`. Rows are compared by their bytes (a 1-D sort)."""
+    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * a.shape[1])))
+    return np.unique(rows.ravel(), return_index=True, return_inverse=True)[1:]
 
 
 def _within_self(pts: np.ndarray, bw2: float) -> np.ndarray:
-    """`_within(pts, pts, bw2)` from the row blocks' upper parts, mirrored:
-    entries (i, j) and (j, i) have the same bits, because (a - b)^2 equals
-    (b - a)^2 and the terms are summed in the same order."""
-    n = len(pts)
-    out = np.empty((n, n), dtype=bool)
-    for i in range(0, n, _ROWS):
-        out[i:i + _ROWS, i:] = _sq_dist(pts[i:i + _ROWS], pts[i:]) <= bw2
+    """`_within(pts, pts, bw2)`, mirrored."""
+    return _mirrored(pts, lambda a, b: _sq_dist(a, b) <= bw2, bool)
+
+
+def _mirrored(x: np.ndarray, block, dtype) -> np.ndarray:
+    """(N, N) `block(x, x)` from the upper part of each `_ROWS`-row block,
+    mirrored: exact when (i, j) has the bits of (j, i), as (a - b)^2 has those of (b - a)^2."""
+    out = np.empty((len(x), len(x)), dtype=dtype)
+    for i in range(0, len(x), _ROWS):
+        out[i:i + _ROWS, i:] = block(x[i:i + _ROWS], x[i:])
         out[i + _ROWS:, i:i + _ROWS] = out[i:i + _ROWS, i + _ROWS:].T
     return out
 
@@ -185,14 +196,9 @@ def cluster_segments(segments: SegmentSet, params: ClusterParams) -> list[LaneIn
         return []
     centers = mean_shift(segments.embedding, params)
     labels = assign_clusters(segments.embedding, centers, params.assign_radius)
-    instances = []
-    for k in range(len(centers)):
-        members = np.flatnonzero(labels == k)
-        if len(members) < params.min_cluster_size:
-            continue
-        instances.append(LaneInstance(segments=segments.take(members),
-                                      confidence=float(np.mean(segments.score[members]))))
-    return instances
+    groups = [np.flatnonzero(labels == k) for k in range(len(centers))]
+    return [LaneInstance(segments=segments.take(m), confidence=float(np.mean(segments.score[m])))
+            for m in groups if len(m) >= params.min_cluster_size]
 
 
 def assemble_curve(instance: LaneInstance) -> Curve | None:
@@ -219,8 +225,7 @@ def assemble_curve(instance: LaneInstance) -> Curve | None:
     axis = vt[0]
     if axis[1] < 0 or (axis[1] == 0 and axis[0] < 0):
         axis = -axis
-    proj = centered @ axis
-    current = int(np.argmin(proj))
+    current = int(np.argmin(centered @ axis))
     dist = _pair_dist(xy)
     order = [current]
     for _ in range(len(mids) - 1):
@@ -244,13 +249,12 @@ def _pair_dist(xy: np.ndarray) -> np.ndarray:
     """(N, N) distances, row k from `xy[k]`, with the bits of the per-row
     `sqrt(vecdot(xy - xy[k], xy - xy[k]))`: vecdot, like the 1-D norm, sums
     through the dot kernel, where norm(axis=1) can differ in the last bit and
-    so flip a near-tie hop. Rows are worked `_ROWS` at a time, so the
+    so flip a near-tie hop. `_mirrored` computes the upper blocks, so the
     (N, N, 2) difference tensor never exists."""
-    out = np.empty((len(xy), len(xy)))
-    for i in range(0, len(xy), _ROWS):
-        diff = xy[None, :, :] - xy[i:i + _ROWS, None, :]
-        np.vecdot(diff, diff, out=out[i:i + _ROWS])
-    return np.sqrt(out, out=out)
+    def block(a, b):
+        diff = b[None, :, :] - a[:, None, :]
+        return np.sqrt(np.vecdot(diff, diff))
+    return _mirrored(xy, block, float)
 
 
 def greedy_baseline(segments: SegmentSet, angle_tol: float = DEFAULT_ANGLE_TOL,
@@ -295,13 +299,9 @@ def greedy_baseline(segments: SegmentSet, angle_tol: float = DEFAULT_ANGLE_TOL,
     groups: dict[int, list[int]] = {}
     for k in range(n):
         groups.setdefault(find(k), []).append(k)
-    instances = []
-    for root in sorted(groups):
-        # np.mean's sum and division, without its per-call overhead
-        members = groups[root]
-        instances.append(LaneInstance(segments.take(members), float(
-            np.add.reduce(segments.score[members]) / len(members))))
-    return instances
+    # np.mean's sum and division, without its per-call overhead
+    return [LaneInstance(segments.take(m), float(np.add.reduce(segments.score[m]) / len(m)))
+            for _, m in sorted(groups.items())]
 
 
 def _neighbour_pairs(tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -511,7 +511,8 @@ def decode_grid(preds: TilePredictionGrid,
     grid, bins = preds.grid, preds.bins
     scores = preds.score()
     rows, cols = np.nonzero(~(scores < score_threshold))
-    phi = soft_labels_to_angle(preds.bin_probs()[rows, cols], preds.bin_residuals[rows, cols], bins)
+    phi = soft_labels_to_angle(_sigmoid(preds.bin_logits[rows, cols]),
+                               preds.bin_residuals[rows, cols], bins)
     direction = np.column_stack([np.cos(phi), np.sin(phi)])
     normal = np.column_stack([-direction[:, 1], direction[:, 0]])
     mid = tile_centers(grid)[rows, cols] + preds.lateral_offset[rows, cols, None] * normal

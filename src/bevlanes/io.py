@@ -198,20 +198,19 @@ def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
     _only(d, ("kind", "lanes", "surface", "rig"), path)
     lanes = []
     for k, entry in enumerate(_entries(d, "lanes", path)):
-        _only(entry, ("lane_id", "points"), path, f"lanes[{k}].")
-        field = f"lanes[{k}].points"
-        pts = _finite_array(_require(entry, "points", path), path, field)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise SchemaError(path, field, f"expected (N>=2, 3), got {pts.shape}")
+        at = f"lanes[{k}]."
+        _only(entry, ("lane_id", "points"), path, at)
+        pts = _finite_array(_require(entry, "points", path), path, at + "points")
         try:
-            lane = Lane3D(points=pts, lane_id=_coerce(0, _require(entry, "lane_id", path),
-                                                      f"lanes[{k}].lane_id"))
-        except (TypeError, ValueError) as e:
-            raise SchemaError(path, f"lanes[{k}]", str(e))
-        if lane.lane_id < 0 or lane.lane_id in {other.lane_id for other in lanes}:
-            raise SchemaError(path, f"lanes[{k}].lane_id",
-                              f"{lane.lane_id} is negative or not unique in the scene")
-        lanes.append(lane)
+            lane_id = _coerce(0, _require(entry, "lane_id", path), at + "lane_id")
+            if lane_id < 0 or lane_id in {other.lane_id for other in lanes}:
+                raise ValueError(f"{lane_id} is negative or not unique in the scene")
+        except ValueError as e:
+            raise SchemaError(path, at + "lane_id", str(e))
+        try:
+            lanes.append(Lane3D(points=pts, lane_id=lane_id))
+        except ValueError as e:
+            raise SchemaError(path, at + "points", str(e))
     surface = _build(SurfaceParams, _require(d, "surface", path), path, "surface")
     rig = _require(d, "rig", path)
     if json.dumps(rig, sort_keys=True, separators=(",", ":")) != _RIG_JSON:

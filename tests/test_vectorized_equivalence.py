@@ -20,6 +20,7 @@ import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +28,11 @@ from bevlanes import clustering, evaluation
 from bevlanes.clustering import (ClusterParams, Curve, LaneInstance, assemble_curve,
                                  greedy_baseline, mean_shift)
 from bevlanes.codec import SegmentSet, array_fields, wrap_signed
+from bevlanes.config import PipelineConfig
 from bevlanes.evaluation import (EvalConfig, footprint_iou, lateral_error, range_means,
                                  rasterize_curve)
 from bevlanes.geometry import resample_polyline
+from bevlanes.pipeline import process_scene
 
 # The "exact" profile (tests/conftest.py) fixes the examples.
 EXACT = settings(max_examples=120)
@@ -475,6 +478,17 @@ def test_assemble_memory_is_bounded():
     assert peak < 12e6
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 200])
+def test_pair_dist_mirror_matches_per_row_distances(n):
+    # assembly converges on the same chain from a slightly wrong matrix more
+    # often than not, so the mirrored lower blocks are checked entry by entry
+    rng = np.random.default_rng(n)
+    xy = np.column_stack([rng.normal(0.0, 2.0, n), rng.uniform(0.0, 80.0, n)])
+    xy[n // 2:n // 2 + 3] = xy[:min(3, n - n // 2)]   # repeated midpoints
+    want = np.stack([np.sqrt(np.vecdot(xy - xy[k], xy - xy[k])) for k in range(n)])
+    assert clustering._pair_dist(xy).tobytes() == want.tobytes()
+
+
 def test_assemble_last_bit_near_tie():
     # From the first midpoint, offsets (-1, 7) and (-5, 5) times 0.3 have the
     # same length in exact arithmetic; in floats the two candidates differ in
@@ -562,6 +576,56 @@ def test_first_sweep_mask_matches_whole_tensor(pts, bandwidth):
     # mask, so the mirrored half is checked here, entry by entry
     want = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= bandwidth ** 2
     assert np.array_equal(clustering._within_self(pts, bandwidth ** 2), want)
+
+
+@EXACT
+@given(pts=embeddings(), data=st.data())
+def test_mode_mask_matches_whole_tensor(pts, data):
+    # one row per distinct mode, copied to its repeats; mean shift converges
+    # to the same modes from a slightly wrong mask, so it is checked here
+    # entry by entry, on modes that repeat and differ only in a zero's sign
+    picks = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=80))
+    modes = pts[picks] + data.draw(st.sampled_from((0.0, 0.3)))
+    modes[::3] = np.where(modes[::3] == 0.0, -0.0, modes[::3])
+    modes = np.concatenate([modes, np.zeros((2, pts.shape[1])), -np.zeros((1, pts.shape[1]))])
+    bw2 = data.draw(st.sampled_from((1.5, 0.75))) ** 2
+    want = np.sum((modes[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= bw2
+    assert np.array_equal(clustering._within(modes, pts, bw2), want)
+
+
+def test_mode_mask_signed_zero_modes():
+    # (-0 - p)^2 and (+0 - p)^2 are one value, so the two modes' rows agree
+    # whether they are computed once or apart
+    pts = np.array([[0.0, -0.0], [-0.0, 1.5], [1.5, 0.0], [-1.5000000000000002, 0.0]])
+    modes = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]])
+    want = np.sum((modes[:, None, :] - pts[None, :, :]) ** 2, axis=2) <= 2.25
+    assert np.array_equal(clustering._within(modes, pts, 2.25), want)
+    assert want[0].tolist() == [True, True, True, False]
+
+
+def test_mean_shift_sweeps_after_the_first_compute_one_row_per_distinct_mode(monkeypatch):
+    # Counts the work rather than timing it: on one noisy 64x104 scene, the
+    # first sweep computes the N points' rows once, and each later sweep (and
+    # the support) only the distinct modes', not one row per seed.
+    calls = []
+    sq_dist = clustering._sq_dist
+    monkeypatch.setattr(clustering, "_sq_dist",
+                        lambda c, p: calls.append((c.copy(), len(p))) or sq_dist(c, p))
+    config = PipelineConfig.from_dict({
+        "grid": {"n_cols": 64, "n_rows": 104, "tile_width": 0.32, "tile_length": 0.75},
+        "noise": {"sigma_r": 0.1, "sigma_phi": 0.05, "sigma_z": 0.05, "drop_rate": 0.05,
+                  "fp_rate": 0.05, "sigma_f": 0.2},
+        "n_scenes": 1, "master_seed": 77})
+    segments = process_scene(config, 0).segments
+    n = len(segments)
+    first_sweep = -(-n // clustering._ROWS)
+    assert n > 500 and [m for _, m in calls[:first_sweep]] == list(range(n, 0, -clustering._ROWS))
+    assert sum(len(c) for c, _ in calls[:first_sweep]) == n
+    later = [c for c, _ in calls[first_sweep:]]
+    assert len(later) >= 2     # at least one more sweep, then the support
+    for rows in later:
+        assert len({row.tobytes() for row in rows}) == len(rows)
+    assert sum(map(len, later)) < n // 10
 
 
 def test_mean_shift_memory_is_bounded():
