@@ -40,8 +40,34 @@ class SchemaError(Exception):
         return type(self), (self.path, self.field, self.message)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _json(obj) -> str:
+    """As `_ENCODER.encode(obj)`, but an array as a dict value is written as
+    its flat list in C order, each run of bitwise-equal neighbours formatted
+    once (so -0.0 and 0.0 are two runs)."""
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        return "{" + ",".join(_ENCODER.encode(k) + ":" + _json(obj[k]) for k in sorted(obj)) + "}"
+    if not isinstance(obj, np.ndarray):
+        return _ENCODER.encode(obj)
+    flat = np.ascontiguousarray(obj).reshape(-1)
+    if flat.dtype.kind not in "biuf":
+        raise TypeError(f"Object of dtype {flat.dtype} is not JSON serializable")
+    if not np.isfinite(flat).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    # runs start at 0 (unless empty) and where the bits change; the last ends at the size
+    bits = flat.view(f"u{flat.itemsize}")
+    ends = np.flatnonzero(np.concatenate(([flat.size > 0], bits[1:] != bits[:-1], [True])))
+    fmt = ("false", "true").__getitem__ if flat.dtype.kind == "b" else repr
+    runs = zip(flat[ends[:-1]].tolist(), np.diff(ends).tolist())
+    return "[" + "".join([(fmt(v) + ",") * n for v, n in runs])[:-1] + "]"
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    """`json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)`
+    and a newline, where obj may hold numpy arrays as dict values."""
+    return _json(obj) + "\n"
 
 
 def save_json(path, obj) -> None:
@@ -53,7 +79,7 @@ def load_json(path) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise SchemaError(path, "<file>", "file not found")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise SchemaError(path, "<file>", f"invalid JSON: {e}")
 
 
@@ -227,7 +253,7 @@ def _grid_to_dict(kind: str, g) -> dict:
     arrays = {f.name: getattr(g, f.name) for f in array_fields(g)}
     return {"kind": kind, "grid": section_to_dict(g.grid), "bins": section_to_dict(g.bins),
             "fields": {name: {"dtype": arr.dtype.str.lstrip("<>=|"), "shape": list(arr.shape),
-                              "data": arr.reshape(-1).tolist()}
+                              "data": arr.reshape(-1)}
                        for name, arr in arrays.items()}}
 
 

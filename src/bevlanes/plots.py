@@ -31,8 +31,10 @@ def _to_px(x: float, y: float, grid: GridSpec) -> tuple[float, float]:
 
 
 def _polyline(points, grid: GridSpec, color: str, width: float) -> str:
-    coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in
-                      (_to_px(p[0], p[1], grid) for p in points))
+    pts = np.asarray(points, dtype=float)   # `_to_px` elementwise: the same bits
+    px = ((pts[:, 0] - grid.x_min + _MARGIN) * _SCALE).tolist()
+    py = ((grid.y_max + _MARGIN - pts[:, 1]) * _SCALE).tolist()
+    coords = " ".join(map("{:.2f},{:.2f}".format, px, py))
     return (f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width:.2f}" stroke-linecap="round"/>')
 
@@ -82,12 +84,12 @@ def heatmap_svg(scores: np.ndarray, grid: GridSpec) -> str:
           for j in range(grid.n_cols)]
     size = (f'width="{grid.tile_width * _SCALE:.2f}" '
             f'height="{grid.tile_length * _SCALE:.2f}"')
-    for i, row in enumerate(scores.tolist()):
+    # fmin/fmax clamp as min/max do (NaN to 0); np.round rounds half to even, as round does
+    s = np.fmin(1.0, np.fmax(0.0, scores))
+    reds, greens = np.round(220 * (1.0 - s)).astype(int), np.round(200 * s).astype(int)
+    for i, (row_r, row_g) in enumerate(zip(reds.tolist(), greens.tolist())):
         y = f"{_to_px(0.0, grid.y_min + (i + 1) * grid.tile_length, grid)[1]:.2f}"
-        for x, score in zip(xs, row):
-            s = min(1.0, max(0.0, score))
-            r, g = int(round(220 * (1.0 - s))), int(round(200 * s))
-            parts.append(f'<rect x="{x}" y="{y}" {size} fill="rgb({r},{g},40)" '
-                         f'stroke="#666" stroke-width="0.3"/>')
+        parts.extend(f'<rect x="{x}" y="{y}" {size} fill="rgb({r},{g},40)" '
+                     f'stroke="#666" stroke-width="0.3"/>' for x, r, g in zip(xs, row_r, row_g))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

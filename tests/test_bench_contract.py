@@ -9,7 +9,10 @@ the segments `cluster_segments` is given and of each instance's `segments`.
 The rasterizer must run under its traced name, `evaluation.rasterize_curve`,
 so that the benchmark's rasterize time keeps measuring it; `evaluate` must
 run inside `evaluate_results` inside `run_pipeline`, because the benchmark's
-fan-out time is the one span minus the other.
+fan-out time is the one span minus the other. The benchmark's write and plot
+times are the self time of the io writers and of the two plots, so the grid
+dicts and both plots must run under their traced names, and every JSON
+formatting call inside `save_json`.
 """
 
 import importlib.util
@@ -48,6 +51,12 @@ def test_tracer_wraps_and_records_the_pipeline_layers(tmp_path):
     assert counts["codec.decode_grid"]["segments"] == len(written["segments"]) > 0
     cluster = counts["clustering.cluster_segments"]
     assert 0 < cluster["assigned"] <= cluster["candidates"] == len(written["segments"])
+    assert {"io.targets_to_dict", "io.preds_to_dict", "plots.scene_svg",
+            "plots.heatmap_svg"} <= names
+    assert tr.nesting_errors(tracer.spans) == []
+    by_sid = {span[tr.SID]: span for span in tracer.spans}
+    dumps = [span for span in tracer.spans if span[tr.NAME] == "io.canonical_json"]
+    assert dumps and all(by_sid[span[tr.PARENT]][tr.NAME] == "io.save_json" for span in dumps)
 
 
 def test_tracer_nests_evaluate_in_a_run_pipeline_batch(tmp_path):

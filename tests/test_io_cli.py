@@ -3,6 +3,7 @@
 import csv
 import io as std_io
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -16,15 +17,16 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bevlanes
 from bevlanes import io, pipeline
 from bevlanes.cli import main
 from bevlanes.clustering import Curve
-from bevlanes.codec import (AngleBinSpec, SegmentSet, angle_to_soft_labels, array_fields,
-                            decode_grid, encode_scene)
+from bevlanes.codec import (AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid,
+                            angle_to_soft_labels, array_fields, decode_grid, encode_scene)
 from bevlanes.config import ConfigError, PipelineConfig
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate, score_scene
 from bevlanes.geometry import GridSpec
@@ -74,6 +76,109 @@ def test_canonical_json_sorted_minimal_newline():
 def test_canonical_json_rejects_non_finite(value):
     with pytest.raises(ValueError):
         io.canonical_json({"a": [1.0, value]})
+
+
+# Floats the array writer must keep apart (both zeros) or format as `repr`
+# does where it changes form: subnormals, 1e16, 1e-05, 0.1 and the largest.
+_FLOAT_EDGES = (0.0, -0.0, 1.0, -1.0, 0.1, 1e16, 9999999999999998.0, 1e-05, 0.0001, 5e-324,
+                -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -50.0)
+_FLOATS = st.sampled_from(_FLOAT_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+_ELEMENTS = {"f8": _FLOATS, "i8": st.integers(-2 ** 63, 2 ** 63 - 1), "b": st.booleans()}
+_ALWAYS = {"f8": [0.0, -0.0], "i8": [0, -1], "b": [False, True]}
+
+
+@st.composite
+def _run_arrays(draw, kinds=tuple(_ELEMENTS)):
+    """An array of any shape, empty ones too, cut into up to 12 runs of equal
+    values that cycle through a few (0.0 then -0.0 first for floats), so
+    runs are 1 to 700 long; sometimes transposed (so not C-contiguous)."""
+    kind = draw(st.sampled_from(kinds))
+    values = np.array(_ALWAYS[kind] + draw(st.lists(_ELEMENTS[kind], max_size=3)), dtype=kind)
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9)
+                 | hnp.array_shapes(min_dims=2, max_dims=3, min_side=2, max_side=9)
+                 | st.tuples(st.integers(0, 700)))
+    size = math.prod(shape)
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=12))) if size > 1 else []
+    lengths = np.diff([0, *cuts, size])
+    picks = (np.arange(len(lengths)) + draw(st.integers(0, 4))) % len(values)
+    arr = np.repeat(values[picks], lengths).reshape(shape)
+    return arr.T if draw(st.booleans()) else arr
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=4)
+           | st.lists(_FLOATS | st.integers(), max_size=3))
+_DOCUMENTS = st.recursive(   # arrays listed twice, to draw them more often
+    st.dictionaries(st.text(max_size=4), _run_arrays() | _run_arrays() | _LEAVES, max_size=4),
+    lambda inner: st.dictionaries(st.text(max_size=4), inner | _run_arrays() | _LEAVES,
+                                  max_size=4),
+    max_leaves=10)
+
+
+def _listed(obj):
+    """obj with each array replaced by its flat list."""
+    if isinstance(obj, np.ndarray):
+        return obj.reshape(-1).tolist()
+    return {k: _listed(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
+
+
+def test_canonical_json_array_cases():
+    doc = {"z": {"data": np.array([[0.0, 0.0], [-0.0, 5e-324]]).T},
+           "i": np.arange(6).reshape(2, 3)[:, ::2], "b": np.array([True, True, False]),
+           "e": np.zeros((2, 0)), "s": np.array(1e16)}
+    assert io.canonical_json(doc) == ('{"b":[true,true,false],"e":[],"i":[0,2,3,5],"s":[1e+16],'
+                                      '"z":{"data":[0.0,-0.0,0.0,5e-324]}}\n')
+
+
+@settings(max_examples=150)
+@given(_DOCUMENTS)
+def test_canonical_json_writes_arrays_as_json_dumps_writes_their_lists(doc):
+    expected = json.dumps(_listed(doc), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert io.canonical_json(doc) == expected + "\n"
+
+
+@settings(max_examples=60)
+@given(_run_arrays(kinds=("f8",)), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+       st.data())
+def test_canonical_json_rejects_a_non_finite_array_value(arr, value, data):
+    assume(arr.size > 0)
+    arr = arr.copy()
+    arr.flat[data.draw(st.integers(0, arr.size - 1))] = value
+    with pytest.raises(ValueError):
+        io.canonical_json({"fields": {"x": {"data": arr}}})
+
+
+@st.composite
+def _grids(draw):
+    """A target or prediction grid of a few tiles whose fields hold runs of
+    one fill broken by edge floats; occupied target tiles carry a lane id."""
+    grid = GridSpec(n_cols=draw(st.integers(1, 4)), n_rows=draw(st.integers(1, 4)))
+    bins = AngleBinSpec(n_bins=draw(st.integers(4, 6)))
+    cls = draw(st.sampled_from((TileTargetGrid, TilePredictionGrid)))
+    sizes = {"H": grid.n_rows, "W": grid.n_cols, "N": bins.n_bins, "d": draw(st.integers(1, 3))}
+    arrays = {}
+    for f in array_fields(cls):
+        dtype = np.dtype(f.metadata["dtype"])
+        elements = (st.sampled_from((0.0, 1.0)) if f.name == "occupancy" else
+                    st.integers(-1, 2 ** 40) if dtype.kind == "i" else _FLOATS)
+        fill = st.just(f.metadata["fill"]) | st.sampled_from((0.0, -0.0, 1.0))
+        arrays[f.name] = draw(hnp.arrays(dtype, [sizes.get(a, a) for a in f.metadata["shape"]],
+                                         elements=elements, fill=fill))
+    if cls is TileTargetGrid:
+        occupied = arrays["occupancy"] == 1.0
+        arrays["lane_id"][occupied] = np.abs(arrays["lane_id"][occupied])
+    return cls(grid=grid, bins=bins, **arrays)
+
+
+@settings(max_examples=80)
+@given(_grids())
+def test_grid_file_round_trip_is_bit_exact(g):
+    reader = io.targets_from_dict if isinstance(g, TileTargetGrid) else io.preds_from_dict
+    writer = io.targets_to_dict if isinstance(g, TileTargetGrid) else io.preds_to_dict
+    back = reader(json.loads(io.canonical_json(writer(g))))
+    assert (back.grid, back.bins) == (g.grid, g.bins)
+    for f in array_fields(g):
+        a, b = getattr(g, f.name), getattr(back, f.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
 def test_save_load_round_trip(tmp_path):
@@ -170,6 +275,11 @@ def _targets():
     return encode_scene(small_scene().lanes, GRID, BINS)
 
 
+def _as_read(d: dict) -> dict:
+    """A writer's dict as its file holds it: each array field's data a list."""
+    return json.loads(io.canonical_json(d))
+
+
 def test_targets_round_trip_byte_identical():
     targets = _targets()
     first = io.canonical_json(io.targets_to_dict(targets))
@@ -183,7 +293,7 @@ def test_targets_round_trip_byte_identical():
 
 
 def test_targets_non_binary_occupancy_rejected():
-    d = io.targets_to_dict(_targets())
+    d = _as_read(io.targets_to_dict(_targets()))
     d["fields"]["occupancy"]["data"][0] = 0.5
     with pytest.raises(io.SchemaError) as exc:
         io.targets_from_dict(d, path="t.json")
@@ -191,7 +301,7 @@ def test_targets_non_binary_occupancy_rejected():
 
 
 def test_targets_payload_length_mismatch_rejected():
-    d = io.targets_to_dict(_targets())
+    d = _as_read(io.targets_to_dict(_targets()))
     d["fields"]["lateral_offset"]["data"].append(0.0)
     with pytest.raises(io.SchemaError) as exc:
         io.targets_from_dict(d)
@@ -201,7 +311,7 @@ def test_targets_payload_length_mismatch_rejected():
 @pytest.mark.parametrize("value", [3.7, True, "3", 2 ** 70])
 def test_targets_lane_id_must_be_whole_numbers(value):
     # 3.7 used to read as lane 3, and 2**70 ended in an OverflowError
-    d = io.targets_to_dict(_targets())
+    d = _as_read(io.targets_to_dict(_targets()))
     k = d["fields"]["occupancy"]["data"].index(1.0)
     d["fields"]["lane_id"]["data"][k] = value
     with pytest.raises(io.SchemaError) as exc:
@@ -224,7 +334,8 @@ def test_preds_round_trip_byte_identical():
 
 
 def test_preds_embedding_dim_mismatch_rejected():
-    d = io.preds_to_dict(oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), seed=3))
+    d = _as_read(io.preds_to_dict(
+        oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), seed=3)))
     d["embedding_dim"] = 7
     with pytest.raises(io.SchemaError) as exc:
         io.preds_from_dict(d)
@@ -373,9 +484,9 @@ def test_lanes_degenerate_curve_rejected():
 def test_float_payload_takes_only_json_numbers(kind, field, value):
     # true used to read as 1.0, false as 0.0 and "0.5" as 0.5
     reader, d = {
-        "target": (io.targets_from_dict, io.targets_to_dict(_targets())),
-        "pred": (io.preds_from_dict, io.preds_to_dict(
-            oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), seed=5))),
+        "target": (io.targets_from_dict, _as_read(io.targets_to_dict(_targets()))),
+        "pred": (io.preds_from_dict, _as_read(io.preds_to_dict(
+            oracle_predict(_targets(), NoiseConfig(), EmbeddingParams(), seed=5)))),
         "scene": (io.scene_from_dict, io.scene_to_dict(small_scene())),
         "lanes": (io.lanes_from_dict, io.lanes_to_dict(
             [(Curve(points=[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0]]), 0.5)])),
@@ -390,7 +501,7 @@ def test_float_payload_takes_only_json_numbers(kind, field, value):
 
 
 def test_targets_whole_float_lane_id_reads_as_int():
-    d = io.targets_to_dict(_targets())
+    d = _as_read(io.targets_to_dict(_targets()))
     data = d["fields"]["lane_id"]["data"]
     data[:] = [float(v) for v in data]
     targets = io.targets_from_dict(d)
@@ -662,6 +773,30 @@ def test_cli_stage_file_that_is_not_an_object_is_data_error(tmp_path, capsys):
     assert main(["encode", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "scene_00000.json" in err
+
+
+def test_cli_stage_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    # the UnicodeDecodeError, a ValueError, used to read as a config error
+    # that named no file
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    (tmp_path / "out" / "lanes" / "lanes_00001.json").write_bytes(b'{"kind": "lanes\xff"}')
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "lanes_00001.json" in err and "<file>" in err
+
+
+def test_cli_stage_file_nested_too_deep_is_data_error(tmp_path, capsys):
+    # 200,000 nested lists used to end in a RecursionError traceback
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    (tmp_path / "out" / "scenes" / "scene_00000.json").write_text(
+        "[" * 200_000 + "]" * 200_000)
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "scene_00000.json" in err and "<file>" in err
 
 
 def test_cli_bad_config_is_config_error(tmp_path, capsys):
