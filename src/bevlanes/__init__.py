@@ -8,7 +8,7 @@ from .codec import (AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid
                     soft_labels_to_angle)
 from .config import ConfigError, PipelineConfig
 from .evaluation import (EvalConfig, EvalReport, SceneRecord, curve_iou, evaluate, footprint_iou,
-                         lateral_error, range_means, rasterize_curve, score_scene)
+                         lateral_error, range_means, rasterize_curve, score_scene, score_scenes)
 from .geometry import Curve, GridSpec, Lane3D, tile_centers
 from .io import SchemaError
 from .losses import (ClusterSummary, EmbeddingParams, FiniteDiffReport, LossValueAndGrad,

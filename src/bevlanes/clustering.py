@@ -78,12 +78,13 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     The bits are those of the whole-tensor form: `_within` sums the squared
     distances dimension by dimension in numpy's order, one row per distinct
     mode (the first sweep, seeded from the points themselves, fills half the
-    mask and mirrors it), and `within @ pts` stays one product over every
-    active seed (a BLAS row's result depends on its position in the
-    product). Support and merge run once per distinct mode, visited by
-    (-support, first seed index). That is exact because a repeated seed can
-    never be kept: its first copy was either kept or rejected by a kept
-    mode at the same distance.
+    mask and mirrors it). Counts are the distinct rows' sums, and
+    `rows[inv] @ pts` stays one product over every active seed (a BLAS
+    row's result depends on its position in the product). Support and
+    merge run once per distinct mode, visited by (-support, first seed
+    index). That is exact because a repeated seed can never be kept: its
+    first copy was either kept or rejected by a kept mode at the same
+    distance.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -96,10 +97,11 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     for it in range(params.max_iters):
         if not active.any():
             break
-        within = _within_self(pts, bw2) if it == 0 else _within(modes[active], pts, bw2)
-        counts = within.sum(axis=1)
+        rows, inv = ((_within_self(pts, bw2), slice(None)) if it == 0 else
+                     _within(modes[active], pts, bw2))
+        counts = rows.sum(axis=1)[inv]
         counts[counts == 0] = 1  # window drifted empty: freeze in place
-        new = (within @ pts) / counts[:, None]
+        new = (rows[inv] @ pts) / counts[:, None]
         shift = np.linalg.norm(new - modes[active], axis=1)
         modes[active] = new
         still = shift >= params.shift_tol
@@ -109,7 +111,8 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     # distances to everything, so it is never kept after its first copy.
     first, _ = _unique_rows(modes)
     distinct = modes[first]
-    support = _within(distinct, pts, bw2).sum(axis=1)
+    rows, inv = _within(distinct, pts, bw2)
+    support = rows.sum(axis=1)[inv]
     kept: list[int] = []
     for i in np.lexsort((first, -support)):
         # vecdot sums like the 1-D norm, so ties at the bandwidth keep their bits
@@ -123,15 +126,15 @@ def mean_shift(points: np.ndarray, params: ClusterParams) -> np.ndarray:
 _ROWS = 64
 
 
-def _within(centers: np.ndarray, pts: np.ndarray, bw2: float) -> np.ndarray:
-    """(len(centers), N) mask: point within the bandwidth of the center. One
-    row is computed per distinct center and copied to its repeats (a row
+def _within(centers: np.ndarray, pts: np.ndarray, bw2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inv), `rows[inv]` the (len(centers), N) mask: point within the
+    bandwidth of the center. One row is computed per distinct center (a row
     depends only on its center), `_ROWS` rows at a time to bound the memory."""
     first, inv = _unique_rows(centers)
     out = np.empty((len(first), len(pts)), dtype=bool)
     for i in range(0, len(first), _ROWS):
         out[i:i + _ROWS] = _sq_dist(centers[first[i:i + _ROWS]], pts) <= bw2
-    return out[inv]
+    return out, inv
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

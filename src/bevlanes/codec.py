@@ -219,11 +219,13 @@ def saturated_arrays(targets: TileTargetGrid, embedding_dim: int = 4,
                      saturation: float = DEFAULT_SATURATION) -> dict:
     """The array fields of `saturated_prediction`, for a caller that changes
     some tiles before it builds the grid."""
-    grid = targets.grid
+    grid, p = targets.grid, targets.bin_probs
+    bin_logits = np.full(p.shape, -saturation)      # logit of every p <= 0
+    bin_logits[p > 0] = logit(p[p > 0], saturation)
     return dict(score_logit=np.where(targets.occupancy > 0.5, saturation, -saturation),
                 lateral_offset=targets.lateral_offset.copy(),
                 height_offset=targets.height_offset.copy(),
-                bin_logits=logit(targets.bin_probs, saturation),
+                bin_logits=bin_logits,
                 bin_residuals=targets.bin_residuals.copy(),
                 embedding=np.zeros((grid.n_rows, grid.n_cols, embedding_dim)))
 

@@ -10,14 +10,15 @@ IOU = 0.5 operating point; height error is a supplementary scalar, not part
 of the lateral metric.
 
 As in COCOeval's split into per-image `evaluate` and `accumulate`, the
-protocol has a per-scene part and a reduction: `score_scene` rasterizes,
-matches and samples one scene into a small `SceneRecord`, and `evaluate`
+protocol has a per-scene part and a reduction: `score_scenes` rasterizes,
+matches and samples each scene into a small `SceneRecord`, and `evaluate`
 pools the records of all scenes into the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -383,15 +384,11 @@ def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
     return float(ap)
 
 
-def _scene_iou(preds: list, gts: list, cfg: EvalConfig):
-    """IOU matrix (P, G), confidences (each in [0, 1]) and confidence order of
-    one scene, from one `rasterize_curve` call over all of its curves. The
-    order is by descending confidence; ties keep prediction order.
-    """
-    if any(not (0.0 <= c <= 1.0) for _, c in preds):
-        raise ValueError("confidences must lie in [0, 1]")
-    footprints = rasterize_curve([c for c, _ in preds] + list(gts), cfg)
-    iou = np.zeros((len(preds), len(gts)))
+def _scene_iou(preds: list, footprints: list):
+    """IOU matrix (P, G), confidences and confidence order (descending, ties in
+    prediction order) of one scene, from the footprints of its P predictions
+    followed by those of its G GTs."""
+    iou = np.zeros((len(preds), len(footprints) - len(preds)))
     for i, fp in enumerate(footprints[:len(preds)]):
         iou[i] = [footprint_iou(fp, fg) for fg in footprints[len(preds):]]
     conf = np.array([c for _, c in preds], dtype=float)
@@ -447,7 +444,7 @@ def range_means(samples: list, cfg: EvalConfig):
 
 
 # ---------------------------------------------------------------------------
-# Full protocol: score_scene per scene, evaluate over all of them
+# Full protocol: score_scenes, then evaluate over all of them
 
 OPERATING_IOU = 0.5
 
@@ -470,13 +467,36 @@ class SceneRecord:
     samples: np.ndarray       # (3, S) their `lateral_error` columns, match after match
 
 
-def score_scene(preds: list, gts: list, cfg: EvalConfig) -> SceneRecord:
-    """Match one scene at every threshold and sample its operating-point matches.
+# Polyline segments per `rasterize_curve` call of `score_scenes`: about four
+# default scenes or one 64 x 104 scene. This bounds the footprints' memory.
+_CHUNK_SEGMENTS = 1300
 
-    preds: list of (Curve, confidence); gts: the scene's Lane3Ds. Predictions
-    match only this scene's GTs.
-    """
-    iou, conf, order = _scene_iou(preds, gts, cfg)
+
+def score_scenes(scenes: list, cfg: EvalConfig) -> list[SceneRecord]:
+    """`score_scene` of each (preds, gts) pair, in order. Consecutive scenes
+    share a `rasterize_curve` call of about `_CHUNK_SEGMENTS` segments, which
+    changes no bit: a footprint depends only on its own curve."""
+    if any(not (0.0 <= c <= 1.0) for preds, _ in scenes for _, c in preds):
+        raise ValueError("confidences must lie in [0, 1]")
+    curves = [[c for c, _ in preds] + list(gts) for preds, gts in scenes]
+    chunks = _bands([sum(len(c.points) - 1 for c in cs) for cs in curves], _CHUNK_SEGMENTS)
+    # Lazy: each chunk is rasterized when its first curve is needed (scenes
+    # before the first chunk have no curves).
+    footprints = (fp for s0, s1 in chunks
+                  for fp in rasterize_curve([c for cs in curves[s0:s1] for c in cs], cfg))
+    return [_score(preds, gts, list(islice(footprints, len(cs))), cfg)
+            for (preds, gts), cs in zip(scenes, curves)]
+
+
+def score_scene(preds: list, gts: list, cfg: EvalConfig) -> SceneRecord:
+    """Match one scene's preds, (Curve, confidence in [0, 1]) pairs, to its
+    GT Lane3Ds at every threshold, and sample its operating-point matches."""
+    return score_scenes([(preds, gts)], cfg)[0]
+
+
+def _score(preds: list, gts: list, footprints: list, cfg: EvalConfig) -> SceneRecord:
+    """`score_scene` of one scene, given the footprints of its curves."""
+    iou, conf, order = _scene_iou(preds, footprints)
     thresholds = _thresholds(cfg)
     tp, pairs = zip(*(_greedy_match(iou, order, t) for t in thresholds))
     matches = pairs[thresholds.index(OPERATING_IOU)]

@@ -30,7 +30,7 @@ from .clustering import assemble_curve, cluster_segments, greedy_baseline
 from .codec import (SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields, decode_grid,
                     encode_scene)
 from .config import ConfigError, PipelineConfig
-from .evaluation import EvalReport, SceneRecord, evaluate, score_scene
+from .evaluation import EvalReport, SceneRecord, evaluate, score_scene, score_scenes
 from .geometry import Curve
 from .losses import embedding_loss, finite_diff_check, total_tile_loss
 from .plots import heatmap_svg, scene_svg
@@ -149,8 +149,8 @@ def run_pipeline(config: PipelineConfig, method: str = "embedding",
 def evaluate_results(results: list[SceneResult], config: PipelineConfig) -> EvalReport:
     """Evaluate in scene-index order, whatever the order of results (confidence
     ties across scenes rank by scene order)."""
-    return evaluate([score_scene(r.lanes, r.scene.lanes, config.eval)
-                     for r in sorted(results, key=lambda r: r.index)], config.eval)
+    scenes = [(r.lanes, r.scene.lanes) for r in sorted(results, key=lambda r: r.index)]
+    return evaluate(score_scenes(scenes, config.eval), config.eval)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,8 @@ def cmd_eval(config: PipelineConfig) -> EvalReport:
     if len(lanes_lists) != len(scenes):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(lanes_lists)} lane files vs {len(scenes)} scenes")
-    return _write_report(config, [score_scene(lanes, scene.lanes, config.eval)
-                                  for lanes, scene in zip(lanes_lists, scenes)])
+    return _write_report(config, score_scenes(
+        [(lanes, scene.lanes) for lanes, scene in zip(lanes_lists, scenes)], config.eval))
 
 
 def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:

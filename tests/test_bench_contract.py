@@ -7,9 +7,10 @@ loaded here from its file, unchanged, and wraps one artifact batch
 (`run_pipeline`). Its counters take `len` of what `decode_grid` returns, of
 the segments `cluster_segments` is given and of each instance's `segments`.
 The rasterizer must run under its traced name, `evaluation.rasterize_curve`,
-so that the benchmark's rasterize time keeps measuring it; `evaluate` must
-run inside `evaluate_results` inside `run_pipeline`, because the benchmark's
-fan-out time is the one span minus the other. The benchmark's write and plot
+so that the benchmark's rasterize time keeps measuring it, once per chunk of
+scenes; it and `lateral_error` run inside `evaluate_results`, and so does
+`evaluate`, inside `run_pipeline`, because the benchmark's fan-out time is
+the one span minus the other. The benchmark's write and plot
 times are the self time of the io writers and of the two plots, so the grid
 dicts and both plots must run under their traced names, and every JSON
 formatting call inside `save_json`.
@@ -62,7 +63,7 @@ def test_tracer_wraps_and_records_the_pipeline_layers(tmp_path):
 def test_tracer_nests_evaluate_in_a_run_pipeline_batch(tmp_path):
     tr = _load_tracer()
     tracer = tr.Tracer(tmp_path)
-    config = PipelineConfig.from_dict({"n_scenes": 2})
+    config = PipelineConfig.from_dict({"n_scenes": 6})
     tracer.install(tr.TRACED)
     try:
         pipeline.run_pipeline(config)
@@ -77,3 +78,8 @@ def test_tracer_nests_evaluate_in_a_run_pipeline_batch(tmp_path):
     (evaluate,) = by_name["evaluation.evaluate"]
     assert results[tr.PARENT] == run[tr.SID]
     assert evaluate[tr.PARENT] == results[tr.SID]
+    # the scenes are rasterized in chunks, and every chunk and every lateral
+    # error is timed inside evaluate_results
+    rasterize, lateral = by_name["evaluation.rasterize_curve"], by_name["evaluation.lateral_error"]
+    assert 1 <= len(rasterize) < config.n_scenes and len(lateral) == config.n_scenes
+    assert all(span[tr.PARENT] == results[tr.SID] for span in rasterize + lateral)

@@ -18,6 +18,7 @@ from bevlanes.codec import (
     decode_grid,
     encode_scene,
     logit,
+    saturated_arrays,
     saturated_prediction,
     soft_labels_to_angle,
     wrap_signed,
@@ -168,6 +169,23 @@ def test_logit_saturates_at_exact_zero_one():
     assert logit(1.0) == 50.0
     assert logit(0.5) == 0.0
     assert np.all(np.isfinite(logit(np.array([0.0, 1e-30, 0.5, 1 - 1e-12, 1.0]))))
+
+
+@pytest.mark.parametrize("saturation", [50.0, 7.5])
+def test_saturated_bin_logits_have_the_bits_of_the_whole_array_logit(saturation):
+    # the logit is taken of p > 0 only and every other bin is filled with
+    # -saturation, which is what logit gives for p <= 0
+    special = [0.0, -0.0, 1.0, -1e-300, -0.25, -5e-324, 5e-324, 2.2e-308, 1e-300, 1e-16,
+               0.5, 1 - 2 ** -53, 1 - 1e-16, 1 - 1e-12, 1.5, 37.0]
+    rng = np.random.default_rng(7)
+    targets = TileTargetGrid.zeros(GRID, BINS)
+    pool = np.concatenate([special, rng.random(64), rng.uniform(-1.0, 2.0, 64)])
+    targets.bin_probs[:] = rng.choice(pool, targets.bin_probs.shape)
+    targets.bin_probs.reshape(-1)[:len(special)] = special
+    got = saturated_arrays(targets, saturation=saturation)["bin_logits"]
+    want = logit(targets.bin_probs, saturation)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

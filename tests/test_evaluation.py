@@ -3,15 +3,17 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bevlanes import evaluation
 from bevlanes.clustering import Curve
+from bevlanes.config import PipelineConfig
 from bevlanes.evaluation import (
     DEFAULT_EXTENT,
     EvalConfig,
@@ -25,8 +27,10 @@ from bevlanes.evaluation import (
     range_means,
     rasterize_curve,
     score_scene,
+    score_scenes,
 )
 from bevlanes.io import section_from_dict, section_to_dict
+from bevlanes.pipeline import evaluate_results, process_scene
 
 CFG = EvalConfig()
 
@@ -298,7 +302,7 @@ def _match(preds, gts, threshold):
     recall = int(np.count_nonzero(flags)) / len(gts) if gts else 0.0
     if threshold == 0.5:
         assert recall == report.recall_at_reference
-    iou, _, order = _scene_iou(preds, gts, cfg)
+    iou, _, order = _scene_iou(preds, rasterize_curve([c for c, _ in preds] + gts, cfg))
     tp, pairs = _greedy_match(iou, order, threshold)
     assert tp.tolist() == flags.tolist()
     return report.ap_per_threshold[threshold], [(p, g, float(iou[p, g])) for p, g in pairs], recall
@@ -537,6 +541,65 @@ def test_evaluate_rejects_bad_confidence():
     gt = vertical_line(0.03)
     with pytest.raises(ValueError):
         score_scene([(gt, 1.5)], [gt], CFG)
+
+
+# ---------------------------------------------------------------------------
+# score_scenes: consecutive scenes share a rasterizer call
+
+FAR = Curve(points=[[20.0, 5.0, 0.0], [21.0, 9.0, 0.1]])     # outside SMALL's extent
+LONG = Curve(points=[[-2.0, 0.5, 0.0], [1.0, 4.0, 0.1], [-1.0, 8.0, 0.2], [3.0, 11.5, 0.3]])
+_scene_curves = st.one_of(small_curves(), st.just(FAR))
+
+
+@settings(max_examples=80)
+@given(scenes=st.lists(st.tuples(st.lists(st.tuples(_scene_curves, st.floats(0.0, 1.0)),
+                                          max_size=3),
+                                 st.lists(_scene_curves, max_size=3)), max_size=7),
+       budget=st.integers(1, 16))
+# neither, no GTs, no predictions, a scene over the budget by itself; five
+# scenes, so no chunk size divides them
+@example(scenes=[([], []), ([(FAR, 0.5)], []), ([], [FAR, LONG]),
+                 ([(LONG, 0.7), (LONG, 0.2)], [LONG, FAR]), ([(LONG, 1.0)], [LONG])], budget=4)
+def test_score_scenes_equals_score_scene_of_each_scene_alone(scenes, budget):
+    want = [score_scene(preds, gts, SMALL) for preds, gts in scenes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_CHUNK_SEGMENTS", budget)
+        got = score_scenes(scenes, SMALL)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert type(x) is type(y), f.name
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+def test_score_scenes_rejects_a_bad_confidence_in_any_scene(monkeypatch, where, bad):
+    # every scene is checked before any is rasterized
+    gt = vertical_line(0.03)
+    scenes = [([(gt, 0.9)], [gt]) for _ in range(3)]
+    scenes[where] = ([(gt, 0.5), (gt, bad)], [gt])
+    calls = []
+    monkeypatch.setattr(evaluation, "rasterize_curve", lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        score_scenes(scenes, CFG)
+    assert calls == []
+
+
+def test_evaluate_results_memory_is_bounded_by_the_chunk():
+    # 16 default scenes: about 3 MB at some four scenes per rasterizer call,
+    # 9 MB when all 16 share one call, 2 MB at one scene per call
+    config = PipelineConfig.from_dict({"n_scenes": 16, "master_seed": 11})
+    results = [process_scene(config, i) for i in range(16)]
+    tracemalloc.start()
+    try:
+        evaluate_results(results, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_report_to_dict_json_serializable():
