@@ -60,6 +60,13 @@ class PipelineConfig:
                 f"got {self.eval.extent} for grid x [{self.grid.x_min}, {self.grid.x_max}], "
                 f"y [{self.grid.y_min}, {self.grid.y_max}]")
         check_surface_wavelength(self.scene, self.grid)
+        # a split, merge or perpendicular scene adds one lane; the oracle
+        # places one embedding anchor per lane, which needs dim >= lanes - 1
+        lanes = self.scene.n_lanes + any(self.scene.topology_weights.get(t, 0.0) > 0
+                                         for t in ("split", "merge", "perpendicular"))
+        if lanes > self.embedding.dim + 1:
+            raise ConfigError(f"embedding.dim {self.embedding.dim} is too small for scenes of "
+                              f"up to {lanes} lanes; need embedding.dim >= {lanes - 1}")
 
     def to_dict(self) -> dict:
         out = {name: section_to_dict(getattr(self, name)) for name in _SECTIONS}

@@ -1,20 +1,20 @@
 """File formats: canonical JSON for scenes/grids/segments/lanes, CSV reports.
 
 All JSON is written canonically (sorted keys, minimal separators, trailing
-newline) so that write -> read -> write round trips are byte-identical and
-outputs are diffable; non-finite numbers cannot be written. Readers validate
-structure and finiteness and report the offending file and field in a
-SchemaError rather than raising bare KeyErrors or ValueErrors. Config
-sections, and the records of a file that hold one, round-trip through one
-field-driven codec (`section_to_dict`, `section_from_dict`) that rejects a key
-that is not a field; tile grids and segments go through the array fields
-`codec` declares. Every other JSON object of a file also holds only the keys
-its writer writes. No JSON boolean or string reads as a number, nor a
-fraction as an int.
+newline), so write -> read -> write round trips are byte-identical and
+outputs are diffable; non-finite numbers cannot be written. Readers reject a
+malformed file with a SchemaError naming the file and the field. Config
+sections, and the records a file holds, go through one field-driven codec
+(`section_to_dict`, `section_from_dict`); tile grids through the array fields
+`codec` declares; every list of objects through `_records`, which names a
+fault in entry k of the list `key` as `key[k].<name>`. No object of a file
+holds a key its writer does not write, no JSON boolean or string reads as a
+number, nor a fraction as an int.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -89,11 +89,13 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _check_kind(d: dict, kind: str, path: str) -> None:
+def _check_kind(d: dict, kind: str, path: str, keys) -> None:
+    """d must be a JSON object of the kind that holds no key but `keys`."""
     if not isinstance(d, dict):
         raise SchemaError(path, "<file>", f"expected a JSON object, got {type(d).__name__}")
     if d.get("kind") != kind:
         raise SchemaError(path, "kind", f"expected {kind!r}, got {d.get('kind')!r}")
+    _only(d, keys, path)
 
 
 def _only(d, keys, path: str, at: str = "") -> None:
@@ -104,17 +106,6 @@ def _only(d, keys, path: str, at: str = "") -> None:
         raise SchemaError(path, at + unknown[0], f"unknown key; expected only {sorted(keys)}")
 
 
-def _entries(d: dict, key: str, path: str) -> list:
-    """The list of JSON objects under key, or a SchemaError naming the field."""
-    value = _require(d, key, path)
-    if not isinstance(value, list):
-        raise SchemaError(path, key, f"expected a list, got {type(value).__name__}")
-    for k, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            raise SchemaError(path, f"{key}[{k}]", f"expected an object, got {entry!r}")
-    return value
-
-
 def _build(cls, d: dict, path: str, field: str):
     try:
         return section_from_dict(cls, d)
@@ -123,25 +114,53 @@ def _build(cls, d: dict, path: str, field: str):
         raise SchemaError(path, f"{field}.{key}" if isinstance(e, KeyError) else field, str(e))
 
 
-def _finite_array(value, path: str, field: str, dtype=float) -> np.ndarray:
-    """The value, a JSON number or a list of them nested at most once, as an
-    array; a SchemaError names the field when it holds anything else (a
-    boolean too, which `np.asarray` reads as 1 or 0), a non-finite value or,
-    for ints, a fraction (which `np.asarray` truncates)."""
-    nested = isinstance(value, list) and bool(value) and isinstance(value[0], list)
+def _checked(path: str, field: str, fn, *args, **kw):
+    """fn(*args, **kw), where a TypeError, ValueError or OverflowError it
+    raises becomes a SchemaError on the field."""
     try:
-        items = itertools.chain.from_iterable(value) if nested else value
-        types = set(map(type, items)) if isinstance(value, list) else {type(value)}
-        if not types <= {int, float}:
-            raise TypeError(f"expected JSON numbers, got "
-                            f"{sorted(t.__name__ for t in types - {int, float})}")
-        if float in types and np.dtype(dtype).kind == "i":   # each must be whole
-            value = _coerce([[0]] if nested else [0], value, field)
-        arr = np.asarray(value, dtype=dtype)
+        return fn(*args, **kw)
     except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(path, field, str(e))
+
+
+def _records(d: dict, key: str, path: str, parse: dict) -> list:
+    """The objects listed under key, each as the list of its values read by
+    `parse`, which maps every key an object holds to the parser of its value.
+    Any fault in entry k, a missing or unknown key too, names `key[k].<name>`."""
+    entries = _require(d, key, path)
+    if not isinstance(entries, list):
+        raise SchemaError(path, key, f"expected a list, got {type(entries).__name__}")
+    rows = []
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(path, f"{key}[{k}]", f"expected an object, got {entry!r}")
+        _only(entry, parse, path, f"{key}[{k}].")
+        row = []
+        try:
+            for name, fn in parse.items():
+                row.append(fn(entry[name]))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            message = str(e) if name in entry else "missing required field"
+            raise SchemaError(path, f"{key}[{k}].{name}", message)
+        rows.append(row)
+    return rows
+
+
+def _numbers(value, dtype=float) -> np.ndarray:
+    """The value, a JSON number or a list of them nested at most once, as an
+    array. TypeError or ValueError if it holds anything else (a bool too, read
+    as 1 or 0 by `np.asarray`), a non-finite value or, for ints, a fraction."""
+    nested = isinstance(value, list) and bool(value) and isinstance(value[0], list)
+    items = itertools.chain.from_iterable(value) if nested else value
+    types = set(map(type, items)) if isinstance(value, list) else {type(value)}
+    if not types <= {int, float}:
+        raise TypeError(f"expected JSON numbers, got "
+                        f"{sorted(t.__name__ for t in types - {int, float})}")
+    if float in types and np.dtype(dtype).kind == "i":   # each must be whole
+        value = _coerce([[0]] if nested else [0], value, "value")
+    arr = np.asarray(value, dtype=dtype)
     if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
-        raise SchemaError(path, field, "non-finite value")
+        raise ValueError("non-finite value")
     return arr
 
 
@@ -210,33 +229,19 @@ _RIG_JSON = ('{"focal":[1000.0,1000.0],"height":1.6,"image_size":[1280,720],"pit
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "kind": "scene",
-        "lanes": [{"lane_id": lane.lane_id, "points": lane.points.tolist()}
-                  for lane in scene.lanes],
-        "surface": section_to_dict(scene.surface),
-        "rig": json.loads(_RIG_JSON),
-    }
+    lanes = [{"lane_id": lane.lane_id, "points": lane.points.tolist()} for lane in scene.lanes]
+    return {"kind": "scene", "lanes": lanes, "surface": section_to_dict(scene.surface),
+            "rig": json.loads(_RIG_JSON)}
 
 
 def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
-    _check_kind(d, "scene", path)
-    _only(d, ("kind", "lanes", "surface", "rig"), path)
+    _check_kind(d, "scene", path, ("kind", "lanes", "surface", "rig"))
     lanes = []
-    for k, entry in enumerate(_entries(d, "lanes", path)):
-        at = f"lanes[{k}]."
-        _only(entry, ("lane_id", "points"), path, at)
-        pts = _finite_array(_require(entry, "points", path), path, at + "points")
-        try:
-            lane_id = _coerce(0, _require(entry, "lane_id", path), at + "lane_id")
-            if lane_id < 0 or lane_id in {other.lane_id for other in lanes}:
-                raise ValueError(f"{lane_id} is negative or not unique in the scene")
-        except ValueError as e:
-            raise SchemaError(path, at + "lane_id", str(e))
-        try:
-            lanes.append(Lane3D(points=pts, lane_id=lane_id))
-        except ValueError as e:
-            raise SchemaError(path, at + "points", str(e))
+    for k, (pts, i) in enumerate(_records(d, "lanes", path, {
+            "points": _numbers, "lane_id": functools.partial(_coerce, 0, name="lane_id")})):
+        if i < 0 or i in {lane.lane_id for lane in lanes}:
+            raise SchemaError(path, f"lanes[{k}].lane_id", f"{i} is negative or not unique")
+        lanes.append(_checked(path, f"lanes[{k}].points", Lane3D, points=pts, lane_id=i))
     surface = _build(SurfaceParams, _require(d, "surface", path), path, "surface")
     rig = _require(d, "rig", path)
     if json.dumps(rig, sort_keys=True, separators=(",", ":")) != _RIG_JSON:
@@ -267,7 +272,7 @@ def _unpack_field(fields: dict, f, path: str) -> np.ndarray:
         raise SchemaError(path, f"{at}.shape", f"expected a list of integers >= 0, got {shape!r}")
     if _require(entry, "dtype", path) != dtype:
         raise SchemaError(path, f"{at}.dtype", f"expected {dtype!r}, got {entry['dtype']!r}")
-    arr = _finite_array(_require(entry, "data", path), path, f"{at}.data", dtype)
+    arr = _checked(path, f"{at}.data", _numbers, _require(entry, "data", path), dtype)
     if arr.size != math.prod(shape):
         raise SchemaError(path, f"{at}.data",
                           f"payload length {arr.size} does not match shape {tuple(shape)}")
@@ -276,17 +281,13 @@ def _unpack_field(fields: dict, f, path: str) -> np.ndarray:
 
 def _grid_from_dict(cls, kind: str, d: dict, path: str, keys=()):
     """A tile grid read from its dict, which may hold `keys` besides the grid's."""
-    _check_kind(d, kind, path)
-    _only(d, ("kind", "grid", "bins", "fields", *keys), path)
+    _check_kind(d, kind, path, ("kind", "grid", "bins", "fields", *keys))
     grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
     bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
     fields = _require(d, "fields", path)
     _only(fields, [f.name for f in array_fields(cls)], path, "fields.")
     arrays = {f.name: _unpack_field(fields, f, path) for f in array_fields(cls)}
-    try:
-        return cls(grid=grid, bins=bins, **arrays)
-    except ValueError as e:
-        raise SchemaError(path, "fields", str(e))
+    return _checked(path, "fields", cls, grid=grid, bins=bins, **arrays)
 
 
 def targets_to_dict(targets: TileTargetGrid) -> dict:
@@ -326,61 +327,48 @@ def segments_to_dict(segments: SegmentSet) -> dict:
             "segments": [dict(zip(columns, row)) for row in zip(*columns.values())]}
 
 
+def _tile(value) -> tuple:
+    tile = _coerce((0,), value, "tile")
+    if len(tile) != 2 or not all(0 <= v < 2 ** 31 for v in tile):
+        raise ValueError(f"expected two grid indices in [0, 2**31), got {list(tile)}")
+    return tile
+
+
+# Each value of a segment is read by `_coerce` against a zero of its field's
+# dtype, nested once per axis after the segment axis; a tile is two indices.
+_SEGMENT_PARSE = {**{f.name: functools.partial(
+    _coerce, np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist(),
+    name=f.name) for f in array_fields(SegmentSet)}, "tile": _tile}
+
+
 def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
-    _check_kind(d, "segments", path)
-    _only(d, ("kind", "segments"), path)
-    # `_coerce` reads a value against a zero of its field's dtype, nested
-    # once per axis after the segment axis.
-    defaults = {f.name: np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist()
-                for f in array_fields(SegmentSet)}
-    columns = {name: [] for name in defaults}
-    for k, entry in enumerate(_entries(d, "segments", path)):
-        _only(entry, defaults, path, f"segments[{k}].")
-        for name, default in defaults.items():
-            try:
-                columns[name].append(_coerce(default, entry[name], name))
-            except (KeyError, TypeError, ValueError) as e:
-                raise SchemaError(path, f"segments[{k}].{name}", str(e))
-        tile = columns["tile"][-1]
-        if len(tile) != 2 or not all(0 <= v < 2 ** 31 for v in tile):
-            raise SchemaError(path, f"segments[{k}].tile",
-                              f"expected two grid indices in [0, 2**31), got {list(tile)}")
-    if not columns["score"]:
+    _check_kind(d, "segments", path, ("kind", "segments"))
+    rows = _records(d, "segments", path, _SEGMENT_PARSE)
+    if not rows:
         return SegmentSet.empty()
-    try:
-        return SegmentSet(**{f.name: np.array(columns[f.name], dtype=f.metadata["dtype"])
-                             for f in array_fields(SegmentSet)})
-    except ValueError as e:
-        raise SchemaError(path, "segments", str(e))
+    return _checked(path, "segments", SegmentSet, **{
+        f.name: np.array(column, dtype=f.metadata["dtype"])
+        for f, column in zip(array_fields(SegmentSet), zip(*rows))})
 
 
 def lanes_to_dict(lanes: list) -> dict:
     """Serialize clustered lanes given as (Curve, confidence) pairs."""
-    return {"kind": "lanes", "lanes": [{
-        "points": curve.points.tolist(),
-        "confidence": float(conf),
-    } for curve, conf in lanes]}
+    return {"kind": "lanes", "lanes": [{"points": curve.points.tolist(), "confidence": float(conf)}
+                                       for curve, conf in lanes]}
+
+
+def _confidence(value) -> float:
+    conf = _coerce(0.0, value, "confidence")
+    if not 0.0 <= conf <= 1.0:
+        raise ValueError(f"{conf} outside [0, 1]")
+    return conf
 
 
 def lanes_from_dict(d: dict, path: str = "<lanes>") -> list:
-    _check_kind(d, "lanes", path)
-    _only(d, ("kind", "lanes"), path)
-    out = []
-    for k, entry in enumerate(_entries(d, "lanes", path)):
-        _only(entry, ("points", "confidence"), path, f"lanes[{k}].")
-        pts = _finite_array(_require(entry, "points", path), path, f"lanes[{k}].points")
-        try:
-            conf = _coerce(0.0, _require(entry, "confidence", path), "confidence")
-        except ValueError as e:
-            raise SchemaError(path, f"lanes[{k}].confidence", str(e))
-        if not 0.0 <= conf <= 1.0:
-            raise SchemaError(path, f"lanes[{k}].confidence", f"{conf} outside [0, 1]")
-        try:
-            curve = Curve(points=pts)
-        except ValueError as e:
-            raise SchemaError(path, f"lanes[{k}].points", str(e))
-        out.append((curve, conf))
-    return out
+    _check_kind(d, "lanes", path, ("kind", "lanes"))
+    rows = _records(d, "lanes", path, {"points": _numbers, "confidence": _confidence})
+    return [(_checked(path, f"lanes[{k}].points", Curve, points=pts), conf)
+            for k, (pts, conf) in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -97,49 +97,57 @@ def _l1(pred, target):
     return np.abs(pred - target), np.sign(pred - target)
 
 
-def offsets_loss(pred, target) -> LossValueAndGrad:
-    """L1 loss on (lateral offset, height offset) for one tile.
+def offsets_loss(pred, target, occupancy=1.0) -> LossValueAndGrad:
+    """L1 loss on (lateral offset, height offset), masked by the occupancy.
 
-    pred and target are (r, dz) pairs.
+    pred and target are (r, dz) pairs of arrays of any one shape, or of
+    numbers for one tile; occupancy is 0 or 1 per tile.
     """
+    occ = np.asarray(occupancy, dtype=float)
     v_r, g_r = _l1(pred[0], target[0])
     v_z, g_z = _l1(pred[1], target[1])
     return LossValueAndGrad(
-        value=float(v_r + v_z),
-        grad={"lateral_offset": np.asarray(g_r), "height_offset": np.asarray(g_z)},
+        value=float(np.sum(occ * (v_r + v_z))),
+        grad={"lateral_offset": occ * g_r, "height_offset": occ * g_z},
     )
 
 
-def angle_loss(pred, target) -> LossValueAndGrad:
-    """Direction loss for one tile: bin cross-entropy plus masked residual L1.
+def angle_loss(pred, target, occupancy=1.0) -> LossValueAndGrad:
+    """Direction loss: bin cross-entropy plus masked residual L1, masked by
+    the occupancy.
 
     pred is (bin_logits, bin_residuals); target is (bin_probs, bin_residuals,
-    bin_mask). The cross-entropy runs over every bin; the residual term only
-    over bins active in the target.
+    bin_mask), each with the bins on the last axis and any leading shape;
+    occupancy is 0 or 1 per tile. The cross-entropy runs over every bin; the
+    residual term only over bins active in the target.
     """
     z, res_pred = (np.asarray(a, dtype=float) for a in pred)
     p, res_tgt, mask = (np.asarray(a, dtype=float) for a in target)
+    occ = np.asarray(occupancy, dtype=float)
     bce_v, bce_g = _bce_from_logit(z, p)
     l1_v, l1_g = _l1(res_pred, res_tgt)
+    occ_bins = occ[..., None]
     return LossValueAndGrad(
-        value=float(np.sum(bce_v) + np.sum(mask * l1_v)),
-        grad={"bin_logits": bce_g, "bin_residuals": mask * l1_g},
+        value=float(np.sum(occ * (np.sum(bce_v, axis=-1) + np.sum(mask * l1_v, axis=-1)))),
+        grad={"bin_logits": occ_bins * bce_g, "bin_residuals": occ_bins * mask * l1_g},
     )
 
 
 def score_loss(pred_logit, target, pos_weight: float = 1.0) -> LossValueAndGrad:
-    """Occupancy binary cross-entropy for one tile, from the pre-activation."""
-    target = float(target)
-    if target not in (0.0, 1.0):
-        raise ValueError(f"occupancy target must be 0 or 1, got {target}")
+    """Occupancy binary cross-entropy from the pre-activation, summed over
+    the tiles; target is 0 or 1 per tile."""
+    target = np.asarray(target, dtype=float)
+    bad = (target != 0.0) & (target != 1.0)
+    if np.any(bad):
+        raise ValueError(f"occupancy target must be 0 or 1, got {target[bad][0]}")
     v, g = _bce_from_logit(pred_logit, target, pos_weight)
-    return LossValueAndGrad(value=float(v), grad={"score_logit": np.asarray(g)})
+    return LossValueAndGrad(value=float(np.sum(v)), grad={"score_logit": np.asarray(g)})
 
 
 def total_tile_loss(preds: TilePredictionGrid, targets: TileTargetGrid,
                     weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
                     pos_weight: float = 1.0) -> LossValueAndGrad:
-    """Sum of score, angle and offset losses over the whole grid.
+    """Weighted sum of score, angle and offset losses over the whole grid.
 
     value = sum_ij [ w_s * score_ij + c_ij * (w_a * angle_ij + w_o * offsets_ij) ]
 
@@ -151,30 +159,16 @@ def total_tile_loss(preds: TilePredictionGrid, targets: TileTargetGrid,
         raise ValueError("prediction and target grids have mismatched shapes")
     w_s, w_a, w_o = (float(w) for w in weights)
     occ = targets.occupancy
-
-    score_v, score_g = _bce_from_logit(preds.score_logit, occ, pos_weight)
-
-    bce_v, bce_g = _bce_from_logit(preds.bin_logits, targets.bin_probs)
-    res_v, res_g = _l1(preds.bin_residuals, targets.bin_residuals)
-    angle_v = np.sum(bce_v, axis=2) + np.sum(targets.bin_mask * res_v, axis=2)
-
-    r_v, r_g = _l1(preds.lateral_offset, targets.lateral_offset)
-    z_v, z_g = _l1(preds.height_offset, targets.height_offset)
-
-    score_term = w_s * float(np.sum(score_v))
-    angle_term = w_a * float(np.sum(occ * angle_v))
-    offset_term = w_o * float(np.sum(occ * (r_v + z_v)))
-    occ3 = occ[:, :, None]
+    parts = ((w_s, score_loss(preds.score_logit, occ, pos_weight)),
+             (w_a, angle_loss((preds.bin_logits, preds.bin_residuals),
+                              (targets.bin_probs, targets.bin_residuals, targets.bin_mask), occ)),
+             (w_o, offsets_loss((preds.lateral_offset, preds.height_offset),
+                                (targets.lateral_offset, targets.height_offset), occ)))
+    score, angle, offsets = (w * part.value for w, part in parts)
     return LossValueAndGrad(
-        value=score_term + angle_term + offset_term,
-        grad={
-            "score_logit": w_s * score_g,
-            "bin_logits": w_a * occ3 * bce_g,
-            "bin_residuals": w_a * occ3 * targets.bin_mask * res_g,
-            "lateral_offset": w_o * occ * r_g,
-            "height_offset": w_o * occ * z_g,
-        },
-        components={"score": score_term, "angle": angle_term, "offsets": offset_term},
+        value=score + angle + offsets,
+        grad={name: w * g for w, part in parts for name, g in part.grad.items()},
+        components={"score": score, "angle": angle, "offsets": offsets},
     )
 
 

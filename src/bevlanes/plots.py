@@ -24,17 +24,17 @@ def _header(grid: GridSpec) -> tuple[str, float, float]:
             f'viewBox="0 0 {w:.2f} {h:.2f}">'), w, h
 
 
-def _to_px(x: float, y: float, grid: GridSpec) -> tuple[float, float]:
+def _to_px(x, y, grid: GridSpec) -> tuple:
+    """Pixel coordinates of plane coordinates x and y, numbers or arrays."""
     px = (x - grid.x_min + _MARGIN) * _SCALE
     py = (grid.y_max + _MARGIN - y) * _SCALE  # flip: +y points up
     return px, py
 
 
 def _polyline(points, grid: GridSpec, color: str, width: float) -> str:
-    pts = np.asarray(points, dtype=float)   # `_to_px` elementwise: the same bits
-    px = ((pts[:, 0] - grid.x_min + _MARGIN) * _SCALE).tolist()
-    py = ((grid.y_max + _MARGIN - pts[:, 1]) * _SCALE).tolist()
-    coords = " ".join(map("{:.2f},{:.2f}".format, px, py))
+    pts = np.asarray(points, dtype=float)
+    px, py = _to_px(pts[:, 0], pts[:, 1], grid)
+    coords = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
     return (f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width:.2f}" stroke-linecap="round"/>')
 

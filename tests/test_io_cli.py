@@ -1011,6 +1011,26 @@ def test_cli_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
         run_pipeline(PipelineConfig.from_dict(tiny_config_dict(tmp_path)), jobs=int(jobs))
 
 
+@pytest.mark.parametrize("scene, dim, code", [
+    ({"n_lanes": 6, "topology_weights": {"parallel": 1.0}}, 4, 2),
+    ({"n_lanes": 5, "topology_weights": {"parallel": 1.0}}, 4, 0),
+    ({"n_lanes": 5, "topology_weights": {"parallel": 0.5, "merge": 0.5}}, 4, 2),
+    ({"n_lanes": 5, "topology_weights": {"parallel": 0.5, "merge": 0.5}}, 5, 0),
+    ({"n_lanes": 2, "topology_weights": {"perpendicular": 1.0}}, 1, 2),
+    ({"n_lanes": 2, "topology_weights": {"short": 1.0}}, 1, 0)])
+def test_cli_embedding_too_small_for_the_scene_lanes_is_config_error(tmp_path, capsys, scene,
+                                                                     dim, code):
+    # a scene of n_lanes, plus one for a split, merge or perpendicular, needs
+    # one embedding anchor per lane; such a config used to run generate and
+    # encode and fail only at predict
+    cfg = write_config(tmp_path, scene=scene, embedding={"dim": dim})
+    assert main(["generate", "--config", cfg]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "config error" in err and "embedding.dim" in err
+        assert not (tmp_path / "out").exists()
+
+
 def test_pool_has_no_more_workers_than_scenes(tmp_path, monkeypatch):
     sizes, real_pool = [], multiprocessing.Pool
 
@@ -1326,3 +1346,25 @@ def test_cli_unknown_key_in_any_file_object_is_data_error(tmp_path, capsys, path
     assert main([reader, "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and Path(path).name in err and f"'{field}'" in err
+
+
+@pytest.mark.parametrize("path, list_key, key, command", [
+    ("scenes/scene_00000.json", "lanes", "points", "eval"),
+    ("scenes/scene_00000.json", "lanes", "lane_id", "eval"),
+    ("lanes/lanes_00000.json", "lanes", "points", "eval"),
+    ("lanes/lanes_00000.json", "lanes", "confidence", "eval"),
+    ("segments/segments_00000.json", "segments", "score", "cluster")])
+def test_cli_missing_key_in_a_list_entry_names_the_entry(tmp_path, capsys, path, list_key, key,
+                                                         command):
+    # a missing key of a scene or lanes file's lane used to be named bare, as
+    # if the file itself lacked it
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    stage_path = tmp_path / "out" / path
+    d = json.loads(stage_path.read_text())
+    del d[list_key][0][key]
+    stage_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and Path(path).name in err and f"'{list_key}[0].{key}'" in err
