@@ -2,10 +2,11 @@
 
 Subcommands mirror the pipeline stages (generate, encode, predict, decode,
 cluster, eval, loss, pipeline). Exit codes: 0 on success, 2 for
-configuration problems (bad flags, invalid config file), 3 for data problems
-(missing or malformed stage files). The BEVLANES_OUTPUT_DIR environment
-variable overrides the configured output directory; no other setting is
-read from the environment.
+configuration problems (bad flags, a ConfigError), 3 for data problems (a
+SchemaError on a missing or malformed stage file, or an OSError); any other
+exception is a fault of the program and ends in its traceback. The
+BEVLANES_OUTPUT_DIR environment variable overrides the configured output
+directory; no other setting is read from the environment.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
                       cmd_pipeline(config, method=args.method, jobs=args.jobs))
             print(f"map={report.map_score!r} recall@{report.operating_iou:g}="
                   f"{report.recall_at_reference!r} (artifacts in {config.output_dir})")
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SchemaError, OSError) as e:

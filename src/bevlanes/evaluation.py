@@ -399,6 +399,23 @@ def _scene_iou(preds: list, footprints: list):
 # Lateral error
 
 
+# (sample, GT segment) pairs per step of `lateral_error`, so that each of its
+# working arrays stays near 8 MB however long the two lanes are.
+_LATERAL_BUDGET = 2 ** 20
+
+
+def _lateral(q, p, v, den):
+    """The (3, len(q)) columns of the samples q against the GT segments p + t v."""
+    # (samples, GT segments): every sample projected on every segment
+    qx, qy = q[:, :1], q[:, 1:2]
+    t = np.clip(((qx - p[:, 0]) * v[:, 0] + (qy - p[:, 1]) * v[:, 1]) / den, 0.0, 1.0)
+    d2 = (p[:, 0] + t * v[:, 0] - qx) ** 2 + (p[:, 1] + t * v[:, 1] - qy) ** 2
+    k = np.argmin(d2, axis=1)
+    rows = np.arange(len(q))
+    return np.stack([np.sqrt(d2[rows, k]), q[:, 1],
+                     np.abs(q[:, 2] - (p[k, 2] + t[rows, k] * v[k, 2]))])
+
+
 def lateral_error(pairs: list, cfg: EvalConfig) -> list[np.ndarray]:
     """Lateral samples of matched curves, one (3, n) array per pair, for `range_means`.
 
@@ -414,14 +431,9 @@ def lateral_error(pairs: list, cfg: EvalConfig) -> list[np.ndarray]:
         v = gt.points[1:] - p
         den = np.sum(v[:, :2] ** 2, axis=1)
         den[den == 0] = 1.0
-        # (samples, GT segments): every sample projected on every segment
-        qx, qy = q[:, :1], q[:, 1:2]
-        t = np.clip(((qx - p[:, 0]) * v[:, 0] + (qy - p[:, 1]) * v[:, 1]) / den, 0.0, 1.0)
-        d2 = (p[:, 0] + t * v[:, 0] - qx) ** 2 + (p[:, 1] + t * v[:, 1] - qy) ** 2
-        k = np.argmin(d2, axis=1)
-        rows = np.arange(len(q))
-        samples.append(np.stack([np.sqrt(d2[rows, k]), q[:, 1],
-                                 np.abs(q[:, 2] - (p[k, 2] + t[rows, k] * v[k, 2]))]))
+        step = max(1, _LATERAL_BUDGET // len(p))
+        samples.append(np.concatenate([_lateral(q[s:s + step], p, v, den)
+                                       for s in range(0, max(len(q), 1), step)], axis=1))
     return samples
 
 

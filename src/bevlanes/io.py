@@ -2,14 +2,14 @@
 
 All JSON is written canonically (sorted keys, minimal separators, trailing
 newline), so write -> read -> write round trips are byte-identical and
-outputs are diffable; non-finite numbers cannot be written. Readers reject a
-malformed file with a SchemaError naming the file and the field. Config
-sections, and the records a file holds, go through one field-driven codec
-(`section_to_dict`, `section_from_dict`); tile grids through the array fields
-`codec` declares; every list of objects through `_records`, which names a
-fault in entry k of the list `key` as `key[k].<name>`. No object of a file
-holds a key its writer does not write, no JSON boolean or string reads as a
-number, nor a fraction as an int.
+outputs are diffable; non-finite numbers cannot be written. Readers check
+every object of a stage file with `_object`: it holds exactly the keys its
+writer writes, and a fault is a SchemaError naming the file and the field by
+its full dotted path (`fields.occupancy.shape`, `lanes[2].points`). Config
+sections, and a file's grid, bins and surface records, go through one
+field-driven codec (`section_to_dict`, `section_from_dict`). No JSON boolean
+or string reads as a number, nor a fraction as an int, and no lane vertex
+lies beyond MAX_COORDINATE.
 """
 
 from __future__ import annotations
@@ -83,27 +83,26 @@ def load_json(path) -> dict:
         raise SchemaError(path, "<file>", f"invalid JSON: {e}")
 
 
-def _require(d: dict, key: str, path: str):
-    if not isinstance(d, dict) or key not in d:
-        raise SchemaError(path, key, "missing required field")
-    return d[key]
-
-
-def _check_kind(d: dict, kind: str, path: str, keys) -> None:
-    """d must be a JSON object of the kind that holds no key but `keys`."""
+def _object(d, keys, path: str, at: str = "") -> list:
+    """The values of `keys` in d, a JSON object holding exactly these keys. A
+    fault names `at` + key, an unknown key before a missing one; d that is not
+    an object names `at` without its trailing dot, or '<file>'."""
     if not isinstance(d, dict):
-        raise SchemaError(path, "<file>", f"expected a JSON object, got {type(d).__name__}")
-    if d.get("kind") != kind:
+        raise SchemaError(path, at[:-1] or "<file>",
+                          f"expected a JSON object, got {type(d).__name__}")
+    if d.keys() != set(keys):
+        unknown = sorted(set(d) - set(keys))
+        if unknown:
+            raise SchemaError(path, at + unknown[0], f"unknown key; expected only {sorted(keys)}")
+        raise SchemaError(path, at + next(k for k in keys if k not in d), "missing required field")
+    return [d[k] for k in keys]
+
+
+def _file(d, kind: str, keys, path: str) -> list:
+    """The values of `keys` in a stage file's object, after checking its kind."""
+    if isinstance(d, dict) and d.get("kind") != kind:
         raise SchemaError(path, "kind", f"expected {kind!r}, got {d.get('kind')!r}")
-    _only(d, keys, path)
-
-
-def _only(d, keys, path: str, at: str = "") -> None:
-    """A SchemaError naming the first key of the object d that is not one of
-    keys; `at` prefixes the field name."""
-    unknown = sorted(set(d) - set(keys)) if isinstance(d, dict) else []
-    if unknown:
-        raise SchemaError(path, at + unknown[0], f"unknown key; expected only {sorted(keys)}")
+    return _object(d, ("kind", *keys), path)[1:]
 
 
 def _build(cls, d: dict, path: str, field: str):
@@ -115,33 +114,27 @@ def _build(cls, d: dict, path: str, field: str):
 
 
 def _checked(path: str, field: str, fn, *args, **kw):
-    """fn(*args, **kw), where a TypeError, ValueError or OverflowError it
-    raises becomes a SchemaError on the field."""
+    """fn(*args, **kw); its TypeError, ValueError or OverflowError is a SchemaError on field."""
     try:
         return fn(*args, **kw)
     except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(path, field, str(e))
 
 
-def _records(d: dict, key: str, path: str, parse: dict) -> list:
-    """The objects listed under key, each as the list of its values read by
-    `parse`, which maps every key an object holds to the parser of its value.
-    Any fault in entry k, a missing or unknown key too, names `key[k].<name>`."""
-    entries = _require(d, key, path)
+def _records(entries, key: str, path: str, parse: dict) -> list:
+    """The objects of the list `entries`, found under key, each as the list of
+    its values read by `parse`, which maps every key an object holds to the
+    parser of its value. Any fault in entry k names `key[k].<name>`."""
     if not isinstance(entries, list):
         raise SchemaError(path, key, f"expected a list, got {type(entries).__name__}")
     rows = []
     for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise SchemaError(path, f"{key}[{k}]", f"expected an object, got {entry!r}")
-        _only(entry, parse, path, f"{key}[{k}].")
-        row = []
+        values, row = _object(entry, parse, path, f"{key}[{k}]."), []
         try:
-            for name, fn in parse.items():
-                row.append(fn(entry[name]))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            message = str(e) if name in entry else "missing required field"
-            raise SchemaError(path, f"{key}[{k}].{name}", message)
+            for (name, fn), value in zip(parse.items(), values):
+                row.append(fn(value))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(path, f"{key}[{k}].{name}", str(e))
         rows.append(row)
     return rows
 
@@ -162,6 +155,17 @@ def _numbers(value, dtype=float) -> np.ndarray:
     if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
         raise ValueError("non-finite value")
     return arr
+
+
+MAX_COORDINATE = 1e6   # metres; eval's work and memory grow with a lane's length
+
+
+def _points(value) -> np.ndarray:
+    """A lane's vertices as `_numbers` reads them, each within ±MAX_COORDINATE."""
+    pts = _numbers(value)
+    if np.any(np.abs(pts) > MAX_COORDINATE):
+        raise ValueError(f"a coordinate beyond ±{MAX_COORDINATE:g} m")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +239,14 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
-    _check_kind(d, "scene", path, ("kind", "lanes", "surface", "rig"))
+    entries, surface, rig = _file(d, "scene", ("lanes", "surface", "rig"), path)
     lanes = []
-    for k, (pts, i) in enumerate(_records(d, "lanes", path, {
-            "points": _numbers, "lane_id": functools.partial(_coerce, 0, name="lane_id")})):
+    for k, (pts, i) in enumerate(_records(entries, "lanes", path, {
+            "points": _points, "lane_id": functools.partial(_coerce, 0, name="lane_id")})):
         if i < 0 or i in {lane.lane_id for lane in lanes}:
             raise SchemaError(path, f"lanes[{k}].lane_id", f"{i} is negative or not unique")
         lanes.append(_checked(path, f"lanes[{k}].points", Lane3D, points=pts, lane_id=i))
-    surface = _build(SurfaceParams, _require(d, "surface", path), path, "surface")
-    rig = _require(d, "rig", path)
+    surface = _build(SurfaceParams, surface, path, "surface")
     if json.dumps(rig, sort_keys=True, separators=(",", ":")) != _RIG_JSON:
         raise SchemaError(path, "rig", f"expected {_RIG_JSON}, got {rig!r}")
     return Scene(lanes=lanes, surface=surface)
@@ -262,17 +265,15 @@ def _grid_to_dict(kind: str, g) -> dict:
                        for name, arr in arrays.items()}}
 
 
-def _unpack_field(fields: dict, f, path: str) -> np.ndarray:
-    """One array field of a grid: its shape must be a list of JSON integers
-    and its dtype the one `codec` declares."""
-    entry, at = _require(fields, f.name, path), f"fields.{f.name}"
-    _only(entry, ("dtype", "shape", "data"), path, at + ".")
-    shape, dtype = _require(entry, "shape", path), np.dtype(f.metadata["dtype"]).str[1:]
+def _unpack_field(entry, f, path: str) -> np.ndarray:
+    """One array field of a grid, of the dtype `codec` declares."""
+    at, want = f"fields.{f.name}", np.dtype(f.metadata["dtype"]).str[1:]
+    dtype, shape, data = _object(entry, ("dtype", "shape", "data"), path, at + ".")
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise SchemaError(path, f"{at}.shape", f"expected a list of integers >= 0, got {shape!r}")
-    if _require(entry, "dtype", path) != dtype:
-        raise SchemaError(path, f"{at}.dtype", f"expected {dtype!r}, got {entry['dtype']!r}")
-    arr = _checked(path, f"{at}.data", _numbers, _require(entry, "data", path), dtype)
+    if dtype != want:
+        raise SchemaError(path, f"{at}.dtype", f"expected {want!r}, got {dtype!r}")
+    arr = _checked(path, f"{at}.data", _numbers, data, want)
     if arr.size != math.prod(shape):
         raise SchemaError(path, f"{at}.data",
                           f"payload length {arr.size} does not match shape {tuple(shape)}")
@@ -281,12 +282,10 @@ def _unpack_field(fields: dict, f, path: str) -> np.ndarray:
 
 def _grid_from_dict(cls, kind: str, d: dict, path: str, keys=()):
     """A tile grid read from its dict, which may hold `keys` besides the grid's."""
-    _check_kind(d, kind, path, ("kind", "grid", "bins", "fields", *keys))
-    grid = _build(GridSpec, _require(d, "grid", path), path, "grid")
-    bins = _build(AngleBinSpec, _require(d, "bins", path), path, "bins")
-    fields = _require(d, "fields", path)
-    _only(fields, [f.name for f in array_fields(cls)], path, "fields.")
-    arrays = {f.name: _unpack_field(fields, f, path) for f in array_fields(cls)}
+    grid, bins, fields = _file(d, kind, ("grid", "bins", "fields", *keys), path)[:3]
+    grid, bins = _build(GridSpec, grid, path, "grid"), _build(AngleBinSpec, bins, path, "bins")
+    arrays = {f.name: _unpack_field(entry, f, path) for f, entry in zip(
+        array_fields(cls), _object(fields, [f.name for f in array_fields(cls)], path, "fields."))}
     return _checked(path, "fields", cls, grid=grid, bins=bins, **arrays)
 
 
@@ -309,7 +308,7 @@ def preds_to_dict(preds: TilePredictionGrid) -> dict:
 
 def preds_from_dict(d: dict, path: str = "<preds>") -> TilePredictionGrid:
     preds = _grid_from_dict(TilePredictionGrid, "prediction_grid", d, path, ("embedding_dim",))
-    dim = _require(d, "embedding_dim", path)
+    dim = d["embedding_dim"]   # present: the reader checked the file's keys
     if isinstance(dim, bool) or dim != preds.embedding_dim:
         raise SchemaError(path, "embedding_dim",
                           f"declared {dim!r}, payload has {preds.embedding_dim}")
@@ -342,8 +341,8 @@ _SEGMENT_PARSE = {**{f.name: functools.partial(
 
 
 def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
-    _check_kind(d, "segments", path, ("kind", "segments"))
-    rows = _records(d, "segments", path, _SEGMENT_PARSE)
+    [entries] = _file(d, "segments", ("segments",), path)
+    rows = _records(entries, "segments", path, _SEGMENT_PARSE)
     if not rows:
         return SegmentSet.empty()
     return _checked(path, "segments", SegmentSet, **{
@@ -365,8 +364,8 @@ def _confidence(value) -> float:
 
 
 def lanes_from_dict(d: dict, path: str = "<lanes>") -> list:
-    _check_kind(d, "lanes", path, ("kind", "lanes"))
-    rows = _records(d, "lanes", path, {"points": _numbers, "confidence": _confidence})
+    [entries] = _file(d, "lanes", ("lanes",), path)
+    rows = _records(entries, "lanes", path, {"points": _points, "confidence": _confidence})
     return [(_checked(path, f"lanes[{k}].points", Curve, points=pts), conf)
             for k, (pts, conf) in enumerate(rows)]
 

@@ -451,6 +451,36 @@ def test_lateral_error_no_pairs():
     assert _lateral([], CFG) == ({}, None)
 
 
+@pytest.mark.parametrize("budget", [1, 7, 200])
+def test_lateral_error_in_steps_keeps_its_bits(monkeypatch, budget):
+    # each sample's column depends on that sample alone, so the steps of
+    # about _LATERAL_BUDGET (sample, GT segment) pairs cannot change a bit
+    rng = np.random.default_rng(3)
+    gt = Curve(points=np.column_stack([rng.normal(0.0, 0.1, 41), np.arange(41.0) * 2.0,
+                                       rng.normal(0.0, 0.05, 41)]))
+    pred = Curve(points=np.column_stack([rng.normal(0.2, 0.1, 30),
+                                         np.sort(rng.uniform(0.0, 80.0, 30)), np.zeros(30)]))
+    want = lateral_error([(pred, gt)], CFG)
+    monkeypatch.setattr(evaluation, "_LATERAL_BUDGET", budget)
+    assert [a.tobytes() for a in lateral_error([(pred, gt)], CFG)] == \
+        [a.tobytes() for a in want]
+
+
+def test_lateral_error_memory_is_bounded_for_long_lanes():
+    # 20,000 samples against 500 GT segments: the (samples, segments) arrays
+    # used to be 80 MB each; in steps each stays near 8 MB
+    gt = Curve(points=np.column_stack([np.zeros(501), np.linspace(0.0, 2e4, 501), np.zeros(501)]))
+    pred = Curve(points=[[0.5, 0.0, 0.0], [0.5, 2e4, 0.0]])
+    tracemalloc.start()
+    try:
+        ((dist, _, _),) = lateral_error([(pred, gt)], CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dist) == 20_001 and np.all(np.abs(dist - 0.5) < 1e-9)
+    assert peak < 40_000_000
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

@@ -1348,6 +1348,39 @@ def test_cli_unknown_key_in_any_file_object_is_data_error(tmp_path, capsys, path
     assert "data error" in err and Path(path).name in err and f"'{field}'" in err
 
 
+@pytest.mark.parametrize("path, where, key, field", [
+    ("targets/target_00000.json", (), "kind", "kind"),
+    ("targets/target_00000.json", (), "grid", "grid"),
+    ("targets/target_00000.json", (), "fields", "fields"),
+    ("targets/target_00000.json", ("fields",), "occupancy", "fields.occupancy"),
+    ("targets/target_00000.json", ("fields", "occupancy"), "shape", "fields.occupancy.shape"),
+    ("targets/target_00000.json", ("fields", "occupancy"), "dtype", "fields.occupancy.dtype"),
+    ("targets/target_00000.json", ("fields", "occupancy"), "data", "fields.occupancy.data"),
+    ("preds/pred_00000.json", (), "bins", "bins"),
+    ("preds/pred_00000.json", (), "embedding_dim", "embedding_dim"),
+    ("preds/pred_00000.json", ("fields",), "embedding", "fields.embedding"),
+    ("preds/pred_00000.json", ("fields", "score_logit"), "shape", "fields.score_logit.shape"),
+    ("preds/pred_00000.json", ("fields", "score_logit"), "dtype", "fields.score_logit.dtype"),
+    ("preds/pred_00000.json", ("fields", "score_logit"), "data", "fields.score_logit.data"),
+])
+def test_cli_missing_key_in_any_grid_file_object_is_data_error(tmp_path, capsys, path, where,
+                                                               key, field):
+    # a missing key inside `fields` used to be named bare, as if the file
+    # itself lacked it: 'occupancy' or 'shape', not the full dotted name
+    cfg, _ = _predicted(tmp_path)
+    stage_path = tmp_path / "out" / path
+    d = json.loads(stage_path.read_text())
+    obj = d
+    for step in where:
+        obj = obj[step]
+    del obj[key]
+    stage_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["loss", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and Path(path).name in err and f"'{field}'" in err
+
+
 @pytest.mark.parametrize("path, list_key, key, command", [
     ("scenes/scene_00000.json", "lanes", "points", "eval"),
     ("scenes/scene_00000.json", "lanes", "lane_id", "eval"),
@@ -1368,3 +1401,46 @@ def test_cli_missing_key_in_a_list_entry_names_the_entry(tmp_path, capsys, path,
     assert main([command, "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and Path(path).name in err and f"'{list_key}[0].{key}'" in err
+
+
+@pytest.mark.parametrize("path", ["scenes/scene_00000.json", "lanes/lanes_00000.json"])
+@pytest.mark.parametrize("axis, value", [
+    (0, 1e308), (0, -1e308), (0, 2 ** 70), (0, -2 ** 70), (1, 1e12)])
+def test_cli_lane_coordinate_beyond_the_bound_is_data_error(tmp_path, capsys, path, axis,
+                                                            value):
+    # on ±1e308 and ±2**70 eval used to exit 2 ("config error": an overflow to
+    # inf, or numpy's "Maximum allowed size exceeded") or 0, or to stop on an
+    # overflow warning; a lanes vertex at y = 1e12 asked for 14.6 TiB and
+    # ended in an uncaught MemoryError
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    stage_path = tmp_path / "out" / path
+    d = json.loads(stage_path.read_text())
+    d["lanes"][0]["points"][1][axis] = value
+    stage_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and Path(path).name in err and "'lanes[0].points'" in err
+
+
+@pytest.mark.parametrize("kind", ["scene", "lanes"])
+def test_lane_coordinate_bound_is_inclusive(kind):
+    reader, d, _ = _artifact_dicts()[kind]
+    d["lanes"][0]["points"][0][0] = io.MAX_COORDINATE
+    reader(d)
+    d["lanes"][0]["points"][0][0] = -math.nextafter(io.MAX_COORDINATE, math.inf)
+    with pytest.raises(io.SchemaError) as exc:
+        reader(d)
+    assert exc.value.field == "lanes[0].points"
+
+
+def test_cli_plain_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    # main used to report every ValueError as "config error" with exit 2,
+    # a numpy one raised on the data of a stage file too
+    def fail(*args):
+        raise ValueError("not a config fault")
+    monkeypatch.setattr(bevlanes.cli, "run_stage", fail)
+    with pytest.raises(ValueError, match="not a config fault"):
+        main(["generate", "--config", write_config(tmp_path)])
+    assert "config error" not in capsys.readouterr().err
