@@ -58,7 +58,7 @@ print(f"\nafter N(0, 0.1) lateral noise: offsets {out.components['offsets']:.4f}
 # at distance 0.6 from its mean with pull margin 0.1 costs (0.5)^2 = 0.25.
 params = EmbeddingParams(pull_margin=0.1, push_margin=3.0, dim=3)
 means = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-summary = ClusterSummary(ids=np.array([0, 1]), counts=np.array([1, 1]), means=means)
+summary = ClusterSummary(ids=np.array([0, 1]), means=means)
 print(f"\npush at mean distance 1, margin 3: {push_loss(summary, params).value:.6f} (expect 4)")
 # pull_loss derives the mean from the members, so probe it through a pair
 # symmetric about the origin: each sits 0.6 from the mean.

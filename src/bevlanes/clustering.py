@@ -24,13 +24,9 @@ import numpy as np
 from .codec import SegmentSet, wrap_signed
 from .geometry import Curve, repeated_vertices, require_finite
 
-DEFAULT_ANGLE_TOL = math.pi / 8
-DEFAULT_GAP_TOL = 4.5  # 1.5 tile lengths
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+# The greedy baseline's join tolerances: direction (rad) and endpoint gap (m).
+ANGLE_TOL = math.pi / 8
+GAP_TOL = 4.5  # 1.5 tile lengths
 
 
 @dataclass(frozen=True)
@@ -260,17 +256,14 @@ def _pair_dist(xy: np.ndarray) -> np.ndarray:
     return _mirrored(xy, block, float)
 
 
-def greedy_baseline(segments: SegmentSet, angle_tol: float = DEFAULT_ANGLE_TOL,
-                    gap_tol: float = DEFAULT_GAP_TOL) -> list[LaneInstance]:
+def greedy_baseline(segments: SegmentSet) -> list[LaneInstance]:
     """Geometry-only grouping: the connected components of the join relation.
 
     Two segments join when their tiles are within one step in both grid
-    indices, their directions differ (circularly) by at most angle_tol, and
-    their closest endpoints are within gap_tol. Components are ordered by
+    indices, their directions differ (circularly) by at most ANGLE_TOL, and
+    their closest endpoints are within GAP_TOL. Components are ordered by
     their lowest segment index, members by index. Embeddings are ignored.
     """
-    _require_positive("angle_tol", angle_tol)
-    _require_positive("gap_tol", gap_tol)
     n = len(segments)
     if n == 0:
         return []
@@ -284,7 +277,7 @@ def greedy_baseline(segments: SegmentSet, angle_tol: float = DEFAULT_ANGLE_TOL,
     gap = gaps[:, 0]
     for k in range(1, 4):
         gap = np.where(gaps[:, k] < gap, gaps[:, k], gap)
-    join = ~(np.abs(wrap_signed(angles[i] - angles[j])) > angle_tol) & ~(gap > gap_tol)
+    join = ~(np.abs(wrap_signed(angles[i] - angles[j])) > ANGLE_TOL) & ~(gap > GAP_TOL)
 
     parent = list(range(n))
 

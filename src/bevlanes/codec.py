@@ -31,9 +31,10 @@ TWO_PI = 2.0 * math.pi
 # angle wrapping arithmetic, not a real second/third active bin.
 _P_EPS = 1e-9
 
-DEFAULT_MIN_SEG_LEN = 0.3
-DEFAULT_SCORE_THRESHOLD = 0.3
-DEFAULT_SATURATION = 50.0
+# Encode's shortest occupying length (m), decode's score cut, the logit clamp.
+MIN_SEG_LEN = 0.3
+SCORE_THRESHOLD = 0.3
+SATURATION = 50.0
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,10 @@ class TilePredictionGrid:
 
     grid: GridSpec
     bins: AngleBinSpec
-    score_logit: np.ndarray = _array("H", "W", fill=-DEFAULT_SATURATION)
+    score_logit: np.ndarray = _array("H", "W", fill=-SATURATION)
     lateral_offset: np.ndarray = _array("H", "W")           # meters
     height_offset: np.ndarray = _array("H", "W")            # meters
-    bin_logits: np.ndarray = _array("H", "W", "N", fill=-DEFAULT_SATURATION)
+    bin_logits: np.ndarray = _array("H", "W", "N", fill=-SATURATION)
     bin_residuals: np.ndarray = _array("H", "W", "N")       # radians
     embedding: np.ndarray = _array("H", "W", "d")
 
@@ -198,31 +199,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def logit(p, saturation: float = DEFAULT_SATURATION):
-    """Inverse sigmoid, clamped to +-saturation; exact 0/1 map to the clamps."""
+def logit(p):
+    """Inverse sigmoid, clamped to +-SATURATION; exact 0/1 map to the clamps."""
     p = np.asarray(p, dtype=float)
     q = np.clip(p, 1e-300, 1.0 - 1e-16)
     z = np.log(q) - np.log1p(-q)
-    z = np.where(p >= 1.0, saturation, z)
-    z = np.where(p <= 0.0, -saturation, z)
-    return np.clip(z, -saturation, saturation)
+    z = np.where(p >= 1.0, SATURATION, z)
+    z = np.where(p <= 0.0, -SATURATION, z)
+    return np.clip(z, -SATURATION, SATURATION)
 
 
-def saturated_prediction(targets: TileTargetGrid, embedding_dim: int = 4,
-                         saturation: float = DEFAULT_SATURATION) -> TilePredictionGrid:
+def saturated_prediction(targets: TileTargetGrid, embedding_dim: int = 4) -> TilePredictionGrid:
     """Prediction grid that copies the targets exactly (saturated logits)."""
     return TilePredictionGrid(grid=targets.grid, bins=targets.bins,
-                              **saturated_arrays(targets, embedding_dim, saturation))
+                              **saturated_arrays(targets, embedding_dim))
 
 
-def saturated_arrays(targets: TileTargetGrid, embedding_dim: int = 4,
-                     saturation: float = DEFAULT_SATURATION) -> dict:
+def saturated_arrays(targets: TileTargetGrid, embedding_dim: int = 4) -> dict:
     """The array fields of `saturated_prediction`, for a caller that changes
     some tiles before it builds the grid."""
     grid, p = targets.grid, targets.bin_probs
-    bin_logits = np.full(p.shape, -saturation)      # logit of every p <= 0
-    bin_logits[p > 0] = logit(p[p > 0], saturation)
-    return dict(score_logit=np.where(targets.occupancy > 0.5, saturation, -saturation),
+    bin_logits = np.full(p.shape, -SATURATION)      # logit of every p <= 0
+    bin_logits[p > 0] = logit(p[p > 0])
+    return dict(score_logit=np.where(targets.occupancy > 0.5, SATURATION, -SATURATION),
                 lateral_offset=targets.lateral_offset.copy(),
                 height_offset=targets.height_offset.copy(),
                 bin_logits=bin_logits,
@@ -264,12 +263,11 @@ class SegmentSet:
 _EPS = 1e-12
 
 
-def encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec,
-                 min_seg_len: float = DEFAULT_MIN_SEG_LEN) -> TileTargetGrid:
+def encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec) -> TileTargetGrid:
     """Build the per-tile target grid for a set of ground-truth lanes.
 
     Each lane polyline is clipped exactly (segment by segment) to every tile
-    it crosses. A tile is occupied when some lane leaves at least min_seg_len
+    it crosses. A tile is occupied when some lane leaves at least MIN_SEG_LEN
     of clipped length in it; if several qualify, the lane whose clipped-chain
     midpoint lies nearest the tile center wins (ties to the lower lane id)
     and the rest are dropped from that tile. The winning chain is fit with a
@@ -285,7 +283,7 @@ def encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec,
     arrays = _filled(TileTargetGrid, _grid_sizes(grid, bins))
     pieces = _clip_lanes_to_tiles(lanes, grid) if lanes else None
     if pieces is not None and len(pieces[0]):
-        tile, rank, phi, offset, dz = _fit_tiles(pieces, len(lanes), grid, min_seg_len)
+        tile, rank, phi, offset, dz = _fit_tiles(pieces, len(lanes), grid)
         at = np.unravel_index(tile, (grid.n_rows, grid.n_cols))
         arrays["occupancy"][at] = 1.0
         arrays["lateral_offset"][at] = offset
@@ -370,7 +368,7 @@ def _padded(values, run, pos, n_runs: int, fill):
     return out
 
 
-def _fit_tiles(pieces, n_lanes: int, grid: GridSpec, min_seg_len: float):
+def _fit_tiles(pieces, n_lanes: int, grid: GridSpec):
     """Pick each tile's winning chain and fit its line.
 
     Returns (tile, rank, phi, offset, dz) for every occupied tile.
@@ -398,7 +396,7 @@ def _fit_tiles(pieces, n_lanes: int, grid: GridSpec, min_seg_len: float):
     mid = np.where(found[:, None], pa[at] + t[:, None] * (pb[at] - pa[at]), pb[at])
     chain_tile = tile[start]
     center = tile_centers(grid).reshape(-1, 2)[chain_tile]
-    dist = np.where(length >= min_seg_len, _hypot(mid - center), np.inf)
+    dist = np.where(length >= MIN_SEG_LEN, _hypot(mid - center), np.inf)
 
     # Winner per tile: scan its chains by lane rank; a later chain wins only
     # if nearer by more than 1e-12.
@@ -497,22 +495,19 @@ def _liang_barsky(px, py, dx, dy, rect, t_min: float, t_max: float):
 # Decoding
 
 
-def decode_grid(preds: TilePredictionGrid,
-                score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> SegmentSet:
+def decode_grid(preds: TilePredictionGrid) -> SegmentSet:
     """Turn per-tile predictions into 3D lane segments.
 
-    Tiles scoring below the threshold are skipped. Each kept tile contributes
+    Tiles scoring below SCORE_THRESHOLD are skipped. Each kept tile contributes
     one segment: midpoint at the tile center + offset * left_normal (z =
     height offset), endpoints where the infinite line meets the tile border.
     A line whose offset pushes it clear of the tile is clamped to the nearest
     border point and flagged degenerate. All kept tiles are clipped at once,
     and the segments come in row-major tile order.
     """
-    if not (0.0 <= score_threshold <= 1.0):
-        raise ValueError(f"score threshold must be in [0, 1], got {score_threshold}")
     grid, bins = preds.grid, preds.bins
     scores = preds.score()
-    rows, cols = np.nonzero(~(scores < score_threshold))
+    rows, cols = np.nonzero(~(scores < SCORE_THRESHOLD))
     phi = soft_labels_to_angle(_sigmoid(preds.bin_logits[rows, cols]),
                                preds.bin_residuals[rows, cols], bins)
     direction = np.column_stack([np.cos(phi), np.sin(phi)])

@@ -295,8 +295,11 @@ def targets_to_dict(targets: TileTargetGrid) -> dict:
 
 def targets_from_dict(d: dict, path: str = "<targets>") -> TileTargetGrid:
     targets = _grid_from_dict(TileTargetGrid, "target_grid", d, path)
-    if not np.all((targets.occupancy == 0.0) | (targets.occupancy == 1.0)):
-        raise SchemaError(path, "fields.occupancy.data", "occupancy must be 0 or 1")
+    for name in ("occupancy", "bin_mask"):
+        if not np.all((getattr(targets, name) == 0.0) | (getattr(targets, name) == 1.0)):
+            raise SchemaError(path, f"fields.{name}.data", f"{name} must be 0 or 1")
+    if not np.all((targets.bin_probs >= 0.0) & (targets.bin_probs <= 1.0)):
+        raise SchemaError(path, "fields.bin_probs.data", "a bin probability outside [0, 1]")
     if np.any(targets.lane_id[targets.occupancy == 1.0] < 0):
         raise SchemaError(path, "fields.lane_id.data", "an occupied tile has a negative lane id")
     return targets
@@ -326,23 +329,31 @@ def segments_to_dict(segments: SegmentSet) -> dict:
             "segments": [dict(zip(columns, row)) for row in zip(*columns.values())]}
 
 
-def _tile(value) -> tuple:
+def _tile(value, seen: set) -> tuple:
+    """Two grid indices in [0, 2**31), not among `seen`, the tiles read before
+    it (decode writes one segment per tile), to which it is added."""
     tile = _coerce((0,), value, "tile")
     if len(tile) != 2 or not all(0 <= v < 2 ** 31 for v in tile):
         raise ValueError(f"expected two grid indices in [0, 2**31), got {list(tile)}")
+    if tile in seen:
+        raise ValueError(f"tile {list(tile)} holds an earlier segment")
+    seen.add(tile)
     return tile
 
 
 # Each value of a segment is read by `_coerce` against a zero of its field's
-# dtype, nested once per axis after the segment axis; a tile is two indices.
-_SEGMENT_PARSE = {**{f.name: functools.partial(
+# dtype, nested once per axis after the segment axis; a tile by `_tile`.
+_SEGMENT_PARSE = {f.name: functools.partial(
     _coerce, np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist(),
-    name=f.name) for f in array_fields(SegmentSet)}, "tile": _tile}
+    name=f.name) for f in array_fields(SegmentSet)}
 
 
 def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
+    """A repeated tile ends the read at its row, so a file of copies of a
+    scene's segments is rejected before the rest of it is parsed."""
     [entries] = _file(d, "segments", ("segments",), path)
-    rows = _records(entries, "segments", path, _SEGMENT_PARSE)
+    rows = _records(entries, "segments", path,
+                    {**_SEGMENT_PARSE, "tile": functools.partial(_tile, seen=set())})
     if not rows:
         return SegmentSet.empty()
     return _checked(path, "segments", SegmentSet, **{

@@ -40,10 +40,9 @@ class EmbeddingParams:
 
 @dataclass
 class ClusterSummary:
-    """Per-lane member counts and mean embeddings."""
+    """Per-lane mean embeddings."""
 
     ids: np.ndarray     # (C,) lane ids, ascending
-    counts: np.ndarray  # (C,) member tile counts, each >= 1
     means: np.ndarray   # (C, d) mean member embedding
 
     @property
@@ -58,11 +57,9 @@ class ClusterSummary:
         if labels.shape[0] != f.shape[0]:
             raise ValueError(f"{labels.shape[0]} lane ids for {f.shape[0]} embeddings")
         ids = np.unique(labels[labels >= 0])
-        counts = np.array([int(np.sum(labels == c)) for c in ids], dtype=np.int64)
         if len(ids) == 0:
-            return cls(ids=ids, counts=counts, means=np.zeros((0, f.shape[1])))
-        means = np.stack([f[labels == c].mean(axis=0) for c in ids])
-        return cls(ids=ids, counts=counts, means=means)
+            return cls(ids=ids, means=np.zeros((0, f.shape[1])))
+        return cls(ids=ids, means=np.stack([f[labels == c].mean(axis=0) for c in ids]))
 
 
 @dataclass
@@ -74,19 +71,19 @@ class LossValueAndGrad:
     components: dict[str, float] = field(default_factory=dict)
 
 
-def _bce_from_logit(z, p, pos_weight: float = 1.0):
+def _bce_from_logit(z, p):
     """Stable binary cross-entropy from logits; returns (value, d/dz) arrays.
 
-    -(w*p*log(s) + (1-p)*log(1-s)) with s = sigmoid(z), written as
-    w*p*softplus(-z) + (1-p)*softplus(z).
+    -(p*log(s) + (1-p)*log(1-s)) with s = sigmoid(z), written as
+    p*softplus(-z) + (1-p)*softplus(z).
     """
     z = np.asarray(z, dtype=float)
     p = np.asarray(p, dtype=float)
     sp_neg = np.logaddexp(0.0, -z)
     sp_pos = np.logaddexp(0.0, z)
-    value = pos_weight * p * sp_neg + (1.0 - p) * sp_pos
+    value = p * sp_neg + (1.0 - p) * sp_pos
     s = _sigmoid(z)
-    grad = pos_weight * p * (s - 1.0) + (1.0 - p) * s
+    grad = p * (s - 1.0) + (1.0 - p) * s
     return value, grad
 
 
@@ -133,23 +130,21 @@ def angle_loss(pred, target, occupancy=1.0) -> LossValueAndGrad:
     )
 
 
-def score_loss(pred_logit, target, pos_weight: float = 1.0) -> LossValueAndGrad:
+def score_loss(pred_logit, target) -> LossValueAndGrad:
     """Occupancy binary cross-entropy from the pre-activation, summed over
     the tiles; target is 0 or 1 per tile."""
     target = np.asarray(target, dtype=float)
     bad = (target != 0.0) & (target != 1.0)
     if np.any(bad):
         raise ValueError(f"occupancy target must be 0 or 1, got {target[bad][0]}")
-    v, g = _bce_from_logit(pred_logit, target, pos_weight)
+    v, g = _bce_from_logit(pred_logit, target)
     return LossValueAndGrad(value=float(np.sum(v)), grad={"score_logit": np.asarray(g)})
 
 
-def total_tile_loss(preds: TilePredictionGrid, targets: TileTargetGrid,
-                    weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-                    pos_weight: float = 1.0) -> LossValueAndGrad:
-    """Weighted sum of score, angle and offset losses over the whole grid.
+def total_tile_loss(preds: TilePredictionGrid, targets: TileTargetGrid) -> LossValueAndGrad:
+    """Sum of score, angle and offset losses over the whole grid.
 
-    value = sum_ij [ w_s * score_ij + c_ij * (w_a * angle_ij + w_o * offsets_ij) ]
+    value = sum_ij [ score_ij + c_ij * (angle_ij + offsets_ij) ]
 
     Angle and offset terms (values and gradients) are multiplied by the
     occupancy indicator, so unoccupied tiles contribute exactly zero and
@@ -157,17 +152,16 @@ def total_tile_loss(preds: TilePredictionGrid, targets: TileTargetGrid,
     """
     if preds.grid != targets.grid or preds.bins != targets.bins:
         raise ValueError("prediction and target grids have mismatched shapes")
-    w_s, w_a, w_o = (float(w) for w in weights)
     occ = targets.occupancy
-    parts = ((w_s, score_loss(preds.score_logit, occ, pos_weight)),
-             (w_a, angle_loss((preds.bin_logits, preds.bin_residuals),
-                              (targets.bin_probs, targets.bin_residuals, targets.bin_mask), occ)),
-             (w_o, offsets_loss((preds.lateral_offset, preds.height_offset),
-                                (targets.lateral_offset, targets.height_offset), occ)))
-    score, angle, offsets = (w * part.value for w, part in parts)
+    parts = (score_loss(preds.score_logit, occ),
+             angle_loss((preds.bin_logits, preds.bin_residuals),
+                        (targets.bin_probs, targets.bin_residuals, targets.bin_mask), occ),
+             offsets_loss((preds.lateral_offset, preds.height_offset),
+                          (targets.lateral_offset, targets.height_offset), occ))
+    score, angle, offsets = (part.value for part in parts)
     return LossValueAndGrad(
         value=score + angle + offsets,
-        grad={name: w * g for w, part in parts for name, g in part.grad.items()},
+        grad={name: g for part in parts for name, g in part.grad.items()},
         components={"score": score, "angle": angle, "offsets": offsets},
     )
 
@@ -280,6 +274,11 @@ def embedding_loss(embeddings: np.ndarray, lane_ids: np.ndarray,
 # Finite-difference verification
 
 
+# The central-difference step, and the largest relative error that passes.
+FD_EPSILON = 1e-6
+FD_TOLERANCE = 1e-6
+
+
 @dataclass
 class FiniteDiffReport:
     """Worst-case comparison of analytic gradients to central differences."""
@@ -287,35 +286,29 @@ class FiniteDiffReport:
     max_rel_error: float
     worst_field: str | None
     worst_index: tuple
-    tolerance: float
     n_coords: int
     non_finite_at: tuple | None = None
 
     @property
     def passed(self) -> bool:
-        return self.non_finite_at is None and self.max_rel_error <= self.tolerance
+        return self.non_finite_at is None and self.max_rel_error <= FD_TOLERANCE
 
 
-def finite_diff_check(loss_fn, inputs: dict[str, np.ndarray], epsilon: float = 1e-6,
-                      tolerance: float = 1e-6, sample: int | None = None) -> FiniteDiffReport:
+def finite_diff_check(loss_fn, inputs: dict[str, np.ndarray],
+                      sample: int | None = None) -> FiniteDiffReport:
     """Check loss_fn's analytic gradient coordinate by coordinate.
 
     loss_fn maps a dict of named arrays to a LossValueAndGrad whose grad dict
     uses the same names. Each probed coordinate is compared against the
-    central difference (f(x+eps) - f(x-eps)) / (2 eps) with relative error
-    |a - fd| / max(|a|, |fd|, 1). `sample`, if given, probes only that many
-    evenly spaced coordinates per input (useful on large grids).
-
-    Raises:
-        epsilon <= 0 is rejected; non-finite loss values at probe points are
-        recorded in the report (max_rel_error becomes inf).
+    central difference (f(x+eps) - f(x-eps)) / (2 eps), eps = FD_EPSILON, with
+    relative error |a - fd| / max(|a|, |fd|, 1). `sample`, if given, probes
+    only that many evenly spaced coordinates per input (useful on large
+    grids). Non-finite loss values at probe points are recorded in the report
+    (max_rel_error becomes inf).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     inputs = {k: np.array(v, dtype=float) for k, v in inputs.items()}
     base = loss_fn(inputs)
-    report = FiniteDiffReport(max_rel_error=0.0, worst_field=None, worst_index=(),
-                              tolerance=tolerance, n_coords=0)
+    report = FiniteDiffReport(max_rel_error=0.0, worst_field=None, worst_index=(), n_coords=0)
     for name, arr in inputs.items():
         if name not in base.grad:
             continue
@@ -326,9 +319,9 @@ def finite_diff_check(loss_fn, inputs: dict[str, np.ndarray], epsilon: float = 1
             idx = np.unique(np.linspace(0, flat.size - 1, sample).astype(int))
         for k in idx:
             orig = flat[k]
-            flat[k] = orig + epsilon
+            flat[k] = orig + FD_EPSILON
             f_plus = loss_fn(inputs).value
-            flat[k] = orig - epsilon
+            flat[k] = orig - FD_EPSILON
             f_minus = loss_fn(inputs).value
             flat[k] = orig
             report.n_coords += 1
@@ -339,7 +332,7 @@ def finite_diff_check(loss_fn, inputs: dict[str, np.ndarray], epsilon: float = 1
                 report.worst_field = name
                 report.worst_index = coord
                 return report
-            fd = (f_plus - f_minus) / (2.0 * epsilon)
+            fd = (f_plus - f_minus) / (2.0 * FD_EPSILON)
             a = float(analytic.reshape(-1)[k])
             rel = abs(a - fd) / max(abs(a), abs(fd), 1.0)
             if rel > report.max_rel_error:

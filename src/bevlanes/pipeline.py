@@ -62,8 +62,11 @@ def _encode_step(config: PipelineConfig, index: int, scene: Scene,
 
 def _predict_step(config: PipelineConfig, index: int, targets: TileTargetGrid,
                   method: str) -> TilePredictionGrid:
-    return oracle_predict(targets, config.noise, config.embedding,
-                          derive_seed(config.master_seed, index, "noise"))
+    try:
+        return oracle_predict(targets, config.noise, config.embedding,
+                              derive_seed(config.master_seed, index, "noise"))
+    except ValueError as e:     # more lane ids than embedding.dim + 1 anchors can hold apart
+        raise io.SchemaError(_stage_path(config, STAGES["encode"], index), "fields.lane_id", str(e))
 
 
 def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
@@ -80,7 +83,14 @@ def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
 def _cluster_step(config: PipelineConfig, index: int, segments: SegmentSet,
                   method: str) -> list[tuple[Curve, float]]:
     """Cluster segments and assemble each instance into a (curve, confidence);
-    an instance that `assemble_curve` makes no curve of is left out."""
+    an instance that `assemble_curve` makes no curve of is left out. A tile
+    outside the config grid is a SchemaError, as decode writes none."""
+    rows, cols = segments.tile.T
+    outside = np.flatnonzero((rows >= config.grid.n_rows) | (cols >= config.grid.n_cols))
+    if len(outside):
+        raise io.SchemaError(_stage_path(config, STAGES["decode"], index),
+                             f"segments[{outside[0]}].tile", f"outside the {config.grid.n_rows} "
+                             f"x {config.grid.n_cols} grid of the config")
     if method == "embedding":
         instances = cluster_segments(segments, config.cluster)
     elif method == "greedy":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (DEFAULT_SATURATION, TilePredictionGrid, TileTargetGrid, angle_to_soft_labels,
+from .codec import (SATURATION, TilePredictionGrid, TileTargetGrid, angle_to_soft_labels,
                     logit, saturated_arrays)
 from .geometry import GridSpec, Lane3D, require_finite, resample_polyline
 from .losses import EmbeddingParams
@@ -335,7 +335,7 @@ def oracle_predict(targets: TileTargetGrid, noise: NoiseConfig, params: Embeddin
     # Occupied tiles get noise and re-encode their perturbed angle; false
     # positives get random values; every other tile keeps the saturated copy.
     out = saturated_arrays(targets, params.dim)
-    out["score_logit"][occ & drop] = -DEFAULT_SATURATION
+    out["score_logit"][occ & drop] = -SATURATION
     out["score_logit"][fp] = logit(fp_score[fp])
     out["lateral_offset"][occ] += noise_r[occ]
     out["lateral_offset"][fp] = fp_r[fp]

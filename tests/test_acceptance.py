@@ -169,7 +169,7 @@ def test_criterion_02_gradient_correctness():
         _, _, summary = random_embeddings()
 
         def fn(d):
-            s = ClusterSummary(ids=summary.ids, counts=summary.counts, means=d["means"])
+            s = ClusterSummary(ids=summary.ids, means=d["means"])
             return push_loss(s, params)
 
         return finite_diff_check(fn, {"means": summary.means.copy()})
@@ -221,9 +221,8 @@ def test_criterion_03_loss_minimum_and_masking():
 
 def test_criterion_04_hand_values():
     params = EmbeddingParams(pull_margin=0.1, push_margin=3.0, dim=2)
-    push = push_loss(ClusterSummary(ids=np.array([0, 1]), counts=np.array([1, 1]),
-                                    means=np.array([[0.0, 0.0], [1.0, 0.0]])),
-                     params).value
+    means = np.array([[0.0, 0.0], [1.0, 0.0]])
+    push = push_loss(ClusterSummary(ids=np.array([0, 1]), means=means), params).value
     v = np.array([0.6, 0.0])
     pull = pull_loss(np.array([v, -v]), np.array([0, 0]), params)[0].value
     score = score_loss(0.0, 1.0).value
@@ -269,7 +268,7 @@ def test_criterion_05_clustering_recovery():
 
 
 def test_criterion_06_evaluation_oracle():
-    from bevlanes.clustering import Curve
+    from bevlanes.geometry import Curve
     tilt = 0.07
     u = np.array([math.sin(tilt), math.cos(tilt), 0.0])
     nrm = np.array([math.cos(tilt), -math.sin(tilt), 0.0])

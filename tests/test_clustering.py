@@ -388,23 +388,6 @@ def test_greedy_merges_y_split_where_embeddings_separate():
     assert sizes == [3, 6]  # stem travels with the branch sharing its anchor
 
 
-def test_greedy_validates_tolerances():
-    with pytest.raises(ValueError):
-        greedy_baseline(SegmentSet.empty(), angle_tol=0.0)
-    with pytest.raises(ValueError):
-        greedy_baseline(SegmentSet.empty(), gap_tol=-1.0)
-
-
-@pytest.mark.parametrize("field", ["angle_tol", "gap_tol"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_greedy_rejects_non_finite_tolerances(field, value):
-    # a NaN angle_tol used to join every adjacent pair
-    a = make_seg([0.0, 1.5, 0.0], direction=(0.0, 1.0), tile=(0, 8))
-    b = make_seg([0.0, 4.5, 0.0], direction=(1.0, 0.0), tile=(1, 8))
-    with pytest.raises(ValueError, match=field):
-        greedy_baseline(seg_set([a, b]), **{field: value})
-
-
 def test_greedy_empty():
     assert greedy_baseline(SegmentSet.empty()) == []
 

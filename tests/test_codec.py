@@ -63,6 +63,10 @@ def test_bin_spec():
         AngleBinSpec(n_bins=3)
 
 
+def test_bin_spec_accepts_four_bins():
+    assert AngleBinSpec(n_bins=4).spacing == math.pi / 2
+
+
 def test_soft_labels_at_bin_center():
     p, d, mask = angle_to_soft_labels(math.pi / 4, BINS)
     expected = np.zeros(8)
@@ -171,10 +175,9 @@ def test_logit_saturates_at_exact_zero_one():
     assert np.all(np.isfinite(logit(np.array([0.0, 1e-30, 0.5, 1 - 1e-12, 1.0]))))
 
 
-@pytest.mark.parametrize("saturation", [50.0, 7.5])
-def test_saturated_bin_logits_have_the_bits_of_the_whole_array_logit(saturation):
+def test_saturated_bin_logits_have_the_bits_of_the_whole_array_logit():
     # the logit is taken of p > 0 only and every other bin is filled with
-    # -saturation, which is what logit gives for p <= 0
+    # -SATURATION, which is what logit gives for p <= 0
     special = [0.0, -0.0, 1.0, -1e-300, -0.25, -5e-324, 5e-324, 2.2e-308, 1e-300, 1e-16,
                0.5, 1 - 2 ** -53, 1 - 1e-16, 1 - 1e-12, 1.5, 37.0]
     rng = np.random.default_rng(7)
@@ -182,8 +185,8 @@ def test_saturated_bin_logits_have_the_bits_of_the_whole_array_logit(saturation)
     pool = np.concatenate([special, rng.random(64), rng.uniform(-1.0, 2.0, 64)])
     targets.bin_probs[:] = rng.choice(pool, targets.bin_probs.shape)
     targets.bin_probs.reshape(-1)[:len(special)] = special
-    got = saturated_arrays(targets, saturation=saturation)["bin_logits"]
-    want = logit(targets.bin_probs, saturation)
+    got = saturated_arrays(targets)["bin_logits"]
+    want = logit(targets.bin_probs)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -307,11 +310,9 @@ def test_decode_threshold():
     targets.bin_residuals[0, 8] = d
     pred = saturated_prediction(targets)
     pred.score_logit[0, 8] = logit(0.29)
-    assert len(decode_grid(pred, score_threshold=0.3)) == 0
+    assert len(decode_grid(pred)) == 0
     pred.score_logit[0, 8] = logit(0.31)
-    assert len(decode_grid(pred, score_threshold=0.3)) == 1
-    with pytest.raises(ValueError):
-        decode_grid(pred, score_threshold=1.5)
+    assert len(decode_grid(pred)) == 1
 
 
 def test_decode_degenerate_line_clamped_to_border():

@@ -8,7 +8,9 @@ over tiles. The reference copies below are those functions verbatim, with a
 `soft_labels_to_angle` and `saturated_prediction` they call, and the
 per-segment record `RefSegment` the decode loop built); the only edit is that
 `ref_oracle_predict` takes its seed as an argument, as `oracle_predict` now
-does, where it read `noise.seed`. Every case asserts
+does, where it read `noise.seed`, and that the minimum chain length, score
+threshold and logit saturation are codec's constants, where they were
+parameters. Every case asserts
 identical arrays, bit for bit (signed zeros included), and identical segment
 fields row by row, so the target, prediction and segment files written from
 them stay byte-identical.
@@ -22,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevlanes.codec import (
-    DEFAULT_MIN_SEG_LEN,
-    DEFAULT_SATURATION,
-    DEFAULT_SCORE_THRESHOLD,
+    MIN_SEG_LEN,
+    SATURATION,
+    SCORE_THRESHOLD,
     TWO_PI,
     _P_EPS,
     AngleBinSpec,
@@ -110,23 +112,21 @@ def ref_soft_labels_to_angle(p_bins: np.ndarray, d_bins: np.ndarray, bins: Angle
     i = int(np.argmax(p))
     return float((bins.centers[i] + float(d_bins[i])) % TWO_PI)
 
-def ref_saturated_prediction(targets: TileTargetGrid, embedding_dim: int = 4,
-                         saturation: float = DEFAULT_SATURATION) -> TilePredictionGrid:
+def ref_saturated_prediction(targets: TileTargetGrid, embedding_dim: int = 4) -> TilePredictionGrid:
     """Prediction grid that copies the targets exactly (saturated logits)."""
     pred = TilePredictionGrid.zeros(targets.grid, targets.bins, embedding_dim)
-    pred.score_logit = np.where(targets.occupancy > 0.5, saturation, -saturation)
+    pred.score_logit = np.where(targets.occupancy > 0.5, SATURATION, -SATURATION)
     pred.lateral_offset = targets.lateral_offset.copy()
     pred.height_offset = targets.height_offset.copy()
-    pred.bin_logits = logit(targets.bin_probs, saturation)
+    pred.bin_logits = logit(targets.bin_probs)
     pred.bin_residuals = targets.bin_residuals.copy()
     return pred
 
-def ref_encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec,
-                 min_seg_len: float = DEFAULT_MIN_SEG_LEN) -> TileTargetGrid:
+def ref_encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec) -> TileTargetGrid:
     """Build the per-tile target grid for a set of ground-truth lanes.
 
     Each lane polyline is clipped exactly (segment by segment) to every tile
-    it crosses. A tile is occupied when some lane leaves at least min_seg_len
+    it crosses. A tile is occupied when some lane leaves at least MIN_SEG_LEN
     of clipped length in it; if several qualify, the lane whose clipped-chain
     midpoint lies nearest the tile center wins (ties to the lower lane id)
     and the rest are dropped from that tile. The winning chain is fit with a
@@ -153,7 +153,7 @@ def ref_encode_scene(lanes: list[Lane3D], grid: GridSpec, bins: AngleBinSpec,
         for rank in sorted(by_lane):
             pieces = by_lane[rank]
             length = sum(math.hypot(pb[0] - pa[0], pb[1] - pa[1]) for pa, pb, _, _ in pieces)
-            if length < min_seg_len:
+            if length < MIN_SEG_LEN:
                 continue
             mid = _ref_chain_midpoint(pieces, length)
             dist = math.hypot(mid[0] - center[0], mid[1] - center[1])
@@ -299,8 +299,7 @@ class RefSegment:
     embedding: np.ndarray   # (d,)
     degenerate: bool = False
 
-def ref_decode_grid(preds: TilePredictionGrid,
-                score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> list[RefSegment]:
+def ref_decode_grid(preds: TilePredictionGrid) -> list[RefSegment]:
     """Turn per-tile predictions into 3D lane segments.
 
     Tiles scoring below the threshold are skipped. Each kept tile contributes
@@ -309,15 +308,13 @@ def ref_decode_grid(preds: TilePredictionGrid,
     whose offset pushes it clear of the tile is clamped to the nearest border
     point and flagged degenerate.
     """
-    if not (0.0 <= score_threshold <= 1.0):
-        raise ValueError(f"score threshold must be in [0, 1], got {score_threshold}")
     grid, bins = preds.grid, preds.bins
     scores = preds.score()
     probs = preds.bin_probs()
     segments: list[RefSegment] = []
     for i in range(grid.n_rows):
         for j in range(grid.n_cols):
-            if scores[i, j] < score_threshold:
+            if scores[i, j] < SCORE_THRESHOLD:
                 continue
             phi = ref_soft_labels_to_angle(probs[i, j], preds.bin_residuals[i, j], bins)
             direction = np.array([math.cos(phi), math.sin(phi)])
@@ -389,7 +386,7 @@ def ref_oracle_predict(targets: TileTargetGrid, noise: NoiseConfig,
         for j in range(w):
             if occ[i, j]:
                 if drop[i, j]:
-                    pred.score_logit[i, j] = -DEFAULT_SATURATION
+                    pred.score_logit[i, j] = -SATURATION
                 pred.lateral_offset[i, j] += noise_r[i, j]
                 pred.height_offset[i, j] += noise_z[i, j]
                 phi = (targets.angle[i, j] + noise_phi[i, j]) % (2.0 * math.pi)
@@ -572,24 +569,22 @@ def chain_lengths(lanes, grid):
 
 
 @settings(max_examples=200)
-@given(scene=scenes(), min_seg_len=st.sampled_from((0.3, 0.0, 1.0)))
-def test_encode_scene_equals_reference(scene, min_seg_len):
+@given(scene=scenes())
+def test_encode_scene_equals_reference(scene):
     grid, lanes = scene
-    assert_same_grid(encode_scene(lanes, grid, BINS, min_seg_len),
-                     ref_encode_scene(lanes, grid, BINS, min_seg_len))
+    assert_same_grid(encode_scene(lanes, grid, BINS), ref_encode_scene(lanes, grid, BINS))
 
 
-@EXACT
-@given(scene=scenes(), pick=st.integers(0, 2 ** 16))
-def test_encode_scene_equals_reference_at_the_min_seg_len_boundary(scene, pick):
-    # a chain exactly at, just over and just under min_seg_len
-    grid, lanes = scene
-    lengths = [v for v in chain_lengths(lanes, grid) if v > 0]
-    if lengths:
-        length = lengths[pick % len(lengths)]
-        for m in (length, np.nextafter(length, 0.0), np.nextafter(length, math.inf)):
-            assert_same_grid(encode_scene(lanes, grid, BINS, float(m)),
-                             ref_encode_scene(lanes, grid, BINS, float(m)))
+def test_encode_scene_equals_reference_at_the_min_seg_len_boundary():
+    # one lane per tile column: a chain exactly MIN_SEG_LEN long, one ulp
+    # shorter and one ulp longer; only the shorter one leaves its tile empty
+    ends = (MIN_SEG_LEN, np.nextafter(MIN_SEG_LEN, 0.0), np.nextafter(MIN_SEG_LEN, 1.0))
+    lanes = [Lane3D(points=np.array([[x, 0.0, 0.0], [x, y, 0.0]]), lane_id=k)
+             for k, (x, y) in enumerate(zip((0.64, 1.92, 3.2), ends))]
+    assert [chain_lengths([lane], DEFAULT) for lane in lanes] == [[y] for y in ends]
+    targets = encode_scene(lanes, DEFAULT, BINS)
+    assert_same_grid(targets, ref_encode_scene(lanes, DEFAULT, BINS))
+    assert targets.occupancy[0, 8:11].tolist() == [1.0, 0.0, 1.0]
 
 
 def test_encode_scene_equals_reference_on_fixed_cases():
@@ -602,7 +597,7 @@ def test_encode_scene_equals_reference_on_fixed_cases():
         [[[0.3, 0.0, 0.0], [0.9, 78.0, 0.0]]] * 3,
         # through tile corners only
         [[[-10.24, 0.0, 0.0], [10.24, 78.0, 0.0]], [[-5.12, 6.0, 0.0], [-2.56, 12.0, 0.0]]],
-        # every chain shorter than min_seg_len
+        # every chain shorter than MIN_SEG_LEN
         [[[0.1, 2.9, 0.0], [0.2, 3.1, 0.0]]],
     ]
     for polys in cases:
@@ -705,9 +700,9 @@ def test_oracle_predict_rejects_occupied_tile_without_lane_id():
 
 
 @EXACT
-@given(preds=prediction_grids(), threshold=st.sampled_from((0.3, 0.5, 1.0)))
-def test_decode_grid_equals_reference(preds, threshold):
-    assert_same_segments(decode_grid(preds, threshold), ref_decode_grid(preds, threshold))
+@given(preds=prediction_grids())
+def test_decode_grid_equals_reference(preds):
+    assert_same_segments(decode_grid(preds), ref_decode_grid(preds))
 
 
 def test_decode_grid_equals_reference_on_degenerate_and_corner_tangent_lines():

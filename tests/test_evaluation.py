@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bevlanes import evaluation
-from bevlanes.clustering import Curve
 from bevlanes.config import PipelineConfig
 from bevlanes.evaluation import (
     DEFAULT_EXTENT,
@@ -29,6 +28,7 @@ from bevlanes.evaluation import (
     score_scene,
     score_scenes,
 )
+from bevlanes.geometry import Curve
 from bevlanes.io import section_from_dict, section_to_dict
 from bevlanes.pipeline import evaluate_results, process_scene
 
@@ -306,6 +306,11 @@ def _match(preds, gts, threshold):
     tp, pairs = _greedy_match(iou, order, threshold)
     assert tp.tolist() == flags.tolist()
     return report.ap_per_threshold[threshold], [(p, g, float(iou[p, g])) for p, g in pairs], recall
+
+
+def test_greedy_match_counts_an_iou_exactly_at_the_threshold():
+    tp, pairs = _greedy_match(np.array([[0.5, 0.25]]), [0], 0.5)
+    assert tp.tolist() == [True] and pairs == [(0, 0)]
 
 
 def test_match_perfect_predictions():

@@ -19,7 +19,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevlanes.clustering import Curve
 from bevlanes.evaluation import (
     EvalConfig,
     EvalReport,
@@ -27,7 +26,7 @@ from bevlanes.evaluation import (
     evaluate,
     score_scene,
 )
-from bevlanes.geometry import resample_polyline
+from bevlanes.geometry import Curve, resample_polyline
 from bevlanes.io import canonical_json
 from test_vectorized_equivalence import ref_mask_iou as mask_iou
 from test_vectorized_equivalence import ref_rasterize_curve as rasterize_curve

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,12 +25,11 @@ from hypothesis.extra import numpy as hnp
 import bevlanes
 from bevlanes import io, pipeline
 from bevlanes.cli import main
-from bevlanes.clustering import Curve
 from bevlanes.codec import (AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid,
                             angle_to_soft_labels, array_fields, decode_grid, encode_scene)
 from bevlanes.config import ConfigError, PipelineConfig
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate, score_scene
-from bevlanes.geometry import GridSpec
+from bevlanes.geometry import Curve, GridSpec
 from bevlanes.losses import EmbeddingParams
 from bevlanes.pipeline import cmd_pipeline, evaluate_results, process_scene, run_pipeline
 from bevlanes.synth import NoiseConfig, SceneConfig, generate_scene, oracle_predict
@@ -150,7 +150,9 @@ def test_canonical_json_rejects_a_non_finite_array_value(arr, value, data):
 @st.composite
 def _grids(draw):
     """A target or prediction grid of a few tiles whose fields hold runs of
-    one fill broken by edge floats; occupied target tiles carry a lane id."""
+    one fill broken by edge floats, within the values a target file may hold
+    (occupancy and bin mask 0 or 1, bin probabilities in [0, 1]); occupied
+    target tiles carry a lane id."""
     grid = GridSpec(n_cols=draw(st.integers(1, 4)), n_rows=draw(st.integers(1, 4)))
     bins = AngleBinSpec(n_bins=draw(st.integers(4, 6)))
     cls = draw(st.sampled_from((TileTargetGrid, TilePredictionGrid)))
@@ -158,7 +160,8 @@ def _grids(draw):
     arrays = {}
     for f in array_fields(cls):
         dtype = np.dtype(f.metadata["dtype"])
-        elements = (st.sampled_from((0.0, 1.0)) if f.name == "occupancy" else
+        elements = (st.sampled_from((0.0, 1.0)) if f.name in ("occupancy", "bin_mask") else
+                    st.floats(0.0, 1.0) if f.name == "bin_probs" else
                     st.integers(-1, 2 ** 40) if dtype.kind == "i" else _FLOATS)
         fill = st.just(f.metadata["fill"]) | st.sampled_from((0.0, -0.0, 1.0))
         arrays[f.name] = draw(hnp.arrays(dtype, [sizes.get(a, a) for a in f.metadata["shape"]],
@@ -300,6 +303,23 @@ def test_targets_non_binary_occupancy_rejected():
     assert exc.value.field == "fields.occupancy.data"
 
 
+@pytest.mark.parametrize("name, value", [
+    ("bin_probs", 1e308), ("bin_probs", -0.25), ("bin_probs", 1.5), ("bin_mask", 0.5),
+    ("bin_mask", 2.0)])
+def test_targets_bin_value_outside_its_range_rejected(name, value):
+    d = _as_read(io.targets_to_dict(_targets()))
+    d["fields"][name]["data"][0] = value
+    with pytest.raises(io.SchemaError) as exc:
+        io.targets_from_dict(d, path="t.json")
+    assert exc.value.field == f"fields.{name}.data"
+
+
+def test_targets_bin_probs_bounds_are_inclusive():
+    d = _as_read(io.targets_to_dict(_targets()))
+    d["fields"]["bin_probs"]["data"][:2] = [0.0, 1.0]
+    assert io.targets_from_dict(d).bin_probs.reshape(-1)[:2].tolist() == [0.0, 1.0]
+
+
 def test_targets_payload_length_mismatch_rejected():
     d = _as_read(io.targets_to_dict(_targets()))
     d["fields"]["lateral_offset"]["data"].append(0.0)
@@ -431,6 +451,11 @@ def test_lanes_confidence_must_be_a_json_number(value):
     with pytest.raises(io.SchemaError) as exc:
         io.lanes_from_dict(d, path="lanes_00000.json")
     assert exc.value.field == "lanes[0].confidence"
+
+
+def test_lanes_confidence_bounds_are_inclusive():
+    lanes = [(Curve(points=[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0]]), c) for c in (0.0, 1.0)]
+    assert [c for _, c in io.lanes_from_dict(io.lanes_to_dict(lanes))] == [0.0, 1.0]
 
 
 def test_lanes_whole_number_confidence_reads_as_float():
@@ -838,6 +863,81 @@ def test_cli_occupied_tile_without_lane_id_is_data_error(tmp_path, capsys):
     assert main(["predict", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "target_00000.json" in err and "fields.lane_id.data" in err
+
+
+def test_cli_target_bin_probs_outside_unit_interval_is_data_error(tmp_path, capsys):
+    # one bin_probs value of 1e308 used to make loss exit 0 and print nan as
+    # scene 0's angle and total
+    cfg, _ = _predicted(tmp_path)
+    target_path = tmp_path / "out" / "targets" / "target_00000.json"
+    d = json.loads(target_path.read_text())
+    d["fields"]["bin_probs"]["data"][0] = 1e308
+    target_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["loss", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "target_00000.json" in err and "'fields.bin_probs.data'" in err
+
+
+def test_cli_more_lanes_than_embedding_anchors_is_data_error(tmp_path, capsys):
+    # a 12-lane scene file passed encode, and predict ended in the ValueError
+    # traceback of simplex_anchors (the config allows embedding.dim + 1 = 5)
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg]) == 0
+    scene_path = tmp_path / "out" / "scenes" / "scene_00000.json"
+    d = json.loads(scene_path.read_text())
+    d["lanes"] = [{"lane_id": k, "points": [[x, 0.0, 0.0], [x, 78.0, 0.0]]}
+                  for k, x in enumerate(np.linspace(-9.0, 9.0, 12).tolist())]
+    scene_path.write_text(json.dumps(d))
+    assert main(["encode", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "target_00000.json" in err and "'fields.lane_id'" in err
+
+
+def _segments_file(tmp_path):
+    """A config run through `pipeline`, and scene 0's segments file with its dict."""
+    cfg = write_config(tmp_path)
+    assert main(["pipeline", "--config", cfg]) == 0
+    path = tmp_path / "out" / "segments" / "segments_00000.json"
+    return cfg, path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("tile", [[999, 999], [26, 0], [0, 16]])
+def test_cli_segment_tile_outside_the_grid_is_data_error(tmp_path, capsys, tile):
+    # any tile below 2**31 used to cluster with exit 0; the grid is 26 x 16
+    cfg, path, d = _segments_file(tmp_path)
+    d["segments"][1]["tile"] = tile
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["cluster", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "segments_00000.json" in err and "'segments[1].tile'" in err
+
+
+def test_cli_repeated_segment_tile_is_data_error(tmp_path, capsys):
+    cfg, path, d = _segments_file(tmp_path)
+    d["segments"][2] = d["segments"][0]
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["cluster", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "segments_00000.json" in err and "'segments[2].tile'" in err
+
+
+def test_cli_segments_file_of_20000_copies_is_data_error_at_once(tmp_path, capsys):
+    # 20,000 copies of one scene's segments used to end in an uncaught
+    # 2.98 GiB allocation error in mean shift, after seconds
+    cfg, path, d = _segments_file(tmp_path)
+    n = len(d["segments"])
+    d["segments"] = (d["segments"] * (20000 // n + 1))[:20000]
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["cluster", "--config", cfg]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"'segments[{n}].tile'" in capsys.readouterr().err
 
 
 def test_cli_nan_lane_point_is_data_error(tmp_path, capsys):

@@ -128,14 +128,6 @@ def test_score_loss_target_validated():
         score_loss(0.0, 0.5)
 
 
-def test_score_loss_pos_weight():
-    base = score_loss(-1.2, 1.0).value
-    npt.assert_allclose(score_loss(-1.2, 1.0, pos_weight=2.5).value, 2.5 * base, atol=1e-12)
-    # negative tiles are unaffected by the positive weight
-    npt.assert_allclose(score_loss(-1.2, 0.0, pos_weight=2.5).value,
-                        score_loss(-1.2, 0.0).value, atol=1e-12)
-
-
 def test_score_loss_finite_diff():
     for z in (-2.0, 0.4, 3.0):
         for c in (0.0, 1.0):
@@ -225,20 +217,6 @@ def test_total_loss_shape_mismatch_rejected():
         total_tile_loss(preds, targets)
 
 
-def test_total_loss_weights_scale_components():
-    targets = _small_scene()
-    preds = saturated_prediction(targets)
-    rng = np.random.default_rng(4)
-    preds.score_logit = rng.normal(0, 1, preds.score_logit.shape)
-    preds.lateral_offset += 0.25
-    preds.bin_residuals += 0.1
-    base = total_tile_loss(preds, targets)
-    scaled = total_tile_loss(preds, targets, weights=(2.0, 3.0, 4.0))
-    npt.assert_allclose(scaled.components["score"], 2 * base.components["score"], rtol=1e-12)
-    npt.assert_allclose(scaled.components["angle"], 3 * base.components["angle"], rtol=1e-12)
-    npt.assert_allclose(scaled.components["offsets"], 4 * base.components["offsets"], rtol=1e-12)
-
-
 def test_total_loss_finite_diff():
     targets = _small_scene()
     rng = np.random.default_rng(9)
@@ -288,7 +266,7 @@ def test_pull_loss_hand_value():
     f = np.stack([v, -v])  # mean 0, distances 0.6
     out, summary = pull_loss(f, np.zeros(2, dtype=int), PARAMS)
     npt.assert_allclose(out.value, 0.25, atol=1e-12)
-    npt.assert_allclose(summary.counts, [2])
+    npt.assert_allclose(summary.means, [[0.0, 0.0]])
 
 
 def test_pull_loss_no_lanes():
@@ -317,23 +295,19 @@ def test_pull_loss_finite_diff_through_mean():
 
 
 def test_push_loss_at_margin():
-    summary = ClusterSummary(ids=np.array([0, 1]), counts=np.array([1, 1]),
-                             means=np.array([[0.0, 0.0], [3.0, 0.0]]))
+    summary = ClusterSummary(ids=np.array([0, 1]), means=np.array([[0.0, 0.0], [3.0, 0.0]]))
     assert push_loss(summary, PARAMS).value == 0.0
 
 
 def test_push_loss_hand_value():
-    summary = ClusterSummary(ids=np.array([0, 1]), counts=np.array([1, 1]),
-                             means=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    summary = ClusterSummary(ids=np.array([0, 1]), means=np.array([[0.0, 0.0], [1.0, 0.0]]))
     npt.assert_allclose(push_loss(summary, PARAMS).value, 4.0, atol=1e-12)
 
 
 def test_push_loss_degenerate_counts():
-    empty = ClusterSummary(ids=np.array([], dtype=int), counts=np.array([], dtype=int),
-                           means=np.zeros((0, 2)))
+    empty = ClusterSummary(ids=np.array([], dtype=int), means=np.zeros((0, 2)))
     assert push_loss(empty, PARAMS).value == 0.0
-    single = ClusterSummary(ids=np.array([5]), counts=np.array([3]),
-                            means=np.array([[1.0, 1.0]]))
+    single = ClusterSummary(ids=np.array([5]), means=np.array([[1.0, 1.0]]))
     assert push_loss(single, PARAMS).value == 0.0
 
 
@@ -342,8 +316,7 @@ def test_push_loss_finite_diff():
     means = rng.normal(0, 1.0, size=(3, 2))
 
     def fn(d):
-        summary = ClusterSummary(ids=np.arange(3), counts=np.ones(3, dtype=int),
-                                 means=d["means"])
+        summary = ClusterSummary(ids=np.arange(3), means=d["means"])
         return push_loss(summary, PARAMS)
 
     report = finite_diff_check(fn, {"means": means})
@@ -439,15 +412,6 @@ def test_finite_diff_detects_corrupted_gradient():
     assert report.max_rel_error > 1e-6
     assert not report.passed
     assert report.worst_field == "x"
-
-
-def test_finite_diff_rejects_bad_epsilon():
-    from bevlanes.losses import LossValueAndGrad
-    fn = lambda d: LossValueAndGrad(value=0.0, grad={"x": np.zeros(1)})
-    with pytest.raises(ValueError):
-        finite_diff_check(fn, {"x": np.zeros(1)}, epsilon=0.0)
-    with pytest.raises(ValueError):
-        finite_diff_check(fn, {"x": np.zeros(1)}, epsilon=-1e-6)
 
 
 def test_finite_diff_reports_non_finite_probe():

@@ -25,13 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevlanes import clustering, evaluation
-from bevlanes.clustering import (ClusterParams, Curve, LaneInstance, assemble_curve,
-                                 greedy_baseline, mean_shift)
+from bevlanes.clustering import (ANGLE_TOL, GAP_TOL, ClusterParams, LaneInstance,
+                                 assemble_curve, greedy_baseline, mean_shift)
 from bevlanes.codec import SegmentSet, array_fields, wrap_signed
 from bevlanes.config import PipelineConfig
 from bevlanes.evaluation import (EvalConfig, footprint_iou, lateral_error, range_means,
                                  rasterize_curve)
-from bevlanes.geometry import resample_polyline
+from bevlanes.geometry import Curve, resample_polyline
 from bevlanes.pipeline import process_scene
 
 # The "exact" profile (tests/conftest.py) fixes the examples.
@@ -678,15 +678,13 @@ def test_mean_shift_exact_cases():
 # Greedy baseline: connected components over the 3x3 tile neighbourhood
 
 
-def ref_greedy_baseline(segments, angle_tol=math.pi / 8, gap_tol=4.5):
+def ref_greedy_baseline(segments):
     """Geometry-only grouping by union-find over adjacent compatible tiles.
 
     Two segments join when their tiles are within one step in both grid
-    indices, their directions differ (circularly) by at most angle_tol, and
-    their closest endpoints are within gap_tol. Embeddings are ignored.
+    indices, their directions differ (circularly) by at most ANGLE_TOL, and
+    their closest endpoints are within GAP_TOL. Embeddings are ignored.
     """
-    if angle_tol <= 0 or gap_tol <= 0:
-        raise ValueError("angle_tol and gap_tol must be positive")
     n = len(segments)
     parent = list(range(n))
 
@@ -702,12 +700,12 @@ def ref_greedy_baseline(segments, angle_tol=math.pi / 8, gap_tol=4.5):
             si, sj = segments[i], segments[j]
             if abs(si.tile[0] - sj.tile[0]) > 1 or abs(si.tile[1] - sj.tile[1]) > 1:
                 continue
-            if abs(wrap_signed(angles[i] - angles[j])) > angle_tol:
+            if abs(wrap_signed(angles[i] - angles[j])) > ANGLE_TOL:
                 continue
             gap = min(
                 float(np.linalg.norm(si.endpoints[a, :2] - sj.endpoints[b, :2]))
                 for a in range(2) for b in range(2))
-            if gap > gap_tol:
+            if gap > GAP_TOL:
                 continue
             ri, rj = find(i), find(j)
             if ri != rj:
@@ -726,8 +724,8 @@ def ref_greedy_baseline(segments, angle_tol=math.pi / 8, gap_tol=4.5):
     return instances
 
 
-# Directions at multiples of pi/8 (differences land on the default angle_tol
-# and on pi/2 up to the last bit) and just either side of the -x axis, where
+# Directions at multiples of pi/8 (differences land on ANGLE_TOL up to the
+# last bit) and just either side of the -x axis, where
 # the angles are near +pi and -pi and the difference must wrap.
 _HEADINGS = [k * math.pi / 8 for k in range(-7, 9)] + [math.pi - 1e-9, -math.pi + 1e-9]
 _DIRECTIONS = [(math.cos(a), math.sin(a)) for a in _HEADINGS] + [(1.0, 0.0), (0.0, 1.0),
@@ -765,11 +763,9 @@ def _same_instances(got, want):
 
 
 @EXACT
-@given(segs=segment_sets(), angle_tol=st.sampled_from([math.pi / 8, math.pi / 4, math.pi / 2]),
-       gap_tol=st.sampled_from([4.5, 2.5, 0.5]))
-def test_greedy_matches_pair_loop(segs, angle_tol, gap_tol):
-    _same_instances(greedy_baseline(as_set(segs), angle_tol, gap_tol),
-                    ref_greedy_baseline(segs, angle_tol, gap_tol))
+@given(segs=segment_sets())
+def test_greedy_matches_pair_loop(segs):
+    _same_instances(greedy_baseline(as_set(segs)), ref_greedy_baseline(segs))
 
 
 def test_greedy_exact_ties():
@@ -779,23 +775,24 @@ def test_greedy_exact_ties():
                           endpoints=np.stack([a, b]), score=0.5, tile=tile,
                           embedding=np.zeros(2))
     up, right = (0.0, 1.0), (1.0, 0.0)
+    # headings exactly ANGLE_TOL and one ulp more away from `right`
+    at_tol = (1.0, math.tan(ANGLE_TOL))
+    past_tol = (1.0, float(np.nextafter(at_tol[1], 1.0)))
+    assert math.atan2(at_tol[1], 1.0) == ANGLE_TOL < math.atan2(past_tol[1], 1.0)
     cases = [
-        # closest endpoints exactly gap_tol apart, across a tile border
+        # closest endpoints exactly GAP_TOL apart, across a tile border
         [seg([0, 0, 0], [0, 1, 0], up, (0, 0)), seg([0, 5.5, 0], [0, 7, 0], up, (1, 0))],
-        # directions exactly pi/2 apart, at angle_tol = pi/2
-        [seg([0, 0, 0], [0, 1, 0], up, (0, 0)), seg([0, 2, 0], [1, 2, 0], right, (0, 1))],
+        # directions exactly ANGLE_TOL apart
+        [seg([0, 0, 0], [1, 0, 0], right, (0, 0)), seg([1, 0, 0], [2, 0, 0], at_tol, (0, 1))],
         # headings near +pi and -pi: the difference wraps to about 2e-9
         [seg([1, 0, 0], [0, 0, 0], (-1.0, 1e-9), (2, 2)),
          seg([-1, 0, 0], [-2, 0, 0], (-1.0, -1e-9), (3, 1))],
         # two tiles apart: joined only through a segment adjacent to both
         [seg([0, 0, 0], [0, 1, 0], up, (0, 0)), seg([0, 1, 0], [0, 2, 0], up, (2, 0)),
          seg([0, 1, 0], [0, 2, 0], up, (1, 1))],
+        # directions one ulp more than ANGLE_TOL apart: not joined
+        [seg([0, 0, 0], [1, 0, 0], right, (0, 0)), seg([1, 0, 0], [2, 0, 0], past_tol, (0, 1))],
     ]
     for segs in cases:
-        for angle_tol in (math.pi / 8, math.pi / 2):
-            got = greedy_baseline(as_set(segs), angle_tol, 4.5)
-            _same_instances(got, ref_greedy_baseline(segs, angle_tol, 4.5))
-    assert len(greedy_baseline(as_set(cases[0]))) == 1
-    assert len(greedy_baseline(as_set(cases[1]), angle_tol=math.pi / 2)) == 1
-    assert len(greedy_baseline(as_set(cases[2]))) == 1
-    assert len(greedy_baseline(as_set(cases[3]))) == 1
+        _same_instances(greedy_baseline(as_set(segs)), ref_greedy_baseline(segs))
+    assert [len(greedy_baseline(as_set(segs))) for segs in cases] == [1, 1, 1, 1, 2]
