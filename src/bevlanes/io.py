@@ -346,6 +346,12 @@ def _tile(value, seen: set) -> tuple:
 _SEGMENT_PARSE = {f.name: functools.partial(
     _coerce, np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist(),
     name=f.name) for f in array_fields(SegmentSet)}
+# The range of each value of these fields: coordinates and embeddings within
+# ±MAX_COORDINATE, so that mean shift and curve assembly cannot overflow, and
+# a score is a probability, so that a cluster's mean score is one too.
+_SEGMENT_BOUNDS = {"midpoint": (-MAX_COORDINATE, MAX_COORDINATE),
+                   "endpoints": (-MAX_COORDINATE, MAX_COORDINATE), "score": (0.0, 1.0),
+                   "embedding": (-MAX_COORDINATE, MAX_COORDINATE)}
 
 
 def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
@@ -356,9 +362,14 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
                     {**_SEGMENT_PARSE, "tile": functools.partial(_tile, seen=set())})
     if not rows:
         return SegmentSet.empty()
-    return _checked(path, "segments", SegmentSet, **{
-        f.name: np.array(column, dtype=f.metadata["dtype"])
-        for f, column in zip(array_fields(SegmentSet), zip(*rows))})
+    columns = {f.name: np.array(column, dtype=f.metadata["dtype"])
+               for f, column in zip(array_fields(SegmentSet), zip(*rows))}
+    for name, (lo, hi) in _SEGMENT_BOUNDS.items():
+        inside = ((columns[name] >= lo) & (columns[name] <= hi)).reshape(len(rows), -1)
+        bad = np.flatnonzero(~inside.all(axis=1))
+        if len(bad):
+            raise SchemaError(path, f"segments[{bad[0]}].{name}", f"outside [{lo:g}, {hi:g}]")
+    return _checked(path, "segments", SegmentSet, **columns)
 
 
 def lanes_to_dict(lanes: list) -> dict:

@@ -16,6 +16,7 @@ the configured output directory:
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import re
 import zlib
@@ -82,8 +83,9 @@ def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
 
 def _cluster_step(config: PipelineConfig, index: int, segments: SegmentSet,
                   method: str) -> list[tuple[Curve, float]]:
-    """Cluster segments and assemble each instance into a (curve, confidence);
-    an instance that `assemble_curve` makes no curve of is left out. A tile
+    """Cluster segments and assemble each instance into a (curve, confidence),
+    its mean score, in [0, 1] as the segments reader holds every score; an
+    instance that `assemble_curve` makes no curve of is left out. A tile
     outside the config grid is a SchemaError, as decode writes none."""
     rows, cols = segments.tile.T
     outside = np.flatnonzero((rows >= config.grid.n_rows) | (cols >= config.grid.n_cols))
@@ -98,7 +100,7 @@ def _cluster_step(config: PipelineConfig, index: int, segments: SegmentSet,
     else:
         raise ConfigError(f"unknown cluster method {method!r}; expected one of "
                           f"{CLUSTER_METHODS}")
-    lanes = [(assemble_curve(inst), min(1.0, max(0.0, inst.confidence))) for inst in instances]
+    lanes = [(assemble_curve(inst), inst.confidence) for inst in instances]
     return [(curve, conf) for curve, conf in lanes if curve is not None]
 
 
@@ -124,20 +126,29 @@ def process_scene(config: PipelineConfig, index: int, method: str = "embedding")
 
 
 def _pool_size(config: PipelineConfig, jobs: int) -> int:
-    """Worker processes for a run: jobs, but no more than there are scenes."""
+    """Processes for a run, this one included: jobs, but no more than there are scenes."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     return min(jobs, config.n_scenes)
 
 
+def _run_share(worker: Callable, tasks: list) -> list:
+    return [worker(t) for t in tasks]
+
+
 def _fan_out(worker: Callable, config: PipelineConfig, method: str, processes: int) -> list:
-    """worker((config, index, method)) for every scene index, in index order;
-    a pool of more than one process shares the scenes out."""
+    """worker((config, index, method)) for every scene index, in index order.
+    More than one process cuts the indices into that many contiguous shares,
+    larger ones first; this process runs the first share instead of waiting,
+    while a pool of the others runs one share each."""
     tasks = [(config, i, method) for i in range(config.n_scenes)]
     if processes == 1:
-        return [worker(t) for t in tasks]
-    with multiprocessing.Pool(processes) as pool:
-        return list(pool.imap(worker, tasks))
+        return _run_share(worker, tasks)
+    cuts = [-(-len(tasks) * k // processes) for k in range(processes + 1)]
+    shares = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+    with multiprocessing.Pool(processes - 1) as pool:
+        rest = pool.imap(functools.partial(_run_share, worker), shares[1:])
+        return _run_share(worker, shares[0]) + [r for share in rest for r in share]
 
 
 def _worker(args) -> SceneResult:     # picklable, and finds process_scene at call time
@@ -148,9 +159,9 @@ def run_pipeline(config: PipelineConfig, method: str = "embedding",
                  jobs: int = 1) -> tuple[EvalReport, list[SceneResult]]:
     """Run every stage over n_scenes, in memory; returns the report + results.
 
-    jobs > 1 distributes scenes over a process pool of at most n_scenes
-    workers; results come back in scene-index order, so output is identical
-    to a serial run. jobs < 1 raises ConfigError.
+    jobs > 1 shares the scenes out over at most n_scenes processes, this one
+    and a pool of the rest; results come back in scene-index order, so output
+    is identical to a serial run. jobs < 1 raises ConfigError.
     """
     results = _fan_out(_worker, config, method, _pool_size(config, jobs))
     return evaluate_results(results, config), results
@@ -308,8 +319,9 @@ def _write_scene(args) -> SceneRecord:
 def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
                  jobs: int = 1) -> EvalReport:
     """Run all stages, writing every intermediate file, report and SVG plots.
-    The workers write their scenes' files; this process makes the directories
-    and writes the report, so a run that fails can leave a partial tree."""
+    Each process writes the files of the scenes it runs; this one also makes
+    the directories and writes the report, so a run that fails can leave a
+    partial tree."""
     processes = _pool_size(config, jobs)       # a bad value fails before any directory is made
     for d in [stage.dir for stage in STAGES.values()] + ["plots"]:
         (Path(config.output_dir) / d).mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,10 @@ formatting call inside `save_json`.
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from bevlanes import pipeline
 from bevlanes.config import PipelineConfig
@@ -83,3 +86,32 @@ def test_tracer_nests_evaluate_in_a_run_pipeline_batch(tmp_path):
     rasterize, lateral = by_name["evaluation.rasterize_curve"], by_name["evaluation.lateral_error"]
     assert 1 <= len(rasterize) < config.n_scenes and len(lateral) == config.n_scenes
     assert all(span[tr.PARENT] == results[tr.SID] for span in rasterize + lateral)
+
+
+@pytest.mark.parametrize("n_scenes", [3, 5])
+def test_a_jobs2_batch_records_one_scene_span_per_scene(tmp_path, n_scenes):
+    """The benchmark fails every batch whose `pipeline.process_scene` spans,
+    from this process and the pool workers together, are not exactly one per
+    scene: they are its per-scene latency samples. A runner that takes a
+    chunk of scenes through the stages at once (ROADMAP item 4) must keep
+    this count, or wait for a benchmark that counts and times scenes
+    otherwise."""
+    tr = _load_tracer()
+    tracer = tr.Tracer(tmp_path / "spool")
+    (tmp_path / "spool").mkdir()
+    config = PipelineConfig.from_dict({"n_scenes": n_scenes, "master_seed": 7,
+                                       "output_dir": str(tmp_path / "out")})
+    want = Counter(f"7/{i}" for i in range(n_scenes))
+    for batch in (lambda: pipeline.run_pipeline(config, jobs=2),
+                  lambda: (pipeline.cmd_pipeline(config, jobs=2), pipeline.cmd_loss(config))):
+        mark = len(tracer.spans)
+        tracer.install([tr.SCENE_FN])
+        try:
+            batch()
+        finally:
+            tracer.uninstall()
+        tracer.collect()
+        scenes = [span for span in tracer.spans[mark:]
+                  if span[tr.NAME] == "pipeline.process_scene"]
+        assert Counter(span[tr.SCENE] for span in scenes) == want
+        assert len({span[tr.PID] for span in scenes}) == 2

@@ -940,6 +940,27 @@ def test_cli_segments_file_of_20000_copies_is_data_error_at_once(tmp_path, capsy
     assert f"'segments[{n}].tile'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value, code", [
+    ("midpoint", 1e308, 3), ("midpoint", -io.MAX_COORDINATE, 0),
+    ("endpoints", -1e308, 3), ("endpoints", io.MAX_COORDINATE, 0),
+    ("embedding", 1e308, 3), ("embedding", -math.nextafter(io.MAX_COORDINATE, math.inf), 3),
+    ("score", 7, 3), ("score", -0.25, 3), ("score", 1.0, 0)])
+def test_cli_segment_value_out_of_range_is_data_error(tmp_path, capsys, name, value, code):
+    # a coordinate or embedding of 1e308 used to cluster with exit 0 after an
+    # overflow warning, and a score of 7 was clamped to a confidence of 1
+    cfg, path, d = _segments_file(tmp_path)
+    entry = d["segments"][1]
+    if name == "score":
+        entry[name] = value
+    else:
+        (entry[name][0] if name == "endpoints" else entry[name])[0] = value
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["cluster", "--config", cfg]) == code
+    if code:
+        assert f"'segments[1].{name}'" in capsys.readouterr().err
+
+
 def test_cli_nan_lane_point_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["generate", "--config", cfg]) == 0
@@ -1142,7 +1163,7 @@ def test_pool_has_no_more_workers_than_scenes(tmp_path, monkeypatch):
     cfg = PipelineConfig.from_dict(tiny_config_dict(tmp_path))       # two scenes
     assert run_pipeline(cfg, jobs=3)[0].to_dict() == run_pipeline(cfg)[0].to_dict()
     cmd_pipeline(replace(cfg, n_scenes=1), jobs=2)
-    assert sizes == [2]
+    assert sizes == [1]     # the calling process runs one of the two shares itself
 
 
 @pytest.mark.parametrize("dz, code", [(0.0, 3), (0.25, 0)])
@@ -1327,46 +1348,54 @@ def test_run_pipeline_parallel_equals_serial(tmp_path):
 
 
 @settings(max_examples=6)
-@given(n_scenes=st.integers(1, 3), master_seed=st.integers(0, 2 ** 64 - 1),
+@given(n_scenes=st.integers(1, 5), jobs=st.integers(2, 4),
+       master_seed=st.integers(0, 2 ** 64 - 1),
        sigmas=st.lists(st.floats(0.0, 0.3), min_size=4, max_size=4),
        rates=st.lists(st.floats(0.0, 0.2), min_size=2, max_size=2))
-def test_cmd_pipeline_jobs2_tree_equals_serial(n_scenes, master_seed, sigmas, rates):
+def test_cmd_pipeline_jobs2_tree_equals_serial(n_scenes, jobs, master_seed, sigmas, rates):
+    # uneven shares, and more jobs than scenes, write the serial tree too
     sigma_r, sigma_phi, sigma_z, sigma_f = sigmas
     noise = {"sigma_r": sigma_r, "sigma_phi": sigma_phi, "sigma_z": sigma_z, "sigma_f": sigma_f,
              "drop_rate": rates[0], "fp_rate": rates[1]}
     with tempfile.TemporaryDirectory() as tmp:
         trees = []
-        for jobs in (1, 2):
-            out = Path(tmp) / f"jobs{jobs}"
+        for run_jobs in (1, jobs):
+            out = Path(tmp) / f"jobs{run_jobs}"
             cmd_pipeline(PipelineConfig.from_dict({
                 "n_scenes": n_scenes, "master_seed": master_seed, "noise": noise,
-                "output_dir": str(out)}), jobs=jobs)
+                "output_dir": str(out)}), jobs=run_jobs)
             trees.append({p.relative_to(out): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()})
     assert trees[0] == trees[1]
 
 
-# Runs `bevlanes pipeline` with a clustering step that raises a SchemaError,
-# so every pool worker raises one.
+# Runs `bevlanes pipeline` with a clustering step that raises a SchemaError
+# in the forked pool workers only (argv[1] "worker") or in the calling
+# process only ("caller").
 _WORKER_RAISES = """
-import sys
+import os, sys
 from bevlanes import cli, io, pipeline
 
+CALLER, real = os.getpid(), pipeline.cluster_segments
+
 def cluster_segments(segments, params):
-    raise io.SchemaError("segments/segments_00000.json", "segments[0].score", "planted")
+    if (os.getpid() == CALLER) == (sys.argv[1] == "caller"):
+        raise io.SchemaError("segments/segments_00000.json", "segments[0].score", "planted")
+    return real(segments, params)
 
 pipeline.cluster_segments = cluster_segments
-sys.exit(cli.main(sys.argv[1:]))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def test_cli_pipeline_schema_error_in_a_pool_worker_is_data_error(tmp_path):
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_cli_pipeline_schema_error_in_a_pool_worker_is_data_error(tmp_path, where):
     # The error used to fail to unpickle in the parent, which then waited for
     # the lost result forever; a timeout turns such a hang into a failure.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(bevlanes.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
-        [sys.executable, "-c", _WORKER_RAISES, "pipeline", "--jobs", "2",
+        [sys.executable, "-c", _WORKER_RAISES, where, "pipeline", "--jobs", "2",
          "--config", write_config(tmp_path)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True)
@@ -1375,7 +1404,7 @@ def test_cli_pipeline_schema_error_in_a_pool_worker_is_data_error(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)     # the pool workers too
         proc.communicate()
-        pytest.fail("a SchemaError raised in a pool worker hung the parent")
+        pytest.fail(f"a SchemaError raised in the {where} hung the run")
     assert proc.returncode == 3, err
     assert "data error" in err and "segments[0].score" in err and "planted" in err
 
