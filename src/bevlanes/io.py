@@ -157,6 +157,11 @@ def _numbers(value, dtype=float) -> np.ndarray:
     return arr
 
 
+def _has_shape(value, shape: tuple) -> bool:
+    """Whether a value read by `_coerce`, a number or nested tuples of them, has shape."""
+    return not shape or (len(value) == shape[0] and all(_has_shape(v, shape[1:]) for v in value))
+
+
 MAX_COORDINATE = 1e6   # metres; eval's work and memory grow with a lane's length
 
 
@@ -330,11 +335,11 @@ def segments_to_dict(segments: SegmentSet) -> dict:
 
 
 def _tile(value, seen: set) -> tuple:
-    """Two grid indices in [0, 2**31), not among `seen`, the tiles read before
-    it (decode writes one segment per tile), to which it is added."""
+    """Grid indices in [0, 2**31) (the reader checks there are two), not among
+    `seen`, the tiles read before it (decode writes one per tile), to which it is added."""
     tile = _coerce((0,), value, "tile")
-    if len(tile) != 2 or not all(0 <= v < 2 ** 31 for v in tile):
-        raise ValueError(f"expected two grid indices in [0, 2**31), got {list(tile)}")
+    if not all(0 <= v < 2 ** 31 for v in tile):
+        raise ValueError(f"expected grid indices in [0, 2**31), got {list(tile)}")
     if tile in seen:
         raise ValueError(f"tile {list(tile)} holds an earlier segment")
     seen.add(tile)
@@ -362,13 +367,23 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
                     {**_SEGMENT_PARSE, "tile": functools.partial(_tile, seen=set())})
     if not rows:
         return SegmentSet.empty()
-    columns = {f.name: np.array(column, dtype=f.metadata["dtype"])
-               for f, column in zip(array_fields(SegmentSet), zip(*rows))}
+    columns = dict(zip(_SEGMENT_PARSE, zip(*rows)))
+    sizes = {"d": len(columns["embedding"][0])}    # every embedding has the first one's length
+    for f in array_fields(SegmentSet):
+        want = tuple(sizes.get(a, a) for a in f.metadata["shape"][1:])
+        bad = [k for k, value in enumerate(columns[f.name]) if not _has_shape(value, want)]
+        if bad:
+            raise SchemaError(path, f"segments[{bad[0]}].{f.name}", f"expected shape {want}")
+        columns[f.name] = np.array(columns[f.name], dtype=f.metadata["dtype"])
     for name, (lo, hi) in _SEGMENT_BOUNDS.items():
         inside = ((columns[name] >= lo) & (columns[name] <= hi)).reshape(len(rows), -1)
         bad = np.flatnonzero(~inside.all(axis=1))
         if len(bad):
             raise SchemaError(path, f"segments[{bad[0]}].{name}", f"outside [{lo:g}, {hi:g}]")
+    # decode writes (cos phi, sin phi); clustering and the greedy baseline take it as one
+    bad = np.flatnonzero(np.abs(np.hypot(*columns["direction"].T) - 1.0) > 1e-9)
+    if len(bad):
+        raise SchemaError(path, f"segments[{bad[0]}].direction", "not a unit vector")
     return _checked(path, "segments", SegmentSet, **columns)
 
 

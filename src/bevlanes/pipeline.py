@@ -191,6 +191,9 @@ class Stage:
     step: Callable
     writer: str
 
+    def read(self, path: Path):
+        return getattr(io, self.reader)(io.load_json(path), str(path))
+
 
 STAGES = {
     "generate": Stage("scenes", "scene", "scene_from_dict", _generate_step, "scene_to_dict"),
@@ -205,9 +208,9 @@ def _stage_path(config: PipelineConfig, stage: Stage, index: int) -> Path:
     return Path(config.output_dir) / stage.dir / f"{stage.stem}_{index:05d}.json"
 
 
-def _read_stage(config: PipelineConfig, stage: Stage) -> list:
-    """The stage's artifacts listed by the scene index in their file names,
-    which must run 0, 1, 2, ... with no gap."""
+def _stage_files(config: PipelineConfig, stage: Stage) -> list[Path]:
+    """The stage's files in the order of the scene index in their names, which
+    must run 0, 1, 2, ... with no gap; none of them is read."""
     d = Path(config.output_dir) / stage.dir
     if not d.is_dir():
         raise io.SchemaError(d, "<dir>", "stage directory not found; run the producing "
@@ -224,8 +227,7 @@ def _read_stage(config: PipelineConfig, stage: Stage) -> list:
     if missing:
         raise io.SchemaError(d, "<dir>", f"no file for scene index {missing[0]}; the "
                                          f"indices run to {max(by_index)}")
-    return [getattr(io, stage.reader)(io.load_json(by_index[i]), str(by_index[i]))
-            for i in range(len(by_index))]
+    return [by_index[i] for i in range(len(by_index))]
 
 
 def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) -> Path:
@@ -235,26 +237,28 @@ def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) 
 
 
 def run_stage(config: PipelineConfig, command: str, method: str = "embedding") -> list[Path]:
-    """Run one STAGES row over every file of the row before it (generate makes
-    config.n_scenes new scenes), each output numbered with its input's scene
-    index; returns the paths written."""
+    """Run one STAGES row over every file of the row before it, each read just
+    before its step (generate makes config.n_scenes new scenes); an output is
+    numbered with its input's scene index. Returns the paths written."""
     names = list(STAGES)
     k = names.index(command)
-    inputs = _read_stage(config, STAGES[names[k - 1]]) if k else [None] * config.n_scenes
-    stage = STAGES[command]
+    before, stage = STAGES[names[k - 1]], STAGES[command]
+    inputs = _stage_files(config, before) if k else [None] * config.n_scenes
     (Path(config.output_dir) / stage.dir).mkdir(parents=True, exist_ok=True)
-    return [_write_artifact(config, stage, i, stage.step(config, i, item, method))
-            for i, item in enumerate(inputs)]
+    return [_write_artifact(config, stage, i,
+                            stage.step(config, i, before.read(path) if k else None, method))
+            for i, path in enumerate(inputs)]
 
 
 def cmd_eval(config: PipelineConfig) -> EvalReport:
-    lanes_lists = _read_stage(config, STAGES["cluster"])
-    scenes = _read_stage(config, STAGES["generate"])
-    if len(lanes_lists) != len(scenes):
+    lanes_files = _stage_files(config, STAGES["cluster"])
+    scene_files = _stage_files(config, STAGES["generate"])
+    if len(lanes_files) != len(scene_files):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
-                             f"{len(lanes_lists)} lane files vs {len(scenes)} scenes")
+                             f"{len(lanes_files)} lane files vs {len(scene_files)} scenes")
     return _write_report(config, score_scenes(
-        [(lanes, scene.lanes) for lanes, scene in zip(lanes_lists, scenes)], config.eval))
+        [(STAGES["cluster"].read(lanes), STAGES["generate"].read(scene).lanes)
+         for lanes, scene in zip(lanes_files, scene_files)], config.eval))
 
 
 def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:
@@ -268,24 +272,25 @@ def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalRep
 
 def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
     """Per-scene loss terms as CSV, optionally with a gradient-check summary."""
-    targets = _read_stage(config, STAGES["encode"])
-    preds = _read_stage(config, STAGES["predict"])
+    targets = _stage_files(config, STAGES["encode"])
+    preds = _stage_files(config, STAGES["predict"])
     if len(targets) != len(preds):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(targets)} target files vs {len(preds)} prediction files")
     lines = ["scene,score,angle,offsets,pull,push,total"]
-    for i, (tgt, prd) in enumerate(zip(targets, preds)):
+    for i, (tgt_path, prd_path) in enumerate(zip(targets, preds)):
+        tgt, prd = STAGES["encode"].read(tgt_path), STAGES["predict"].read(prd_path)
         if tgt.grid != prd.grid or tgt.bins != prd.bins:
-            raise io.SchemaError(_stage_path(config, STAGES["predict"], i), "grid",
-                                 "prediction and target grids disagree")
+            raise io.SchemaError(prd_path, "grid", "prediction and target grids disagree")
         tile = total_tile_loss(prd, tgt)
         emb = embedding_loss(prd.embedding, tgt.lane_id, config.embedding)
         c = {**tile.components, **emb.components}
         total = tile.value + emb.value
         lines.append(f"{i},{c['score']!r},{c['angle']!r},{c['offsets']!r},"
                      f"{c['pull']!r},{c['push']!r},{total!r}")
+        del tgt, prd, tile, emb     # before the next scene's grids are read
     if grad_check and targets:
-        tgt, prd = targets[0], preds[0]
+        tgt, prd = STAGES["encode"].read(targets[0]), STAGES["predict"].read(preds[0])
         tile_inputs = {f.name: getattr(prd, f.name) for f in array_fields(prd)
                        if f.name != "embedding"}
         tile_rep = finite_diff_check(

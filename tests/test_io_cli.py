@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -961,6 +962,34 @@ def test_cli_segment_value_out_of_range_is_data_error(tmp_path, capsys, name, va
         assert f"'segments[1].{name}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value", [
+    ("midpoint", [1.0, 2.0]), ("embedding", [0.1]), ("endpoints", [[0, 0, 0]]),
+    ("direction", [1.0])])
+def test_cli_segment_value_of_the_wrong_shape_is_data_error(tmp_path, capsys, name, value):
+    # each ended in numpy's uncaught "inhomogeneous shape" ValueError when
+    # the reader stacked the rows into columns
+    cfg, path, d = _segments_file(tmp_path)
+    d["segments"][1][name] = value
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["cluster", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "segments_00000.json" in err and f"'segments[1].{name}'" in err
+
+
+@pytest.mark.parametrize("method", pipeline.CLUSTER_METHODS)
+@pytest.mark.parametrize("value", [7.0, 1e308])
+def test_cli_segment_direction_that_is_not_a_unit_vector_is_data_error(tmp_path, capsys,
+                                                                       value, method):
+    # both methods used to cluster it with exit 0; decode writes (cos phi, sin phi)
+    cfg, path, d = _segments_file(tmp_path)
+    d["segments"][1]["direction"][0] = value
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["cluster", "--config", cfg, "--method", method]) == 3
+    assert "'segments[1].direction'" in capsys.readouterr().err
+
+
 def test_cli_nan_lane_point_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["generate", "--config", cfg]) == 0
@@ -1216,6 +1245,61 @@ def test_cli_stage_files_pair_by_the_index_in_their_names(tmp_path, capsys):
     (tmp_path / "out" / "preds" / "pred_2.json").write_text("{}")
     assert main(["loss", "--config", cfg]) == 3
     assert "pred_2.json" in capsys.readouterr().err
+
+
+def test_cli_loss_reports_the_first_fault_in_scene_order(tmp_path, capsys):
+    # loss used to read every target before any prediction, and so named
+    # target_00001.json here
+    cfg = write_config(tmp_path, n_scenes=4)
+    assert main(["pipeline", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    (out / "targets" / "target_00001.json").write_text("{broken")
+    (out / "preds" / "pred_00000.json").write_text("{broken")
+    capsys.readouterr()
+    assert main(["loss", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "pred_00000.json" in err and "target_00001.json" not in err
+    # the two listings are compared before any file is parsed
+    (out / "targets" / "target_00000.json").write_text("{broken")
+    (out / "preds" / "pred_00003.json").unlink()
+    assert main(["loss", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "4 target files vs 3 prediction files" in err and "target_00000.json" not in err
+
+
+def test_cli_stage_command_keeps_the_outputs_before_a_bad_input(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_scenes=4)
+    for command in ("generate", "encode", "predict"):
+        assert main([command, "--config", cfg]) == 0
+    preds = tmp_path / "out" / "preds"
+    clean = {p.name: p.read_bytes() for p in preds.iterdir()}
+    for p in preds.iterdir():
+        p.unlink()
+    (tmp_path / "out" / "targets" / "target_00002.json").write_text("{broken")
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg]) == 3
+    assert "target_00002.json" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in preds.iterdir()} == {
+        name: clean[name] for name in ("pred_00000.json", "pred_00001.json")}
+
+
+def test_stage_commands_memory_does_not_grow_with_scene_count(tmp_path):
+    # loss and the stage commands used to parse every input file of the run
+    # first: from 2 to 8 scenes, the peak of cmd_loss grew 2.6x, of predict 2x
+    runs = {"loss": pipeline.cmd_loss, "predict": lambda c: pipeline.run_stage(c, "predict")}
+    peaks = {}
+    for n in (2, 8):
+        config = PipelineConfig.from_dict({"n_scenes": n, "output_dir": str(tmp_path / str(n))})
+        cmd_pipeline(config)
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run(config)
+                peaks[name, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for name in ("loss", "predict"):
+        assert peaks[name, 8] <= 1.25 * peaks[name, 2], peaks
 
 
 def test_cli_cluster_greedy_method(tmp_path):
