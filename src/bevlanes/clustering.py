@@ -17,12 +17,12 @@ each tile's 3x3 neighbourhood instead of testing every pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codec import SegmentSet, wrap_signed
-from .geometry import Curve, repeated_vertices, require_finite
+from .geometry import Curve, check_settings, repeated_vertices
 
 # The greedy baseline's join tolerances: direction (rad) and endpoint gap (m).
 ANGLE_TOL = math.pi / 8
@@ -33,21 +33,14 @@ GAP_TOL = 4.5  # 1.5 tile lengths
 class ClusterParams:
     """Mean-shift and assignment settings, in embedding units."""
 
-    bandwidth: float = 1.5
-    max_iters: int = 100
-    shift_tol: float = 1e-4
-    assign_radius: float = 1.5
-    min_cluster_size: int = 2
+    bandwidth: float = field(default=1.5, metadata={">": 0.0})
+    max_iters: int = field(default=100, metadata={">=": 1})
+    shift_tol: float = field(default=1e-4, metadata={">=": 0.0})
+    assign_radius: float = field(default=1.5, metadata={">": 0.0})
+    min_cluster_size: int = field(default=2, metadata={">=": 1})
 
     def __post_init__(self):
-        require_finite(self)
-        if self.bandwidth <= 0 or self.assign_radius <= 0 or self.shift_tol < 0:
-            raise ValueError(f"bandwidth and assign_radius must be > 0 and shift_tol >= 0, got "
-                             f"{self.bandwidth}, {self.assign_radius}, {self.shift_tol}")
-        if self.min_cluster_size < 1:
-            raise ValueError(f"min_cluster_size must be >= 1, got {self.min_cluster_size}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_settings(self)
 
 
 @dataclass

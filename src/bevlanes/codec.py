@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import GridSpec, Lane3D, require_finite, tile_centers
+from .geometry import GridSpec, Lane3D, check_settings, tile_centers
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,12 +41,10 @@ SATURATION = 50.0
 class AngleBinSpec:
     """Circularly spaced direction bins with centers (2pi/N)*i, i = 1..N."""
 
-    n_bins: int = 8
+    n_bins: int = field(default=8, metadata={">=": 4})
 
     def __post_init__(self):
-        require_finite(self)
-        if self.n_bins < 4:
-            raise ValueError(f"need at least 4 angle bins, got {self.n_bins}")
+        check_settings(self)
 
     @property
     def spacing(self) -> float:

@@ -17,12 +17,12 @@ pools the records of all scenes into the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from .geometry import Curve, require_finite, resample_polyline
+from .geometry import Curve, check_settings, resample_polyline
 
 DEFAULT_EXTENT = ((-10.74, 10.74), (-0.5, 78.5))  # default grid padded by w/2
 
@@ -32,24 +32,21 @@ class EvalConfig:
     """Evaluation protocol settings."""
 
     iou_thresholds: tuple = tuple(round(0.1 * k, 1) for k in range(1, 10))
-    lane_width: float = 1.0          # full dilation width for rasterization
-    raster_resolution: float = 0.1   # meters per cell
+    lane_width: float = field(default=1.0, metadata={">": 0.0})   # full dilation width
+    raster_resolution: float = field(default=0.1, metadata={">": 0.0})   # meters per cell
     range_buckets: tuple = ((0.0, 30.0), (30.0, 80.0))
-    lateral_sample_step: float = 1.0
+    lateral_sample_step: float = field(default=1.0, metadata={">": 0.0})
     extent: tuple = DEFAULT_EXTENT   # ((x_lo, x_hi), (y_lo, y_hi)) raster window
 
     def __post_init__(self):
-        require_finite(self)
+        check_settings(self)
         t = self.iou_thresholds
         if not t or any(not (0.0 < v < 1.0) for v in t) or any(
                 b <= a for a, b in zip(t[:-1], t[1:])):
             raise ValueError("iou_thresholds must be strictly increasing within (0, 1)")
-        if self.lane_width <= 0:
-            raise ValueError("lane_width must be positive")
-        if not 0 < self.raster_resolution <= self.lane_width / 4:
-            raise ValueError("raster_resolution must be in (0, lane_width/4]")
-        if self.lateral_sample_step <= 0:
-            raise ValueError("lateral_sample_step must be positive")
+        if self.raster_resolution > self.lane_width / 4:
+            raise ValueError(f"raster_resolution must be <= lane_width / 4, got "
+                             f"{self.raster_resolution} for lane_width {self.lane_width}")
         for lo, hi in self.range_buckets:
             if hi <= lo:
                 raise ValueError(f"empty range bucket ({lo}, {hi})")

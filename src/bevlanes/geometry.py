@@ -13,7 +13,8 @@ index j along x (right).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,18 +27,14 @@ class GridSpec:
     16 x 26 grid of 1.28 m x 3 m tiles covers 20.48 m x 78 m starting at y=0.
     """
 
-    n_cols: int = 16
-    n_rows: int = 26
-    tile_width: float = 1.28
-    tile_length: float = 3.0
+    n_cols: int = field(default=16, metadata={">=": 1})
+    n_rows: int = field(default=26, metadata={">=": 1})
+    tile_width: float = field(default=1.28, metadata={">": 0.0})
+    tile_length: float = field(default=3.0, metadata={">": 0.0})
     y_min: float = 0.0
 
     def __post_init__(self):
-        require_finite(self)
-        if self.n_cols < 1 or self.n_rows < 1:
-            raise ValueError("grid must have at least one tile per axis")
-        if self.tile_width <= 0 or self.tile_length <= 0:
-            raise ValueError("tile dimensions must be positive")
+        check_settings(self)
         if not (math.isfinite(self.x_extent) and math.isfinite(self.y_max)):
             raise ValueError("grid extent must be finite")
 
@@ -62,12 +59,22 @@ class GridSpec:
         return self.y_min + self.y_extent
 
 
-def require_finite(record) -> None:
-    """Reject a dataclass record that holds a NaN or infinite float in any
-    field, itself or nested in tuples, lists and dict values, naming the field."""
+# The bounds a settings field may declare in its metadata, {op: bound}.
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def check_settings(record) -> None:
+    """Reject a settings record that holds a NaN or infinite float in any
+    field, itself or nested in tuples, lists and dict values, or a value that
+    breaks a bound its field declares (`metadata={">=": 0.0}`), naming the
+    field. Rules that relate two fields stay in the record's __post_init__."""
     for f in fields(record):
-        if not _finite(getattr(record, f.name)):
-            raise ValueError(f"{f.name} must be finite, got {getattr(record, f.name)}")
+        value = getattr(record, f.name)
+        if not _finite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+        for op, bound in f.metadata.items():
+            if not _BOUNDS[op](value, bound):
+                raise ValueError(f"{f.name} must be {op} {bound}, got {value}")
 
 
 def _finite(value) -> bool:

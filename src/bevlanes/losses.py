@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import TilePredictionGrid, TileTargetGrid, _sigmoid
-from .geometry import require_finite
+from .geometry import check_settings
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,13 @@ class EmbeddingParams:
 
     pull_margin: float = 0.1
     push_margin: float = 3.0
-    dim: int = 4
+    dim: int = field(default=4, metadata={">=": 1})
 
     def __post_init__(self):
-        require_finite(self)
+        check_settings(self)
         if not (0.0 < self.pull_margin < self.push_margin):
             raise ValueError(
                 f"need 0 < pull_margin < push_margin, got {self.pull_margin}, {self.push_margin}")
-        if self.dim < 1:
-            raise ValueError(f"embedding dimension must be >= 1, got {self.dim}")
 
 
 @dataclass

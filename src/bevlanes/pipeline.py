@@ -256,9 +256,27 @@ def cmd_eval(config: PipelineConfig) -> EvalReport:
     if len(lanes_files) != len(scene_files):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(lanes_files)} lane files vs {len(scene_files)} scenes")
-    return _write_report(config, score_scenes(
-        [(STAGES["cluster"].read(lanes), STAGES["generate"].read(scene).lanes)
-         for lanes, scene in zip(lanes_files, scene_files)], config.eval))
+    records = []
+    for lanes_path, scene_path in zip(lanes_files, scene_files):
+        lanes = STAGES["cluster"].read(lanes_path)
+        _check_extent(config, lanes_path, [curve for curve, _ in lanes])
+        gt = STAGES["generate"].read(scene_path).lanes
+        _check_extent(config, scene_path, gt)
+        records.append((lanes, gt))
+    return _write_report(config, score_scenes(records, config.eval))
+
+
+def _check_extent(config: PipelineConfig, path: Path, curves: list) -> None:
+    """Reject a curve of the file with a vertex whose x or y lies outside
+    config.eval.extent, the grid padded by lane_width / 2, where generate and
+    cluster keep every vertex; eval resamples a lane at lateral_sample_step,
+    so a far vertex would cost time in proportion to its distance."""
+    (x_lo, x_hi), (y_lo, y_hi) = config.eval.extent
+    for k, curve in enumerate(curves):
+        x, y = curve.points[:, 0], curve.points[:, 1]
+        if not np.all((x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)):
+            raise io.SchemaError(path, f"lanes[{k}].points",
+                                 f"a vertex outside the eval extent {config.eval.extent}")
 
 
 def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:

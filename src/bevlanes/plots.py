@@ -17,11 +17,11 @@ _SCALE = 8.0  # SVG pixels per meter
 _MARGIN = 1.0  # meters of padding around the grid
 
 
-def _header(grid: GridSpec) -> tuple[str, float, float]:
+def _header(grid: GridSpec) -> str:
     w = (grid.x_extent + 2 * _MARGIN) * _SCALE
     h = (grid.y_extent + 2 * _MARGIN) * _SCALE
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
-            f'viewBox="0 0 {w:.2f} {h:.2f}">'), w, h
+            f'viewBox="0 0 {w:.2f} {h:.2f}">')
 
 
 def _to_px(x, y, grid: GridSpec) -> tuple:
@@ -60,9 +60,7 @@ def _grid_frame(grid: GridSpec) -> list[str]:
 
 def scene_svg(gt_lanes: list[Lane3D], pred_curves: list[Curve], grid: GridSpec) -> str:
     """BEV overlay: grid frame, ground-truth lanes in red, predictions in blue."""
-    header, _, _ = _header(grid)
-    parts = [header]
-    parts.extend(_grid_frame(grid))
+    parts = [_header(grid), *_grid_frame(grid)]
     for lane in gt_lanes:
         parts.append(_polyline(lane.points, grid, "#cc2222", 2.0))
     for curve in pred_curves:
@@ -77,8 +75,7 @@ def heatmap_svg(scores: np.ndarray, grid: GridSpec) -> str:
     if scores.shape != (grid.n_rows, grid.n_cols):
         raise ValueError(f"scores shape {scores.shape} does not match grid "
                          f"({grid.n_rows}, {grid.n_cols})")
-    header, _, _ = _header(grid)
-    parts = [header]
+    parts = [_header(grid)]
     # each column's x and each row's y (the tile's top edge) formatted once
     xs = [f"{_to_px(grid.x_min + j * grid.tile_width, 0.0, grid)[0]:.2f}"
           for j in range(grid.n_cols)]

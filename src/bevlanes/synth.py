@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import (SATURATION, TilePredictionGrid, TileTargetGrid, angle_to_soft_labels,
                     logit, saturated_arrays)
-from .geometry import GridSpec, Lane3D, require_finite, resample_polyline
+from .geometry import GridSpec, Lane3D, check_settings, resample_polyline
 from .losses import EmbeddingParams
 
 TOPOLOGIES = ("parallel", "split", "merge", "short", "perpendicular")
@@ -42,18 +42,14 @@ _MIN_LANE_LEN = 8.0
 class SurfaceParams:
     """Separable sinusoid height field z = A sin(2pi y/ly + py) cos(2pi x/lx + px)."""
 
-    amplitude: float = 0.0
-    wavelength_x: float = 40.0
-    wavelength_y: float = 40.0
+    amplitude: float = field(default=0.0, metadata={">=": 0.0})
+    wavelength_x: float = field(default=40.0, metadata={">": 0.0})
+    wavelength_y: float = field(default=40.0, metadata={">": 0.0})
     phase_x: float = 0.0
     phase_y: float = 0.0
 
     def __post_init__(self):
-        require_finite(self)
-        if self.amplitude < 0:
-            raise ValueError(f"surface amplitude must be >= 0, got {self.amplitude}")
-        if self.wavelength_x <= 0 or self.wavelength_y <= 0:
-            raise ValueError("surface wavelengths must be positive")
+        check_settings(self)
 
 
 def surface_height(x, y, surface: SurfaceParams):
@@ -67,10 +63,10 @@ def surface_height(x, y, surface: SurfaceParams):
 class SceneConfig:
     """Knobs for the procedural scene generator."""
 
-    n_lanes: int = 3
-    lane_spacing: float = 3.7
-    curvature_max: float = 0.03
-    surface_amplitude: float = 0.3
+    n_lanes: int = field(default=3, metadata={">=": 1})
+    lane_spacing: float = field(default=3.7, metadata={">": 0.0})
+    curvature_max: float = field(default=0.03, metadata={">=": 0.0})
+    surface_amplitude: float = field(default=0.3, metadata={">=": 0.0})
     surface_wavelength: float = 40.0
     topology_weights: dict = field(default_factory=lambda: {
         "parallel": 0.6, "split": 0.1, "merge": 0.1, "short": 0.1, "perpendicular": 0.1})
@@ -78,15 +74,7 @@ class SceneConfig:
     short_y_range: tuple[float, float] = (20.0, 50.0)
 
     def __post_init__(self):
-        require_finite(self)
-        if self.n_lanes < 1:
-            raise ValueError(f"n_lanes must be >= 1, got {self.n_lanes}")
-        if self.lane_spacing <= 0:
-            raise ValueError(f"lane_spacing must be positive, got {self.lane_spacing}")
-        if self.curvature_max < 0:
-            raise ValueError(f"curvature_max must be >= 0, got {self.curvature_max}")
-        if self.surface_amplitude < 0:
-            raise ValueError("surface_amplitude must be >= 0")
+        check_settings(self)
         if set(self.topology_weights) - set(TOPOLOGIES):
             raise ValueError(f"unknown topology in {sorted(self.topology_weights)}")
         total = sum(self.topology_weights.values())
@@ -102,21 +90,15 @@ class SceneConfig:
 class NoiseConfig:
     """Corruption levels for the oracle predictor."""
 
-    sigma_r: float = 0.0
-    sigma_phi: float = 0.0
-    sigma_z: float = 0.0
-    drop_rate: float = 0.0
-    fp_rate: float = 0.0
-    sigma_f: float = 0.0
+    sigma_r: float = field(default=0.0, metadata={">=": 0.0})
+    sigma_phi: float = field(default=0.0, metadata={">=": 0.0})
+    sigma_z: float = field(default=0.0, metadata={">=": 0.0})
+    drop_rate: float = field(default=0.0, metadata={">=": 0.0, "<=": 1.0})
+    fp_rate: float = field(default=0.0, metadata={">=": 0.0, "<=": 1.0})
+    sigma_f: float = field(default=0.0, metadata={">=": 0.0})
 
     def __post_init__(self):
-        require_finite(self)
-        for name in ("sigma_r", "sigma_phi", "sigma_z", "sigma_f"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("drop_rate", "fp_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        check_settings(self)
 
 
 @dataclass

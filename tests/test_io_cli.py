@@ -1648,6 +1648,39 @@ def test_lane_coordinate_bound_is_inclusive(kind):
     assert exc.value.field == "lanes[0].points"
 
 
+def test_cli_lane_vertex_far_outside_the_eval_extent_is_data_error_at_once(tmp_path, capsys):
+    # eval resampled the 2e6 m lane at 1 m steps and exited 0 after about 5 s
+    cfg = write_config(tmp_path, n_scenes=1, master_seed=3)
+    assert main(["pipeline", "--config", cfg]) == 0
+    lanes_path = tmp_path / "out" / "lanes" / "lanes_00000.json"
+    d = json.loads(lanes_path.read_text())
+    d["lanes"][0]["points"][1][1] = 1e6
+    lanes_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["eval", "--config", cfg]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert "data error" in err and "lanes_00000.json" in err and "'lanes[0].points'" in err
+
+
+@pytest.mark.parametrize("path", ["scenes/scene_00000.json", "lanes/lanes_00000.json"])
+@pytest.mark.parametrize("axis, side", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_cli_eval_extent_edge_is_inside(tmp_path, capsys, path, axis, side):
+    # a vertex on the edge of the extent evaluates; the next float beyond it does not
+    cfg = write_config(tmp_path, n_scenes=1)
+    assert main(["pipeline", "--config", cfg]) == 0
+    edge = PipelineConfig.from_dict(json.loads(Path(cfg).read_text())).eval.extent[axis][side]
+    stage_path = tmp_path / "out" / path
+    d = json.loads(stage_path.read_text())
+    for value, code in [(edge, 0), (math.nextafter(edge, math.inf if side else -math.inf), 3)]:
+        d["lanes"][0]["points"][1][axis] = value
+        stage_path.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg]) == code
+    assert Path(path).name in capsys.readouterr().err
+
+
 def test_cli_plain_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
     # main used to report every ValueError as "config error" with exit 2,
     # a numpy one raised on the data of a stage file too

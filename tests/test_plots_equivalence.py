@@ -34,8 +34,7 @@ def ref_heatmap_svg(scores: np.ndarray, grid: GridSpec) -> str:
     if scores.shape != (grid.n_rows, grid.n_cols):
         raise ValueError(f"scores shape {scores.shape} does not match grid "
                          f"({grid.n_rows}, {grid.n_cols})")
-    header, _, _ = _header(grid)
-    parts = [header]
+    parts = [_header(grid)]
     xs = [f"{_to_px(grid.x_min + j * grid.tile_width, 0.0, grid)[0]:.2f}"
           for j in range(grid.n_cols)]
     size = (f'width="{grid.tile_width * plots._SCALE:.2f}" '
