@@ -36,6 +36,12 @@ MIN_SEG_LEN = 0.3
 SCORE_THRESHOLD = 0.3
 SATURATION = 50.0
 
+# Value bounds, {op: bound}; MAX_COORDINATE (m) keeps sums of squares and eval's work finite.
+MAX_COORDINATE = 1e6
+COORDINATE = {">=": -MAX_COORDINATE, "<=": MAX_COORDINATE}
+BINARY, PROBABILITY = {"one of": (0.0, 1.0)}, {">=": 0.0, "<=": 1.0}
+LOGIT, RESIDUAL = {">=": -SATURATION, "<=": SATURATION}, {">=": -math.pi, "<=": math.pi}
+
 
 @dataclass(frozen=True)
 class AngleBinSpec:
@@ -97,10 +103,10 @@ def soft_labels_to_angle(p_bins: np.ndarray, d_bins: np.ndarray, bins: AngleBinS
     return float(phi) if phi.ndim == 0 else phi
 
 
-def _array(*shape, fill: float = 0.0, dtype=float):
+def _array(*shape, fill: float = 0.0, dtype=float, bounds=None):
     """An array field: its shape over named axes (grid rows "H", columns "W",
-    angle bins "N", segments "n", any size "d") or sizes, its fill and dtype."""
-    return field(metadata={"shape": shape, "fill": fill, "dtype": dtype})
+    angle bins "N", segments "n", any size "d") or sizes, its fill, dtype and bounds."""
+    return field(metadata={"shape": shape, "fill": fill, "dtype": dtype, "bounds": bounds or {}})
 
 
 def array_fields(obj) -> list:
@@ -139,14 +145,14 @@ class TileTargetGrid:
 
     grid: GridSpec
     bins: AngleBinSpec
-    occupancy: np.ndarray = _array("H", "W")                # in {0, 1}
-    lateral_offset: np.ndarray = _array("H", "W")           # meters
-    angle: np.ndarray = _array("H", "W")                    # radians in [0, 2pi)
-    height_offset: np.ndarray = _array("H", "W")            # meters
-    lane_id: np.ndarray = _array("H", "W", fill=-1, dtype=np.int64)   # -1 where unoccupied
-    bin_probs: np.ndarray = _array("H", "W", "N")
-    bin_residuals: np.ndarray = _array("H", "W", "N")       # radians
-    bin_mask: np.ndarray = _array("H", "W", "N")            # in {0, 1}
+    occupancy: np.ndarray = _array("H", "W", bounds=BINARY)
+    lateral_offset: np.ndarray = _array("H", "W", bounds=COORDINATE)      # meters
+    angle: np.ndarray = _array("H", "W", bounds={">=": 0.0, "<=": TWO_PI})  # x % 2pi can be 2pi
+    height_offset: np.ndarray = _array("H", "W", bounds=COORDINATE)       # meters
+    lane_id: np.ndarray = _array("H", "W", fill=-1, dtype=np.int64, bounds={">=": -1})  # -1: none
+    bin_probs: np.ndarray = _array("H", "W", "N", bounds=PROBABILITY)
+    bin_residuals: np.ndarray = _array("H", "W", "N", bounds=RESIDUAL)    # radians
+    bin_mask: np.ndarray = _array("H", "W", "N", bounds=BINARY)
 
     def __post_init__(self):
         _check_arrays(self, _grid_sizes(self.grid, self.bins))
@@ -162,12 +168,12 @@ class TilePredictionGrid:
 
     grid: GridSpec
     bins: AngleBinSpec
-    score_logit: np.ndarray = _array("H", "W", fill=-SATURATION)
-    lateral_offset: np.ndarray = _array("H", "W")           # meters
-    height_offset: np.ndarray = _array("H", "W")            # meters
-    bin_logits: np.ndarray = _array("H", "W", "N", fill=-SATURATION)
-    bin_residuals: np.ndarray = _array("H", "W", "N")       # radians
-    embedding: np.ndarray = _array("H", "W", "d")
+    score_logit: np.ndarray = _array("H", "W", fill=-SATURATION, bounds=LOGIT)
+    lateral_offset: np.ndarray = _array("H", "W", bounds=COORDINATE)      # meters
+    height_offset: np.ndarray = _array("H", "W", bounds=COORDINATE)       # meters
+    bin_logits: np.ndarray = _array("H", "W", "N", fill=-SATURATION, bounds=LOGIT)
+    bin_residuals: np.ndarray = _array("H", "W", "N", bounds=RESIDUAL)    # radians
+    embedding: np.ndarray = _array("H", "W", "d", bounds=COORDINATE)
 
     def __post_init__(self):
         _check_arrays(self, _grid_sizes(self.grid, self.bins))
@@ -231,12 +237,12 @@ def saturated_arrays(targets: TileTargetGrid, embedding_dim: int = 4) -> dict:
 class SegmentSet:
     """Decoded per-tile 3D line segments, one row per segment."""
 
-    midpoint: np.ndarray = _array("n", 3)      # foot of the perpendicular from the tile center
+    midpoint: np.ndarray = _array("n", 3, bounds=COORDINATE)     # tile center's foot on the line
     direction: np.ndarray = _array("n", 2)     # unit vector (cos phi, sin phi)
-    endpoints: np.ndarray = _array("n", 2, 3)  # on the tile border, ordered along direction
-    score: np.ndarray = _array("n")            # occupancy probability
-    tile: np.ndarray = _array("n", 2, dtype=np.int64)   # (row, col)
-    embedding: np.ndarray = _array("n", "d")
+    endpoints: np.ndarray = _array("n", 2, 3, bounds=COORDINATE)  # on the tile border, in order
+    score: np.ndarray = _array("n", bounds=PROBABILITY)         # occupancy probability
+    tile: np.ndarray = _array("n", 2, dtype=np.int64, bounds={">=": 0, "<": 2 ** 31})  # (row, col)
+    embedding: np.ndarray = _array("n", "d", bounds=COORDINATE)
     degenerate: np.ndarray = _array("n", dtype=bool)    # line clear of its tile, clamped
 
     def __post_init__(self):

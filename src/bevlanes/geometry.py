@@ -59,8 +59,9 @@ class GridSpec:
         return self.y_min + self.y_extent
 
 
-# The bounds a settings field may declare in its metadata, {op: bound}.
-_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+# The bounds a settings or array field may declare in its metadata, {op: bound}.
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le,
+           "one of": np.isin}
 
 
 def check_settings(record) -> None:
@@ -72,9 +73,19 @@ def check_settings(record) -> None:
         value = getattr(record, f.name)
         if not _finite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
-        for op, bound in f.metadata.items():
-            if not _BOUNDS[op](value, bound):
-                raise ValueError(f"{f.name} must be {op} {bound}, got {value}")
+        bad = first_out_of_range(value, f.metadata)
+        if bad:
+            raise ValueError(f"{f.name} {bad[1]}")
+
+
+def first_out_of_range(value, bounds: dict):
+    """None, or the index of the first element of value (an array or a number)
+    that breaks a bound of `bounds` and the message `must be <op> <bound>, got <it>`."""
+    for op, bound in bounds.items():
+        ok = _BOUNDS[op](value, bound)
+        if not np.all(ok):
+            at = tuple(map(int, np.unravel_index(np.argmin(ok), np.shape(ok))))
+            return at, f"must be {op} {bound}, got {np.asarray(value).astype(object)[at]!r}"
 
 
 def _finite(value) -> bool:

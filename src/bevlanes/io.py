@@ -8,8 +8,8 @@ writer writes, and a fault is a SchemaError naming the file and the field by
 its full dotted path (`fields.occupancy.shape`, `lanes[2].points`). Config
 sections, and a file's grid, bins and surface records, go through one
 field-driven codec (`section_to_dict`, `section_from_dict`). No JSON boolean
-or string reads as a number, nor a fraction as an int, and no lane vertex
-lies beyond MAX_COORDINATE.
+or string reads as a number, nor a fraction as an int, and every value keeps
+its declared bounds; `pipeline.Stage.read` adds the rules that need the config.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields
+from .codec import (COORDINATE, MAX_COORDINATE, PROBABILITY, AngleBinSpec,  # noqa: F401
+                    SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields)
 from .evaluation import EvalReport
-from .geometry import Curve, GridSpec, Lane3D
+from .geometry import Curve, GridSpec, Lane3D, first_out_of_range
 from .synth import Scene, SurfaceParams
 
 
@@ -121,10 +122,11 @@ def _checked(path: str, field: str, fn, *args, **kw):
         raise SchemaError(path, field, str(e))
 
 
-def _records(entries, key: str, path: str, parse: dict) -> list:
+def _records(entries, key: str, path: str, parse: dict, bounds: dict) -> list:
     """The objects of the list `entries`, found under key, each as the list of
     its values read by `parse`, which maps every key an object holds to the
-    parser of its value. Any fault in entry k names `key[k].<name>`."""
+    parser of its value, and each keeping the bounds ({op: bound}) that
+    `bounds` gives for its key. Any fault in entry k names `key[k].<name>`."""
     if not isinstance(entries, list):
         raise SchemaError(path, key, f"expected a list, got {type(entries).__name__}")
     rows = []
@@ -133,6 +135,9 @@ def _records(entries, key: str, path: str, parse: dict) -> list:
         try:
             for (name, fn), value in zip(parse.items(), values):
                 row.append(fn(value))
+                bad = first_out_of_range(row[-1], bounds.get(name, {}))
+                if bad:
+                    raise ValueError(bad[1])
         except (TypeError, ValueError, OverflowError) as e:
             raise SchemaError(path, f"{key}[{k}].{name}", str(e))
         rows.append(row)
@@ -162,15 +167,14 @@ def _has_shape(value, shape: tuple) -> bool:
     return not shape or (len(value) == shape[0] and all(_has_shape(v, shape[1:]) for v in value))
 
 
-MAX_COORDINATE = 1e6   # metres; eval's work and memory grow with a lane's length
-
-
-def _points(value) -> np.ndarray:
-    """A lane's vertices as `_numbers` reads them, each within ±MAX_COORDINATE."""
-    pts = _numbers(value)
-    if np.any(np.abs(pts) > MAX_COORDINATE):
-        raise ValueError(f"a coordinate beyond ±{MAX_COORDINATE:g} m")
-    return pts
+def _in_range(obj, path: str, at):
+    """obj, if each array field keeps the bounds it declares; else a
+    SchemaError on at(name, index of the first bad element)."""
+    for f in array_fields(obj):
+        bad = first_out_of_range(getattr(obj, f.name), f.metadata["bounds"])
+        if bad:
+            raise SchemaError(path, at(f.name, bad[0]), f"{f.name}{list(bad[0])} {bad[1]}")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +251,10 @@ def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
     entries, surface, rig = _file(d, "scene", ("lanes", "surface", "rig"), path)
     lanes = []
     for k, (pts, i) in enumerate(_records(entries, "lanes", path, {
-            "points": _points, "lane_id": functools.partial(_coerce, 0, name="lane_id")})):
-        if i < 0 or i in {lane.lane_id for lane in lanes}:
-            raise SchemaError(path, f"lanes[{k}].lane_id", f"{i} is negative or not unique")
+            "points": _numbers, "lane_id": functools.partial(_coerce, 0, name="lane_id")},
+            {"points": COORDINATE, "lane_id": {">=": 0, "<": 2 ** 63}})):   # a target's int64
+        if i in {lane.lane_id for lane in lanes}:
+            raise SchemaError(path, f"lanes[{k}].lane_id", f"{i} is not unique")
         lanes.append(_checked(path, f"lanes[{k}].points", Lane3D, points=pts, lane_id=i))
     surface = _build(SurfaceParams, surface, path, "surface")
     if json.dumps(rig, sort_keys=True, separators=(",", ":")) != _RIG_JSON:
@@ -291,7 +296,8 @@ def _grid_from_dict(cls, kind: str, d: dict, path: str, keys=()):
     grid, bins = _build(GridSpec, grid, path, "grid"), _build(AngleBinSpec, bins, path, "bins")
     arrays = {f.name: _unpack_field(entry, f, path) for f, entry in zip(
         array_fields(cls), _object(fields, [f.name for f in array_fields(cls)], path, "fields."))}
-    return _checked(path, "fields", cls, grid=grid, bins=bins, **arrays)
+    return _in_range(_checked(path, "fields", cls, grid=grid, bins=bins, **arrays), path,
+                     lambda name, at: f"fields.{name}.data")
 
 
 def targets_to_dict(targets: TileTargetGrid) -> dict:
@@ -300,11 +306,6 @@ def targets_to_dict(targets: TileTargetGrid) -> dict:
 
 def targets_from_dict(d: dict, path: str = "<targets>") -> TileTargetGrid:
     targets = _grid_from_dict(TileTargetGrid, "target_grid", d, path)
-    for name in ("occupancy", "bin_mask"):
-        if not np.all((getattr(targets, name) == 0.0) | (getattr(targets, name) == 1.0)):
-            raise SchemaError(path, f"fields.{name}.data", f"{name} must be 0 or 1")
-    if not np.all((targets.bin_probs >= 0.0) & (targets.bin_probs <= 1.0)):
-        raise SchemaError(path, "fields.bin_probs.data", "a bin probability outside [0, 1]")
     if np.any(targets.lane_id[targets.occupancy == 1.0] < 0):
         raise SchemaError(path, "fields.lane_id.data", "an occupied tile has a negative lane id")
     return targets
@@ -335,13 +336,11 @@ def segments_to_dict(segments: SegmentSet) -> dict:
 
 
 def _tile(value, seen: set) -> tuple:
-    """Grid indices in [0, 2**31) (the reader checks there are two), not among
+    """Grid indices as int64 (the reader checks there are two), not among
     `seen`, the tiles read before it (decode writes one per tile), to which it is added."""
-    tile = _coerce((0,), value, "tile")
-    if not all(0 <= v < 2 ** 31 for v in tile):
-        raise ValueError(f"expected grid indices in [0, 2**31), got {list(tile)}")
+    tile = tuple(map(np.int64, _coerce((0,), value, "tile")))
     if tile in seen:
-        raise ValueError(f"tile {list(tile)} holds an earlier segment")
+        raise ValueError(f"tile {list(map(int, tile))} holds an earlier segment")
     seen.add(tile)
     return tile
 
@@ -351,12 +350,6 @@ def _tile(value, seen: set) -> tuple:
 _SEGMENT_PARSE = {f.name: functools.partial(
     _coerce, np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist(),
     name=f.name) for f in array_fields(SegmentSet)}
-# The range of each value of these fields: coordinates and embeddings within
-# ±MAX_COORDINATE, so that mean shift and curve assembly cannot overflow, and
-# a score is a probability, so that a cluster's mean score is one too.
-_SEGMENT_BOUNDS = {"midpoint": (-MAX_COORDINATE, MAX_COORDINATE),
-                   "endpoints": (-MAX_COORDINATE, MAX_COORDINATE), "score": (0.0, 1.0),
-                   "embedding": (-MAX_COORDINATE, MAX_COORDINATE)}
 
 
 def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
@@ -364,7 +357,7 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
     scene's segments is rejected before the rest of it is parsed."""
     [entries] = _file(d, "segments", ("segments",), path)
     rows = _records(entries, "segments", path,
-                    {**_SEGMENT_PARSE, "tile": functools.partial(_tile, seen=set())})
+                    {**_SEGMENT_PARSE, "tile": functools.partial(_tile, seen=set())}, {})
     if not rows:
         return SegmentSet.empty()
     columns = dict(zip(_SEGMENT_PARSE, zip(*rows)))
@@ -375,16 +368,13 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
         if bad:
             raise SchemaError(path, f"segments[{bad[0]}].{f.name}", f"expected shape {want}")
         columns[f.name] = np.array(columns[f.name], dtype=f.metadata["dtype"])
-    for name, (lo, hi) in _SEGMENT_BOUNDS.items():
-        inside = ((columns[name] >= lo) & (columns[name] <= hi)).reshape(len(rows), -1)
-        bad = np.flatnonzero(~inside.all(axis=1))
-        if len(bad):
-            raise SchemaError(path, f"segments[{bad[0]}].{name}", f"outside [{lo:g}, {hi:g}]")
+    segments = _in_range(_checked(path, "segments", SegmentSet, **columns), path,
+                         lambda name, at: f"segments[{at[0]}].{name}")
     # decode writes (cos phi, sin phi); clustering and the greedy baseline take it as one
-    bad = np.flatnonzero(np.abs(np.hypot(*columns["direction"].T) - 1.0) > 1e-9)
+    bad = np.flatnonzero(np.abs(np.hypot(*segments.direction.T) - 1.0) > 1e-9)
     if len(bad):
         raise SchemaError(path, f"segments[{bad[0]}].direction", "not a unit vector")
-    return _checked(path, "segments", SegmentSet, **columns)
+    return segments
 
 
 def lanes_to_dict(lanes: list) -> dict:
@@ -393,16 +383,12 @@ def lanes_to_dict(lanes: list) -> dict:
                                        for curve, conf in lanes]}
 
 
-def _confidence(value) -> float:
-    conf = _coerce(0.0, value, "confidence")
-    if not 0.0 <= conf <= 1.0:
-        raise ValueError(f"{conf} outside [0, 1]")
-    return conf
-
-
 def lanes_from_dict(d: dict, path: str = "<lanes>") -> list:
+    """A lane's confidence is the mean score of its segments, so it keeps their bounds."""
     [entries] = _file(d, "lanes", ("lanes",), path)
-    rows = _records(entries, "lanes", path, {"points": _points, "confidence": _confidence})
+    rows = _records(entries, "lanes", path, {
+        "points": _numbers, "confidence": functools.partial(_coerce, 0.0, name="confidence")},
+        {"points": COORDINATE, "confidence": PROBABILITY})
     return [(_checked(path, f"lanes[{k}].points", Curve, points=pts), conf)
             for k, (pts, conf) in enumerate(rows)]
 

@@ -32,7 +32,7 @@ from .codec import (SegmentSet, TilePredictionGrid, TileTargetGrid, array_fields
                     encode_scene)
 from .config import ConfigError, PipelineConfig
 from .evaluation import EvalReport, SceneRecord, evaluate, score_scene, score_scenes
-from .geometry import Curve
+from .geometry import Curve, first_out_of_range
 from .losses import embedding_loss, finite_diff_check, total_tile_loss
 from .plots import heatmap_svg, scene_svg
 from .synth import Scene, generate_scene, oracle_predict
@@ -72,27 +72,13 @@ def _predict_step(config: PipelineConfig, index: int, targets: TileTargetGrid,
 
 def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
                  method: str) -> SegmentSet:
-    path = _stage_path(config, STAGES["predict"], index)
-    if preds.grid != config.grid:
-        raise io.SchemaError(path, "grid", "prediction grid shape disagrees with the config grid")
-    try:
-        return decode_grid(preds)
-    except ValueError as e:     # a kept tile whose bin logits all underflow to probability 0
-        raise io.SchemaError(path, "fields.bin_logits", str(e))
+    return decode_grid(preds)     # no bin logit is below -SATURATION, so a kept tile has an angle
 
 
 def _cluster_step(config: PipelineConfig, index: int, segments: SegmentSet,
                   method: str) -> list[tuple[Curve, float]]:
     """Cluster segments and assemble each instance into a (curve, confidence),
-    its mean score, in [0, 1] as the segments reader holds every score; an
-    instance that `assemble_curve` makes no curve of is left out. A tile
-    outside the config grid is a SchemaError, as decode writes none."""
-    rows, cols = segments.tile.T
-    outside = np.flatnonzero((rows >= config.grid.n_rows) | (cols >= config.grid.n_cols))
-    if len(outside):
-        raise io.SchemaError(_stage_path(config, STAGES["decode"], index),
-                             f"segments[{outside[0]}].tile", f"outside the {config.grid.n_rows} "
-                             f"x {config.grid.n_cols} grid of the config")
+    its mean score; an instance that `assemble_curve` makes no curve of is left out."""
     if method == "embedding":
         instances = cluster_segments(segments, config.cluster)
     elif method == "greedy":
@@ -178,6 +164,32 @@ def evaluate_results(results: list[SceneResult], config: PipelineConfig) -> Eval
 # File-based stage commands
 
 
+def _check_config(config: PipelineConfig, path: Path, artifact) -> None:
+    """The rules of a stage file that need the config, as the writers keep them:
+    a grid file has the config's grid and bins, a segment's tile lies in that grid,
+    and every lane vertex, segment midpoint and endpoint in config.eval.extent."""
+    if isinstance(artifact, (TileTargetGrid, TilePredictionGrid)):
+        for name in ("grid", "bins"):
+            if getattr(artifact, name) != getattr(config, name):
+                raise io.SchemaError(path, name, f"not the config's {getattr(config, name)}")
+        return
+    (x_lo, x_hi), (y_lo, y_hi) = config.eval.extent
+    extent = {">=": (x_lo, y_lo), "<=": (x_hi, y_hi)}
+    grid = (config.grid.n_rows, config.grid.n_cols)
+    if isinstance(artifact, SegmentSet):    # a field names the row of its fault
+        rules = [("segments[{}].tile", artifact.tile, {"<": grid})] + [
+            (f"segments[{{}}].{name}", getattr(artifact, name)[..., :2], extent)
+            for name in ("midpoint", "endpoints")]
+    else:       # a scene, or clustered (curve, confidence) lanes
+        curves = artifact.lanes if isinstance(artifact, Scene) else [c for c, _ in artifact]
+        rules = [(f"lanes[{k}].points", c.points[:, :2], extent) for k, c in enumerate(curves)]
+    for field, value, bounds in rules:
+        bad = first_out_of_range(value, bounds)
+        if bad:
+            raise io.SchemaError(path, field.format(bad[0][0]), f"{field.split('.')[-1]}"
+                                 f"{list(bad[0])} {bad[1]}, the config's grid or eval extent")
+
+
 @dataclass(frozen=True)
 class Stage:
     """A per-scene stage as files: its output directory, file stem, the names
@@ -191,8 +203,10 @@ class Stage:
     step: Callable
     writer: str
 
-    def read(self, path: Path):
-        return getattr(io, self.reader)(io.load_json(path), str(path))
+    def read(self, path: Path, config: PipelineConfig):
+        artifact = getattr(io, self.reader)(io.load_json(path), str(path))
+        _check_config(config, path, artifact)
+        return artifact
 
 
 STAGES = {
@@ -245,8 +259,8 @@ def run_stage(config: PipelineConfig, command: str, method: str = "embedding") -
     before, stage = STAGES[names[k - 1]], STAGES[command]
     inputs = _stage_files(config, before) if k else [None] * config.n_scenes
     (Path(config.output_dir) / stage.dir).mkdir(parents=True, exist_ok=True)
-    return [_write_artifact(config, stage, i,
-                            stage.step(config, i, before.read(path) if k else None, method))
+    return [_write_artifact(config, stage, i, stage.step(
+                config, i, before.read(path, config) if k else None, method))
             for i, path in enumerate(inputs)]
 
 
@@ -256,27 +270,9 @@ def cmd_eval(config: PipelineConfig) -> EvalReport:
     if len(lanes_files) != len(scene_files):
         raise io.SchemaError(Path(config.output_dir), "<dir>",
                              f"{len(lanes_files)} lane files vs {len(scene_files)} scenes")
-    records = []
-    for lanes_path, scene_path in zip(lanes_files, scene_files):
-        lanes = STAGES["cluster"].read(lanes_path)
-        _check_extent(config, lanes_path, [curve for curve, _ in lanes])
-        gt = STAGES["generate"].read(scene_path).lanes
-        _check_extent(config, scene_path, gt)
-        records.append((lanes, gt))
+    records = [(STAGES["cluster"].read(lanes, config), STAGES["generate"].read(scene, config).lanes)
+               for lanes, scene in zip(lanes_files, scene_files)]
     return _write_report(config, score_scenes(records, config.eval))
-
-
-def _check_extent(config: PipelineConfig, path: Path, curves: list) -> None:
-    """Reject a curve of the file with a vertex whose x or y lies outside
-    config.eval.extent, the grid padded by lane_width / 2, where generate and
-    cluster keep every vertex; eval resamples a lane at lateral_sample_step,
-    so a far vertex would cost time in proportion to its distance."""
-    (x_lo, x_hi), (y_lo, y_hi) = config.eval.extent
-    for k, curve in enumerate(curves):
-        x, y = curve.points[:, 0], curve.points[:, 1]
-        if not np.all((x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)):
-            raise io.SchemaError(path, f"lanes[{k}].points",
-                                 f"a vertex outside the eval extent {config.eval.extent}")
 
 
 def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:
@@ -297,9 +293,8 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
                              f"{len(targets)} target files vs {len(preds)} prediction files")
     lines = ["scene,score,angle,offsets,pull,push,total"]
     for i, (tgt_path, prd_path) in enumerate(zip(targets, preds)):
-        tgt, prd = STAGES["encode"].read(tgt_path), STAGES["predict"].read(prd_path)
-        if tgt.grid != prd.grid or tgt.bins != prd.bins:
-            raise io.SchemaError(prd_path, "grid", "prediction and target grids disagree")
+        tgt = STAGES["encode"].read(tgt_path, config)
+        prd = STAGES["predict"].read(prd_path, config)
         tile = total_tile_loss(prd, tgt)
         emb = embedding_loss(prd.embedding, tgt.lane_id, config.embedding)
         c = {**tile.components, **emb.components}
@@ -308,7 +303,8 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
                      f"{c['pull']!r},{c['push']!r},{total!r}")
         del tgt, prd, tile, emb     # before the next scene's grids are read
     if grad_check and targets:
-        tgt, prd = STAGES["encode"].read(targets[0]), STAGES["predict"].read(preds[0])
+        tgt = STAGES["encode"].read(targets[0], config)
+        prd = STAGES["predict"].read(preds[0], config)
         tile_inputs = {f.name: getattr(prd, f.name) for f in array_fields(prd)
                        if f.name != "embedding"}
         tile_rep = finite_diff_check(

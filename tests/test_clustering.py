@@ -71,6 +71,15 @@ def test_mean_shift_two_groups_against_group_means():
         assert np.linalg.norm(nearest - mean) < 0.15
 
 
+def test_mean_shift_shift_exactly_at_shift_tol_keeps_iterating():
+    # seed 0's first mean is (1, 0), a shift of exactly 1.0; from there the
+    # window takes in (3.2, 0) and the seed moves on to (5.2 / 3, 0), which
+    # outranks the other modes. Stopping at the tolerance would keep (1, 0).
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [3.2, 0.0]])
+    centers = mean_shift(pts, ClusterParams(bandwidth=2.5, shift_tol=1.0))
+    npt.assert_allclose(centers, [[5.2 / 3, 0.0]], atol=1e-12)
+
+
 def test_mean_shift_deterministic_and_permutation_invariant():
     rng = np.random.default_rng(3)
     pts = np.vstack([

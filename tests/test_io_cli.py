@@ -30,7 +30,7 @@ from bevlanes.codec import (AngleBinSpec, SegmentSet, TilePredictionGrid, TileTa
                             angle_to_soft_labels, array_fields, decode_grid, encode_scene)
 from bevlanes.config import ConfigError, PipelineConfig
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate, score_scene
-from bevlanes.geometry import Curve, GridSpec
+from bevlanes.geometry import Curve, GridSpec, first_out_of_range
 from bevlanes.losses import EmbeddingParams
 from bevlanes.pipeline import cmd_pipeline, evaluate_results, process_scene, run_pipeline
 from bevlanes.synth import NoiseConfig, SceneConfig, generate_scene, oracle_predict
@@ -151,19 +151,19 @@ def test_canonical_json_rejects_a_non_finite_array_value(arr, value, data):
 @st.composite
 def _grids(draw):
     """A target or prediction grid of a few tiles whose fields hold runs of
-    one fill broken by edge floats, within the values a target file may hold
-    (occupancy and bin mask 0 or 1, bin probabilities in [0, 1]); occupied
-    target tiles carry a lane id."""
+    one fill broken by edge floats, within the bounds each field declares;
+    occupied target tiles carry a lane id."""
     grid = GridSpec(n_cols=draw(st.integers(1, 4)), n_rows=draw(st.integers(1, 4)))
     bins = AngleBinSpec(n_bins=draw(st.integers(4, 6)))
     cls = draw(st.sampled_from((TileTargetGrid, TilePredictionGrid)))
     sizes = {"H": grid.n_rows, "W": grid.n_cols, "N": bins.n_bins, "d": draw(st.integers(1, 3))}
     arrays = {}
     for f in array_fields(cls):
-        dtype = np.dtype(f.metadata["dtype"])
-        elements = (st.sampled_from((0.0, 1.0)) if f.name in ("occupancy", "bin_mask") else
-                    st.floats(0.0, 1.0) if f.name == "bin_probs" else
-                    st.integers(-1, 2 ** 40) if dtype.kind == "i" else _FLOATS)
+        dtype, bounds = np.dtype(f.metadata["dtype"]), f.metadata["bounds"]
+        edges = [v for v in _FLOAT_EDGES if first_out_of_range(v, bounds) is None]
+        elements = (st.sampled_from(bounds["one of"]) if "one of" in bounds else
+                    st.integers(bounds[">="], 2 ** 40) if dtype.kind == "i" else
+                    st.sampled_from(edges) | st.floats(bounds[">="], bounds["<="]))
         fill = st.just(f.metadata["fill"]) | st.sampled_from((0.0, -0.0, 1.0))
         arrays[f.name] = draw(hnp.arrays(dtype, [sizes.get(a, a) for a in f.metadata["shape"]],
                                          elements=elements, fill=fill))
@@ -948,13 +948,14 @@ def test_cli_segments_file_of_20000_copies_is_data_error_at_once(tmp_path, capsy
     ("score", 7, 3), ("score", -0.25, 3), ("score", 1.0, 0)])
 def test_cli_segment_value_out_of_range_is_data_error(tmp_path, capsys, name, value, code):
     # a coordinate or embedding of 1e308 used to cluster with exit 0 after an
-    # overflow warning, and a score of 7 was clamped to a confidence of 1
+    # overflow warning, and a score of 7 was clamped to a confidence of 1; the
+    # last value of a point is its z, as x and y also keep to the eval extent
     cfg, path, d = _segments_file(tmp_path)
     entry = d["segments"][1]
     if name == "score":
         entry[name] = value
     else:
-        (entry[name][0] if name == "endpoints" else entry[name])[0] = value
+        (entry[name][0] if name == "endpoints" else entry[name])[-1] = value
     path.write_text(json.dumps(d))
     capsys.readouterr()
     assert main(["cluster", "--config", cfg]) == code
@@ -1360,6 +1361,82 @@ def test_cli_underflowed_bin_logits_are_a_data_error(tmp_path, capsys):
     assert main(["decode", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "pred_00000.json" in err and "fields.bin_logits" in err
+
+
+def _seed3_tree(tmp_path, commands):
+    """One default scene at seed 3 run through the given stage commands; the config path."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_scenes": 1, "master_seed": 3,
+                               "output_dir": str(tmp_path / "out")}))
+    for command in commands:
+        assert main([command, "--config", str(cfg)]) == 0
+    return str(cfg)
+
+
+@pytest.mark.parametrize("fault, path, name, command", [
+    ("a", "preds/pred_00000.json", "embedding", "decode"),
+    ("b", "preds/pred_00000.json", "height_offset", "decode"),
+    ("c", "targets/target_00000.json", "height_offset", "predict"),
+    ("d", "targets/target_00000.json", "angle", "predict")])
+def test_cli_grid_value_beyond_its_bound_is_data_error_where_it_enters(tmp_path, capsys, fault,
+                                                                       path, name, command):
+    # each used to pass the stage that reads the file: (a) and (b) failed at
+    # cluster on the segments file, (c) likewise after predict and decode,
+    # and with (d) every stage exited 0 and loss.csv read angle 79.66
+    cfg = _seed3_tree(tmp_path, ("generate", "encode", "predict"))
+    d = json.loads((tmp_path / "out" / path).read_text())
+    lit = (d["fields"]["occupancy"]["data"] if "occupancy" in d["fields"] else
+           [v > 0 for v in d["fields"]["score_logit"]["data"]])
+    per_tile = len(d["fields"][name]["data"]) // len(lit)
+    d["fields"][name]["data"][lit.index(1) * per_tile] = 1e7      # an occupied or kept tile
+    (tmp_path / "out" / path).write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and Path(path).name in err and f"'fields.{name}.data'" in err
+
+
+def test_cli_scene_vertex_outside_the_eval_extent_is_data_error_at_encode(tmp_path, capsys):
+    # fault (e): encode, predict, decode and cluster used to exit 0, and only
+    # eval exited 3 on the scene file
+    cfg = _seed3_tree(tmp_path, ("generate",))
+    scene_path = tmp_path / "out" / "scenes" / "scene_00000.json"
+    d = json.loads(scene_path.read_text())
+    d["lanes"][0]["points"][1][0] = 1e5
+    scene_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["encode", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "scene_00000.json" in err and "'lanes[0].points'" in err
+
+
+@pytest.mark.parametrize("name, value, code", [
+    ("midpoint", 1e5, 3), ("endpoints", -1e5, 3), ("midpoint", 0.0, 0)])
+def test_cli_segment_point_outside_the_eval_extent_is_data_error_at_cluster(
+        tmp_path, capsys, name, value, code):
+    # a midpoint at x = 1e5 used to cluster into a lane that only eval rejected
+    cfg, path, d = _segments_file(tmp_path)
+    entry = d["segments"][1]
+    (entry[name][0] if name == "endpoints" else entry[name])[0] = value
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["cluster", "--config", cfg]) == code
+    if code:
+        assert f"'segments[1].{name}'" in capsys.readouterr().err
+
+
+def test_grid_reader_takes_a_whole_float_among_ints_and_rejects_a_fraction():
+    # a payload of ints with one float goes through the whole-number check
+    d = _as_read(io.targets_to_dict(_targets()))
+    data = d["fields"]["lane_id"]["data"]
+    k = d["fields"]["occupancy"]["data"].index(1.0)
+    assert all(type(v) is int for v in data)
+    data[k] = float(data[k])
+    assert io.targets_from_dict(d).lane_id.reshape(-1)[k] == data[k]
+    data[k] = 2.5
+    with pytest.raises(io.SchemaError) as exc:
+        io.targets_from_dict(d)
+    assert exc.value.field == "fields.lane_id.data" and "whole number" in exc.value.message
 
 
 def test_cli_surface_wavelength_too_short_for_the_grid_is_config_error(tmp_path, capsys):

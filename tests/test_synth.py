@@ -15,6 +15,7 @@ from bevlanes.synth import (
     NoiseConfig,
     SceneConfig,
     SurfaceParams,
+    _clip_to_grid,
     generate_scene,
     oracle_predict,
     simplex_anchors,
@@ -141,6 +142,12 @@ def test_generate_clipped_to_grid():
             assert np.all(lane.points[:, 0] <= GRID.x_max + 1e-9)
             assert np.all(lane.points[:, 1] >= GRID.y_min - 1e-9)
             assert np.all(lane.points[:, 1] <= GRID.y_max + 1e-9)
+
+
+def test_clip_to_grid_keeps_the_first_of_two_equally_long_inside_runs():
+    xy = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [50.0, 4.0],
+                   [1.0, 5.0], [1.0, 6.0], [1.0, 7.0]])
+    npt.assert_array_equal(_clip_to_grid(xy, GRID), xy[:3])
 
 
 def test_generate_split_shares_stem_and_separates():
