@@ -8,6 +8,7 @@ component constructors surface as ConfigError with the offending section.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .clustering import ClusterParams
@@ -35,6 +36,14 @@ _SECTIONS = {
 _SCALARS = ("output_dir", "n_scenes", "master_seed")
 
 
+def _reach(grid: GridSpec, lane_width: float) -> float:
+    """How far beyond the grid eval.extent must reach: half a lane's width, or
+    (hypot(a, b) - min(a, b)) / 2 for tiles of half-sizes a and b, the most a
+    decoded midpoint (the tile centre's foot on its line) can leave its tile."""
+    a, b = grid.tile_width / 2.0, grid.tile_length / 2.0
+    return max(lane_width / 2.0, (math.hypot(a, b) - min(a, b)) / 2.0)
+
+
 @dataclass
 class PipelineConfig:
     grid: GridSpec = field(default_factory=GridSpec)
@@ -52,13 +61,13 @@ class PipelineConfig:
         if self.n_scenes < 1:
             raise ConfigError(f"n_scenes must be >= 1, got {self.n_scenes}")
         (x_lo, x_hi), (y_lo, y_hi) = self.eval.extent
-        pad = self.eval.lane_width / 2.0
+        pad = _reach(self.grid, self.eval.lane_width)
         if (x_lo > self.grid.x_min - pad or x_hi < self.grid.x_max + pad
                 or y_lo > self.grid.y_min - pad or y_hi < self.grid.y_max + pad):
             raise ConfigError(
-                "eval.extent must cover the grid padded by lane_width/2; "
-                f"got {self.eval.extent} for grid x [{self.grid.x_min}, {self.grid.x_max}], "
-                f"y [{self.grid.y_min}, {self.grid.y_max}]")
+                f"eval.extent must cover the grid padded by {pad} (lane_width/2, or the reach of "
+                f"a decoded midpoint beyond its tile); got {self.eval.extent} for grid "
+                f"x [{self.grid.x_min}, {self.grid.x_max}], y [{self.grid.y_min}, {self.grid.y_max}]")
         check_surface_wavelength(self.scene, self.grid)
         # a split, merge or perpendicular scene adds one lane; the oracle
         # places one embedding anchor per lane, which needs dim >= lanes - 1
@@ -95,7 +104,7 @@ class PipelineConfig:
         if "extent" not in d.get("eval", {}):
             # Derive the raster window from the (possibly non-default) grid.
             grid, base = kwargs.get("grid", GridSpec()), kwargs.get("eval", EvalConfig())
-            pad = base.lane_width / 2.0
+            pad = _reach(grid, base.lane_width)
             kwargs["eval"] = replace(base, extent=(
                 (grid.x_min - pad, grid.x_max + pad), (grid.y_min - pad, grid.y_max + pad)))
         try:

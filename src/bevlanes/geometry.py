@@ -80,11 +80,13 @@ def check_settings(record) -> None:
 
 def first_out_of_range(value, bounds: dict):
     """None, or the index of the first element of value (an array or a number)
-    that breaks a bound of `bounds` and the message `must be <op> <bound>, got <it>`."""
+    that breaks a bound of `bounds` and the message `must be <op> <bound>, got <it>`.
+    A sequence of bounds for an order holds one per index of value's last axis."""
     for op, bound in bounds.items():
         ok = _BOUNDS[op](value, bound)
         if not np.all(ok):
             at = tuple(map(int, np.unravel_index(np.argmin(ok), np.shape(ok))))
+            bound = bound[at[-1]] if op != "one of" and np.ndim(bound) else bound
             return at, f"must be {op} {bound}, got {np.asarray(value).astype(object)[at]!r}"
 
 

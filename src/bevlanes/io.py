@@ -144,37 +144,36 @@ def _records(entries, key: str, path: str, parse: dict, bounds: dict) -> list:
     return rows
 
 
-def _numbers(value, dtype=float) -> np.ndarray:
-    """The value, a JSON number or a list of them nested at most once, as an
-    array. TypeError or ValueError if it holds anything else (a bool too, read
-    as 1 or 0 by `np.asarray`), a non-finite value or, for ints, a fraction."""
-    nested = isinstance(value, list) and bool(value) and isinstance(value[0], list)
-    items = itertools.chain.from_iterable(value) if nested else value
-    types = set(map(type, items)) if isinstance(value, list) else {type(value)}
-    if not types <= {int, float}:
-        raise TypeError(f"expected JSON numbers, got "
-                        f"{sorted(t.__name__ for t in types - {int, float})}")
-    if float in types and np.dtype(dtype).kind == "i":   # each must be whole
-        value = _coerce([[0]] if nested else [0], value, "value")
+def _numbers(value, dtype=float, shape=None) -> np.ndarray:
+    """The value, a JSON number or a list of them nested at most twice, as an
+    array (of `shape`, if given); JSON booleans instead for a bool dtype.
+    TypeError or ValueError if it holds anything else (a bool among numbers
+    too, read as 1 or 0 by `np.asarray`), a non-finite value, for ints a
+    fraction, or if its shape is not `shape`."""
+    items, template = (value, [0]) if isinstance(value, list) else ([value], 0)
+    for _ in range(2):
+        if items and isinstance(items[0], list):
+            items, template = list(itertools.chain.from_iterable(items)), [template]
+    kind = np.dtype(dtype).kind
+    types, allowed = set(map(type, items)), {bool} if kind == "b" else {int, float}
+    if not types <= allowed:
+        raise TypeError(f"expected JSON {'booleans' if kind == 'b' else 'numbers'}, got "
+                        f"{sorted(t.__name__ for t in types - allowed)}")
+    if float in types and kind == "i":   # each must be whole
+        value = _coerce(template, value, "value")
     arr = np.asarray(value, dtype=dtype)
-    if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
+    if kind == "f" and not np.all(np.isfinite(arr)):
         raise ValueError("non-finite value")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
     return arr
 
 
-def _has_shape(value, shape: tuple) -> bool:
-    """Whether a value read by `_coerce`, a number or nested tuples of them, has shape."""
-    return not shape or (len(value) == shape[0] and all(_has_shape(v, shape[1:]) for v in value))
-
-
-def _in_range(obj, path: str, at):
-    """obj, if each array field keeps the bounds it declares; else a
-    SchemaError on at(name, index of the first bad element)."""
-    for f in array_fields(obj):
-        bad = first_out_of_range(getattr(obj, f.name), f.metadata["bounds"])
-        if bad:
-            raise SchemaError(path, at(f.name, bad[0]), f"{f.name}{list(bad[0])} {bad[1]}")
-    return obj
+def _in_range(obj) -> list:
+    """(name, index of the first bad element, message) of each array field of
+    obj that breaks its declared bounds, in declaration order."""
+    return [(f.name, bad[0], f"{f.name}{list(bad[0])} {bad[1]}") for f in array_fields(obj)
+            for bad in [first_out_of_range(getattr(obj, f.name), f.metadata["bounds"])] if bad]
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +282,7 @@ def _unpack_field(entry, f, path: str) -> np.ndarray:
         raise SchemaError(path, f"{at}.shape", f"expected a list of integers >= 0, got {shape!r}")
     if dtype != want:
         raise SchemaError(path, f"{at}.dtype", f"expected {want!r}, got {dtype!r}")
-    arr = _checked(path, f"{at}.data", _numbers, data, want)
-    if arr.size != math.prod(shape):
-        raise SchemaError(path, f"{at}.data",
-                          f"payload length {arr.size} does not match shape {tuple(shape)}")
-    return arr.reshape(shape)
+    return _checked(path, f"{at}.data", _numbers, data, want, (math.prod(shape),)).reshape(shape)
 
 
 def _grid_from_dict(cls, kind: str, d: dict, path: str, keys=()):
@@ -296,8 +291,11 @@ def _grid_from_dict(cls, kind: str, d: dict, path: str, keys=()):
     grid, bins = _build(GridSpec, grid, path, "grid"), _build(AngleBinSpec, bins, path, "bins")
     arrays = {f.name: _unpack_field(entry, f, path) for f, entry in zip(
         array_fields(cls), _object(fields, [f.name for f in array_fields(cls)], path, "fields."))}
-    return _in_range(_checked(path, "fields", cls, grid=grid, bins=bins, **arrays), path,
-                     lambda name, at: f"fields.{name}.data")
+    out = _checked(path, "fields", cls, grid=grid, bins=bins, **arrays)
+    faults = _in_range(out)
+    if faults:
+        raise SchemaError(path, f"fields.{faults[0][0]}.data", faults[0][2])
+    return out
 
 
 def targets_to_dict(targets: TileTargetGrid) -> dict:
@@ -335,45 +333,40 @@ def segments_to_dict(segments: SegmentSet) -> dict:
             "segments": [dict(zip(columns, row)) for row in zip(*columns.values())]}
 
 
-def _tile(value, seen: set) -> tuple:
-    """Grid indices as int64 (the reader checks there are two), not among
-    `seen`, the tiles read before it (decode writes one per tile), to which it is added."""
-    tile = tuple(map(np.int64, _coerce((0,), value, "tile")))
-    if tile in seen:
-        raise ValueError(f"tile {list(map(int, tile))} holds an earlier segment")
-    seen.add(tile)
-    return tile
-
-
-# Each value of a segment is read by `_coerce` against a zero of its field's
-# dtype, nested once per axis after the segment axis; a tile by `_tile`.
-_SEGMENT_PARSE = {f.name: functools.partial(
-    _coerce, np.zeros([1] * (len(f.metadata["shape"]) - 1), f.metadata["dtype"]).tolist(),
-    name=f.name) for f in array_fields(SegmentSet)}
-
-
 def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
-    """A repeated tile ends the read at its row, so a file of copies of a
-    scene's segments is rejected before the rest of it is parsed."""
+    """Each field is read as one column of its declared dtype and per-row shape
+    (every `embedding` has the first one's length); then it keeps its bounds, no
+    two rows hold one tile and each `direction` is a unit vector. A fault of either
+    step names the first bad row k, and in it the first bad field, `segments[k].<name>`."""
     [entries] = _file(d, "segments", ("segments",), path)
-    rows = _records(entries, "segments", path,
-                    {**_SEGMENT_PARSE, "tile": functools.partial(_tile, seen=set())}, {})
+    if not isinstance(entries, list):
+        raise SchemaError(path, "segments", f"expected a list, got {type(entries).__name__}")
+    declared, names = array_fields(SegmentSet), [f.name for f in array_fields(SegmentSet)]
+    rows = [_object(entry, names, path, f"segments[{k}].") for k, entry in enumerate(entries)]
     if not rows:
         return SegmentSet.empty()
-    columns = dict(zip(_SEGMENT_PARSE, zip(*rows)))
-    sizes = {"d": len(columns["embedding"][0])}    # every embedding has the first one's length
-    for f in array_fields(SegmentSet):
-        want = tuple(sizes.get(a, a) for a in f.metadata["shape"][1:])
-        bad = [k for k, value in enumerate(columns[f.name]) if not _has_shape(value, want)]
-        if bad:
-            raise SchemaError(path, f"segments[{bad[0]}].{f.name}", f"expected shape {want}")
-        columns[f.name] = np.array(columns[f.name], dtype=f.metadata["dtype"])
-    segments = _in_range(_checked(path, "segments", SegmentSet, **columns), path,
-                         lambda name, at: f"segments[{at[0]}].{name}")
+    first = rows[0][names.index("embedding")]      # if not a list, row 0 is at fault
+    sizes = {"d": len(first) if isinstance(first, list) else 0}
+    shapes = [tuple(sizes.get(a, a) for a in f.metadata["shape"][1:]) for f in declared]
+    try:
+        columns = {f.name: _numbers(list(values), f.metadata["dtype"], (len(rows), *shape))
+                   for f, values, shape in zip(declared, zip(*rows), shapes)}
+    except (TypeError, ValueError, OverflowError):
+        for k, row in enumerate(rows):      # read again row by row only to find the bad one
+            for f, value, shape in zip(declared, row, shapes):
+                _checked(path, f"segments[{k}].{f.name}", _numbers, value, f.metadata["dtype"],
+                         shape)
+    segments = SegmentSet(**columns)
+    faults = [(at[0], name, message) for name, at, message in _in_range(segments)]
+    kept = np.unique(segments.tile, axis=0, return_index=True)[1]   # decode writes one per tile
+    faults += [(k, "tile", f"tile {segments.tile[k].tolist()} holds an earlier segment")
+               for k in np.setdiff1d(np.arange(len(rows)), kept)[:1].tolist()]
     # decode writes (cos phi, sin phi); clustering and the greedy baseline take it as one
     bad = np.flatnonzero(np.abs(np.hypot(*segments.direction.T) - 1.0) > 1e-9)
-    if len(bad):
-        raise SchemaError(path, f"segments[{bad[0]}].direction", "not a unit vector")
+    faults += [(k, "direction", "not a unit vector") for k in bad[:1].tolist()]
+    if faults:
+        k, name, message = min(faults, key=lambda fault: (fault[0], names.index(fault[1])))
+        raise SchemaError(path, f"segments[{k}].{name}", message)
     return segments
 
 

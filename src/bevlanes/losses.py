@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import TilePredictionGrid, TileTargetGrid, _sigmoid
+from .codec import MAX_COORDINATE, TilePredictionGrid, TileTargetGrid, _sigmoid
 from .geometry import check_settings
 
 
@@ -26,7 +26,7 @@ class EmbeddingParams:
     """Margins and dimension of the per-tile lane embeddings."""
 
     pull_margin: float = 0.1
-    push_margin: float = 3.0
+    push_margin: float = field(default=3.0, metadata={"<=": MAX_COORDINATE / 10})
     dim: int = field(default=4, metadata={">=": 1})
 
     def __post_init__(self):

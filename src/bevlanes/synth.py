@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (SATURATION, TilePredictionGrid, TileTargetGrid, angle_to_soft_labels,
-                    logit, saturated_arrays)
+from .codec import (MAX_COORDINATE, SATURATION, TilePredictionGrid, TileTargetGrid,
+                    angle_to_soft_labels, logit, saturated_arrays)
 from .geometry import GridSpec, Lane3D, check_settings, resample_polyline
 from .losses import EmbeddingParams
 
@@ -36,6 +36,10 @@ _DIVERGE_LEN = 25.0
 # Lanes shorter than this after clipping are dropped: they would occupy
 # fewer tiles than the clustering size filter keeps.
 _MIN_LANE_LEN = 8.0
+# A normal draw beyond 14 has a chance below 1e-44, so noise of at most MAX_SIGMA on
+# values held to a tenth of MAX_COORDINATE (the surface amplitude, the push margin
+# of the embedding anchors) keeps the offsets, heights and embeddings in bounds.
+MAX_SIGMA = MAX_COORDINATE / 100
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class SceneConfig:
     n_lanes: int = field(default=3, metadata={">=": 1})
     lane_spacing: float = field(default=3.7, metadata={">": 0.0})
     curvature_max: float = field(default=0.03, metadata={">=": 0.0})
-    surface_amplitude: float = field(default=0.3, metadata={">=": 0.0})
+    surface_amplitude: float = field(default=0.3, metadata={">=": 0.0, "<=": MAX_COORDINATE / 10})
     surface_wavelength: float = 40.0
     topology_weights: dict = field(default_factory=lambda: {
         "parallel": 0.6, "split": 0.1, "merge": 0.1, "short": 0.1, "perpendicular": 0.1})
@@ -90,12 +94,12 @@ class SceneConfig:
 class NoiseConfig:
     """Corruption levels for the oracle predictor."""
 
-    sigma_r: float = field(default=0.0, metadata={">=": 0.0})
+    sigma_r: float = field(default=0.0, metadata={">=": 0.0, "<=": MAX_SIGMA})
     sigma_phi: float = field(default=0.0, metadata={">=": 0.0})
-    sigma_z: float = field(default=0.0, metadata={">=": 0.0})
+    sigma_z: float = field(default=0.0, metadata={">=": 0.0, "<=": MAX_SIGMA})
     drop_rate: float = field(default=0.0, metadata={">=": 0.0, "<=": 1.0})
     fp_rate: float = field(default=0.0, metadata={">=": 0.0, "<=": 1.0})
-    sigma_f: float = field(default=0.0, metadata={">=": 0.0})
+    sigma_f: float = field(default=0.0, metadata={">=": 0.0, "<=": MAX_SIGMA})
 
     def __post_init__(self):
         check_settings(self)

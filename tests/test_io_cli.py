@@ -631,6 +631,45 @@ def test_config_eval_section_without_extent_derives_it():
     assert cfg.eval.extent == ((GRID.x_min - 1.0, GRID.x_max + 1.0), (-1.0, 79.0))
 
 
+@pytest.mark.parametrize("section, name, value, bound", [
+    ("noise", "sigma_r", 1e6, 1e4), ("noise", "sigma_z", 1e6, 1e4), ("noise", "sigma_f", 1e6, 1e4),
+    ("scene", "surface_amplitude", 1e7, 1e5), ("embedding", "push_margin", 1e7, 1e5)],
+    ids=["sigma_r", "sigma_z", "sigma_f", "surface_amplitude", "push_margin"])
+def test_config_setting_that_makes_a_stage_write_a_value_beyond_its_bounds_is_config_error(
+        tmp_path, capsys, section, name, value, bound):
+    # each config ran: predict (generate for the amplitude) exited 0 and the
+    # next stage exited 3 on the file it wrote (a prediction offset, height or
+    # embedding, or a scene vertex beyond 1e6 m), while run_pipeline returned
+    cfg = write_config(tmp_path, n_scenes=1, master_seed=3, **{section: {name: value}})
+    assert main(["pipeline", "--config", cfg]) == 2
+    assert f"{name} must be <= {bound}, got {value}" in capsys.readouterr().err
+
+
+def test_config_at_the_edge_of_every_write_bound_runs_every_stage(tmp_path):
+    cfg = write_config(tmp_path, n_scenes=1, master_seed=3,
+                       noise={"sigma_r": 1e4, "sigma_z": 1e4, "sigma_f": 1e4},
+                       scene={"surface_amplitude": 1e5}, embedding={"push_margin": 1e5})
+    for command in ("generate", "encode", "predict", "decode", "cluster", "eval", "loss"):
+        assert main([command, "--config", cfg]) == 0, command
+
+
+def test_long_thin_tiles_widen_the_derived_eval_extent_to_every_decoded_midpoint(tmp_path):
+    # with tiles 200 m wide, cluster exited 3 on segments[1].midpoint at y = -2.32,
+    # outside the extent's -0.5: a midpoint can leave its tile by up to
+    # (hypot(a, b) - min(a, b)) / 2 for half-sizes a and b, here 49.26 m
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_scenes": 3, "master_seed": 3, "output_dir": str(tmp_path / "out"),
+                               "grid": {"tile_width": 200}}))
+    reach = (math.hypot(100.0, 1.5) - 1.5) / 2
+    x, y = PipelineConfig.from_dict(json.loads(cfg.read_text())).eval.extent
+    assert (x, y) == ((-1600.0 - reach, 1600.0 + reach), (-reach, 78.0 + reach))
+    for command in ("generate", "encode", "predict", "decode", "cluster", "eval"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    with pytest.raises(ConfigError, match="extent must cover the grid padded by 49.2"):
+        PipelineConfig.from_dict({"grid": {"tile_width": 200},
+                                  "eval": {"extent": [[-1600.5, 1600.5], [-0.5, 78.5]]}})
+
+
 def test_config_scalar_validation():
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"n_scenes": 0})
@@ -939,6 +978,38 @@ def test_cli_segments_file_of_20000_copies_is_data_error_at_once(tmp_path, capsy
     assert main(["cluster", "--config", cfg]) == 3
     assert time.perf_counter() - start < 1.0
     assert f"'segments[{n}].tile'" in capsys.readouterr().err
+
+
+def test_cli_segments_file_of_20000_tiles_outside_the_grid_is_data_error_at_once(tmp_path, capsys):
+    # distinct tiles, so that no repeat stops the read: 0.84-1.05 s when each
+    # row was parsed value by value (about 30 us a row), before the config's
+    # grid rejects row 0
+    cfg, path, d = _segments_file(tmp_path)
+    rows = (d["segments"] * (20000 // len(d["segments"]) + 1))[:20000]
+    d["segments"] = [{**row, "tile": [30 + k // 16, k % 16]} for k, row in enumerate(rows)]
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["cluster", "--config", cfg]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "'segments[0].tile': tile[0, 0] must be < 26, got 30" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("tile", [30, 0], "tile[1, 0] must be < 26, got 30"),
+    ("tile", [0, 16], "tile[1, 1] must be < 16, got 16"),
+    ("midpoint", [0.0, -2.5, 0.0], "midpoint[1, 1] must be >= -0.5, got -2.5"),
+    ("endpoints", [[0.0, 1.0, 0.0], [11.0, 1.0, 0.0]],
+     "endpoints[1, 1, 0] must be <= 10.74, got 11.0")])
+def test_cli_config_rule_names_the_bound_of_the_axis_that_failed(tmp_path, capsys, name, value,
+                                                                  message):
+    # the message printed the bounds of both axes: "must be < (26, 16), got 30"
+    cfg, path, d = _segments_file(tmp_path)
+    d["segments"][1][name] = value
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["cluster", "--config", cfg]) == 3
+    assert f"'segments[1].{name}': {message}, the config's grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, value, code", [

@@ -59,9 +59,10 @@ def beyond(op: str, bound):
 
 
 def test_every_bounded_field_declares_its_bounds():
-    # 27 fields, drop_rate and fp_rate bounded on both sides
-    assert len(BOUNDS) == 29
-    assert len({(record, name) for record, name, _, _ in BOUNDS}) == 27
+    # 28 fields; drop_rate, fp_rate, the three noise sigmas and the surface
+    # amplitude bounded on both sides
+    assert len(BOUNDS) == 34
+    assert len({(record, name) for record, name, _, _ in BOUNDS}) == 28
 
 
 @pytest.mark.parametrize("record, name, op, bound", BOUNDS, ids=map(_id, BOUNDS))
