@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import GridSpec, Lane3D, check_settings, tile_centers
+from .geometry import MAX_COORDINATE, GridSpec, Lane3D, check_settings, tile_centers
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,8 +36,7 @@ MIN_SEG_LEN = 0.3
 SCORE_THRESHOLD = 0.3
 SATURATION = 50.0
 
-# Value bounds, {op: bound}; MAX_COORDINATE (m) keeps sums of squares and eval's work finite.
-MAX_COORDINATE = 1e6
+# Value bounds, {op: bound}.
 COORDINATE = {">=": -MAX_COORDINATE, "<=": MAX_COORDINATE}
 BINARY, PROBABILITY = {"one of": (0.0, 1.0)}, {">=": 0.0, "<=": 1.0}
 LOGIT, RESIDUAL = {">=": -SATURATION, "<=": SATURATION}, {">=": -math.pi, "<=": math.pi}

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+# The coordinate bound (m) of every stage file: it keeps sums of squares and eval's work finite.
+MAX_COORDINATE = 1e6
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -37,6 +40,10 @@ class GridSpec:
         check_settings(self)
         if not (math.isfinite(self.x_extent) and math.isfinite(self.y_max)):
             raise ValueError("grid extent must be finite")
+        reach = MAX_COORDINATE / 10    # room for a tile's offsets plus 14 sigma of noise
+        if max(self.x_max, -self.y_min, self.y_max) > reach:
+            raise ValueError(f"grid extent must lie within [{-reach}, {reach}], got "
+                             f"x [{self.x_min}, {self.x_max}], y [{self.y_min}, {self.y_max}]")
 
     @property
     def x_extent(self) -> float:

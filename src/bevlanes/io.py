@@ -9,7 +9,7 @@ its full dotted path (`fields.occupancy.shape`, `lanes[2].points`). Config
 sections, and a file's grid, bins and surface records, go through one
 field-driven codec (`section_to_dict`, `section_from_dict`). No JSON boolean
 or string reads as a number, nor a fraction as an int, and every value keeps
-its declared bounds; `pipeline.Stage.read` adds the rules that need the config.
+its declared bounds; `pipeline._read_scene` adds the rules that need the config.
 """
 
 from __future__ import annotations

@@ -203,11 +203,6 @@ class Stage:
     step: Callable
     writer: str
 
-    def read(self, path: Path, config: PipelineConfig):
-        artifact = getattr(io, self.reader)(io.load_json(path), str(path))
-        _check_config(config, path, artifact)
-        return artifact
-
 
 STAGES = {
     "generate": Stage("scenes", "scene", "scene_from_dict", _generate_step, "scene_to_dict"),
@@ -222,26 +217,38 @@ def _stage_path(config: PipelineConfig, stage: Stage, index: int) -> Path:
     return Path(config.output_dir) / stage.dir / f"{stage.stem}_{index:05d}.json"
 
 
-def _stage_files(config: PipelineConfig, stage: Stage) -> list[Path]:
-    """The stage's files in the order of the scene index in their names, which
-    must run 0, 1, 2, ... with no gap; none of them is read."""
-    d = Path(config.output_dir) / stage.dir
-    if not d.is_dir():
-        raise io.SchemaError(d, "<dir>", "stage directory not found; run the producing "
-                                         "stage first")
-    by_index = {}
-    for p in d.glob("*.json"):
-        m = re.fullmatch(rf"{stage.stem}_(\d+)\.json", p.name, re.ASCII)
-        if m is None or _stage_path(config, stage, int(m[1])).name != p.name:
-            raise io.SchemaError(p, "<file>", f"name is not {stage.stem}_NNNNN.json")
-        by_index[int(m[1])] = p
-    if not by_index:
-        raise io.SchemaError(d, "<dir>", "no input files")
-    missing = sorted(set(range(len(by_index))) - set(by_index))
-    if missing:
-        raise io.SchemaError(d, "<dir>", f"no file for scene index {missing[0]}; the "
-                                         f"indices run to {max(by_index)}")
-    return [by_index[i] for i in range(len(by_index))]
+def _check_files(config: PipelineConfig, *names: str) -> None:
+    """Each named stage's directory holds exactly the files of scene indices
+    0 ... n_scenes - 1, none of them read; the first fault is a stray name,
+    then a missing index, then one at or beyond n_scenes (an earlier run's)."""
+    for stage in (STAGES[name] for name in names):
+        d = Path(config.output_dir) / stage.dir
+        if not d.is_dir():
+            raise io.SchemaError(d, "<dir>", "stage directory not found; run the producing stage first")
+        indices = set()
+        for p in sorted(d.glob("*.json")):
+            m = re.fullmatch(rf"{stage.stem}_(\d+)\.json", p.name, re.ASCII)
+            if m is None or _stage_path(config, stage, int(m[1])).name != p.name:
+                raise io.SchemaError(p, "<file>", f"name is not {stage.stem}_NNNNN.json")
+            indices.add(int(m[1]))
+        expected = set(range(config.n_scenes))
+        if expected - indices:
+            raise io.SchemaError(d, "<dir>", f"no file for scene index {min(expected - indices)}")
+        if indices - expected:
+            raise io.SchemaError(_stage_path(config, stage, min(indices - expected)), "<file>",
+                                 f"scene index not below n_scenes = {config.n_scenes}; "
+                                 f"empty the tree of an earlier run first")
+
+
+def _read_scene(config: PipelineConfig, index: int, *names: str) -> list:
+    """Scene `index`'s artifacts of the named stages, each file read by its
+    index and checked against the config."""
+    artifacts = []
+    for stage in (STAGES[name] for name in names):
+        path = _stage_path(config, stage, index)
+        artifacts.append(getattr(io, stage.reader)(io.load_json(path), str(path)))
+        _check_config(config, path, artifacts[-1])
+    return artifacts
 
 
 def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) -> Path:
@@ -251,28 +258,26 @@ def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) 
 
 
 def run_stage(config: PipelineConfig, command: str, method: str = "embedding") -> list[Path]:
-    """Run one STAGES row over every file of the row before it, each read just
-    before its step (generate makes config.n_scenes new scenes); an output is
-    numbered with its input's scene index. Returns the paths written."""
+    """Run one STAGES row over scenes 0 ... n_scenes - 1, reading each scene's
+    file of the row before just before its step (generate reads none).
+    Returns the paths written, numbered with their scene index."""
     names = list(STAGES)
     k = names.index(command)
-    before, stage = STAGES[names[k - 1]], STAGES[command]
-    inputs = _stage_files(config, before) if k else [None] * config.n_scenes
+    inputs = names[k - 1:k] if k else []
+    _check_files(config, *inputs)
+    stage = STAGES[command]
     (Path(config.output_dir) / stage.dir).mkdir(parents=True, exist_ok=True)
     return [_write_artifact(config, stage, i, stage.step(
-                config, i, before.read(path, config) if k else None, method))
-            for i, path in enumerate(inputs)]
+                config, i, *_read_scene(config, i, *inputs) or [None], method))
+            for i in range(config.n_scenes)]
 
 
 def cmd_eval(config: PipelineConfig) -> EvalReport:
-    lanes_files = _stage_files(config, STAGES["cluster"])
-    scene_files = _stage_files(config, STAGES["generate"])
-    if len(lanes_files) != len(scene_files):
-        raise io.SchemaError(Path(config.output_dir), "<dir>",
-                             f"{len(lanes_files)} lane files vs {len(scene_files)} scenes")
-    records = [(STAGES["cluster"].read(lanes, config), STAGES["generate"].read(scene, config).lanes)
-               for lanes, scene in zip(lanes_files, scene_files)]
-    return _write_report(config, score_scenes(records, config.eval))
+    """Score each scene as its lanes and scene files are read; write the report."""
+    _check_files(config, "cluster", "generate")
+    scenes = (_read_scene(config, i, "cluster", "generate") for i in range(config.n_scenes))
+    return _write_report(config, [score_scene(lanes, scene.lanes, config.eval)
+                                  for lanes, scene in scenes])
 
 
 def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:
@@ -286,15 +291,10 @@ def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalRep
 
 def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
     """Per-scene loss terms as CSV, optionally with a gradient-check summary."""
-    targets = _stage_files(config, STAGES["encode"])
-    preds = _stage_files(config, STAGES["predict"])
-    if len(targets) != len(preds):
-        raise io.SchemaError(Path(config.output_dir), "<dir>",
-                             f"{len(targets)} target files vs {len(preds)} prediction files")
+    _check_files(config, "encode", "predict")
     lines = ["scene,score,angle,offsets,pull,push,total"]
-    for i, (tgt_path, prd_path) in enumerate(zip(targets, preds)):
-        tgt = STAGES["encode"].read(tgt_path, config)
-        prd = STAGES["predict"].read(prd_path, config)
+    for i in range(config.n_scenes):
+        tgt, prd = _read_scene(config, i, "encode", "predict")
         tile = total_tile_loss(prd, tgt)
         emb = embedding_loss(prd.embedding, tgt.lane_id, config.embedding)
         c = {**tile.components, **emb.components}
@@ -302,9 +302,8 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
         lines.append(f"{i},{c['score']!r},{c['angle']!r},{c['offsets']!r},"
                      f"{c['pull']!r},{c['push']!r},{total!r}")
         del tgt, prd, tile, emb     # before the next scene's grids are read
-    if grad_check and targets:
-        tgt = STAGES["encode"].read(targets[0], config)
-        prd = STAGES["predict"].read(preds[0], config)
+    if grad_check:
+        tgt, prd = _read_scene(config, 0, "encode", "predict")
         tile_inputs = {f.name: getattr(prd, f.name) for f in array_fields(prd)
                        if f.name != "embedding"}
         tile_rep = finite_diff_check(

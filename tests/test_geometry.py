@@ -9,7 +9,7 @@ import pytest
 from bevlanes.clustering import ClusterParams
 from bevlanes.codec import AngleBinSpec
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig
-from bevlanes.geometry import GridSpec, Lane3D, resample_polyline, tile_centers
+from bevlanes.geometry import MAX_COORDINATE, GridSpec, Lane3D, resample_polyline, tile_centers
 from bevlanes.io import section_from_dict, section_to_dict
 from bevlanes.losses import EmbeddingParams
 from bevlanes.synth import NoiseConfig, SceneConfig, SurfaceParams
@@ -134,6 +134,19 @@ def test_grid_rejects_an_extent_that_overflows():
         GridSpec(tile_width=1e308)
     with pytest.raises(ValueError, match="extent must be finite"):
         GridSpec(tile_length=1e307, y_min=1e308)
+
+
+@pytest.mark.parametrize("edge, beyond", [
+    ({"n_cols": 2, "tile_width": 1e5}, {"n_cols": 2, "tile_width": math.nextafter(1e5, math.inf)}),
+    ({"y_min": -1e5}, {"y_min": math.nextafter(-1e5, -math.inf)}),
+    ({"y_min": 1e5 - 78.0}, {"y_min": math.nextafter(1e5 - 78.0, math.inf)})],
+    ids=["x", "y_min", "y_max"])
+def test_grid_extent_lies_within_a_tenth_of_the_coordinate_bound(edge, beyond):
+    # a tenth of MAX_COORDINATE leaves a tile's offsets and 14 sigma of noise inside the file bounds
+    grid = GridSpec(**edge)
+    assert max(grid.x_max, -grid.y_min, grid.y_max) == MAX_COORDINATE / 10
+    with pytest.raises(ValueError, match=r"grid extent must lie within \[-100000.0, 100000.0\]"):
+        GridSpec(**beyond)
 
 
 def test_grid_serialization_round_trip():

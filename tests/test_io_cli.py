@@ -653,6 +653,39 @@ def test_config_at_the_edge_of_every_write_bound_runs_every_stage(tmp_path):
         assert main([command, "--config", cfg]) == 0, command
 
 
+def test_config_grid_of_tiles_so_wide_that_predict_rejects_the_targets_is_config_error(
+        tmp_path, capsys):
+    # encode exited 0, then predict exited 3 on fields.lateral_offset.data: a
+    # lane near x = 0 lay 1.5e6 m from the centre of its 3e6 m wide tile
+    cfg = write_config(tmp_path, n_scenes=1, master_seed=3, scene={},
+                       grid={"n_cols": 2, "tile_width": 3e6})
+    for command in ("generate", "encode"):
+        assert main([command, "--config", cfg]) == 2, command
+        assert "grid extent must lie within [-100000.0, 100000.0], got x [-3000000.0, " \
+               "3000000.0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_grid_so_wide_that_a_perpendicular_lane_leaves_the_file_bounds_is_config_error(
+        tmp_path, capsys):
+    # with 40 tiles 1e5 m wide, generate exited 0 after 16 s, writing a vertex
+    # at x = -2e6, and encode exited 3 on lanes[3].points; tiles of the same
+    # size on 2 columns run (below), so a bound on the tile size alone misses it
+    cfg = write_config(tmp_path, n_scenes=1, master_seed=3,
+                       grid={"n_cols": 40, "tile_width": 1e5},
+                       scene={"topology_weights": {"perpendicular": 1.0}})
+    assert main(["generate", "--config", cfg]) == 2
+    assert "got x [-2000000.0, 2000000.0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_grid_at_the_edge_of_the_extent_bound_runs_every_stage(tmp_path):
+    cfg = write_config(tmp_path, n_scenes=1, master_seed=3, scene={},
+                       grid={"n_cols": 2, "tile_width": 1e5})
+    for command in ("generate", "encode", "predict", "decode", "cluster", "eval", "loss"):
+        assert main([command, "--config", cfg]) == 0, command
+
+
 def test_long_thin_tiles_widen_the_derived_eval_extent_to_every_decoded_midpoint(tmp_path):
     # with tiles 200 m wide, cluster exited 3 on segments[1].midpoint at y = -2.32,
     # outside the extent's -0.5: a midpoint can leave its tile by up to
@@ -1313,7 +1346,7 @@ def test_cli_stage_files_pair_by_the_index_in_their_names(tmp_path, capsys):
     (lanes / "lanes_00099.json").unlink()
     (lanes / "lanes_00002.json").rename(lanes / "lanes_00001.json")
     assert main(["eval", "--config", cfg]) == 3
-    assert "2 lane files vs 3 scenes" in capsys.readouterr().err
+    assert "lanes: field '<dir>': no file for scene index 2" in capsys.readouterr().err
     (tmp_path / "out" / "preds" / "pred_2.json").write_text("{}")
     assert main(["loss", "--config", cfg]) == 3
     assert "pred_2.json" in capsys.readouterr().err
@@ -1331,12 +1364,13 @@ def test_cli_loss_reports_the_first_fault_in_scene_order(tmp_path, capsys):
     assert main(["loss", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "pred_00000.json" in err and "target_00001.json" not in err
-    # the two listings are compared before any file is parsed
+    # every listing is checked before any file is parsed
     (out / "targets" / "target_00000.json").write_text("{broken")
     (out / "preds" / "pred_00003.json").unlink()
     assert main(["loss", "--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert "4 target files vs 3 prediction files" in err and "target_00000.json" not in err
+    assert "preds: field '<dir>': no file for scene index 3" in err
+    assert "target_00000.json" not in err
 
 
 def test_cli_stage_command_keeps_the_outputs_before_a_bad_input(tmp_path, capsys):
@@ -1355,10 +1389,31 @@ def test_cli_stage_command_keeps_the_outputs_before_a_bad_input(tmp_path, capsys
         name: clean[name] for name in ("pred_00000.json", "pred_00001.json")}
 
 
+def test_cli_file_commands_reject_the_files_of_an_earlier_larger_run(tmp_path, capsys):
+    # eval used to read the 4 scenes of this tree as one run and exit 0 with
+    # mAP 0.95238 over n_gt 14, where the 2-scene pipeline run reported
+    # 0.93651, overwriting report.json; loss printed 4 rows
+    out = tmp_path / "out"
+    for n, seed in ((4, 1), (2, 2)):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_scenes": n, "master_seed": seed, "output_dir": str(out)}))
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+    report = (out / "report.json").read_bytes()
+    capsys.readouterr()
+    for command, stray in (("eval", "lanes/lanes_00002.json"), ("loss", "targets/target_00002.json"),
+                           ("encode", "scenes/scene_00002.json")):
+        assert main([command, "--config", str(cfg)]) == 3, command
+        assert f"{out / stray}: field '<file>': scene index not below n_scenes = 2" in \
+            capsys.readouterr().err
+    assert (out / "report.json").read_bytes() == report and not (out / "loss.csv").exists()
+
+
 def test_stage_commands_memory_does_not_grow_with_scene_count(tmp_path):
     # loss and the stage commands used to parse every input file of the run
-    # first: from 2 to 8 scenes, the peak of cmd_loss grew 2.6x, of predict 2x
-    runs = {"loss": pipeline.cmd_loss, "predict": lambda c: pipeline.run_stage(c, "predict")}
+    # first: from 2 to 8 scenes, the peak of cmd_loss grew 2.6x, of predict
+    # 2x; eval, which held every scene's lanes and scene at once, 1.34x
+    runs = {"loss": pipeline.cmd_loss, "predict": lambda c: pipeline.run_stage(c, "predict"),
+            "eval": pipeline.cmd_eval}
     peaks = {}
     for n in (2, 8):
         config = PipelineConfig.from_dict({"n_scenes": n, "output_dir": str(tmp_path / str(n))})
@@ -1370,7 +1425,7 @@ def test_stage_commands_memory_does_not_grow_with_scene_count(tmp_path):
                 peaks[name, n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    for name in ("loss", "predict"):
+    for name in runs:
         assert peaks[name, 8] <= 1.25 * peaks[name, 2], peaks
 
 

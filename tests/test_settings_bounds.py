@@ -188,7 +188,7 @@ def test_an_array_bound_through_its_stage_file(tmp_path, capsys, predicted_tree,
     cfg = tmp_path / "config.json"
     config = {"n_scenes": 1, "master_seed": 3, "output_dir": str(out)}
     if (name, op) == ("tile", "<"):     # a grid that holds the column, so that only the bound binds
-        config["grid"] = {"n_cols": bound}
+        config["grid"] = {"n_cols": bound, "tile_width": 5e-5}    # and lies within +-1e5 m
     cfg.write_text(json.dumps(config))
     for value, accepted in _edge_values(op, bound):
         d = json.loads(clean)
