@@ -1,15 +1,15 @@
 """Pipeline configuration: one object tying every module's settings together.
 
-Configs load from a JSON file where every section is optional (missing
-sections take the library defaults) but unknown keys are rejected, so typos
-fail loudly instead of silently running defaults. Invariant violations from
-component constructors surface as ConfigError with the offending section.
+It is read and written by `io`'s section codec, as a file's grid is: every
+section and field is optional (missing ones take the library defaults) but
+unknown keys are rejected, so typos fail loudly instead of silently running
+defaults. Invariant violations surface as ConfigError naming the section.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .clustering import ClusterParams
 from .codec import AngleBinSpec
@@ -22,18 +22,6 @@ from .synth import NoiseConfig, SceneConfig, check_surface_wavelength
 
 class ConfigError(ValueError):
     """Invalid configuration (bad value, unknown key, inconsistent sections)."""
-
-
-_SECTIONS = {
-    "grid": GridSpec,
-    "bins": AngleBinSpec,
-    "embedding": EmbeddingParams,
-    "cluster": ClusterParams,
-    "scene": SceneConfig,
-    "noise": NoiseConfig,
-    "eval": EvalConfig,
-}
-_SCALARS = ("output_dir", "n_scenes", "master_seed")
 
 
 def _reach(grid: GridSpec, lane_width: float) -> float:
@@ -78,38 +66,21 @@ class PipelineConfig:
                               f"up to {lanes} lanes; need embedding.dim >= {lanes - 1}")
 
     def to_dict(self) -> dict:
-        out = {name: section_to_dict(getattr(self, name)) for name in _SECTIONS}
-        out.update(output_dir=self.output_dir, n_scenes=self.n_scenes,
-                   master_seed=self.master_seed)
-        return out
+        return section_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - set(_SECTIONS) - set(_SCALARS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for name, typ in _SECTIONS.items():
-            if name not in d:
-                continue
-            section = d[name]
-            if not isinstance(section, dict):
-                raise ConfigError(f"section '{name}' must be an object")
-            try:
-                kwargs[name] = section_from_dict(typ, {**section_to_dict(typ()), **section})
-            except (ValueError, TypeError, KeyError) as e:
-                raise ConfigError(f"section '{name}': {e}")
-        if "extent" not in d.get("eval", {}):
-            # Derive the raster window from the (possibly non-default) grid.
-            grid, base = kwargs.get("grid", GridSpec()), kwargs.get("eval", EvalConfig())
-            pad = _reach(grid, base.lane_width)
-            kwargs["eval"] = replace(base, extent=(
-                (grid.x_min - pad, grid.x_max + pad), (grid.y_min - pad, grid.y_max + pad)))
         try:
-            kwargs.update((name, _coerce(getattr(cls, name), d[name], name))
-                          for name in _SCALARS if name in d)
-            return cls(**kwargs)
-        except ValueError as e:
+            section = d.get("eval", {})
+            grid = _coerce(GridSpec(), d.get("grid", {}), "grid")
+            base = _coerce(EvalConfig(), section, "eval")
+            if "extent" not in section:
+                # Derive the raster window from the (possibly non-default) grid.
+                pad = _reach(grid, base.lane_width)
+                d = {**d, "eval": {**section, "extent": (
+                    (grid.x_min - pad, grid.x_max + pad), (grid.y_min - pad, grid.y_max + pad))}}
+            return section_from_dict(cls, {**section_to_dict(cls()), **d})
+        except (ValueError, TypeError, KeyError) as e:
             raise ConfigError(str(e))

@@ -75,7 +75,7 @@ def check_settings(record) -> None:
     """Reject a settings record that holds a NaN or infinite float in any
     field, itself or nested in tuples, lists and dict values, or a value that
     breaks a bound its field declares (`metadata={">=": 0.0}`), naming the
-    field. Rules that relate two fields stay in the record's __post_init__."""
+    field. Rules no single bound states stay in the record's __post_init__."""
     for f in fields(record):
         value = getattr(record, f.name)
         if not _finite(value):

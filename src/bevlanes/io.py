@@ -5,8 +5,8 @@ newline), so write -> read -> write round trips are byte-identical and
 outputs are diffable; non-finite numbers cannot be written. Readers check
 every object of a stage file with `_object`: it holds exactly the keys its
 writer writes, and a fault is a SchemaError naming the file and the field by
-its full dotted path (`fields.occupancy.shape`, `lanes[2].points`). Config
-sections, and a file's grid, bins and surface records, go through one
+its full dotted path (`fields.occupancy.shape`, `lanes[2].points`). The
+config and a file's grid, bins and surface records go through one
 field-driven codec (`section_to_dict`, `section_from_dict`). No JSON boolean
 or string reads as a number, nor a fraction as an int, and every value keeps
 its declared bounds; `pipeline._read_scene` adds the rules that need the config.
@@ -18,7 +18,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +181,8 @@ def _in_range(obj) -> list:
 
 
 def _plain(value):
+    if is_dataclass(value):
+        return section_to_dict(value)
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
@@ -189,16 +191,23 @@ def _plain(value):
 
 
 def section_to_dict(section) -> dict:
-    """Fields by name; tuples, nested too, become lists."""
+    """Fields by name; tuples, nested too, become lists, and nested sections dicts."""
     return {f.name: _plain(getattr(section, f.name)) for f in fields(section)}
 
 
 def _coerce(default, value, name: str):
-    """The value converted to the type of the field's default: bools, ints,
-    floats, tuples or lists (to a tuple, elementwise like the default's first
-    element) and dicts (values like the default's first value). A value of the
-    wrong JSON type, an int that is not whole or a float that is not finite
-    raises ValueError naming the field."""
+    """The value converted to the type of the field's default: sections (from
+    some of their fields), bools, ints, floats, tuples or lists (to a tuple,
+    elementwise like the default's first element) and dicts (values like the
+    default's first value). A value of the wrong JSON type, an int that is not
+    whole or a float that is not finite raises ValueError naming the field."""
+    if is_dataclass(default):
+        if not isinstance(value, dict):
+            raise ValueError(f"section '{name}' must be an object")
+        try:
+            return section_from_dict(type(default), {**section_to_dict(default), **value})
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"section '{name}': {e}")
     if isinstance(default, (tuple, list)):
         return tuple(_coerce(default[0], v, name) for v in value)
     if isinstance(default, dict):

@@ -315,9 +315,7 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
         lines.append(f"grad_check,total_tile,max_rel_error,{tile_rep.max_rel_error!r}")
         lines.append(f"grad_check,embedding,max_rel_error,{emb_rep.max_rel_error!r}")
     csv = "\n".join(lines) + "\n"
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "loss.csv").write_text(csv)
+    (Path(config.output_dir) / "loss.csv").write_text(csv)     # exists: holds the targets read
     return csv
 
 

@@ -13,7 +13,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +22,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from test_settings_bounds import inside
 
 import bevlanes
 from bevlanes import io, pipeline
 from bevlanes.cli import main
+from bevlanes.clustering import ClusterParams
 from bevlanes.codec import (AngleBinSpec, SegmentSet, TilePredictionGrid, TileTargetGrid,
                             angle_to_soft_labels, array_fields, decode_grid, encode_scene)
-from bevlanes.config import ConfigError, PipelineConfig
+from bevlanes.config import ConfigError, PipelineConfig, _reach
 from bevlanes.evaluation import DEFAULT_EXTENT, EvalConfig, evaluate, score_scene
 from bevlanes.geometry import Curve, GridSpec, first_out_of_range
 from bevlanes.losses import EmbeddingParams
@@ -717,6 +719,44 @@ def test_config_dict_round_trip():
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
 
+SECTIONS = {"grid": GRID, "bins": BINS, "embedding": EmbeddingParams(), "cluster": ClusterParams(),
+            "scene": SceneConfig(), "noise": NoiseConfig(), "eval": EvalConfig()}
+
+
+def _some_fields(section):
+    """Any subset of a section's fields, each at its default or at the value
+    nearest a bound it declares that the bound accepts."""
+    return st.fixed_dictionaries({}, optional={f.name: st.sampled_from(
+        [getattr(section, f.name)] + [type(getattr(section, f.name))(inside(op, bound))
+                                      for op, bound in f.metadata.items()])
+        for f in fields(section)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.fixed_dictionaries({}, optional={
+    **{name: _some_fields(section) for name, section in SECTIONS.items()},
+    "n_scenes": st.sampled_from([10, 1]), "master_seed": st.sampled_from([0, 2 ** 64 - 1]),
+    "output_dir": st.sampled_from(["bevlanes_out", "elsewhere"])}))
+def test_config_codec_matches_the_config_built_section_by_section(drawn):
+    # the reference: each default section replaced field by field, and the
+    # eval extent, unless given, the grid padded by its reach
+    try:
+        sections = {name: replace(section, **drawn.get(name, {}))
+                    for name, section in SECTIONS.items()}
+        if "extent" not in drawn.get("eval", {}):
+            grid, pad = sections["grid"], _reach(sections["grid"], sections["eval"].lane_width)
+            sections["eval"] = replace(sections["eval"], extent=(
+                (grid.x_min - pad, grid.x_max + pad), (grid.y_min - pad, grid.y_max + pad)))
+        expected = PipelineConfig(**sections, **{k: v for k, v in drawn.items()
+                                                 if k not in SECTIONS})
+    except ValueError:      # a rule across fields, or across sections
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(json.loads(json.dumps(drawn)))
+        return
+    assert PipelineConfig.from_dict(json.loads(json.dumps(drawn))) == expected
+    assert PipelineConfig.from_dict(expected.to_dict()) == expected
+
+
 def test_config_values_take_the_type_of_the_field_default():
     cfg = PipelineConfig.from_dict({"grid": {"tile_width": 1, "n_cols": 8.0},
                                     "scene": {"y_range": [0, 78]}})
@@ -804,6 +844,14 @@ def test_cli_missing_stage_inputs_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["eval", "--config", cfg]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_stage_on_an_empty_output_dir_names_the_missing_stage_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["encode", "--config", write_config(tmp_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{out / 'scenes'}: field '<dir>': stage directory not found" in err
 
 
 def test_cli_corrupt_stage_file_is_data_error(tmp_path, capsys):
@@ -902,6 +950,21 @@ def test_cli_bad_config_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"definitely_not_a_key": 1}))
     assert main(["generate", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"scene": {"topology_weights": {"parallel": True}}}, "topology_weights must be of type float"),
+    ({"scene": {"topology_weights": {"parallel": "0.5"}}}, "topology_weights must be of type float"),
+    (5, "config must be a JSON object"), (None, "config must be a JSON object"),
+    ({"grid": 3}, "section 'grid' must be an object"), ({"eval": 5}, "section 'eval' must be an object"),
+    ({"eval": None}, "section 'eval' must be an object")])
+def test_cli_config_value_of_the_wrong_json_type_names_it(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_file_is_data_error(tmp_path, capsys):
@@ -1264,6 +1327,12 @@ def test_cli_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError, match="jobs"):
         run_pipeline(PipelineConfig.from_dict(tiny_config_dict(tmp_path)), jobs=int(jobs))
+
+
+def test_run_pipeline_with_an_unknown_cluster_method_is_config_error(tmp_path):
+    # the CLI's --method choices keep it from the command line, not from the library
+    with pytest.raises(ConfigError, match="unknown cluster method 'nope'"):
+        run_pipeline(PipelineConfig.from_dict(tiny_config_dict(tmp_path)), method="nope")
 
 
 @pytest.mark.parametrize("scene, dim, code", [
