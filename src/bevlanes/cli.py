@@ -48,12 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", metavar="PATH", help="pipeline config JSON file")
         sub.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
         sub.add_argument("--out", metavar="DIR", help="override output_dir")
+        sub.add_argument("--jobs", type=int, default=1, metavar="N",
+                         help="processes that share the scenes, at least 1")
         if name in ("cluster", "pipeline"):
             sub.add_argument("--method", choices=CLUSTER_METHODS, default="embedding",
                              help="clustering method")
-        if name == "pipeline":
-            sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                             help="parallel worker processes, at least 1")
         if name == "loss":
             sub.add_argument("--check-grads", action="store_true",
                              help="append a finite-difference gradient summary")
@@ -78,13 +77,14 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         if args.command in STAGES:
-            paths = run_stage(config, args.command, getattr(args, "method", "embedding"))
+            paths = run_stage(config, args.command, getattr(args, "method", "embedding"),
+                              args.jobs)
             print(f"wrote {len(paths)} files to "
                   f"{Path(config.output_dir) / STAGES[args.command].dir}")
         elif args.command == "loss":
-            sys.stdout.write(cmd_loss(config, grad_check=args.check_grads))
+            sys.stdout.write(cmd_loss(config, args.check_grads, args.jobs))
         else:
-            report = (cmd_eval(config) if args.command == "eval" else
+            report = (cmd_eval(config, args.jobs) if args.command == "eval" else
                       cmd_pipeline(config, method=args.method, jobs=args.jobs))
             print(f"map={report.map_score!r} recall@{report.operating_iou:g}="
                   f"{report.recall_at_reference!r} (artifacts in {config.output_dir})")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import MAX_COORDINATE, GridSpec, Lane3D, check_settings, tile_centers
+from .geometry import MAX_COORDINATE, GridSpec, Lane3D, check_settings, distinct, tile_centers
 
 TWO_PI = 2.0 * math.pi
 
@@ -437,7 +437,7 @@ def _fit_chains(won, start, chain, pos, pa, pb, za, zb, center):
     # matrix gets the same LAPACK call as it would alone).
     centroid = np.empty((len(won), 2))
     direction = np.empty((len(won), 2))
-    for n in np.unique(n_pts):
+    for n in distinct(n_pts):
         which = np.flatnonzero(n_pts == n)
         P = pts[first_pt[which, None] + np.arange(n)]
         centroid[which] = P.mean(axis=1)

@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .geometry import Curve, check_settings, resample_polyline
+from .geometry import Curve, check_settings, distinct, resample_polyline
 
 DEFAULT_EXTENT = ((-10.74, 10.74), (-0.5, 78.5))  # default grid padded by w/2
 
@@ -50,6 +50,9 @@ class EvalConfig:
         for lo, hi in self.range_buckets:
             if hi <= lo:
                 raise ValueError(f"empty range bucket ({lo}, {hi})")
+        if [len(pair) for pair in self.extent] != [2, 2]:
+            raise ValueError(f"extent must be a pair [[x_lo, x_hi], [y_lo, y_hi]], "
+                             f"got {self.extent}")
         (x_lo, x_hi), (y_lo, y_hi) = self.extent
         if x_hi <= x_lo or y_hi <= y_lo:
             raise ValueError(f"empty raster extent {self.extent}")
@@ -129,7 +132,7 @@ def _bands(count, budget):
     """Ranges [s0, s1) of items, in order, that hold about `budget` of the
     summed count each (one item may hold more)."""
     ends = np.cumsum(count)
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1] if len(ends) else 0, budget),
+    cuts = distinct(np.searchsorted(ends, np.arange(0, ends[-1] if len(ends) else 0, budget),
                                      side="right"))
     return zip(cuts, np.append(cuts[1:], len(count)))
 

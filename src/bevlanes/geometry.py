@@ -97,6 +97,13 @@ def first_out_of_range(value, bounds: dict):
             return at, f"must be {op} {bound}, got {np.asarray(value).astype(object)[at]!r}"
 
 
+def distinct(values) -> np.ndarray:
+    """np.unique(values) for values without NaN: its sorted distinct elements,
+    flattened, of its dtype; numpy's hash path would import numpy.ma."""
+    a = np.sort(values, axis=None)
+    return a[np.r_[a.size > 0, a[1:] != a[:-1]][:a.size]]
+
+
 def _finite(value) -> bool:
     if isinstance(value, (tuple, list, dict)):
         return all(map(_finite, value.values() if isinstance(value, dict) else value))

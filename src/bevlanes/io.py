@@ -37,7 +37,7 @@ class SchemaError(Exception):
         self.path, self.field, self.message = str(path), field, message
         super().__init__(f"{path}: field '{field}': {message}")
 
-    def __reduce__(self):     # so that one raised in a pool worker unpickles
+    def __reduce__(self):     # so that one raised in a forked child unpickles
         return type(self), (self.path, self.field, self.message)
 
 
@@ -84,15 +84,17 @@ def load_json(path) -> dict:
         raise SchemaError(path, "<file>", f"invalid JSON: {e}")
 
 
-def _object(d, keys, path: str, at: str = "") -> list:
-    """The values of `keys` in d, a JSON object holding exactly these keys. A
-    fault names `at` + key, an unknown key before a missing one; d that is not
-    an object names `at` without its trailing dot, or '<file>'."""
+def _object(d, keys: dict, path: str, at: str = "") -> list:
+    """The values of the keys of `keys` in d, a JSON object holding exactly
+    these keys; a reader builds `keys` once (its values are unused), so the
+    check compares two key views. A fault names `at` + key, an unknown key
+    before a missing one; d that is not an object names `at` without its
+    trailing dot, or '<file>'."""
     if not isinstance(d, dict):
         raise SchemaError(path, at[:-1] or "<file>",
                           f"expected a JSON object, got {type(d).__name__}")
-    if d.keys() != set(keys):
-        unknown = sorted(set(d) - set(keys))
+    if d.keys() != keys.keys():
+        unknown = sorted(d.keys() - keys.keys())
         if unknown:
             raise SchemaError(path, at + unknown[0], f"unknown key; expected only {sorted(keys)}")
         raise SchemaError(path, at + next(k for k in keys if k not in d), "missing required field")
@@ -103,7 +105,7 @@ def _file(d, kind: str, keys, path: str) -> list:
     """The values of `keys` in a stage file's object, after checking its kind."""
     if isinstance(d, dict) and d.get("kind") != kind:
         raise SchemaError(path, "kind", f"expected {kind!r}, got {d.get('kind')!r}")
-    return _object(d, ("kind", *keys), path)[1:]
+    return _object(d, dict.fromkeys(("kind", *keys)), path)[1:]
 
 
 def _build(cls, d: dict, path: str, field: str):
@@ -209,8 +211,12 @@ def _coerce(default, value, name: str):
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"section '{name}': {e}")
     if isinstance(default, (tuple, list)):
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
         return tuple(_coerce(default[0], v, name) for v in value)
     if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object, got {value!r}")
         template = next(iter(default.values()))
         return {k: _coerce(template, v, name) for k, v in value.items()}
     if isinstance(default, (int, float)) and (not isinstance(value, (int, float)) or
@@ -286,7 +292,7 @@ def _grid_to_dict(kind: str, g) -> dict:
 def _unpack_field(entry, f, path: str) -> np.ndarray:
     """One array field of a grid, of the dtype `codec` declares."""
     at, want = f"fields.{f.name}", np.dtype(f.metadata["dtype"]).str[1:]
-    dtype, shape, data = _object(entry, ("dtype", "shape", "data"), path, at + ".")
+    dtype, shape, data = _object(entry, dict.fromkeys(("dtype", "shape", "data")), path, at + ".")
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise SchemaError(path, f"{at}.shape", f"expected a list of integers >= 0, got {shape!r}")
     if dtype != want:
@@ -298,8 +304,9 @@ def _grid_from_dict(cls, kind: str, d: dict, path: str, keys=()):
     """A tile grid read from its dict, which may hold `keys` besides the grid's."""
     grid, bins, fields = _file(d, kind, ("grid", "bins", "fields", *keys), path)[:3]
     grid, bins = _build(GridSpec, grid, path, "grid"), _build(AngleBinSpec, bins, path, "bins")
-    arrays = {f.name: _unpack_field(entry, f, path) for f, entry in zip(
-        array_fields(cls), _object(fields, [f.name for f in array_fields(cls)], path, "fields."))}
+    declared = {f.name: f for f in array_fields(cls)}
+    arrays = {name: _unpack_field(entry, declared[name], path)
+              for name, entry in zip(declared, _object(fields, declared, path, "fields."))}
     out = _checked(path, "fields", cls, grid=grid, bins=bins, **arrays)
     faults = _in_range(out)
     if faults:
@@ -351,7 +358,8 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
     if not isinstance(entries, list):
         raise SchemaError(path, "segments", f"expected a list, got {type(entries).__name__}")
     declared, names = array_fields(SegmentSet), [f.name for f in array_fields(SegmentSet)]
-    rows = [_object(entry, names, path, f"segments[{k}].") for k, entry in enumerate(entries)]
+    keys = dict.fromkeys(names)
+    rows = [_object(entry, keys, path, f"segments[{k}].") for k, entry in enumerate(entries)]
     if not rows:
         return SegmentSet.empty()
     first = rows[0][names.index("embedding")]      # if not a list, row 0 is at fault
@@ -369,7 +377,7 @@ def segments_from_dict(d: dict, path: str = "<segments>") -> SegmentSet:
     faults = [(at[0], name, message) for name, at, message in _in_range(segments)]
     kept = np.unique(segments.tile, axis=0, return_index=True)[1]   # decode writes one per tile
     faults += [(k, "tile", f"tile {segments.tile[k].tolist()} holds an earlier segment")
-               for k in np.setdiff1d(np.arange(len(rows)), kept)[:1].tolist()]
+               for k in np.flatnonzero(np.bincount(kept, minlength=len(rows)) == 0)[:1].tolist()]
     # decode writes (cos phi, sin phi); clustering and the greedy baseline take it as one
     bad = np.flatnonzero(np.abs(np.hypot(*segments.direction.T) - 1.0) > 1e-9)
     faults += [(k, "direction", "not a unit vector") for k in bad[:1].tolist()]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import MAX_COORDINATE, TilePredictionGrid, TileTargetGrid, _sigmoid
-from .geometry import check_settings
+from .geometry import check_settings, distinct
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class ClusterSummary:
         labels = np.asarray(lane_ids).reshape(-1)
         if labels.shape[0] != f.shape[0]:
             raise ValueError(f"{labels.shape[0]} lane ids for {f.shape[0]} embeddings")
-        ids = np.unique(labels[labels >= 0])
+        ids = distinct(labels[labels >= 0])
         if len(ids) == 0:
             return cls(ids=ids, means=np.zeros((0, f.shape[1])))
         return cls(ids=ids, means=np.stack([f[labels == c].mean(axis=0) for c in ids]))
@@ -314,7 +314,7 @@ def finite_diff_check(loss_fn, inputs: dict[str, np.ndarray],
         flat = arr.reshape(-1)
         idx = np.arange(flat.size)
         if sample is not None and sample < flat.size:
-            idx = np.unique(np.linspace(0, flat.size - 1, sample).astype(int))
+            idx = distinct(np.linspace(0, flat.size - 1, sample).astype(int))
         for k in idx:
             orig = flat[k]
             flat[k] = orig + FD_EPSILON

@@ -16,8 +16,8 @@ the configured output directory:
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
+import os
+import pickle
 import re
 import zlib
 from dataclasses import dataclass, replace
@@ -112,33 +112,69 @@ def process_scene(config: PipelineConfig, index: int, method: str = "embedding")
 
 
 def _pool_size(config: PipelineConfig, jobs: int) -> int:
-    """Processes for a run, this one included: jobs, but no more than there are scenes."""
+    """Processes for a run, this one included: jobs, but no more than there are
+    scenes. jobs < 1, or above 1 where there is no os.fork, is a ConfigError."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"jobs above 1 needs os.fork, which this platform lacks; got {jobs}")
     return min(jobs, config.n_scenes)
 
 
-def _run_share(worker: Callable, tasks: list) -> list:
-    return [worker(t) for t in tasks]
+def _run_share(work: Callable, share: range) -> tuple:
+    """(None, [work(i) for i in share], ""), or (the first exception raised, None,
+    its traceback as text)."""
+    try:
+        return None, [work(i) for i in share], ""
+    except Exception as e:
+        import traceback
+        return e, None, traceback.format_exc()
 
 
-def _fan_out(worker: Callable, config: PipelineConfig, method: str, processes: int) -> list:
-    """worker((config, index, method)) for every scene index, in index order.
-    More than one process cuts the indices into that many contiguous shares,
-    larger ones first; this process runs the first share instead of waiting,
-    while a pool of the others runs one share each."""
-    tasks = [(config, i, method) for i in range(config.n_scenes)]
-    if processes == 1:
-        return _run_share(worker, tasks)
-    cuts = [-(-len(tasks) * k // processes) for k in range(processes + 1)]
-    shares = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
-    with multiprocessing.Pool(processes - 1) as pool:
-        rest = pool.imap(functools.partial(_run_share, worker), shares[1:])
-        return _run_share(worker, shares[0]) + [r for share in rest for r in share]
-
-
-def _worker(args) -> SceneResult:     # picklable, and finds process_scene at call time
-    return process_scene(*args)
+def _fan_out(work: Callable, n_scenes: int, processes: int) -> list:
+    """work(i) for every scene index i, in index order. More than one process
+    cuts the indices into that many contiguous shares, larger ones first; this
+    process runs the first share while a forked child runs each other one and
+    pickles its outcome into a pipe. Every pipe is read to its end and every
+    child reaped before the first fault in scene order is raised; a child
+    that sends nothing, as one killed by a signal, is a RuntimeError naming
+    its first scene and how it ended."""
+    cuts = [-(-n_scenes * k // processes) for k in range(processes + 1)]
+    shares = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    children, sent = [], []     # (pid, read end of its pipe) and the bytes of each child
+    try:
+        for share in shares[1:]:
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:    # the child: send the share's outcome, and exit 1 if that fails
+                try:
+                    os.close(fd)
+                    with open(out, "wb") as f:
+                        pickle.dump(_run_share(work, share), f, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(out)
+            children.append((pid, fd))
+        outcomes = [_run_share(work, shares[0])[:2]]
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as f:
+                sent.append(f.read())
+    finally:
+        ended = [os.close(fd) or os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, fd in children]
+    for share, data, code in zip(shares[1:], sent, ended):
+        name = f"the process of scenes {share.start} to {share.stop - 1}"
+        error, results, trace = pickle.loads(data) if code == 0 else (RuntimeError(
+            f"{name} ended without a result, "
+            + (f"killed by signal {-code}" if code < 0 else f"exit status {code}")), None, "")
+        if trace:
+            error.__cause__ = RuntimeError(f"raised in {name}:\n{trace}")
+        outcomes.append((error, results))
+    for error, _ in outcomes:
+        if error is not None:
+            raise error
+    return [r for _, results in outcomes for r in results]
 
 
 def run_pipeline(config: PipelineConfig, method: str = "embedding",
@@ -146,10 +182,11 @@ def run_pipeline(config: PipelineConfig, method: str = "embedding",
     """Run every stage over n_scenes, in memory; returns the report + results.
 
     jobs > 1 shares the scenes out over at most n_scenes processes, this one
-    and a pool of the rest; results come back in scene-index order, so output
-    is identical to a serial run. jobs < 1 raises ConfigError.
+    and forked children (`_fan_out`); results come back in scene-index order,
+    so output is identical to a serial run. A bad jobs raises ConfigError.
     """
-    results = _fan_out(_worker, config, method, _pool_size(config, jobs))
+    results = _fan_out(lambda i: process_scene(config, i, method), config.n_scenes,
+                       _pool_size(config, jobs))
     return evaluate_results(results, config), results
 
 
@@ -257,27 +294,33 @@ def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) 
     return path
 
 
-def run_stage(config: PipelineConfig, command: str, method: str = "embedding") -> list[Path]:
+def run_stage(config: PipelineConfig, command: str, method: str = "embedding",
+              jobs: int = 1) -> list[Path]:
     """Run one STAGES row over scenes 0 ... n_scenes - 1, reading each scene's
-    file of the row before just before its step (generate reads none).
-    Returns the paths written, numbered with their scene index."""
+    file of the row before just before its step (generate reads none), shared
+    out over `jobs` processes as `run_pipeline` does. Returns the paths
+    written, numbered with their scene index."""
+    processes = _pool_size(config, jobs)
     names = list(STAGES)
     k = names.index(command)
     inputs = names[k - 1:k] if k else []
     _check_files(config, *inputs)
     stage = STAGES[command]
     (Path(config.output_dir) / stage.dir).mkdir(parents=True, exist_ok=True)
-    return [_write_artifact(config, stage, i, stage.step(
-                config, i, *_read_scene(config, i, *inputs) or [None], method))
-            for i in range(config.n_scenes)]
+    return _fan_out(lambda i: _write_artifact(config, stage, i, stage.step(
+        config, i, *_read_scene(config, i, *inputs) or [None], method)), config.n_scenes, processes)
 
 
-def cmd_eval(config: PipelineConfig) -> EvalReport:
-    """Score each scene as its lanes and scene files are read; write the report."""
+def cmd_eval(config: PipelineConfig, jobs: int = 1) -> EvalReport:
+    """Score each scene as its lanes and scene files are read, over `jobs`
+    processes; write the report of the records in scene order."""
+    processes = _pool_size(config, jobs)
     _check_files(config, "cluster", "generate")
-    scenes = (_read_scene(config, i, "cluster", "generate") for i in range(config.n_scenes))
-    return _write_report(config, [score_scene(lanes, scene.lanes, config.eval)
-                                  for lanes, scene in scenes])
+
+    def score(i: int) -> SceneRecord:
+        lanes, scene = _read_scene(config, i, "cluster", "generate")
+        return score_scene(lanes, scene.lanes, config.eval)
+    return _write_report(config, _fan_out(score, config.n_scenes, processes))
 
 
 def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:
@@ -289,19 +332,23 @@ def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalRep
     return report
 
 
-def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
-    """Per-scene loss terms as CSV, optionally with a gradient-check summary."""
+def _loss_row(config: PipelineConfig, index: int) -> str:
+    """Scene `index`'s loss terms as one CSV row."""
+    tgt, prd = _read_scene(config, index, "encode", "predict")
+    tile = total_tile_loss(prd, tgt)
+    emb = embedding_loss(prd.embedding, tgt.lane_id, config.embedding)
+    c = {**tile.components, **emb.components}
+    return (f"{index},{c['score']!r},{c['angle']!r},{c['offsets']!r},"
+            f"{c['pull']!r},{c['push']!r},{tile.value + emb.value!r}")
+
+
+def cmd_loss(config: PipelineConfig, grad_check: bool = False, jobs: int = 1) -> str:
+    """Per-scene loss terms as CSV, over `jobs` processes, optionally with a
+    gradient-check summary of scene 0 computed in this process."""
+    processes = _pool_size(config, jobs)
     _check_files(config, "encode", "predict")
     lines = ["scene,score,angle,offsets,pull,push,total"]
-    for i in range(config.n_scenes):
-        tgt, prd = _read_scene(config, i, "encode", "predict")
-        tile = total_tile_loss(prd, tgt)
-        emb = embedding_loss(prd.embedding, tgt.lane_id, config.embedding)
-        c = {**tile.components, **emb.components}
-        total = tile.value + emb.value
-        lines.append(f"{i},{c['score']!r},{c['angle']!r},{c['offsets']!r},"
-                     f"{c['pull']!r},{c['push']!r},{total!r}")
-        del tgt, prd, tile, emb     # before the next scene's grids are read
+    lines += _fan_out(lambda i: _loss_row(config, i), config.n_scenes, processes)
     if grad_check:
         tgt, prd = _read_scene(config, 0, "encode", "predict")
         tile_inputs = {f.name: getattr(prd, f.name) for f in array_fields(prd)
@@ -319,9 +366,8 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False) -> str:
     return csv
 
 
-def _write_scene(args) -> SceneRecord:
+def _write_scene(config: PipelineConfig, index: int, method: str) -> SceneRecord:
     """Run one scene and write its five stage files and two plots; returns its score."""
-    config, index, method = args
     r = process_scene(config, index, method)
     for stage, artifact in zip(STAGES.values(), (r.scene, r.targets, r.preds, r.segments, r.lanes)):
         _write_artifact(config, stage, index, artifact)
@@ -341,4 +387,5 @@ def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
     processes = _pool_size(config, jobs)       # a bad value fails before any directory is made
     for d in [stage.dir for stage in STAGES.values()] + ["plots"]:
         (Path(config.output_dir) / d).mkdir(parents=True, exist_ok=True)
-    return _write_report(config, _fan_out(_write_scene, config, method, processes))
+    return _write_report(config, _fan_out(lambda i: _write_scene(config, i, method),
+                                          config.n_scenes, processes))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import (MAX_COORDINATE, SATURATION, TilePredictionGrid, TileTargetGrid,
                     angle_to_soft_labels, logit, saturated_arrays)
-from .geometry import GridSpec, Lane3D, check_settings, resample_polyline
+from .geometry import GridSpec, Lane3D, check_settings, distinct, resample_polyline
 from .losses import EmbeddingParams
 
 TOPOLOGIES = ("parallel", "split", "merge", "short", "perpendicular")
@@ -84,6 +84,9 @@ class SceneConfig:
         total = sum(self.topology_weights.values())
         if abs(total - 1.0) > 1e-9 or any(w < 0 for w in self.topology_weights.values()):
             raise ValueError("topology weights must be non-negative and sum to 1")
+        for name in ("y_range", "short_y_range"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must be a pair [lo, hi], got {list(getattr(self, name))}")
         if not self.y_range[0] < self.y_range[1]:
             raise ValueError(f"empty y_range {self.y_range}")
         if not self.short_y_range[0] <= self.short_y_range[1]:
@@ -294,7 +297,7 @@ def oracle_predict(targets: TileTargetGrid, noise: NoiseConfig, params: Embeddin
     """
     grid, bins = targets.grid, targets.bins
     h, w = grid.n_rows, grid.n_cols
-    lane_ids = np.unique(targets.lane_id[targets.lane_id >= 0])
+    lane_ids = distinct(targets.lane_id[targets.lane_id >= 0])
     anchors = simplex_anchors(len(lane_ids), params.dim, params.push_margin)
     fp_anchors = anchors if len(anchors) else np.zeros((1, params.dim))
 

@@ -4,7 +4,6 @@ import csv
 import io as std_io
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import signal
@@ -957,7 +956,20 @@ def test_cli_bad_config_is_config_error(tmp_path, capsys):
     ({"scene": {"topology_weights": {"parallel": "0.5"}}}, "topology_weights must be of type float"),
     (5, "config must be a JSON object"), (None, "config must be a JSON object"),
     ({"grid": 3}, "section 'grid' must be an object"), ({"eval": 5}, "section 'eval' must be an object"),
-    ({"eval": None}, "section 'eval' must be an object")])
+    ({"eval": None}, "section 'eval' must be an object"),
+    # these three ended in an AttributeError or IndexError traceback
+    pytest.param({"scene": {"topology_weights": 5}}, "topology_weights must be an object, got 5",
+                 id="dict-field-not-an-object"),
+    pytest.param({"scene": {"y_range": [1]}}, "y_range must be a pair [lo, hi], got [1.0]",
+                 id="y_range-of-one"),
+    pytest.param({"scene": {"short_y_range": [3]}},
+                 "short_y_range must be a pair [lo, hi], got [3.0]", id="short_y_range-of-one"),
+    pytest.param({"eval": {"extent": [[-20, 20]]}},
+                 "extent must be a pair [[x_lo, x_hi], [y_lo, y_hi]]", id="extent-of-one"),
+    # these two named no field ("'int' object is not iterable")
+    pytest.param({"scene": {"y_range": 5}}, "y_range must be a list, got 5", id="pair-not-a-list"),
+    pytest.param({"eval": {"extent": [1, 2]}}, "extent must be a list, got 1",
+                 id="extent-of-numbers")])
 def test_cli_config_value_of_the_wrong_json_type_names_it(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -1356,17 +1368,18 @@ def test_cli_embedding_too_small_for_the_scene_lanes_is_config_error(tmp_path, c
 
 
 def test_pool_has_no_more_workers_than_scenes(tmp_path, monkeypatch):
-    sizes, real_pool = [], multiprocessing.Pool
+    forks, real_fork = [], os.fork
 
-    def pool(processes):
-        sizes.append(processes)
-        return real_pool(processes)
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    monkeypatch.setattr(os, "fork", fork)
     cfg = PipelineConfig.from_dict(tiny_config_dict(tmp_path))       # two scenes
     assert run_pipeline(cfg, jobs=3)[0].to_dict() == run_pipeline(cfg)[0].to_dict()
+    assert len(forks) == 1      # the calling process runs one of the two shares itself
     cmd_pipeline(replace(cfg, n_scenes=1), jobs=2)
-    assert sizes == [1]     # the calling process runs one of the two shares itself
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("dz, code", [(0.0, 3), (0.25, 0)])
@@ -1744,25 +1757,146 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+def _run_script(script: str, *argv: str) -> tuple[int, str]:
+    """(exit code, stderr) of `python -c script *argv` in a session of its own,
+    which must leave no process of that session behind; a run that outlives
+    the timeout is killed with every process of its session, and fails the test."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(bevlanes.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)     # the forked children too
+        proc.communicate()
+        pytest.fail(f"{argv} hung")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return proc.returncode, err
+
+
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_cli_pipeline_schema_error_in_a_pool_worker_is_data_error(tmp_path, where):
     # The error used to fail to unpickle in the parent, which then waited for
     # the lost result forever; a timeout turns such a hang into a failure.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(bevlanes.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _WORKER_RAISES, where, "pipeline", "--jobs", "2",
-         "--config", write_config(tmp_path)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True)
-    try:
-        _, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)     # the pool workers too
-        proc.communicate()
-        pytest.fail(f"a SchemaError raised in the {where} hung the run")
-    assert proc.returncode == 3, err
+    code, err = _run_script(_WORKER_RAISES, where, "pipeline", "--jobs", "2",
+                            "--config", write_config(tmp_path))
+    assert code == 3, err
     assert "data error" in err and "segments[0].score" in err and "planted" in err
+
+
+def test_fan_out_raises_the_first_fault_in_scene_order_after_every_share():
+    def work(i):
+        if i in faults:
+            raise KeyError(f"scene {i}")
+        return i
+
+    faults = set()
+    assert pipeline._fan_out(work, 5, 3) == list(range(5))     # shares 0-1, 2-3 and 4
+    for faults, first in [({2, 4}, 2), ({4, 0}, 0)]:
+        with pytest.raises(KeyError, match=f"scene {first}") as caught:
+            pipeline._fan_out(work, 5, 3)
+        # a child's fault carries its traceback, a fault of this process its own
+        cause = str(caught.value.__cause__)
+        assert ("raised in the process of scenes 2 to 3" in cause and "in work" in cause) == \
+            (first == 2)
+
+
+# Runs `bevlanes <command> --jobs 2` with the per-scene function named by
+# argv[1] killing its own process with SIGKILL in the forked child only.
+_CHILD_KILLED = """
+import os, signal, sys
+from bevlanes import cli, pipeline
+
+CALLER, name = os.getpid(), sys.argv[1]
+real = getattr(pipeline, name)
+
+def killed(*args):
+    if os.getpid() != CALLER:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args)
+
+setattr(pipeline, name, killed)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("command, step", [("pipeline", "process_scene"), ("loss", "_loss_row")])
+def test_cli_child_killed_by_a_signal_fails_the_run_and_leaves_no_process(tmp_path, command,
+                                                                          step):
+    # multiprocessing.Pool replaced a worker killed by a signal and waited for
+    # its lost result forever (CPython bpo-22393)
+    cfg = write_config(tmp_path)        # two scenes: the child runs scene 1
+    if command == "loss":
+        assert main(["pipeline", "--config", cfg]) == 0
+    code, err = _run_script(_CHILD_KILLED, step, command, "--jobs", "2", "--config", cfg)
+    assert code != 0, err
+    assert f"process of scenes 1 to 1 ended without a result, killed by signal {signal.SIGKILL:d}" \
+        in err
+
+
+# One scene through every entry point in a fresh interpreter; prints which
+# of the two slow imports the run pulled in.
+_IMPORTS_OF_A_RUN = """
+import sys
+from bevlanes import pipeline
+from bevlanes.config import PipelineConfig
+
+config = PipelineConfig.from_dict({"n_scenes": 1, "output_dir": sys.argv[1]})
+pipeline.run_pipeline(config)
+pipeline.cmd_pipeline(config)
+pipeline.cmd_loss(config)
+for name in pipeline.STAGES:
+    pipeline.run_stage(config, name)
+pipeline.cmd_eval(config)
+sys.stderr.write(repr(sorted({"multiprocessing", "numpy.ma"} & set(sys.modules))))
+"""
+
+
+def test_a_run_imports_neither_multiprocessing_nor_numpy_ma(tmp_path):
+    # set-up time of every fresh process: multiprocessing took 5-10 ms, and
+    # numpy.ma, which numpy 2.4's plain np.unique imports, 10-16 ms
+    assert _run_script(_IMPORTS_OF_A_RUN, str(tmp_path / "out")) == (0, "[]")
+
+
+@settings(max_examples=6)
+@given(n_scenes=st.integers(1, 5), jobs=st.integers(2, 4),
+       master_seed=st.integers(0, 2 ** 64 - 1),
+       sigmas=st.lists(st.floats(0.0, 0.3), min_size=4, max_size=4),
+       rates=st.lists(st.floats(0.0, 0.2), min_size=2, max_size=2))
+def test_file_commands_under_jobs_write_the_serial_tree(n_scenes, jobs, master_seed, sigmas,
+                                                        rates):
+    # each stage command, eval and loss share the scenes out as pipeline does
+    sigma_r, sigma_phi, sigma_z, sigma_f = sigmas
+    noise = {"sigma_r": sigma_r, "sigma_phi": sigma_phi, "sigma_z": sigma_z, "sigma_f": sigma_f,
+             "drop_rate": rates[0], "fp_rate": rates[1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for run_jobs in (1, jobs):
+            out = Path(tmp) / f"jobs{run_jobs}"
+            config = PipelineConfig.from_dict({"n_scenes": n_scenes, "master_seed": master_seed,
+                                               "noise": noise, "output_dir": str(out)})
+            paths = [pipeline.run_stage(config, name, jobs=run_jobs) for name in pipeline.STAGES]
+            report = pipeline.cmd_eval(config, jobs=run_jobs).to_dict()
+            csv = pipeline.cmd_loss(config, jobs=run_jobs)
+            runs.append(([[p.relative_to(out) for p in ps] for ps in paths], report, csv,
+                         {p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()}))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["generate", "encode", "predict", "decode", "cluster", "eval",
+                                     "loss", "pipeline"])
+def test_cli_every_command_takes_jobs(tmp_path, capsys, command, monkeypatch):
+    cfg = write_config(tmp_path)
+    assert main([command, "--jobs", "0", "--config", cfg]) == 2
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+    monkeypatch.delattr(os, "fork")
+    assert main([command, "--jobs", "2", "--config", cfg]) == 2
+    assert "needs os.fork" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_score_records_of_an_artifact_batch_pickle_small(tmp_path):
@@ -1773,7 +1907,7 @@ def test_score_records_of_an_artifact_batch_pickle_small(tmp_path):
         "noise": {"sigma_r": 0.1, "fp_rate": 0.02, "sigma_f": 0.05}})
     for d in [stage.dir for stage in pipeline.STAGES.values()] + ["plots"]:
         (tmp_path / d).mkdir()
-    sizes = [len(pickle.dumps(pipeline._write_scene((cfg, i, "embedding")),
+    sizes = [len(pickle.dumps(pipeline._write_scene(cfg, i, "embedding"),
                               pickle.HIGHEST_PROTOCOL)) for i in range(cfg.n_scenes)]
     assert max(sizes) <= 16 * 1024, sizes
 
