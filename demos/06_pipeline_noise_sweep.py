@@ -37,7 +37,7 @@ for sigma_r in (0.0, 0.1, 0.3, 0.5):
     cfg = PipelineConfig.from_dict(
         {**base, "noise": {**base["noise"], "sigma_r": sigma_r}})
     t0 = time.perf_counter()
-    report, results = run_pipeline(cfg, method="embedding", jobs=1)
+    report, results = run_pipeline(cfg, jobs=1)
     dt = time.perf_counter() - t0
     near, far = (report.lateral_error[b] for b in ((0.0, 30.0), (30.0, 80.0)))
     print(f"  {sigma_r:9.1f}   {report.map_score:.4f}   {report.recall_at_reference:8.4f}"
@@ -60,7 +60,7 @@ print("(ground truth red, recovered lanes blue)")
 # Determinism: the same master seed reproduces the report bit for bit,
 # and a process pool changes nothing but the wall clock.
 cfg = PipelineConfig.from_dict({**base, "noise": {**base["noise"], "sigma_r": 0.3}})
-again, _ = run_pipeline(cfg, method="embedding", jobs=1)
-pooled, _ = run_pipeline(cfg, method="embedding", jobs=4)
+again, _ = run_pipeline(cfg, jobs=1)
+pooled, _ = run_pipeline(cfg, jobs=4)
 print(f"\nsame seed, serial rerun: reports equal = {again.to_dict() == reports[0.3].to_dict()}")
 print(f"same seed, 4 workers:    reports equal = {pooled.to_dict() == reports[0.3].to_dict()}")

@@ -17,9 +17,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .clustering import ClusterParams
 from .config import ConfigError, PipelineConfig
 from .io import SchemaError, load_json
-from .pipeline import CLUSTER_METHODS, STAGES, cmd_eval, cmd_loss, cmd_pipeline, run_stage
+from .pipeline import STAGES, cmd_eval, cmd_loss, cmd_pipeline, run_stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="processes that share the scenes, at least 1")
         if name in ("cluster", "pipeline"):
-            sub.add_argument("--method", choices=CLUSTER_METHODS, default="embedding",
-                             help="clustering method")
+            methods = ClusterParams.__dataclass_fields__["method"].metadata["one of"]
+            sub.add_argument("--method", choices=methods, help="override cluster.method")
         if name == "loss":
             sub.add_argument("--check-grads", action="store_true",
                              help="append a finite-difference gradient summary")
@@ -66,6 +67,8 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         config = PipelineConfig()
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    if getattr(args, "method", None) is not None:
+        config = replace(config, cluster=replace(config.cluster, method=args.method))
     out = args.out or os.environ.get(ENV_OUTPUT_DIR)
     if out:
         config = replace(config, output_dir=out)
@@ -77,15 +80,14 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         if args.command in STAGES:
-            paths = run_stage(config, args.command, getattr(args, "method", "embedding"),
-                              args.jobs)
+            paths = run_stage(config, args.command, args.jobs)
             print(f"wrote {len(paths)} files to "
                   f"{Path(config.output_dir) / STAGES[args.command].dir}")
         elif args.command == "loss":
             sys.stdout.write(cmd_loss(config, args.check_grads, args.jobs))
         else:
             report = (cmd_eval(config, args.jobs) if args.command == "eval" else
-                      cmd_pipeline(config, method=args.method, jobs=args.jobs))
+                      cmd_pipeline(config, args.jobs))
             print(f"map={report.map_score!r} recall@{report.operating_iou:g}="
                   f"{report.recall_at_reference!r} (artifacts in {config.output_dir})")
     except ConfigError as e:

@@ -31,13 +31,15 @@ GAP_TOL = 4.5  # 1.5 tile lengths
 
 @dataclass(frozen=True)
 class ClusterParams:
-    """Mean-shift and assignment settings, in embedding units."""
+    """The instance method, and its mean-shift and assignment settings in
+    embedding units; "greedy" ignores the rest."""
 
     bandwidth: float = field(default=1.5, metadata={">": 0.0})
     max_iters: int = field(default=100, metadata={">=": 1})
     shift_tol: float = field(default=1e-4, metadata={">=": 0.0})
     assign_radius: float = field(default=1.5, metadata={">": 0.0})
     min_cluster_size: int = field(default=2, metadata={">=": 1})
+    method: str = field(default="embedding", metadata={"one of": ("embedding", "greedy")})
 
     def __post_init__(self):
         check_settings(self)

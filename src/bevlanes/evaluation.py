@@ -47,9 +47,11 @@ class EvalConfig:
         if self.raster_resolution > self.lane_width / 4:
             raise ValueError(f"raster_resolution must be <= lane_width / 4, got "
                              f"{self.raster_resolution} for lane_width {self.lane_width}")
-        for lo, hi in self.range_buckets:
-            if hi <= lo:
-                raise ValueError(f"empty range bucket ({lo}, {hi})")
+        for bucket in self.range_buckets:
+            if len(bucket) != 2:
+                raise ValueError(f"range_buckets must hold pairs [lo, hi], got {list(bucket)}")
+            if bucket[1] <= bucket[0]:
+                raise ValueError(f"empty range bucket ({bucket[0]}, {bucket[1]})")
         if [len(pair) for pair in self.extent] != [2, 2]:
             raise ValueError(f"extent must be a pair [[x_lo, x_hi], [y_lo, y_hi]], "
                              f"got {self.extent}")

@@ -2,11 +2,11 @@
 
 Stage order: generate -> encode -> predict -> decode -> cluster -> eval.
 Each STAGES row's step maps (config, scene index, the previous row's
-artifact, cluster method) to its artifact; eval scores the lanes against the
-scene's `Lane3D`s. Per-scene seeds are derived from (master_seed,
-scene_index, stage name), so results do not depend on batch order and
-parallel execution reproduces serial output bit for bit. File layout under
-the configured output directory:
+artifact) to its artifact, so a scene's artifacts depend only on the config
+and its index; eval scores the lanes against the scene's `Lane3D`s. Per-scene
+seeds are derived from (master_seed, scene_index, stage name), so results do
+not depend on batch order and parallel execution reproduces serial output bit
+for bit. File layout under the configured output directory:
 
     scenes/scene_NNNNN.json     targets/target_NNNNN.json
     preds/pred_NNNNN.json       segments/segments_NNNNN.json
@@ -37,8 +37,6 @@ from .losses import embedding_loss, finite_diff_check, total_tile_loss
 from .plots import heatmap_svg, scene_svg
 from .synth import Scene, generate_scene, oracle_predict
 
-CLUSTER_METHODS = ("embedding", "greedy")
-
 
 def derive_seed(master_seed: int, scene_index: int, stage: str) -> int:
     """Deterministic per-scene, per-stage seed."""
@@ -48,21 +46,20 @@ def derive_seed(master_seed: int, scene_index: int, stage: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Stage steps: (config, index, input, method) -> artifact
+# Stage steps: (config, index, input) -> artifact
 
 
-def _generate_step(config: PipelineConfig, index: int, _, method: str) -> Scene:
+def _generate_step(config: PipelineConfig, index: int, _) -> Scene:
     return generate_scene(config.scene, config.grid,
                           derive_seed(config.master_seed, index, "scene"))
 
 
-def _encode_step(config: PipelineConfig, index: int, scene: Scene,
-                 method: str) -> TileTargetGrid:
+def _encode_step(config: PipelineConfig, index: int, scene: Scene) -> TileTargetGrid:
     return encode_scene(scene.lanes, config.grid, config.bins)
 
 
-def _predict_step(config: PipelineConfig, index: int, targets: TileTargetGrid,
-                  method: str) -> TilePredictionGrid:
+def _predict_step(config: PipelineConfig, index: int,
+                  targets: TileTargetGrid) -> TilePredictionGrid:
     try:
         return oracle_predict(targets, config.noise, config.embedding,
                               derive_seed(config.master_seed, index, "noise"))
@@ -70,22 +67,17 @@ def _predict_step(config: PipelineConfig, index: int, targets: TileTargetGrid,
         raise io.SchemaError(_stage_path(config, STAGES["encode"], index), "fields.lane_id", str(e))
 
 
-def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid,
-                 method: str) -> SegmentSet:
+def _decode_step(config: PipelineConfig, index: int, preds: TilePredictionGrid) -> SegmentSet:
     return decode_grid(preds)     # no bin logit is below -SATURATION, so a kept tile has an angle
 
 
-def _cluster_step(config: PipelineConfig, index: int, segments: SegmentSet,
-                  method: str) -> list[tuple[Curve, float]]:
-    """Cluster segments and assemble each instance into a (curve, confidence),
-    its mean score; an instance that `assemble_curve` makes no curve of is left out."""
-    if method == "embedding":
-        instances = cluster_segments(segments, config.cluster)
-    elif method == "greedy":
-        instances = greedy_baseline(segments)
-    else:
-        raise ConfigError(f"unknown cluster method {method!r}; expected one of "
-                          f"{CLUSTER_METHODS}")
+def _cluster_step(config: PipelineConfig, index: int,
+                  segments: SegmentSet) -> list[tuple[Curve, float]]:
+    """Cluster segments by config.cluster.method and assemble each instance into
+    a (curve, confidence), its mean score; an instance that `assemble_curve`
+    makes no curve of is left out."""
+    instances = (greedy_baseline(segments) if config.cluster.method == "greedy"
+                 else cluster_segments(segments, config.cluster))
     lanes = [(assemble_curve(inst), inst.confidence) for inst in instances]
     return [(curve, conf) for curve, conf in lanes if curve is not None]
 
@@ -102,11 +94,11 @@ class SceneResult:
     lanes: list[tuple[Curve, float]]
 
 
-def process_scene(config: PipelineConfig, index: int, method: str = "embedding") -> SceneResult:
+def process_scene(config: PipelineConfig, index: int) -> SceneResult:
     """Run the STAGES steps in order on one scene, in memory."""
     artifacts, artifact = [], None
     for stage in STAGES.values():
-        artifact = stage.step(config, index, artifact, method)
+        artifact = stage.step(config, index, artifact)
         artifacts.append(artifact)
     return SceneResult(index, *artifacts)
 
@@ -138,10 +130,12 @@ def _fan_out(work: Callable, n_scenes: int, processes: int) -> list:
     pickles its outcome into a pipe. Every pipe is read to its end and every
     child reaped before the first fault in scene order is raised; a child
     that sends nothing, as one killed by a signal, is a RuntimeError naming
-    its first scene and how it ended."""
+    its first scene and how it ended. A child whose parent is gone, as one
+    killed, exits before its next scene."""
     cuts = [-(-n_scenes * k // processes) for k in range(processes + 1)]
     shares = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     children, sent = [], []     # (pid, read end of its pipe) and the bytes of each child
+    parent = os.getpid()
     try:
         for share in shares[1:]:
             fd, out = os.pipe()
@@ -150,7 +144,8 @@ def _fan_out(work: Callable, n_scenes: int, processes: int) -> list:
                 try:
                     os.close(fd)
                     with open(out, "wb") as f:
-                        pickle.dump(_run_share(work, share), f, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(_run_share(lambda i: work(i) if os.getppid() == parent
+                                               else os._exit(1), share), f, pickle.HIGHEST_PROTOCOL)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -177,15 +172,14 @@ def _fan_out(work: Callable, n_scenes: int, processes: int) -> list:
     return [r for _, results in outcomes for r in results]
 
 
-def run_pipeline(config: PipelineConfig, method: str = "embedding",
-                 jobs: int = 1) -> tuple[EvalReport, list[SceneResult]]:
+def run_pipeline(config: PipelineConfig, jobs: int = 1) -> tuple[EvalReport, list[SceneResult]]:
     """Run every stage over n_scenes, in memory; returns the report + results.
 
     jobs > 1 shares the scenes out over at most n_scenes processes, this one
     and forked children (`_fan_out`); results come back in scene-index order,
     so output is identical to a serial run. A bad jobs raises ConfigError.
     """
-    results = _fan_out(lambda i: process_scene(config, i, method), config.n_scenes,
+    results = _fan_out(lambda i: process_scene(config, i), config.n_scenes,
                        _pool_size(config, jobs))
     return evaluate_results(results, config), results
 
@@ -231,7 +225,7 @@ def _check_config(config: PipelineConfig, path: Path, artifact) -> None:
 class Stage:
     """A per-scene stage as files: its output directory, file stem, the names
     of the `io` reader and writer of its artifact (looked up at call time),
-    and its step (config, index, input, method) -> artifact. A stage's input
+    and its step (config, index, input) -> artifact. A stage's input
     is the artifact of the row before it in STAGES."""
 
     dir: str
@@ -294,8 +288,7 @@ def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) 
     return path
 
 
-def run_stage(config: PipelineConfig, command: str, method: str = "embedding",
-              jobs: int = 1) -> list[Path]:
+def run_stage(config: PipelineConfig, command: str, jobs: int = 1) -> list[Path]:
     """Run one STAGES row over scenes 0 ... n_scenes - 1, reading each scene's
     file of the row before just before its step (generate reads none), shared
     out over `jobs` processes as `run_pipeline` does. Returns the paths
@@ -308,7 +301,7 @@ def run_stage(config: PipelineConfig, command: str, method: str = "embedding",
     stage = STAGES[command]
     (Path(config.output_dir) / stage.dir).mkdir(parents=True, exist_ok=True)
     return _fan_out(lambda i: _write_artifact(config, stage, i, stage.step(
-        config, i, *_read_scene(config, i, *inputs) or [None], method)), config.n_scenes, processes)
+        config, i, *_read_scene(config, i, *inputs) or [None])), config.n_scenes, processes)
 
 
 def cmd_eval(config: PipelineConfig, jobs: int = 1) -> EvalReport:
@@ -366,9 +359,9 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False, jobs: int = 1) ->
     return csv
 
 
-def _write_scene(config: PipelineConfig, index: int, method: str) -> SceneRecord:
+def _write_scene(config: PipelineConfig, index: int) -> SceneRecord:
     """Run one scene and write its five stage files and two plots; returns its score."""
-    r = process_scene(config, index, method)
+    r = process_scene(config, index)
     for stage, artifact in zip(STAGES.values(), (r.scene, r.targets, r.preds, r.segments, r.lanes)):
         _write_artifact(config, stage, index, artifact)
     plots = Path(config.output_dir) / "plots"
@@ -378,8 +371,7 @@ def _write_scene(config: PipelineConfig, index: int, method: str) -> SceneRecord
     return score_scene(r.lanes, r.scene.lanes, config.eval)
 
 
-def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
-                 jobs: int = 1) -> EvalReport:
+def cmd_pipeline(config: PipelineConfig, jobs: int = 1) -> EvalReport:
     """Run all stages, writing every intermediate file, report and SVG plots.
     Each process writes the files of the scenes it runs; this one also makes
     the directories and writes the report, so a run that fails can leave a
@@ -387,5 +379,5 @@ def cmd_pipeline(config: PipelineConfig, method: str = "embedding",
     processes = _pool_size(config, jobs)       # a bad value fails before any directory is made
     for d in [stage.dir for stage in STAGES.values()] + ["plots"]:
         (Path(config.output_dir) / d).mkdir(parents=True, exist_ok=True)
-    return _write_report(config, _fan_out(lambda i: _write_scene(config, i, method),
+    return _write_report(config, _fan_out(lambda i: _write_scene(config, i),
                                           config.n_scenes, processes))

@@ -235,20 +235,16 @@ def _diverged(base: np.ndarray, normal: np.ndarray, spacing: float, y_event: flo
 
 
 def _clip_to_grid(xy: np.ndarray, grid: GridSpec):
-    """Longest contiguous run of vertices inside the grid rectangle."""
+    """Longest contiguous run of vertices inside the grid rectangle, or None if
+    it holds fewer than two."""
     inside = ((xy[:, 0] >= grid.x_min) & (xy[:, 0] <= grid.x_max)
               & (xy[:, 1] >= grid.y_min) & (xy[:, 1] <= grid.y_max))
-    best, run_start, best_len = None, None, 0
-    for i, ok in enumerate(list(inside) + [False]):
-        if ok and run_start is None:
-            run_start = i
-        elif not ok and run_start is not None:
-            if i - run_start > best_len:
-                best, best_len = (run_start, i), i - run_start
-            run_start = None
-    if best is None or best_len < 2:
+    runs = np.flatnonzero(np.diff(np.r_[False, inside, False])).reshape(-1, 2)  # [start, stop)
+    length = runs[:, 1] - runs[:, 0]
+    if not len(runs) or length.max() < 2:
         return None
-    return xy[best[0]:best[1]]
+    start, stop = runs[np.argmax(length)]     # the first of equally long runs
+    return xy[start:stop]
 
 
 def _polyline_length(pts: np.ndarray) -> float:

@@ -327,9 +327,10 @@ def test_criterion_08_ablation_direction():
         config = replace(
             _closed_loop_config(_weights(**{topology: 1.0}), n_scenes=25, seed=seed),
             noise=replace(PipelineConfig().noise, sigma_f=0.1))
+        configs = {m: replace(config, cluster=replace(config.cluster, method=m)) for m in pooled}
         for i in range(config.n_scenes):
             for method in pooled:
-                r = process_scene(config, i, method)
+                r = process_scene(configs[method], i)
                 pooled[method].append(score_scene(r.lanes, r.scene.lanes, eval_cfg))
                 if method == "greedy" and topology == "split" \
                         and len(r.scene.lanes) >= 2 and len(r.lanes) < len(r.scene.lanes):

@@ -726,8 +726,9 @@ def _some_fields(section):
     """Any subset of a section's fields, each at its default or at the value
     nearest a bound it declares that the bound accepts."""
     return st.fixed_dictionaries({}, optional={f.name: st.sampled_from(
-        [getattr(section, f.name)] + [type(getattr(section, f.name))(inside(op, bound))
-                                      for op, bound in f.metadata.items()])
+        [getattr(section, f.name)] + [type(getattr(section, f.name))(value)
+                                      for op, bound in f.metadata.items()
+                                      for value in inside(op, bound)])
         for f in fields(section)})
 
 
@@ -969,7 +970,13 @@ def test_cli_bad_config_is_config_error(tmp_path, capsys):
     # these two named no field ("'int' object is not iterable")
     pytest.param({"scene": {"y_range": 5}}, "y_range must be a list, got 5", id="pair-not-a-list"),
     pytest.param({"eval": {"extent": [1, 2]}}, "extent must be a list, got 1",
-                 id="extent-of-numbers")])
+                 id="extent-of-numbers"),
+    # these two named no field ("too many values to unpack", "not enough values")
+    pytest.param({"eval": {"range_buckets": [[1, 2, 3]]}},
+                 "range_buckets must hold pairs [lo, hi], got [1.0, 2.0, 3.0]",
+                 id="range_bucket-of-three"),
+    pytest.param({"eval": {"range_buckets": [[1]]}},
+                 "range_buckets must hold pairs [lo, hi], got [1.0]", id="range_bucket-of-one")])
 def test_cli_config_value_of_the_wrong_json_type_names_it(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -1157,7 +1164,7 @@ def test_cli_segment_value_of_the_wrong_shape_is_data_error(tmp_path, capsys, na
     assert "segments_00000.json" in err and f"'segments[1].{name}'" in err
 
 
-@pytest.mark.parametrize("method", pipeline.CLUSTER_METHODS)
+@pytest.mark.parametrize("method", ["embedding", "greedy"])
 @pytest.mark.parametrize("value", [7.0, 1e308])
 def test_cli_segment_direction_that_is_not_a_unit_vector_is_data_error(tmp_path, capsys,
                                                                        value, method):
@@ -1342,9 +1349,19 @@ def test_cli_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
 
 
 def test_run_pipeline_with_an_unknown_cluster_method_is_config_error(tmp_path):
-    # the CLI's --method choices keep it from the command line, not from the library
-    with pytest.raises(ConfigError, match="unknown cluster method 'nope'"):
-        run_pipeline(PipelineConfig.from_dict(tiny_config_dict(tmp_path)), method="nope")
+    # the method is a config setting, so no run gets a config that holds a bad one
+    with pytest.raises(ConfigError, match="method must be one of"):
+        PipelineConfig.from_dict({**tiny_config_dict(tmp_path), "cluster": {"method": "nope"}})
+
+
+@pytest.mark.parametrize("command", ["pipeline", "cluster"])
+def test_cli_unknown_cluster_method_in_the_config_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**tiny_config_dict(tmp_path), "cluster": {"method": "nope"}}))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "method must be one of" in err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("scene, dim, code", [
@@ -1738,6 +1755,50 @@ def test_cmd_pipeline_jobs2_tree_equals_serial(n_scenes, jobs, master_seed, sigm
     assert trees[0] == trees[1]
 
 
+def _artifact_bits(r) -> list:
+    """The pickled bytes of each of a scene's five stage artifacts, in STAGES order."""
+    return [pickle.dumps(a, pickle.HIGHEST_PROTOCOL)
+            for a in (r.scene, r.targets, r.preds, r.segments, r.lanes)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(master_seed=st.integers(0, 2 ** 64 - 1), index=st.integers(0, 3),
+       more=st.integers(1, 3), sigma=st.floats(0.0, 0.3), rate=st.floats(0.0, 0.1))
+def test_a_scene_depends_only_on_the_config_and_its_index(master_seed, index, more, sigma, rate):
+    config = PipelineConfig.from_dict({
+        "n_scenes": index + 1, "master_seed": master_seed, "noise": {
+            "sigma_r": sigma, "sigma_phi": sigma, "sigma_z": sigma, "sigma_f": sigma,
+            "drop_rate": rate, "fp_rate": rate}})
+    bits = _artifact_bits(process_scene(config, index))
+    assert _artifact_bits(process_scene(replace(config, n_scenes=index + more), index)) == bits
+    assert _artifact_bits(process_scene(replace(config, output_dir="elsewhere"), index)) == bits
+    for jobs in (1, 2):
+        _, results = run_pipeline(replace(config, n_scenes=index + more), jobs=jobs)
+        assert _artifact_bits(results[index]) == bits
+    # the method reads the segments; no earlier stage depends on it
+    greedy = replace(config, cluster=replace(config.cluster, method="greedy"))
+    assert _artifact_bits(process_scene(greedy, index))[:4] == bits[:4]
+
+
+def test_cli_method_flag_writes_the_tree_of_the_config_setting(tmp_path):
+    # --method overrides cluster.method, as --seed overrides master_seed
+    noise = {"sigma_r": 0.1, "fp_rate": 0.02, "sigma_f": 0.05}
+    trees = {}
+    for name, method, flag in [("flag", "embedding", ["--method", "greedy"]),
+                               ("config", "greedy", []),
+                               ("override", "greedy", ["--method", "embedding"]),
+                               ("default", "embedding", [])]:
+        cfg = tmp_path / f"{name}.json"
+        out = tmp_path / name
+        cfg.write_text(json.dumps(tiny_config_dict(
+            tmp_path, n_scenes=4, output_dir=str(out), noise=noise, cluster={"method": method})))
+        assert main(["pipeline", "--config", str(cfg), *flag]) == 0
+        trees[name] = {p.relative_to(out): p.read_bytes()
+                       for p in sorted(out.rglob("*")) if p.is_file()}
+    assert trees["flag"] == trees["config"] and trees["override"] == trees["default"]
+    assert trees["flag"] != trees["default"]
+
+
 # Runs `bevlanes pipeline` with a clustering step that raises a SchemaError
 # in the forked pool workers only (argv[1] "worker") or in the calling
 # process only ("caller").
@@ -1757,15 +1818,19 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def _run_script(script: str, *argv: str) -> tuple[int, str]:
-    """(exit code, stderr) of `python -c script *argv` in a session of its own,
-    which must leave no process of that session behind; a run that outlives
-    the timeout is killed with every process of its session, and fails the test."""
+def _start_script(script: str, *argv: str, **kw) -> subprocess.Popen:
+    """`python -c script *argv`, importing this bevlanes, in a session of its own."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(bevlanes.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
+    return subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                            start_new_session=True, **kw)
+
+
+def _run_script(script: str, *argv: str) -> tuple[int, str]:
+    """(exit code, stderr) of `_start_script`, which must leave no process of
+    its session behind; a run that outlives the timeout is killed with every
+    process of its session, and fails the test."""
+    proc = _start_script(script, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         _, err = proc.communicate(timeout=120)
     except subprocess.TimeoutExpired:
@@ -1835,6 +1900,38 @@ def test_cli_child_killed_by_a_signal_fails_the_run_and_leaves_no_process(tmp_pa
     assert code != 0, err
     assert f"process of scenes 1 to 1 ended without a result, killed by signal {signal.SIGKILL:d}" \
         in err
+
+
+def test_cli_children_stop_once_the_parent_is_killed(tmp_path):
+    # a forked child used to run the rest of its share after its parent was
+    # killed: its lanes files went from 26 to 211 in 3 s after a SIGTERM
+    lanes = tmp_path / "out" / "lanes"
+    proc = _start_script("import sys; from bevlanes import cli; sys.exit(cli.main(sys.argv[1:]))",
+                         "pipeline", "--jobs", "2", "--config", write_config(tmp_path, n_scenes=600),
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(lanes.glob("*.json"))) < 4:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait(timeout=10)
+        written = len(list(lanes.glob("*.json")))
+        while time.monotonic() < deadline:      # until the orphaned child has ended
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        # the child may finish the scene it was on, and start no other
+        assert len(list(lanes.glob("*.json"))) <= written + 1
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 # One scene through every entry point in a fresh interpreter; prints which
@@ -1907,7 +2004,7 @@ def test_score_records_of_an_artifact_batch_pickle_small(tmp_path):
         "noise": {"sigma_r": 0.1, "fp_rate": 0.02, "sigma_f": 0.05}})
     for d in [stage.dir for stage in pipeline.STAGES.values()] + ["plots"]:
         (tmp_path / d).mkdir()
-    sizes = [len(pickle.dumps(pipeline._write_scene(cfg, i, "embedding"),
+    sizes = [len(pickle.dumps(pipeline._write_scene(cfg, i),
                               pickle.HIGHEST_PROTOCOL)) for i in range(cfg.n_scenes)]
     assert max(sizes) <= 16 * 1024, sizes
 

@@ -47,36 +47,42 @@ def _next(value, up: bool):
     return math.nextafter(value, math.inf if up else -math.inf)
 
 
-def inside(op: str, bound):
-    """The value nearest the bound that the bound accepts."""
-    return {">": _next(bound, up=True), "<": _next(bound, up=False)}.get(op, bound)
+def inside(op: str, bound) -> list:
+    """The values nearest the bound that the bound accepts: for an order one,
+    for a set of names each member."""
+    if op == "one of":
+        return list(bound)
+    return [{">": _next(bound, up=True), "<": _next(bound, up=False)}.get(op, bound)]
 
 
 def beyond(op: str, bound):
-    """The value nearest the bound that the bound rejects."""
+    """The value nearest the bound that the bound rejects; for a set of names,
+    its first member misspelt."""
+    if op == "one of":
+        return bound[0].upper()
     return {">": bound, ">=": _next(bound, up=False), "<": bound,
             "<=": _next(bound, up=True)}[op]
 
 
 def test_every_bounded_field_declares_its_bounds():
-    # 28 fields; drop_rate, fp_rate, the three noise sigmas and the surface
-    # amplitude bounded on both sides
-    assert len(BOUNDS) == 34
-    assert len({(record, name) for record, name, _, _ in BOUNDS}) == 28
+    # 29 fields; drop_rate, fp_rate, the three noise sigmas and the surface
+    # amplitude bounded on both sides; cluster.method is one of a set of names
+    assert len(BOUNDS) == 35
+    assert len({(record, name) for record, name, _, _ in BOUNDS}) == 29
 
 
 @pytest.mark.parametrize("record, name, op, bound", BOUNDS, ids=map(_id, BOUNDS))
 def test_a_bound_accepts_its_edge(record, name, op, bound):
-    value = inside(op, bound)
-    if (record, name) == (EvalConfig, "lane_width"):
-        # raster_resolution <= lane_width / 4 holds for no positive raster
-        # resolution at the smallest positive lane width (its quarter rounds
-        # to 0), so this bound is checked on its own
-        cfg = EvalConfig()
-        object.__setattr__(cfg, name, value)
-        check_settings(cfg)
-    else:
-        assert getattr(record(**{name: value}), name) == value
+    for value in inside(op, bound):
+        if (record, name) == (EvalConfig, "lane_width"):
+            # raster_resolution <= lane_width / 4 holds for no positive raster
+            # resolution at the smallest positive lane width (its quarter
+            # rounds to 0), so this bound is checked on its own
+            cfg = EvalConfig()
+            object.__setattr__(cfg, name, value)
+            check_settings(cfg)
+        else:
+            assert getattr(record(**{name: value}), name) == value
 
 
 @pytest.mark.parametrize("record, name, op, bound", BOUNDS, ids=map(_id, BOUNDS))
@@ -84,7 +90,7 @@ def test_a_bound_rejects_the_nearest_value_beyond(record, name, op, bound):
     value = beyond(op, bound)
     with pytest.raises(ValueError) as exc:
         record(**{name: value})
-    assert str(exc.value) == f"{name} must be {op} {bound}, got {value}"
+    assert str(exc.value) == f"{name} must be {op} {bound}, got {value!r}"
 
 
 # Each settings record a stage file carries: its section, and the files that
@@ -152,7 +158,7 @@ def _edge_values(op: str, bound) -> list:
     and the nearest beyond; for a set, each member and the float above it."""
     if op == "one of":
         return [(v, True) for v in bound] + [(math.nextafter(v, math.inf), False) for v in bound]
-    return [(inside(op, bound), True), (beyond(op, bound), False)]
+    return [(inside(op, bound)[0], True), (beyond(op, bound), False)]
 
 
 def _place(d: dict, record, name: str, value) -> str:

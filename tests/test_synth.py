@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevlanes.clustering import ClusterParams, cluster_segments
 from bevlanes.codec import AngleBinSpec, TileTargetGrid, decode_grid, encode_scene
@@ -148,6 +150,35 @@ def test_clip_to_grid_keeps_the_first_of_two_equally_long_inside_runs():
     xy = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [50.0, 4.0],
                    [1.0, 5.0], [1.0, 6.0], [1.0, 7.0]])
     npt.assert_array_equal(_clip_to_grid(xy, GRID), xy[:3])
+
+
+def _clip_by_loop(xy, grid):
+    """The longest inside run found vertex by vertex, the first of equal ones."""
+    inside = ((xy[:, 0] >= grid.x_min) & (xy[:, 0] <= grid.x_max)
+              & (xy[:, 1] >= grid.y_min) & (xy[:, 1] <= grid.y_max))
+    best, run_start, best_len = None, None, 0
+    for i, ok in enumerate(list(inside) + [False]):
+        if ok and run_start is None:
+            run_start = i
+        elif not ok and run_start is not None:
+            if i - run_start > best_len:
+                best, best_len = (run_start, i), i - run_start
+            run_start = None
+    if best is None or best_len < 2:
+        return None
+    return xy[best[0]:best[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=st.lists(st.booleans(), max_size=40))
+def test_clip_to_grid_takes_the_run_the_vertex_loop_takes(mask):
+    # vertex k lies inside the default grid when mask[k], else beyond its left edge
+    xy = np.array([[0.0 if ok else GRID.x_min - 1.0, float(k)] for k, ok in enumerate(mask)],
+                  dtype=float).reshape(-1, 2)
+    got, expected = _clip_to_grid(xy, GRID), _clip_by_loop(xy, GRID)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        npt.assert_array_equal(got, expected)
 
 
 def test_generate_split_shares_stem_and_separates():
