@@ -20,7 +20,7 @@ from pathlib import Path
 from .clustering import ClusterParams
 from .config import ConfigError, PipelineConfig
 from .io import SchemaError, load_json
-from .pipeline import STAGES, cmd_eval, cmd_loss, cmd_pipeline, run_stage
+from .pipeline import MAX_JOBS, STAGES, cmd_eval, cmd_loss, cmd_pipeline, run_stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
         sub.add_argument("--out", metavar="DIR", help="override output_dir")
         sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="processes that share the scenes, at least 1")
+                         help=f"processes that share the scenes, 1 to {MAX_JOBS}")
         if name in ("cluster", "pipeline"):
             methods = ClusterParams.__dataclass_fields__["method"].metadata["one of"]
             sub.add_argument("--method", choices=methods, help="override cluster.method")

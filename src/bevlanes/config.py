@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .clustering import ClusterParams
 from .codec import AngleBinSpec
 from .evaluation import EvalConfig
-from .geometry import GridSpec
+from .geometry import GridSpec, check_settings
 from .io import _coerce, section_from_dict, section_to_dict
 from .losses import EmbeddingParams
 from .synth import NoiseConfig, SceneConfig, check_surface_wavelength
@@ -42,12 +42,11 @@ class PipelineConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     output_dir: str = "bevlanes_out"
-    n_scenes: int = 10
-    master_seed: int = 0
+    n_scenes: int = field(default=10, metadata={">=": 1})
+    master_seed: int = field(default=0, metadata={">=": 0, "<": 2 ** 64})
 
     def __post_init__(self):
-        if self.n_scenes < 1:
-            raise ConfigError(f"n_scenes must be >= 1, got {self.n_scenes}")
+        check_settings(self, ConfigError)
         (x_lo, x_hi), (y_lo, y_hi) = self.eval.extent
         pad = _reach(self.grid, self.eval.lane_width)
         if (x_lo > self.grid.x_min - pad or x_hi < self.grid.x_max + pad

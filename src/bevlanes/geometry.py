@@ -71,18 +71,20 @@ _BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator
            "one of": np.isin}
 
 
-def check_settings(record) -> None:
-    """Reject a settings record that holds a NaN or infinite float in any
-    field, itself or nested in tuples, lists and dict values, or a value that
-    breaks a bound its field declares (`metadata={">=": 0.0}`), naming the
-    field. Rules no single bound states stay in the record's __post_init__."""
+def check_settings(record, error=ValueError) -> None:
+    """Reject a settings record that holds a NaN or infinite float in any field,
+    itself or nested in tuples, lists and dict values, or a value that breaks a
+    bound its field declares (`metadata={">=": 0.0}`), raising `error` naming
+    the field. Rules no single bound states stay in the record's __post_init__."""
     for f in fields(record):
         value = getattr(record, f.name)
         if not _finite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise error(f"{f.name} must be finite, got {value}")
+        if "one of" in f.metadata and np.ndim(value):     # np.isin tests element by element
+            raise error(f"{f.name} must be one of {f.metadata['one of']}, got {value!r}")
         bad = first_out_of_range(value, f.metadata)
         if bad:
-            raise ValueError(f"{f.name} {bad[1]}")
+            raise error(f"{f.name} {bad[1]}")
 
 
 def first_out_of_range(value, bounds: dict):

@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import os
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -71,8 +72,20 @@ def canonical_json(obj) -> str:
     return _json(obj) + "\n"
 
 
+def save_text(path, text: str) -> None:
+    """Write text to path whole or not at all: to `<path>.<pid>.tmp` (never a *.json
+    name), renamed over path; a failed write removes it and leaves path as it was."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_json(path, obj) -> None:
-    Path(path).write_text(canonical_json(obj))
+    save_text(path, canonical_json(obj))
 
 
 def load_json(path) -> dict:
@@ -108,18 +121,13 @@ def _file(d, kind: str, keys, path: str) -> list:
     return _object(d, dict.fromkeys(("kind", *keys)), path)[1:]
 
 
-def _build(cls, d: dict, path: str, field: str):
-    try:
-        return section_from_dict(cls, d)
-    except (KeyError, TypeError, ValueError) as e:
-        key = e.args[0] if isinstance(e, KeyError) else str(e)
-        raise SchemaError(path, f"{field}.{key}" if isinstance(e, KeyError) else field, str(e))
-
-
 def _checked(path: str, field: str, fn, *args, **kw):
-    """fn(*args, **kw); its TypeError, ValueError or OverflowError is a SchemaError on field."""
+    """fn(*args, **kw); its TypeError, ValueError or OverflowError is a SchemaError
+    on field, and its KeyError, as a section's missing key, one on field.<key>."""
     try:
         return fn(*args, **kw)
+    except KeyError as e:
+        raise SchemaError(path, f"{field}.{e.args[0]}", str(e))
     except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(path, field, str(e))
 
@@ -133,16 +141,12 @@ def _records(entries, key: str, path: str, parse: dict, bounds: dict) -> list:
         raise SchemaError(path, key, f"expected a list, got {type(entries).__name__}")
     rows = []
     for k, entry in enumerate(entries):
-        values, row = _object(entry, parse, path, f"{key}[{k}]."), []
-        try:
-            for (name, fn), value in zip(parse.items(), values):
-                row.append(fn(value))
-                bad = first_out_of_range(row[-1], bounds.get(name, {}))
-                if bad:
-                    raise ValueError(bad[1])
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(path, f"{key}[{k}].{name}", str(e))
-        rows.append(row)
+        rows.append([])
+        for (name, fn), value in zip(parse.items(), _object(entry, parse, path, f"{key}[{k}].")):
+            rows[-1].append(_checked(path, f"{key}[{k}].{name}", fn, value))
+            bad = first_out_of_range(rows[-1][-1], bounds.get(name, {}))
+            if bad:
+                raise SchemaError(path, f"{key}[{k}].{name}", bad[1])
     return rows
 
 
@@ -270,7 +274,7 @@ def scene_from_dict(d: dict, path: str = "<scene>") -> Scene:
         if i in {lane.lane_id for lane in lanes}:
             raise SchemaError(path, f"lanes[{k}].lane_id", f"{i} is not unique")
         lanes.append(_checked(path, f"lanes[{k}].points", Lane3D, points=pts, lane_id=i))
-    surface = _build(SurfaceParams, surface, path, "surface")
+    surface = _checked(path, "surface", section_from_dict, SurfaceParams, surface)
     if json.dumps(rig, sort_keys=True, separators=(",", ":")) != _RIG_JSON:
         raise SchemaError(path, "rig", f"expected {_RIG_JSON}, got {rig!r}")
     return Scene(lanes=lanes, surface=surface)
@@ -303,7 +307,8 @@ def _unpack_field(entry, f, path: str) -> np.ndarray:
 def _grid_from_dict(cls, kind: str, d: dict, path: str, keys=()):
     """A tile grid read from its dict, which may hold `keys` besides the grid's."""
     grid, bins, fields = _file(d, kind, ("grid", "bins", "fields", *keys), path)[:3]
-    grid, bins = _build(GridSpec, grid, path, "grid"), _build(AngleBinSpec, bins, path, "bins")
+    grid = _checked(path, "grid", section_from_dict, GridSpec, grid)
+    bins = _checked(path, "bins", section_from_dict, AngleBinSpec, bins)
     declared = {f.name: f for f in array_fields(cls)}
     arrays = {name: _unpack_field(entry, declared[name], path)
               for name, entry in zip(declared, _object(fields, declared, path, "fields."))}

@@ -39,9 +39,8 @@ from .synth import Scene, generate_scene, oracle_predict
 
 
 def derive_seed(master_seed: int, scene_index: int, stage: str) -> int:
-    """Deterministic per-scene, per-stage seed."""
-    ss = np.random.SeedSequence(
-        [master_seed & (2 ** 64 - 1), scene_index, zlib.crc32(stage.encode())])
+    """Deterministic per-scene, per-stage seed of a master_seed in [0, 2**64)."""
+    ss = np.random.SeedSequence([master_seed, scene_index, zlib.crc32(stage.encode())])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -103,11 +102,18 @@ def process_scene(config: PipelineConfig, index: int) -> SceneResult:
     return SceneResult(index, *artifacts)
 
 
+# A fixed ceiling on a run's processes, so that what a run accepts never depends on the host.
+MAX_JOBS = 32
+
+
 def _pool_size(config: PipelineConfig, jobs: int) -> int:
     """Processes for a run, this one included: jobs, but no more than there are
-    scenes. jobs < 1, or above 1 where there is no os.fork, is a ConfigError."""
+    scenes. jobs < 1 or above MAX_JOBS, or above 1 where there is no os.fork,
+    is a ConfigError."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs > MAX_JOBS:
+        raise ConfigError(f"jobs must be <= {MAX_JOBS}, got {jobs}")
     if jobs > 1 and not hasattr(os, "fork"):
         raise ConfigError(f"jobs above 1 needs os.fork, which this platform lacks; got {jobs}")
     return min(jobs, config.n_scenes)
@@ -176,11 +182,10 @@ def run_pipeline(config: PipelineConfig, jobs: int = 1) -> tuple[EvalReport, lis
     """Run every stage over n_scenes, in memory; returns the report + results.
 
     jobs > 1 shares the scenes out over at most n_scenes processes, this one
-    and forked children (`_fan_out`); results come back in scene-index order,
-    so output is identical to a serial run. A bad jobs raises ConfigError.
+    and forked children (`_each_scene`); results come back in scene-index
+    order, so output is identical to a serial run. A bad jobs raises ConfigError.
     """
-    results = _fan_out(lambda i: process_scene(config, i), config.n_scenes,
-                       _pool_size(config, jobs))
+    results = _each_scene(config, jobs, (), lambda i: process_scene(config, i))
     return evaluate_results(results, config), results
 
 
@@ -288,46 +293,51 @@ def _write_artifact(config: PipelineConfig, stage: Stage, index: int, artifact) 
     return path
 
 
+def _each_scene(config: PipelineConfig, jobs: int, inputs, body: Callable, outputs=()) -> list:
+    """body(i, *scene i's artifacts of the `inputs` stages) for every scene
+    index i, in index order, shared out over `jobs` processes by `_fan_out`.
+    A bad jobs, then a fault in the listing of an input stage, fails before
+    the `outputs` directories under output_dir are made."""
+    processes = _pool_size(config, jobs)
+    _check_files(config, *inputs)
+    for d in outputs:
+        (Path(config.output_dir) / d).mkdir(parents=True, exist_ok=True)
+    return _fan_out(lambda i: body(i, *_read_scene(config, i, *inputs)), config.n_scenes,
+                    processes)
+
+
 def run_stage(config: PipelineConfig, command: str, jobs: int = 1) -> list[Path]:
     """Run one STAGES row over scenes 0 ... n_scenes - 1, reading each scene's
     file of the row before just before its step (generate reads none), shared
     out over `jobs` processes as `run_pipeline` does. Returns the paths
     written, numbered with their scene index."""
-    processes = _pool_size(config, jobs)
-    names = list(STAGES)
+    names, stage = list(STAGES), STAGES[command]
     k = names.index(command)
-    inputs = names[k - 1:k] if k else []
-    _check_files(config, *inputs)
-    stage = STAGES[command]
-    (Path(config.output_dir) / stage.dir).mkdir(parents=True, exist_ok=True)
-    return _fan_out(lambda i: _write_artifact(config, stage, i, stage.step(
-        config, i, *_read_scene(config, i, *inputs) or [None])), config.n_scenes, processes)
+    return _each_scene(config, jobs, names[k - 1:k] if k else (), lambda i, artifact=None:
+                       _write_artifact(config, stage, i, stage.step(config, i, artifact)),
+                       [stage.dir])
 
 
 def cmd_eval(config: PipelineConfig, jobs: int = 1) -> EvalReport:
     """Score each scene as its lanes and scene files are read, over `jobs`
     processes; write the report of the records in scene order."""
-    processes = _pool_size(config, jobs)
-    _check_files(config, "cluster", "generate")
-
-    def score(i: int) -> SceneRecord:
-        lanes, scene = _read_scene(config, i, "cluster", "generate")
-        return score_scene(lanes, scene.lanes, config.eval)
-    return _write_report(config, _fan_out(score, config.n_scenes, processes))
+    records = _each_scene(config, jobs, ("cluster", "generate"),
+                          lambda i, lanes, scene: score_scene(lanes, scene.lanes, config.eval))
+    return _write_report(config, records)
 
 
 def _write_report(config: PipelineConfig, records: list[SceneRecord]) -> EvalReport:
     """Evaluate the scenes' records and write report.csv and report.json."""
     report = evaluate(records, config.eval)
     out = Path(config.output_dir)      # exists: the records' inputs were read or written there
-    (out / "report.csv").write_text(io.report_to_csv(report))
+    io.save_text(out / "report.csv", io.report_to_csv(report))
     io.save_json(out / "report.json", report.to_dict())
     return report
 
 
-def _loss_row(config: PipelineConfig, index: int) -> str:
+def _loss_row(config: PipelineConfig, index: int, tgt: TileTargetGrid,
+              prd: TilePredictionGrid) -> str:
     """Scene `index`'s loss terms as one CSV row."""
-    tgt, prd = _read_scene(config, index, "encode", "predict")
     tile = total_tile_loss(prd, tgt)
     emb = embedding_loss(prd.embedding, tgt.lane_id, config.embedding)
     c = {**tile.components, **emb.components}
@@ -338,10 +348,9 @@ def _loss_row(config: PipelineConfig, index: int) -> str:
 def cmd_loss(config: PipelineConfig, grad_check: bool = False, jobs: int = 1) -> str:
     """Per-scene loss terms as CSV, over `jobs` processes, optionally with a
     gradient-check summary of scene 0 computed in this process."""
-    processes = _pool_size(config, jobs)
-    _check_files(config, "encode", "predict")
     lines = ["scene,score,angle,offsets,pull,push,total"]
-    lines += _fan_out(lambda i: _loss_row(config, i), config.n_scenes, processes)
+    lines += _each_scene(config, jobs, ("encode", "predict"),
+                         lambda i, tgt, prd: _loss_row(config, i, tgt, prd))
     if grad_check:
         tgt, prd = _read_scene(config, 0, "encode", "predict")
         tile_inputs = {f.name: getattr(prd, f.name) for f in array_fields(prd)
@@ -355,7 +364,7 @@ def cmd_loss(config: PipelineConfig, grad_check: bool = False, jobs: int = 1) ->
         lines.append(f"grad_check,total_tile,max_rel_error,{tile_rep.max_rel_error!r}")
         lines.append(f"grad_check,embedding,max_rel_error,{emb_rep.max_rel_error!r}")
     csv = "\n".join(lines) + "\n"
-    (Path(config.output_dir) / "loss.csv").write_text(csv)     # exists: holds the targets read
+    io.save_text(Path(config.output_dir) / "loss.csv", csv)     # exists: holds the targets read
     return csv
 
 
@@ -365,9 +374,9 @@ def _write_scene(config: PipelineConfig, index: int) -> SceneRecord:
     for stage, artifact in zip(STAGES.values(), (r.scene, r.targets, r.preds, r.segments, r.lanes)):
         _write_artifact(config, stage, index, artifact)
     plots = Path(config.output_dir) / "plots"
-    (plots / f"scene_{index:05d}.svg").write_text(
-        scene_svg(r.scene.lanes, [c for c, _ in r.lanes], config.grid))
-    (plots / f"scores_{index:05d}.svg").write_text(heatmap_svg(r.preds.score(), config.grid))
+    io.save_text(plots / f"scene_{index:05d}.svg",
+                 scene_svg(r.scene.lanes, [c for c, _ in r.lanes], config.grid))
+    io.save_text(plots / f"scores_{index:05d}.svg", heatmap_svg(r.preds.score(), config.grid))
     return score_scene(r.lanes, r.scene.lanes, config.eval)
 
 
@@ -376,8 +385,5 @@ def cmd_pipeline(config: PipelineConfig, jobs: int = 1) -> EvalReport:
     Each process writes the files of the scenes it runs; this one also makes
     the directories and writes the report, so a run that fails can leave a
     partial tree."""
-    processes = _pool_size(config, jobs)       # a bad value fails before any directory is made
-    for d in [stage.dir for stage in STAGES.values()] + ["plots"]:
-        (Path(config.output_dir) / d).mkdir(parents=True, exist_ok=True)
-    return _write_report(config, _fan_out(lambda i: _write_scene(config, i),
-                                          config.n_scenes, processes))
+    return _write_report(config, _each_scene(config, jobs, (), lambda i: _write_scene(config, i),
+                                             [stage.dir for stage in STAGES.values()] + ["plots"]))

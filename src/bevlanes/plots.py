@@ -45,15 +45,12 @@ def _grid_frame(grid: GridSpec) -> list[str]:
     parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{grid.x_extent * _SCALE:.2f}" '
                  f'height="{grid.y_extent * _SCALE:.2f}" fill="none" stroke="#999" '
                  f'stroke-width="1"/>')
-    for j in range(1, grid.n_cols):
-        x = grid.x_min + j * grid.tile_width
-        (px, py0), (_, py1) = _to_px(x, grid.y_min, grid), _to_px(x, grid.y_max, grid)
-        parts.append(f'<line x1="{px:.2f}" y1="{py0:.2f}" x2="{px:.2f}" y2="{py1:.2f}" '
-                     f'stroke="#ddd" stroke-width="0.5"/>')
-    for i in range(1, grid.n_rows):
-        y = grid.y_min + i * grid.tile_length
-        (px0, py), (px1, _) = _to_px(grid.x_min, y, grid), _to_px(grid.x_max, y, grid)
-        parts.append(f'<line x1="{px0:.2f}" y1="{py:.2f}" x2="{px1:.2f}" y2="{py:.2f}" '
+    xs = [grid.x_min + j * grid.tile_width for j in range(1, grid.n_cols)]
+    ys = [grid.y_min + i * grid.tile_length for i in range(1, grid.n_rows)]
+    for a, b in [((x, grid.y_min), (x, grid.y_max)) for x in xs] + [
+            ((grid.x_min, y), (grid.x_max, y)) for y in ys]:     # inner column, then row borders
+        (x1, y1), (x2, y2) = _to_px(*a, grid), _to_px(*b, grid)
+        parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
                      f'stroke="#ddd" stroke-width="0.5"/>')
     return parts
 

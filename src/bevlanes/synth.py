@@ -153,16 +153,11 @@ def generate_scene(cfg: SceneConfig, grid: GridSpec | None = None, seed: int = 0
     offsets = (np.arange(cfg.n_lanes) - (cfg.n_lanes - 1) / 2.0) * cfg.lane_spacing
     dense = [center + off * normal for off in offsets]
 
-    if topology == "split":
+    if topology in ("split", "merge"):
         k = int(rng.integers(cfg.n_lanes))
-        dense.append(_diverged(dense[k], normal, cfg.lane_spacing,
-                               float(rng.uniform(25.0, 45.0)),
-                               int(rng.choice([-1, 1])), toward_far=True))
-    elif topology == "merge":
-        k = int(rng.integers(cfg.n_lanes))
-        dense.append(_diverged(dense[k], normal, cfg.lane_spacing,
-                               float(rng.uniform(30.0, 50.0)),
-                               int(rng.choice([-1, 1])), toward_far=False))
+        away, y_lo = (1.0, 25.0) if topology == "split" else (-1.0, 30.0)
+        dense.append(_diverged(dense[k], normal, cfg.lane_spacing, float(rng.uniform(
+            y_lo, y_lo + 20.0)), int(rng.choice([-1, 1])), away))
     elif topology == "short":
         k = int(rng.integers(cfg.n_lanes))
         y_start = float(rng.uniform(*cfg.short_y_range))
@@ -217,19 +212,14 @@ def _center_path(cfg: SceneConfig, rng):
 
 
 def _diverged(base: np.ndarray, normal: np.ndarray, spacing: float, y_event: float,
-              sign: int, toward_far: bool) -> np.ndarray:
+              sign: int, away: float) -> np.ndarray:
     """Copy of a dense lane that diverges laterally by one lane spacing.
 
-    toward_far=True is a Y-split: vertices before y_event stay exactly shared
-    with the base lane and the copy drifts apart beyond it. toward_far=False
-    is a merge: the copy starts one spacing apart and joins at y_event.
+    away=1.0 is a Y-split: vertices before y_event stay exactly shared with
+    the base lane and the copy drifts apart beyond it. away=-1.0 is its
+    mirror, a merge: the copy starts one spacing apart and joins at y_event.
     """
-    y = base[:, 1]
-    if toward_far:
-        t = (y - y_event) / _DIVERGE_LEN
-    else:
-        t = (y_event - y) / _DIVERGE_LEN
-    t = np.clip(t, 0.0, 1.0)
+    t = np.clip(away * (base[:, 1] - y_event) / _DIVERGE_LEN, 0.0, 1.0)
     delta = spacing * (3.0 * t ** 2 - 2.0 * t ** 3)
     return base + (sign * delta)[:, None] * normal
 

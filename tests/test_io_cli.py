@@ -1996,6 +1996,65 @@ def test_cli_every_command_takes_jobs(tmp_path, capsys, command, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "encode", "predict", "decode", "cluster", "eval",
+                                     "loss", "pipeline"])
+def test_cli_jobs_above_the_ceiling_is_config_error_before_any_fork(tmp_path, capsys, command,
+                                                                    monkeypatch):
+    # --jobs used to fork one child per share, up to one per scene; the
+    # ceiling is a fixed number, and criterion 10 runs --jobs 8
+    assert pipeline.MAX_JOBS >= 8
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
+    jobs = pipeline.MAX_JOBS + 1
+    cfg = write_config(tmp_path, n_scenes=jobs)
+    assert main([command, "--jobs", str(jobs), "--config", cfg]) == 2
+    assert f"jobs must be <= {pipeline.MAX_JOBS}, got {jobs}" in capsys.readouterr().err
+    assert forks == [] and not (tmp_path / "out").exists()
+    config = PipelineConfig.from_dict(tiny_config_dict(tmp_path, n_scenes=jobs))
+    assert pipeline._pool_size(config, pipeline.MAX_JOBS) == pipeline.MAX_JOBS
+
+
+@pytest.mark.parametrize("args, overrides", [(["--seed", str(2 ** 64)], {}),
+                                             ([], {"master_seed": -1})])
+def test_cli_seed_outside_64_bits_is_config_error(tmp_path, capsys, args, overrides):
+    # the scene seeds were derived from a seed's low 64 bits, so --seed 2**64
+    # used to run seed 0's scenes and exit 0
+    assert main(["pipeline", *args, "--config", write_config(tmp_path, **overrides)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "master_seed must be" in err
+    assert not (tmp_path / "out").exists()
+    for seed in (2 ** 64, -2 ** 64):
+        with pytest.raises(ConfigError, match="master_seed"):
+            replace(PipelineConfig(), master_seed=seed)
+
+
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    # a writer killed or failing mid-write used to leave a truncated file
+    path = tmp_path / "report.json"
+    io.save_json(path, {"a": 1})
+
+    def fail(*args):
+        raise OSError("planted")
+
+    monkeypatch.setattr(os, "replace", fail)
+    for write in (lambda: io.save_json(path, {"a": 2}), lambda: io.save_text(path, "x")):
+        with pytest.raises(OSError, match="planted"):
+            write()
+        assert path.read_bytes() == b'{"a":1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_every_file_a_run_writes_is_renamed_into_place(tmp_path, monkeypatch):
+    renamed, real = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(Path(dst)) or real(src, dst))
+    config = PipelineConfig.from_dict(tiny_config_dict(tmp_path, n_scenes=1))
+    cmd_pipeline(config)
+    pipeline.cmd_loss(config)
+    written = sorted(p for p in (tmp_path / "out").rglob("*") if p.is_file())
+    assert sorted(renamed) == written and len(written) == 10
+    assert not [p for p in written if p.suffix not in (".json", ".svg", ".csv")]
+
+
 def test_score_records_of_an_artifact_batch_pickle_small(tmp_path):
     # what a cmd_pipeline worker returns, on 16 scenes with the noise of
     # acceptance criterion 10 (the artifacts_jobs2 benchmark workload)

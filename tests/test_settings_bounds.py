@@ -30,7 +30,7 @@ from bevlanes.pipeline import STAGES, _check_config, process_scene
 from bevlanes.synth import NoiseConfig, SceneConfig, SurfaceParams
 
 RECORDS = (GridSpec, AngleBinSpec, EmbeddingParams, ClusterParams, SceneConfig, NoiseConfig,
-           SurfaceParams, EvalConfig)
+           SurfaceParams, EvalConfig, PipelineConfig)
 BOUNDS = [(record, f.name, op, bound) for record in RECORDS for f in fields(record)
           for op, bound in f.metadata.items()]
 
@@ -65,10 +65,20 @@ def beyond(op: str, bound):
 
 
 def test_every_bounded_field_declares_its_bounds():
-    # 29 fields; drop_rate, fp_rate, the three noise sigmas and the surface
-    # amplitude bounded on both sides; cluster.method is one of a set of names
-    assert len(BOUNDS) == 35
-    assert len({(record, name) for record, name, _, _ in BOUNDS}) == 29
+    # 31 fields; drop_rate, fp_rate, the three noise sigmas, the surface
+    # amplitude and master_seed bounded on both sides; cluster.method is one
+    # of a set of names
+    assert len(BOUNDS) == 38
+    assert len({(record, name) for record, name, _, _ in BOUNDS}) == 31
+
+
+@pytest.mark.parametrize("value", [("embedding", "greedy"), ("greedy",), ["embedding"]])
+def test_a_one_of_setting_holds_exactly_one_member(value):
+    # np.isin tests element by element, so a tuple of both methods used to
+    # build, and process_scene ran the embedding method on it
+    with pytest.raises(ValueError) as exc:
+        ClusterParams(method=value)
+    assert str(exc.value) == f"method must be one of ('embedding', 'greedy'), got {value!r}"
 
 
 @pytest.mark.parametrize("record, name, op, bound", BOUNDS, ids=map(_id, BOUNDS))

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from bevlanes.clustering import ClusterParams, cluster_segments
 from bevlanes.codec import AngleBinSpec, TileTargetGrid, decode_grid, encode_scene
-from bevlanes.geometry import GridSpec
+from bevlanes.geometry import GridSpec, Lane3D, resample_polyline
 from bevlanes.io import section_from_dict, section_to_dict
 from bevlanes.losses import EmbeddingParams
 from bevlanes.synth import (
+    TOPOLOGIES,
     NoiseConfig,
     SceneConfig,
     SurfaceParams,
+    _center_path,
     _clip_to_grid,
+    _polyline_length,
     generate_scene,
     oracle_predict,
     simplex_anchors,
@@ -219,6 +222,73 @@ def test_generate_merge_shares_tail():
     head = branch[0, :2]
     dists = np.linalg.norm(base[:, :2] - head[None, :], axis=1)
     assert dists.min() >= cfg.lane_spacing - 1e-9
+
+
+def _diverged_two_ways(base, normal, spacing, y_event, sign, toward_far):
+    """The diverging copy of a lane as a split (toward_far) and a merge once
+    had a branch each."""
+    y = base[:, 1]
+    if toward_far:
+        t = (y - y_event) / 25.0
+    else:
+        t = (y_event - y) / 25.0
+    t = np.clip(t, 0.0, 1.0)
+    delta = spacing * (3.0 * t ** 2 - 2.0 * t ** 3)
+    return base + (sign * delta)[:, None] * normal
+
+
+def _split_or_merge_scene(cfg, grid, seed):
+    """`generate_scene` of a split or merge, with the two branches it once had."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE7E]))
+    surface = SurfaceParams(amplitude=cfg.surface_amplitude,
+                            wavelength_x=2.0 * cfg.surface_wavelength,
+                            wavelength_y=cfg.surface_wavelength,
+                            phase_x=float(rng.uniform(0.0, 2.0 * math.pi)),
+                            phase_y=float(rng.uniform(0.0, 2.0 * math.pi)))
+    center, normal = _center_path(cfg, rng)
+    weights = np.array([cfg.topology_weights[n] for n in TOPOLOGIES])
+    topology = TOPOLOGIES[int(rng.choice(len(TOPOLOGIES), p=weights / weights.sum()))]
+    offsets = (np.arange(cfg.n_lanes) - (cfg.n_lanes - 1) / 2.0) * cfg.lane_spacing
+    dense = [center + off * normal for off in offsets]
+    if topology == "split":
+        k = int(rng.integers(cfg.n_lanes))
+        dense.append(_diverged_two_ways(dense[k], normal, cfg.lane_spacing,
+                                        float(rng.uniform(25.0, 45.0)),
+                                        int(rng.choice([-1, 1])), toward_far=True))
+    elif topology == "merge":
+        k = int(rng.integers(cfg.n_lanes))
+        dense.append(_diverged_two_ways(dense[k], normal, cfg.lane_spacing,
+                                        float(rng.uniform(30.0, 50.0)),
+                                        int(rng.choice([-1, 1])), toward_far=False))
+    lanes = []
+    for xy in dense:
+        clipped = _clip_to_grid(xy, grid)
+        if clipped is None:
+            continue
+        pts = resample_polyline(clipped, 1.0)
+        if _polyline_length(pts) < 8.0:
+            continue
+        z = surface_height(pts[:, 0], pts[:, 1], surface)
+        lanes.append(Lane3D(points=np.column_stack([pts, z]), lane_id=len(lanes)))
+    return lanes, surface
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), topology=st.sampled_from(["split", "merge"]),
+       grid=st.sampled_from([GRID, GridSpec(n_cols=64, n_rows=104, tile_width=0.32,
+                                            tile_length=0.75)]),
+       n_lanes=st.integers(1, 4), curvature=st.sampled_from([0.0, 0.03]))
+def test_split_and_merge_are_one_recipe_with_the_bits_of_two(seed, topology, grid, n_lanes,
+                                                              curvature):
+    # a merge is a split mirrored about its event: -(y - y_event) has the
+    # bits of y_event - y, so one branch builds both
+    cfg = cfg_with(topology, n_lanes=n_lanes, curvature_max=curvature)
+    scene = generate_scene(cfg, grid, seed)
+    lanes, surface = _split_or_merge_scene(cfg, grid, seed)
+    assert scene.surface == surface
+    assert [lane.lane_id for lane in scene.lanes] == [lane.lane_id for lane in lanes]
+    for got, expected in zip(scene.lanes, lanes):
+        assert got.points.tobytes() == expected.points.tobytes()
 
 
 def test_generate_short_lane_starts_midrange():
